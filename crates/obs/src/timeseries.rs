@@ -172,12 +172,17 @@ impl Sampler {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Arc::clone(&shared));
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        // The baseline is taken before `start` returns: counts recorded
+        // right after it must show up as interval movement, not be folded
+        // into a baseline the thread happens to snapshot later.
+        let t0 = Instant::now();
+        let baseline = snapshot();
         let handle = {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("pm-obs-sampler".into())
-                .spawn(move || sampler_loop(&shared, &stop, interval))
+                .spawn(move || sampler_loop(&shared, &stop, interval, t0, baseline))
                 .expect("sampler thread spawns")
         };
         Sampler {
@@ -228,9 +233,14 @@ fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-fn sampler_loop(shared: &TsShared, stop: &(Mutex<bool>, Condvar), interval: Duration) {
-    let t0 = Instant::now();
-    let mut prev = snapshot();
+fn sampler_loop(
+    shared: &TsShared,
+    stop: &(Mutex<bool>, Condvar),
+    interval: Duration,
+    t0: Instant,
+    baseline: Snapshot,
+) {
+    let mut prev = baseline;
     let mut prev_t = t0;
     let (lock, cvar) = stop;
     loop {
@@ -728,6 +738,33 @@ mod tests {
         // Prometheus member carries timestamps.
         let prom = prometheus_member().expect("latest interval renders");
         assert!(prom.contains("pm_ts_counter_rate{counter=\"ts.json.counter\"}"));
+        clear_active();
+    }
+
+    #[test]
+    fn counts_right_after_start_land_in_a_moving_interval() {
+        let _g = crate::tests::guard();
+        enable();
+        reset();
+        // A long interval: the only sample is the final one taken on drop,
+        // so the count must be a delta against the baseline `start` took.
+        let sampler = Sampler::start(SamplerConfig {
+            interval: Duration::from_secs(60),
+            capacity: 4,
+        });
+        count("ts.race.counter", 5);
+        drop(sampler);
+        let shared = active_shared().expect("sampler registered");
+        let ring = shared.lock_ring();
+        let moved: u64 = ring
+            .intervals
+            .iter()
+            .flat_map(|iv| &iv.counters)
+            .filter(|c| c.name == "ts.race.counter")
+            .map(|c| c.delta)
+            .sum();
+        assert_eq!(moved, 5, "{:?}", ring.intervals);
+        drop(ring);
         clear_active();
     }
 
