@@ -467,7 +467,10 @@ fn handle_reload(shared: &PmdShared) -> Response {
 /// The `/plan` and `/plans/:rank` response body. Every field comes from
 /// one generation snapshot, so the response can never mix topologies.
 fn plan_json(gen: &Generation, entry: &StoredPlan, source: &str) -> String {
-    let mut out = String::with_capacity(entry.plan_text.len() + 512);
+    // Plan lines are at least 8 bytes (`full s0\n`) and escaping grows
+    // only their newline, by one byte: an eighth more covers the plan.
+    let plan = &entry.plan_text;
+    let mut out = String::with_capacity(512 + entry.label.len() + plan.len() + plan.len() / 8);
     out.push_str("{\n  \"schema_version\": 1,\n");
     let _ = writeln!(out, "  \"generation\": {},", gen.id());
     let _ = writeln!(out, "  \"source\": \"{source}\",");
@@ -477,9 +480,14 @@ fn plan_json(gen: &Generation, entry: &StoredPlan, source: &str) -> String {
         }
         _ => out.push_str("  \"rank\": null,\n"),
     }
-    let ids: Vec<String> = entry.failed.iter().map(|c| c.index().to_string()).collect();
-    let _ = writeln!(out, "  \"controllers\": [{}],", ids.join(", "));
-    let _ = writeln!(out, "  \"label\": \"{}\",", json::escape(&entry.label));
+    out.push_str("  \"controllers\": [");
+    for (i, c) in entry.failed.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}{}", c.index());
+    }
+    out.push_str("],\n  \"label\": \"");
+    json::escape_into(&entry.label, &mut out);
+    out.push_str("\",\n");
     let _ = writeln!(
         out,
         "  \"min_programmability\": {},",
@@ -505,8 +513,9 @@ fn plan_json(gen: &Generation, entry: &StoredPlan, source: &str) -> String {
         gen.store().horizon(),
         gen.net().controllers().len(),
     );
-    let _ = writeln!(out, "  \"plan\": \"{}\"", json::escape(&entry.plan_text));
-    out.push_str("}\n");
+    out.push_str("  \"plan\": \"");
+    json::escape_into(plan, &mut out);
+    out.push_str("\"\n}\n");
     out
 }
 
@@ -566,7 +575,8 @@ mod tests {
         PmdService::start("127.0.0.1:0", att_source(cfg), cfg).expect("start")
     }
 
-    fn request(addr: SocketAddr, raw: &str) -> (String, json::Value) {
+    /// Sends `raw` on a fresh connection; returns `(status line, body)`.
+    fn request_text(addr: SocketAddr, raw: &str) -> (String, String) {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         s.write_all(raw.as_bytes()).unwrap();
@@ -574,18 +584,27 @@ mod tests {
         s.read_to_string(&mut text).unwrap();
         let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
         let status = head.lines().next().unwrap_or("").to_string();
-        let value = json::parse(body).unwrap_or(json::Value::Null);
-        (status, value)
+        (status, body.to_string())
     }
 
-    fn post(addr: SocketAddr, path: &str, body: &str) -> (String, json::Value) {
-        request(
+    fn request(addr: SocketAddr, raw: &str) -> (String, json::Value) {
+        let (status, body) = request_text(addr, raw);
+        (status, json::parse(&body).unwrap_or(json::Value::Null))
+    }
+
+    fn post_text(addr: SocketAddr, path: &str, body: &str) -> (String, String) {
+        request_text(
             addr,
             &format!(
                 "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()
             ),
         )
+    }
+
+    fn post(addr: SocketAddr, path: &str, body: &str) -> (String, json::Value) {
+        let (status, body) = post_text(addr, path, body);
+        (status, json::parse(&body).unwrap_or(json::Value::Null))
     }
 
     fn get(addr: SocketAddr, path: &str) -> (String, json::Value) {
@@ -673,5 +692,96 @@ mod tests {
         assert_eq!(status, "HTTP/1.1 200 OK");
         svc.wait_for_shutdown(); // must not hang
         assert!(svc.shutdown_requested());
+    }
+
+    /// The `plan_json` renderer as it was before it escaped into one
+    /// buffer, char-by-char escaper included: the oracle that pins the
+    /// wire format of plan responses.
+    fn plan_json_oracle(gen: &Generation, entry: &StoredPlan, source: &str) -> String {
+        fn escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let mut out = String::with_capacity(entry.plan_text.len() + 512);
+        out.push_str("{\n  \"schema_version\": 1,\n");
+        let _ = writeln!(out, "  \"generation\": {},", gen.id());
+        let _ = writeln!(out, "  \"source\": \"{source}\",");
+        match source {
+            "store" => {
+                let _ = writeln!(out, "  \"rank\": {},", entry.rank);
+            }
+            _ => out.push_str("  \"rank\": null,\n"),
+        }
+        let ids: Vec<String> = entry.failed.iter().map(|c| c.index().to_string()).collect();
+        let _ = writeln!(out, "  \"controllers\": [{}],", ids.join(", "));
+        let _ = writeln!(out, "  \"label\": \"{}\",", escape(&entry.label));
+        let _ = writeln!(
+            out,
+            "  \"min_programmability\": {},",
+            entry.min_programmability
+        );
+        let _ = writeln!(
+            out,
+            "  \"total_programmability\": {},",
+            entry.total_programmability
+        );
+        let _ = writeln!(out, "  \"recovered_flows\": {},", entry.recovered_flows);
+        let _ = writeln!(out, "  \"offline_flows\": {},", entry.offline_flows);
+        let _ = writeln!(
+            out,
+            "  \"recovered_switches\": {},",
+            entry.recovered_switches
+        );
+        let _ = writeln!(out, "  \"offline_switches\": {},", entry.offline_switches);
+        let _ = writeln!(
+            out,
+            "  \"store\": {{\"plans\": {}, \"horizon\": {}, \"controllers\": {}}},",
+            gen.store().len(),
+            gen.store().horizon(),
+            gen.net().controllers().len(),
+        );
+        let _ = writeln!(out, "  \"plan\": \"{}\"", escape(&entry.plan_text));
+        out.push_str("}\n");
+        out
+    }
+
+    #[test]
+    fn plan_bodies_match_the_pinned_renderer() {
+        let svc = service();
+        let addr = svc.local_addr();
+        let gen = svc.generation();
+        let body_for = |failed: &[ControllerId]| {
+            let ids: Vec<String> = failed.iter().map(|c| c.index().to_string()).collect();
+            format!("{{\"controllers\": [{}]}}", ids.join(", "))
+        };
+
+        // Every store rank, requested as a failure set.
+        assert_eq!(gen.store().len(), 21, "ATT: 6 + 15 plans at horizon 2");
+        for rank in 0..gen.store().len() {
+            let entry = gen.store().get(rank).expect("stored rank");
+            let (status, body) = post_text(addr, "/plan", &body_for(&entry.failed));
+            assert_eq!(status, "HTTP/1.1 200 OK", "rank {rank}");
+            assert_eq!(body, plan_json_oracle(&gen, entry, "store"), "rank {rank}");
+        }
+
+        // One failure set beyond the horizon, solved on demand.
+        let failed = [ControllerId(0), ControllerId(2), ControllerId(5)];
+        let solved = gen.solve_beyond_horizon(&failed).expect("solvable");
+        let (status, body) = post_text(addr, "/plan", &body_for(&failed));
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert_eq!(body, plan_json_oracle(&gen, &solved, "solved"));
     }
 }

@@ -129,20 +129,52 @@ pub fn parse(input: &str) -> Result<Value, String> {
 /// quotes). Shared by every hand-formatted exporter in this workspace.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(s, &mut out);
     out
+}
+
+/// Bytes that cannot appear raw inside a JSON string literal: `"`, `\`
+/// and the control characters below 0x20. Every other byte, including
+/// each byte of a multi-byte UTF-8 sequence, is copied as is.
+const NEEDS_ESCAPE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
+    }
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
+/// Appends [`escape`]`(s)` to `out`. Runs of bytes that need no escaping
+/// are copied whole, so a response renderer can escape straight into its
+/// one output buffer.
+pub fn escape_into(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !NEEDS_ESCAPE[usize::from(b)] {
+            continue;
+        }
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 struct Parser<'a> {
@@ -395,7 +427,8 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{escape, parse, validate, Value, MAX_DEPTH};
+    use super::{escape, escape_into, parse, validate, Value, MAX_DEPTH};
+    use proptest::prelude::*;
 
     #[test]
     fn accepts_well_formed_documents() {
@@ -521,5 +554,57 @@ mod tests {
         let nasty = "quo\"te \\ back\nnew\ttab \u{1} low";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap(), Value::Str(nasty.into()));
+    }
+
+    /// The char-by-char escaper `escape_into` replaced, kept as the
+    /// differential oracle.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Seeded strings mixing every byte below 0x20, `"`, `\`, printable
+    /// ASCII and one-, two-, three- and four-byte UTF-8.
+    fn arb_text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        proptest::collection::vec((0usize..4, 0usize..95), len).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(class, k)| match class {
+                    0 => char::from(k as u8 % 0x20),
+                    1 => ['"', '\\'][k % 2],
+                    2 => char::from(b' ' + k as u8),
+                    _ => ['é', '€', '\u{1F980}'][k % 3],
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn escape_into_matches_the_char_by_char_escaper(
+            prefix in arb_text(1..8),
+            s in arb_text(0..64),
+        ) {
+            let mut out = prefix.clone();
+            escape_into(&s, &mut out);
+            prop_assert_eq!(&out, &format!("{prefix}{}", escape_by_char(&s)));
+            let doc = format!("\"{}\"", escape(&s));
+            prop_assert_eq!(parse(&doc), Ok(Value::Str(s.clone())));
+        }
     }
 }

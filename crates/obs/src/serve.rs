@@ -19,6 +19,7 @@
 //! | request line + headers over 8 KiB            | `431`                |
 //! | body over 1 MiB (`Content-Length` bound)     | `413`                |
 //! | malformed request line / header / length     | `400`                |
+//! | conflicting repeated `Content-Length`        | `400`                |
 //! | `Transfer-Encoding` (chunked uploads)        | `501`                |
 //! | unknown path                                 | `404`                |
 //! | known path, unregistered method              | `405` + `Allow`      |
@@ -37,6 +38,7 @@
 //! Serving reads the recorder through the same snapshot path as the file
 //! exporters, so a scrape can never perturb recorded results.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,7 +61,8 @@ const MAX_DRAIN_BYTES: usize = 4 * 1024 * 1024;
 pub struct Request {
     /// Upper-case method token (`GET`, `POST`, ...).
     pub method: String,
-    /// Decoded path without the query string, e.g. `/plans/7`.
+    /// Raw path without the query string, e.g. `/plans/7`; never
+    /// percent-decoded.
     pub path: String,
     /// The query string after `?`, empty when absent.
     pub query: String,
@@ -597,12 +600,22 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Parsed {
     if headers.iter().any(|(n, _)| n == "transfer-encoding") {
         return Parsed::Reject(Response::text(501, "transfer encodings not supported\n"));
     }
-    let mut body = Vec::new();
-    let content_length = headers.iter().find(|(n, _)| n == "content-length");
-    if let Some((_, v)) = content_length {
-        let Ok(len) = v.parse::<usize>() else {
-            return Parsed::Reject(Response::text(400, "malformed content-length\n"));
+    // Every `Content-Length` must be plain ASCII digits (no sign, no
+    // list) and all of them must agree: a request two parsers could frame
+    // differently is refused, not guessed at.
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let len = match v.parse::<usize>() {
+            Ok(len) if v.bytes().all(|b| b.is_ascii_digit()) => len,
+            _ => return Parsed::Reject(Response::text(400, "malformed content-length\n")),
         };
+        if content_length.is_some_and(|first| first != len) {
+            return Parsed::Reject(Response::text(400, "conflicting content-length\n"));
+        }
+        content_length = Some(len);
+    }
+    let mut body = Vec::new();
+    if let Some(len) = content_length {
         if len > MAX_BODY_BYTES {
             return Parsed::Reject(Response::text(413, "request body too large\n"));
         }
@@ -667,24 +680,27 @@ fn write_response(
     head_only: bool,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let allow = match &resp.allow {
-        Some(methods) => format!("Allow: {methods}\r\n"),
-        None => String::new(),
-    };
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    let reason = reason(resp.status);
+    let body = if head_only { "" } else { resp.body.as_str() };
     // One buffer, one write: head and body split across two TCP segments
-    // interacts with Nagle + delayed ACK into ~40 ms response stalls.
-    let mut out = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n\
-         Content-Length: {}\r\n{allow}Connection: {connection}\r\n\r\n",
+    // interacts with Nagle + delayed ACK into ~40 ms response stalls. The
+    // head's fixed text, status code and length fit in 128 bytes.
+    let allow_len = resp.allow.as_ref().map_or(0, String::len);
+    let head_len = 128 + reason.len() + resp.content_type.len() + allow_len;
+    let mut out = String::with_capacity(head_len + body.len());
+    let _ = write!(
+        out,
+        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         resp.status,
-        reason(resp.status),
         resp.content_type,
         resp.body.len()
     );
-    if !head_only {
-        out.push_str(&resp.body);
+    if let Some(methods) = &resp.allow {
+        let _ = write!(out, "Allow: {methods}\r\n");
     }
+    let _ = write!(out, "Connection: {connection}\r\n\r\n");
+    out.push_str(body);
     stream.write_all(out.as_bytes())?;
     stream.flush()
 }
@@ -958,12 +974,23 @@ mod tests {
         );
         assert!(raw.starts_with("HTTP/1.1 413 "), "{raw}");
 
-        // Unparseable Content-Length.
-        let raw = raw_request(
-            addr,
-            "POST /plan HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
-        );
-        assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+        // Content-Length must be ASCII digits, and repeated headers must
+        // agree. The body is a valid 9-byte plan request, so a signed
+        // length (`usize::from_str` reads `+9` as 9) or the first of two
+        // conflicting headers would otherwise be served a 200.
+        let body = "{\"ok\": 1}";
+        for (lengths, want) in [
+            ("Content-Length: 9\r\nContent-Length: 9\r\n", "200"),
+            ("Content-Length: banana\r\n", "400"),
+            ("Content-Length: +9\r\n", "400"),
+            ("Content-Length: 9\r\nContent-Length: 10\r\n", "400"),
+        ] {
+            let raw = raw_request(addr, &format!("POST /plan HTTP/1.1\r\n{lengths}\r\n{body}"));
+            assert!(
+                raw.starts_with(&format!("HTTP/1.1 {want} ")),
+                "{lengths}: {raw}"
+            );
+        }
 
         // Chunked uploads are explicitly unimplemented, not mis-framed.
         let raw = raw_request(
