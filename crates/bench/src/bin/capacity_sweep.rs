@@ -11,19 +11,27 @@
 //! parallel across the worker pool (`--jobs N`); rows are merged back in
 //! capacity order.
 //!
-//! Run: `cargo run --release -p pm-bench --bin capacity_sweep [--jobs N]` (plus telemetry flags `--trace`/`--metrics`/`--prom`/`--events`/`--progress`; see `--help`)
+//! Run: `cargo run --release -p pm-bench --bin capacity_sweep -- --help` for the flags.
 
+use pm_bench::flags::{run_main, Args, CliError};
 use pm_bench::par::par_map;
 use pm_bench::report::{pct, render_table};
 use pm_bench::EvalOptions;
 use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
 use pm_sdwan::{ControllerId, NetCache, PlanMetrics, SdWanBuilder};
+use std::process::ExitCode;
 
 const CAPACITIES: [u32; 8] = [450, 475, 500, 525, 550, 600, 700, 800];
 
-fn main() {
-    let opts = EvalOptions::from_args();
-    let _plane = opts.start_telemetry_plane();
+const HELP: &str =
+    "capacity_sweep [options]: controller-capacity sensitivity of the (13,20) failure";
+
+fn main() -> ExitCode {
+    run_main(&[HELP], capacity_sweep)
+}
+
+fn capacity_sweep(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> {
+    args.finish()?;
     let results = par_map(&CAPACITIES, opts.jobs, |_, &capacity| {
         let builder = SdWanBuilder::att_paper_setup_with_capacity(capacity);
         // Below ~490 some domain overloads; study that regime too.
@@ -79,5 +87,5 @@ fn main() {
         render_table(&["capacity", "residual", "RetroFlow", "PM", "PG"], &rows)
     );
     println!("\n(paper operating point: capacity 500)");
-    opts.export_observability();
+    Ok(())
 }

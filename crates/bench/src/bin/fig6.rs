@@ -3,10 +3,18 @@
 //! prove optimality within its budget in some cases — those cells are
 //! bracketed.
 //!
-//! Run: `cargo run --release -p pm-bench --bin fig6 [--opt-secs N] [--skip-optimal] [--jobs N] [--shard i/m] [--max-scenarios N] [--seed N] [--batch N] [--csv DIR]` (plus telemetry flags `--trace`/`--metrics`/`--prom`/`--events`/`--progress`; see `--help`)
+//! Run: `cargo run --release -p pm-bench --bin fig6 -- --help` for the flags.
 
-fn main() {
-    let opts = pm_bench::EvalOptions::from_args();
-    let _plane = opts.start_telemetry_plane();
-    pm_bench::figures::run_failure_figure(3, "fig6", true, &opts);
+use pm_bench::flags::run_main;
+use std::process::ExitCode;
+
+const HELP: &str =
+    "fig6 [options]: the paper's Fig. 6, three controller failures (20 cases, panels a-f)";
+
+fn main() -> ExitCode {
+    run_main(&[HELP], |args, opts| {
+        args.finish()?;
+        pm_bench::figures::run_failure_figure(3, "fig6", true, &opts);
+        Ok(())
+    })
 }

@@ -6,17 +6,24 @@
 //! (mean / p95 / max per algorithm and failure count) instead — the mode
 //! used to measure the sweep engine itself.
 //!
-//! Run: `cargo run --release -p pm-bench --bin fig7 [--opt-secs N] [--skip-optimal] [--jobs N] [--shard i/m] [--max-scenarios N] [--seed N] [--batch N] [--csv DIR] [--trace FILE] [--metrics FILE] [--prom FILE] [--events FILE] [--progress]`
+//! Run: `cargo run --release -p pm-bench --bin fig7 -- --help` for the flags.
 
 use pm_bench::figures::{timing_rows, write_bench_sweep_json, TIMING_HEADERS};
+use pm_bench::flags::{run_main, Args, CliError};
 use pm_bench::harness::EvalOptions;
 use pm_bench::report::{render_table, write_csv};
 use pm_bench::SweepEngine;
 use pm_sdwan::SdWanBuilder;
+use std::process::ExitCode;
 
-fn main() {
-    let opts = EvalOptions::from_args();
-    let _plane = opts.start_telemetry_plane();
+const HELP: &str = "fig7 [options]: the paper's Fig. 7, PM's computation time as % of Optimal's (with --skip-optimal: absolute heuristic timing per case)";
+
+fn main() -> ExitCode {
+    run_main(&[HELP], fig7)
+}
+
+fn fig7(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> {
+    args.finish()?;
     let net = SdWanBuilder::att_paper_setup()
         .build()
         .expect("paper setup builds");
@@ -24,8 +31,7 @@ fn main() {
 
     if opts.skip_optimal {
         heuristic_timing(&engine, &opts);
-        opts.export_observability();
-        return;
+        return Ok(());
     }
 
     let mut rows = Vec::new();
@@ -91,7 +97,7 @@ fn main() {
             &csv_rows,
         );
     }
-    opts.export_observability();
+    Ok(())
 }
 
 /// The `--skip-optimal` mode: absolute heuristic timing over all 41 cases.

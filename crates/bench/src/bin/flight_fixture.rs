@@ -3,45 +3,36 @@
 //! panic hook's dump artifact can be validated and archived. Exits
 //! nonzero by construction — a zero exit means the fixture is broken.
 //!
-//! Run: `cargo run -p pm-bench --bin flight_fixture -- --out FILE
-//! [--cases N]`
+//! Run: `cargo run -p pm-bench --bin flight_fixture -- --help` for the
+//! flags.
 
+use pm_bench::flags::{run_plain, CliError};
 use pm_bench::harness::{run_case, EvalOptions};
 use pm_sdwan::{ControllerId, Programmability, SdWanBuilder};
+use std::process::ExitCode;
 
-fn main() {
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut cases: usize = 5;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => {
-                out = Some(
-                    args.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--out needs a file argument");
-                            std::process::exit(2);
-                        })
-                        .into(),
-                );
-            }
-            "--cases" => {
-                cases = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--cases needs a positive integer argument");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown flag {other}; usage: flight_fixture --out FILE [--cases N]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let out = out.unwrap_or_else(|| {
-        eprintln!("flight_fixture: --out FILE is required");
-        std::process::exit(2);
-    });
+const HELP: &str = "flight_fixture — runs a few recovery cases with the flight recorder armed,
+then panics on purpose so the dump can be validated
 
+USAGE: flight_fixture --out FILE [--cases N]
+
+  --out FILE           where the panic hook writes the flight recorder dump
+  --cases N            recovery cases to run before the panic (default 5)
+";
+
+fn main() -> ExitCode {
+    run_plain(HELP, |args| {
+        let out = args.take_path("--out")?;
+        let cases = args
+            .take_parsed("--cases", "an integer", |_: &usize| true)?
+            .unwrap_or(5);
+        args.finish()?;
+        let out = out.ok_or_else(|| CliError::usage("flight_fixture: --out FILE is required"))?;
+        fixture(out, cases)
+    })
+}
+
+fn fixture(out: std::path::PathBuf, cases: usize) -> ! {
     pm_obs::flight::arm_panic_hook(out);
     pm_obs::set_thread_label("flight-fixture-main");
 

@@ -7,9 +7,8 @@
 //! wall latency and writes `BENCH_serve.json` (schema version 1) with
 //! p50/p90/p99/max latency and sustained plans/sec.
 //!
-//! Run: `cargo run --release -p pm-bench --bin loadgen -- [--addr HOST:PORT]
-//! [--requests N] [--threads T] [--rate R] [--seed S] [--horizon K]
-//! [--beyond FRAC] [--out PATH]`
+//! Run: `cargo run --release -p pm-bench --bin loadgen -- --help` for the
+//! flags.
 //!
 //! `--beyond FRAC` sends that fraction of requests with `horizon + 1`
 //! failures, exercising the daemon's on-demand solve fallback; the rest
@@ -17,83 +16,93 @@
 //! request rate (requests per second, split across threads); 0 means
 //! open throttle.
 
+use pm_bench::flags::{run_plain, Args, CliError};
 use pm_bench::{Generation, PmdConfig, PmdService};
 use pm_sdwan::SdWanBuilder;
 use pm_topo::rng::DetRng;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-struct Args {
+const HELP: &str = "loadgen — seeded closed-loop load generator for pmd
+
+USAGE: loadgen [options]
+
+  --addr HOST:PORT     target a running pmd (default: self-host one on the
+                       paper's ATT topology)
+  --requests N         requests to send (default 20000)
+  --threads T          client threads, one keep-alive connection each
+                       (default 4)
+  --rate R             total requests per second (default 0: open throttle)
+  --seed S             seed of the request stream (default 42)
+  --beyond FRAC        fraction of requests with horizon + 1 failures
+                       (default 0)
+  --out PATH           benchmark file to write (default BENCH_serve.json)
+
+self-hosted pmd:
+  --horizon K          precompute every failure set of up to K controllers
+                       (default 2)
+  --jobs N             worker threads of the store build (default: all cores)
+  --workers W          HTTP worker threads (default 8)
+";
+
+struct Options {
     addr: Option<String>,
     requests: u64,
     threads: usize,
     rate: f64,
     seed: u64,
-    horizon: usize,
     beyond: f64,
-    workers: usize,
-    jobs: usize,
+    pmd: PmdConfig,
     out: PathBuf,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: loadgen [--addr HOST:PORT] [--requests N] [--threads T] [--rate R/S] \
-         [--seed S] [--horizon K] [--beyond FRAC] [--workers W] [--jobs J] [--out PATH]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        addr: None,
-        requests: 20_000,
-        threads: 4,
-        rate: 0.0,
-        seed: 42,
-        horizon: 2,
-        beyond: 0.0,
-        workers: 8,
-        jobs: 0,
-        out: PathBuf::from("BENCH_serve.json"),
+fn take_options(args: &mut Args) -> Result<Options, CliError> {
+    let addr = args.take_str_flag("--addr")?;
+    // Only a self-hosted store is known to have the ATT setup's six
+    // controllers; a remote daemon reports its own horizon.
+    let att_controllers = pm_topo::att::DEFAULT_DOMAINS.len();
+    let pmd = PmdConfig::take(args, addr.is_none().then_some(att_controllers))?;
+    let threads = args
+        .take_parsed("--threads", "a positive integer", |&t: &usize| t > 0)?
+        .unwrap_or(4);
+    // The pacing interval threads / rate must be a representable
+    // Duration; 0 means no pacing.
+    let rate = args
+        .take_parsed(
+            "--rate",
+            "0 or a rate with a representable pacing interval",
+            |&r: &f64| {
+                r == 0.0
+                    || (r.is_finite()
+                        && r > 0.0
+                        && Duration::try_from_secs_f64(threads as f64 / r).is_ok())
+            },
+        )?
+        .unwrap_or(0.0);
+    let options = Options {
+        addr,
+        requests: args
+            .take_parsed("--requests", "an integer", |_: &u64| true)?
+            .unwrap_or(20_000),
+        threads,
+        rate,
+        seed: args
+            .take_parsed("--seed", "an integer", |_: &u64| true)?
+            .unwrap_or(42),
+        beyond: args
+            .take_parsed("--beyond", "a fraction", |_: &f64| true)?
+            .map_or(0.0, |f| f.clamp(0.0, 1.0)),
+        pmd,
+        out: args
+            .take_path("--out")?
+            .unwrap_or_else(|| PathBuf::from("BENCH_serve.json")),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("loadgen: {flag} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--addr" => args.addr = Some(val("--addr")),
-            "--requests" => args.requests = parse_num(&flag, &val("--requests")),
-            "--threads" => args.threads = parse_num::<usize>(&flag, &val("--threads")).max(1),
-            "--rate" => args.rate = parse_num(&flag, &val("--rate")),
-            "--seed" => args.seed = parse_num(&flag, &val("--seed")),
-            "--horizon" => args.horizon = parse_num::<usize>(&flag, &val("--horizon")).max(1),
-            "--beyond" => args.beyond = parse_num::<f64>(&flag, &val("--beyond")).clamp(0.0, 1.0),
-            "--workers" => args.workers = parse_num::<usize>(&flag, &val("--workers")).max(1),
-            "--jobs" => args.jobs = parse_num(&flag, &val("--jobs")),
-            "--out" => args.out = PathBuf::from(val("--out")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("loadgen: unknown flag {other}");
-                usage();
-            }
-        }
-    }
-    args
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("loadgen: {flag} got {raw:?}, expected a number");
-        usage()
-    })
+    args.finish()?;
+    Ok(options)
 }
 
 /// A distinct ascending controller-index set of size `f` out of `n`,
@@ -249,21 +258,14 @@ fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
     sorted_ns[idx.min(sorted_ns.len() - 1)]
 }
 
-fn main() {
-    let args = parse_args();
+fn main() -> ExitCode {
+    run_plain(HELP, |args| loadgen(take_options(args)?))
+}
 
+fn loadgen(args: Options) -> Result<(), CliError> {
     // Self-host unless --addr points at a running daemon.
     let hosted: Option<PmdService> = if args.addr.is_none() {
-        let cfg = PmdConfig {
-            horizon: args.horizon,
-            jobs: if args.jobs == 0 {
-                PmdConfig::default().jobs
-            } else {
-                args.jobs
-            },
-            workers: args.workers,
-            ..Default::default()
-        };
+        let cfg = args.pmd;
         eprintln!(
             "loadgen: self-hosting pmd (ATT paper topology, horizon {}, {} HTTP workers)",
             cfg.horizon, cfg.workers
@@ -274,13 +276,9 @@ fn main() {
                 .map_err(|e| e.to_string())?;
             Ok(Generation::build(id, net, &cfg))
         });
-        match PmdService::start("127.0.0.1:0", source, cfg) {
-            Ok(svc) => Some(svc),
-            Err(e) => {
-                eprintln!("loadgen: could not self-host pmd: {e}");
-                std::process::exit(1);
-            }
-        }
+        let svc = PmdService::start("127.0.0.1:0", source, cfg)
+            .map_err(|e| CliError::runtime(format!("loadgen: could not self-host pmd: {e}")))?;
+        Some(svc)
     } else {
         None
     };
@@ -297,10 +295,11 @@ fn main() {
             let store = generation.store();
             (store.controllers(), store.horizon(), store.len())
         }
-        None => probe_status(&addr).unwrap_or_else(|e| {
-            eprintln!("loadgen: {addr} did not answer GET /status.json: {e}");
-            std::process::exit(1);
-        }),
+        None => probe_status(&addr).map_err(|e| {
+            CliError::runtime(format!(
+                "loadgen: {addr} did not answer GET /status.json: {e}"
+            ))
+        })?,
     };
     eprintln!(
         "loadgen: target {addr} — {controllers} controllers, {plans} stored plans (f <= {horizon})"
@@ -378,10 +377,12 @@ fn main() {
         us(p99),
         us(max),
     );
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("loadgen: could not write {}: {e}", args.out.display());
-        std::process::exit(1);
-    }
+    std::fs::write(&args.out, &json).map_err(|e| {
+        CliError::runtime(format!(
+            "loadgen: could not write {}: {e}",
+            args.out.display()
+        ))
+    })?;
 
     println!(
         "serve bench: {ok} ok / {errors} err over {:.3}s — {plans_per_sec:.0} plans/sec",
@@ -398,6 +399,7 @@ fn main() {
         "served: {store_hits} from store, {solved} solved on demand -> {}",
         args.out.display()
     );
+    Ok(())
 }
 
 /// Asks a remote daemon for its store shape via `GET /status.json`.

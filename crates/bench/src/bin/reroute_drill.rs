@@ -10,15 +10,23 @@
 //! The fraction of crossing flows each algorithm can move is the utility
 //! its recovery actually delivers.
 //!
-//! Run: `cargo run --release -p pm-bench --bin reroute_drill` (plus telemetry flags `--trace`/`--metrics`/`--prom`/`--events`/`--progress`; see `--help`)
+//! Run: `cargo run --release -p pm-bench --bin reroute_drill -- --help` for the flags.
 
+use pm_bench::flags::{run_main, Args, CliError};
 use pm_bench::{EvalOptions, SweepEngine};
 use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, Rerouter, RetroFlow};
 use pm_sdwan::{ControllerId, SdWanBuilder, SwitchId};
+use std::process::ExitCode;
 
-fn main() {
-    let opts = EvalOptions::from_args();
-    let _plane = opts.start_telemetry_plane();
+const HELP: &str =
+    "reroute_drill [options]: rerouting around a congested link after the (13,20) failure";
+
+fn main() -> ExitCode {
+    run_main(&[HELP], reroute_drill)
+}
+
+fn reroute_drill(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> {
+    args.finish()?;
     let net = SdWanBuilder::att_paper_setup()
         .build()
         .expect("paper setup builds");
@@ -140,5 +148,5 @@ fn main() {
             report.moves.len()
         );
     }
-    engine.options().export_observability();
+    Ok(())
 }

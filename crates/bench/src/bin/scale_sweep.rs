@@ -17,123 +17,41 @@
 //! per-case metrics, so the outputs of `--shard i/m` runs concatenated in
 //! shard order are byte-identical to the unsharded run.
 //!
-//! Run: `cargo run --release -p pm-bench --bin scale_sweep -- [--nodes N]
-//! [--controllers K] [--failures F] [--flows N] [--headroom H] [--jobs N]
-//! [--csv DIR] [--shard i/m] [--max-scenarios N] [--seed N] [--batch N]
-//! [--trace FILE] [--metrics FILE] [--prom FILE] [--events FILE]
-//! [--progress]`
+//! Run: `cargo run --release -p pm-bench --bin scale_sweep -- --help` for
+//! the flags.
 
 use pm_bench::figures::{write_bench_scale_json, ScaleRunInfo};
+use pm_bench::flags::{run_main, Args, CliError, WAN_HELP};
 use pm_bench::harness::EvalOptions;
 use pm_bench::report::{render_table, write_csv};
 use pm_bench::wan::{build_wan, scale_beta, WanSpec};
 use pm_bench::{timing_stats, SweepEngine};
+use std::process::ExitCode;
 
-struct ScaleArgs {
-    nodes: usize,
-    controllers: usize,
-    failures: usize,
-    flows: usize,
-    headroom: f64,
+const HELP: &str = "scale_sweep — failure sweep of a generated Waxman WAN at 1k-10k switches
+
+USAGE: scale_sweep [options]
+
+  --failures F         simultaneous failures per scenario (default 3)
+";
+
+fn main() -> ExitCode {
+    run_main(&[HELP, WAN_HELP], scale_sweep)
 }
 
-impl Default for ScaleArgs {
-    fn default() -> Self {
-        ScaleArgs {
-            nodes: 1000,
-            controllers: 32,
-            failures: 3,
-            flows: 1024,
-            headroom: 1.5,
-        }
-    }
-}
-
-fn parse_scale_args(rest: Vec<String>) -> ScaleArgs {
-    let mut sa = ScaleArgs::default();
-    let mut it = rest.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs an argument");
-            std::process::exit(2);
-        })
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nodes" => {
-                sa.nodes = value("--nodes", &mut it).parse().unwrap_or_else(|_| {
-                    eprintln!("--nodes needs an integer argument");
-                    std::process::exit(2);
-                })
-            }
-            "--controllers" => {
-                sa.controllers = value("--controllers", &mut it).parse().unwrap_or_else(|_| {
-                    eprintln!("--controllers needs an integer argument");
-                    std::process::exit(2);
-                })
-            }
-            "--failures" => {
-                sa.failures = value("--failures", &mut it).parse().unwrap_or_else(|_| {
-                    eprintln!("--failures needs an integer argument");
-                    std::process::exit(2);
-                })
-            }
-            "--flows" => {
-                sa.flows = value("--flows", &mut it).parse().unwrap_or_else(|_| {
-                    eprintln!("--flows needs an integer argument");
-                    std::process::exit(2);
-                })
-            }
-            "--headroom" => {
-                sa.headroom = value("--headroom", &mut it).parse().unwrap_or_else(|_| {
-                    eprintln!("--headroom needs a number argument");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
-    if sa.controllers < 2 || sa.controllers > sa.nodes {
-        eprintln!(
-            "--controllers must be between 2 and --nodes ({} controllers, {} nodes)",
-            sa.controllers, sa.nodes
-        );
-        std::process::exit(2);
-    }
-    if sa.failures == 0 || sa.failures >= sa.controllers {
-        eprintln!(
+fn scale_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError> {
+    let spec = WanSpec::take(args, opts.seed)?;
+    let failures = args
+        .take_parsed("--failures", "a positive integer", |&f: &usize| f > 0)?
+        .unwrap_or(3);
+    args.finish()?;
+    if failures >= spec.controllers {
+        return Err(CliError::usage(format!(
             "--failures must leave at least one controller standing \
-             ({} failures, {} controllers)",
-            sa.failures, sa.controllers
-        );
-        std::process::exit(2);
+             ({failures} failures, {} controllers)",
+            spec.controllers
+        )));
     }
-    if sa.flows == 0 {
-        eprintln!("--flows needs a positive integer argument");
-        std::process::exit(2);
-    }
-    sa
-}
-
-fn main() {
-    if std::env::args().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "scale_sweep flags: [--nodes N] [--controllers K] [--failures F]\n\
-             \x20                  [--flows N] [--headroom H]\n\
-             --nodes        Waxman switch count (default 1000)\n\
-             --controllers  placed controllers (default 32)\n\
-             --failures     simultaneous failures per scenario (default 3)\n\
-             --flows        routed flows over bounded endpoint pools (default 1024)\n\
-             --headroom     uniform auto-capacity factor over the peak load (default 1.5)\n\
-             plus the common sweep flags:"
-        );
-    }
-    let mut rest = Vec::new();
-    let mut opts = EvalOptions::from_args_partial(std::env::args().skip(1), &mut rest);
-    let sa = parse_scale_args(rest);
     // The MILP is out of scope at this scale, and eager cache warming would
     // reintroduce the all-pairs cost the drill exists to avoid.
     opts.skip_optimal = true;
@@ -141,21 +59,14 @@ fn main() {
     // The recorder backs the live-peak accounting below even when no
     // telemetry export was requested.
     pm_obs::enable();
-    let _plane = opts.start_telemetry_plane();
 
     eprintln!(
         "scale_sweep: generating waxman n={} (beta {:.4}, seed {})...",
-        sa.nodes,
-        scale_beta(sa.nodes),
+        spec.nodes,
+        scale_beta(spec.nodes),
         opts.seed
     );
-    let wan = build_wan(&WanSpec {
-        nodes: sa.nodes,
-        controllers: sa.controllers,
-        flows: sa.flows,
-        headroom: sa.headroom,
-        seed: opts.seed,
-    });
+    let wan = build_wan(&spec);
     let (net, edges, flow_count) = (&wan.net, wan.edges, wan.flows);
     eprintln!(
         "scale_sweep: {} edges, {} controllers, {} flows; network built...",
@@ -165,7 +76,7 @@ fn main() {
     );
 
     let engine = SweepEngine::new(net, opts.clone());
-    let sel = engine.selection(sa.failures);
+    let sel = engine.selection(failures);
     let range = sel.shard_range(opts.shard);
     let cases_run = (range.end - range.start) as usize;
     let shard_note = match opts.shard {
@@ -202,12 +113,12 @@ fn main() {
     );
 
     let info = ScaleRunInfo {
-        nodes: sa.nodes,
+        nodes: spec.nodes,
         edges,
         seed: opts.seed,
         controllers: net.controllers().len(),
         flows: flow_count,
-        failures: sa.failures,
+        failures,
         space_size: sel.space().count(),
         selected: sel.len(),
         sampled: sel.is_sampled(),
@@ -258,7 +169,7 @@ fn main() {
         write_case_jsonl(dir, &headers, &rows);
     }
     write_bench_scale_json(&opts, &info, &cases);
-    opts.export_observability();
+    Ok(())
 }
 
 /// Deterministic per-case output rows: plan metrics only, no wall-clock

@@ -16,13 +16,15 @@
 //! Sequences are independent, so they run in parallel across the worker
 //! pool (`--jobs N`) and merge back in order.
 //!
-//! Run: `cargo run --release -p pm-bench --bin successive_drill [--jobs N]` (plus telemetry flags `--trace`/`--metrics`/`--prom`/`--events`/`--progress`; see `--help`)
+//! Run: `cargo run --release -p pm-bench --bin successive_drill -- --help` for the flags.
 
+use pm_bench::flags::{run_main, Args, CliError};
 use pm_bench::par::par_map;
 use pm_bench::report::render_table;
 use pm_bench::{EvalOptions, SweepEngine};
 use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm, SuccessiveRecovery};
 use pm_sdwan::{ControllerId, PlanMetrics, RecoveryPlan, SdWanBuilder};
+use std::process::ExitCode;
 
 /// Number of decisions in `b` that are new or changed relative to `a`.
 fn churn(a: &RecoveryPlan, b: &RecoveryPlan) -> usize {
@@ -38,9 +40,15 @@ struct Sequence {
     scr_total: u64,
 }
 
-fn main() {
-    let opts = EvalOptions::from_args();
-    let _plane = opts.start_telemetry_plane();
+const HELP: &str =
+    "successive_drill [options]: successive failures, incremental recovery vs recompute";
+
+fn main() -> ExitCode {
+    run_main(&[HELP], successive_drill)
+}
+
+fn successive_drill(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> {
+    args.finish()?;
     let net = SdWanBuilder::att_paper_setup()
         .build()
         .expect("paper setup builds");
@@ -136,5 +144,5 @@ fn main() {
         scr_total_sum as f64 / n,
         100.0 * inc_total_sum as f64 / scr_total_sum.max(1) as f64,
     );
-    opts.export_observability();
+    Ok(())
 }

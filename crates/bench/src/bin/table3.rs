@@ -2,16 +2,24 @@
 //! controllers, switches, and the number of flows in the switches under the
 //! ATT topology.
 //!
-//! Run: `cargo run -p pm-bench --bin table3 [--csv DIR]` (plus telemetry flags `--trace`/`--metrics`/`--prom`/`--events`/`--progress`; see `--help`)
+//! Run: `cargo run --release -p pm-bench --bin table3 -- --help` for the flags.
 
+use pm_bench::flags::{run_main, Args, CliError};
 use pm_bench::report::{render_table, write_csv};
 use pm_bench::{EvalOptions, SweepEngine};
 use pm_sdwan::{ControllerId, SdWanBuilder};
 use pm_topo::att::PAPER_FLOW_COUNTS;
+use std::process::ExitCode;
 
-fn main() {
-    let opts = EvalOptions::from_args();
-    let _plane = opts.start_telemetry_plane();
+const HELP: &str =
+    "table3 [options]: the paper's Table III, controller domains and per-switch flow counts";
+
+fn main() -> ExitCode {
+    run_main(&[HELP], table3)
+}
+
+fn table3(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> {
+    args.finish()?;
     let net = SdWanBuilder::att_paper_setup()
         .build()
         .expect("paper setup builds");
@@ -68,5 +76,5 @@ fn main() {
     if let Some(dir) = &opts.csv_dir {
         write_csv(dir, "table3", &headers, &rows);
     }
-    opts.export_observability();
+    Ok(())
 }

@@ -13,117 +13,40 @@
 //! `--csv DIR` — `timeline_cases.csv` and `timeline_cases.jsonl` holding
 //! only deterministic per-timeline outcomes.
 //!
-//! Run: `cargo run --release -p pm-bench --bin timeline_sweep --
-//! [--timelines N] [--nodes N] [--controllers K] [--flows N]
-//! [--headroom H] [--horizon-ms N] [--mean-gap-ms N] [--max-failed F]
-//! [--no-drain] plus the common sweep flags (`--jobs`, `--shard`,
-//! `--max-scenarios`, `--seed`, `--batch`, `--csv`, `--trace`,
-//! `--metrics`, `--prom`, `--events`, `--progress`)`
+//! Run: `cargo run --release -p pm-bench --bin timeline_sweep -- --help`
+//! for the flags.
 
+use pm_bench::flags::{
+    run_main, take_timeline_count, take_timeline_params, Args, CliError, WAN_HELP,
+};
 use pm_bench::harness::EvalOptions;
 use pm_bench::report::{render_table, write_csv};
 use pm_bench::timelines::{timeline_rows, write_bench_timeline_json, TimelineRunInfo};
 use pm_bench::wan::{build_wan, WanSpec};
 use pm_bench::{SweepEngine, TIMELINE_CASE_HEADERS};
-use pm_simctl::{SimTime, TimelineParams};
+use std::process::ExitCode;
 
-struct TimelineArgs {
-    timelines: u64,
-    nodes: usize,
-    controllers: usize,
-    flows: usize,
-    headroom: f64,
-    params: TimelineParams,
+const HELP: &str = "timeline_sweep — seeded failure timelines replayed on a generated Waxman WAN
+
+USAGE: timeline_sweep [options]
+
+timeline options:
+  --timelines N        seeded timelines to replay (default 10000)
+  --horizon-ms MS      event-generation horizon per timeline (default 10000)
+  --mean-gap-ms MS     mean gap between timeline events (default 500)
+  --max-failed F       cap on simultaneously failed controllers (default 3)
+  --no-drain           do not append recoveries after the horizon
+";
+
+fn main() -> ExitCode {
+    run_main(&[HELP, WAN_HELP], timeline_sweep)
 }
 
-impl Default for TimelineArgs {
-    fn default() -> Self {
-        TimelineArgs {
-            timelines: 10_000,
-            nodes: 1000,
-            controllers: 32,
-            flows: 1024,
-            headroom: 1.5,
-            params: TimelineParams::default(),
-        }
-    }
-}
-
-fn parse_timeline_args(rest: Vec<String>) -> TimelineArgs {
-    let mut ta = TimelineArgs::default();
-    let mut it = rest.into_iter();
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs an argument");
-            std::process::exit(2);
-        })
-    };
-    fn parse_or_die<T: std::str::FromStr>(flag: &str, v: String) -> T {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} needs a numeric argument");
-            std::process::exit(2);
-        })
-    }
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--timelines" => ta.timelines = parse_or_die(&a, value(&a, &mut it)),
-            "--nodes" => ta.nodes = parse_or_die(&a, value(&a, &mut it)),
-            "--controllers" => ta.controllers = parse_or_die(&a, value(&a, &mut it)),
-            "--flows" => ta.flows = parse_or_die(&a, value(&a, &mut it)),
-            "--headroom" => ta.headroom = parse_or_die(&a, value(&a, &mut it)),
-            "--horizon-ms" => {
-                ta.params.horizon = SimTime::from_ms(parse_or_die(&a, value(&a, &mut it)))
-            }
-            "--mean-gap-ms" => {
-                ta.params.mean_gap = SimTime::from_ms(parse_or_die(&a, value(&a, &mut it)))
-            }
-            "--max-failed" => ta.params.max_concurrent = parse_or_die(&a, value(&a, &mut it)),
-            "--no-drain" => ta.params.drain = false,
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
-    if ta.timelines == 0 {
-        eprintln!("--timelines needs a positive integer argument");
-        std::process::exit(2);
-    }
-    if ta.controllers < 2 || ta.controllers > ta.nodes {
-        eprintln!(
-            "--controllers must be between 2 and --nodes ({} controllers, {} nodes)",
-            ta.controllers, ta.nodes
-        );
-        std::process::exit(2);
-    }
-    if ta.flows == 0 {
-        eprintln!("--flows needs a positive integer argument");
-        std::process::exit(2);
-    }
-    ta
-}
-
-fn main() {
-    if std::env::args().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "timeline_sweep flags: [--timelines N] [--nodes N] [--controllers K]\n\
-             \x20                     [--flows N] [--headroom H] [--horizon-ms N]\n\
-             \x20                     [--mean-gap-ms N] [--max-failed F] [--no-drain]\n\
-             --timelines    seeded timelines to replay (default 10000)\n\
-             --nodes        Waxman switch count (default 1000)\n\
-             --controllers  placed controllers (default 32)\n\
-             --flows        routed flows over bounded endpoint pools (default 1024)\n\
-             --headroom     uniform auto-capacity factor over the peak load (default 1.5)\n\
-             --horizon-ms   event-generation horizon per timeline (default 10000)\n\
-             --mean-gap-ms  mean gap between timeline events (default 500)\n\
-             --max-failed   cap on simultaneously failed controllers (default 3)\n\
-             --no-drain     do not append recoveries after the horizon\n\
-             plus the common sweep flags:"
-        );
-    }
-    let mut rest = Vec::new();
-    let mut opts = EvalOptions::from_args_partial(std::env::args().skip(1), &mut rest);
-    let ta = parse_timeline_args(rest);
+fn timeline_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError> {
+    let timelines = take_timeline_count(args)?.unwrap_or(10_000);
+    let params = take_timeline_params(args)?;
+    let spec = WanSpec::take(args, opts.seed)?;
+    args.finish()?;
     // Timelines solve with the two heuristics only, and eager cache
     // warming would reintroduce the all-pairs cost the drill avoids.
     opts.skip_optimal = true;
@@ -131,19 +54,12 @@ fn main() {
     // The recorder backs the live-peak accounting even when no telemetry
     // export was requested.
     pm_obs::enable();
-    let _plane = opts.start_telemetry_plane();
 
     eprintln!(
         "timeline_sweep: generating waxman n={} (seed {})...",
-        ta.nodes, opts.seed
+        spec.nodes, opts.seed
     );
-    let wan = build_wan(&WanSpec {
-        nodes: ta.nodes,
-        controllers: ta.controllers,
-        flows: ta.flows,
-        headroom: ta.headroom,
-        seed: opts.seed,
-    });
+    let wan = build_wan(&spec);
     let net = &wan.net;
     eprintln!(
         "timeline_sweep: {} edges, {} controllers, {} flows; network built",
@@ -153,7 +69,7 @@ fn main() {
     );
 
     let engine = SweepEngine::new(net, opts.clone());
-    let space = engine.timeline_space(ta.timelines, ta.params.clone());
+    let space = engine.timeline_space(timelines, params);
     let sel = engine.timeline_selection(&space);
     let range = sel.shard_range(opts.shard);
     let shard_note = match opts.shard {
@@ -192,7 +108,7 @@ fn main() {
     );
 
     let info = TimelineRunInfo {
-        nodes: ta.nodes,
+        nodes: spec.nodes,
         edges: wan.edges,
         seed: opts.seed,
         controllers: net.controllers().len(),
@@ -256,7 +172,7 @@ fn main() {
         write_timeline_jsonl(dir, &rows);
     }
     write_bench_timeline_json(&opts, &info, sweep_ms, &reports);
-    opts.export_observability();
+    Ok(())
 }
 
 /// The same rows as `timeline_cases.csv`, one JSON object per line — the

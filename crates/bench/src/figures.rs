@@ -508,7 +508,6 @@ pub fn run_failure_figure(k: usize, fig_name: &str, switch_panels: bool, opts: &
         );
     }
     write_bench_sweep_json(opts, fig_name, &[(k, cases.as_slice())]);
-    opts.export_observability();
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 
 pub mod events;
 pub mod figures;
+pub mod flags;
 pub mod harness;
 pub mod par;
 pub mod plan_store;
@@ -31,7 +32,7 @@ pub mod timelines;
 pub mod wan;
 
 pub use events::EventLog;
-pub use harness::{AlgoRun, CaseResult, EvalOptions, TelemetryPlane};
+pub use harness::{AlgoRun, CaseResult, EvalOptions};
 pub use par::{
     current_worker, par_map, stream_indexed, timing_stats, SolvedPlan, SweepEngine, TimingStats,
 };

@@ -23,41 +23,20 @@ mod obs_prof;
 mod obs_top;
 mod serve_cmd;
 
+use pm_bench::flags::{take_opt_secs, take_timeline_count, take_timeline_params, Args, Telemetry};
+use pm_bench::EvalOptions;
 use pm_core::{FmssmInstance, Optimal, Pg, Pm, RecoveryAlgorithm, RetroFlow, TwoStage};
 use pm_sdwan::{
     place_controllers, ControllerId, NetCache, PlacementStrategy, PlanMetrics, Programmability,
     RecoveryPlan, SdWan, SdWanBuilder,
 };
 use pm_simctl::{RecoveryTiming, SimTime, Simulation};
-use std::ffi::{OsStr, OsString};
+use std::ffi::OsString;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// A CLI failure: exit code plus message.
-#[derive(Debug)]
-pub struct CliError {
-    /// Process exit code to use.
-    pub code: i32,
-    /// Message for stderr.
-    pub message: String,
-}
-
-impl CliError {
-    fn usage(message: impl Into<String>) -> CliError {
-        CliError {
-            code: 2,
-            message: message.into(),
-        }
-    }
-
-    fn runtime(message: impl Into<String>) -> CliError {
-        CliError {
-            code: 1,
-            message: message.into(),
-        }
-    }
-}
+pub use pm_bench::flags::CliError;
 
 const USAGE: &str = "\
 pmctl — ProgrammabilityMedic operator tool
@@ -91,25 +70,13 @@ network options (default: the paper's ATT setup):
   --controllers K      place K controllers by k-center (default 6)
   --capacity C         per-controller capacity (default: auto-sized)
 
-observability (any command):
-  --trace FILE         write a Chrome trace_event JSON of the run
-                       (open in chrome://tracing or Perfetto)
-  --metrics FILE       write aggregated counters/histograms/spans as JSON
-  --prom FILE          write the same metrics in Prometheus text
-                       exposition format (text/plain; version 0.0.4)
-  --serve ADDR         serve live telemetry over HTTP while the command
-                       runs: GET /metrics (Prometheus), /metrics.json,
-                       /timeseries.json, /healthz; use 127.0.0.1:0 for
-                       an ephemeral port (printed to stderr)
-  --sample-interval MS capture interval time-series snapshots every MS
-                       milliseconds (default 250 when --serve is given)
-  --flight FILE        arm the flight recorder: on panic, dump the last
-                       spans and counter deltas per thread to FILE
-  --profile FILE       sample the live span stacks while the command runs
-                       and write a folded-stack flamegraph profile to FILE
-                       (render with pmctl obs flame, inferno, flamegraph.pl
-                       or speedscope); adds GET /profile.folded to --serve
+The observability options below are valid on every command.
 ";
+
+/// The full usage text: the commands, then the shared telemetry flags.
+fn usage() -> String {
+    format!("{USAGE}\n{}", pm_bench::flags::TELEMETRY_HELP)
+}
 
 /// Parsed network selection.
 struct NetworkSpec {
@@ -129,169 +96,50 @@ struct NetworkSpec {
 ///
 /// Returns a [`CliError`] carrying the exit code and message.
 pub fn run(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    // Observability flags are global: valid on every command, harvested
-    // before dispatch so each command's own flag parsing never sees them.
-    let trace_path = take_flag(&mut args, "--trace")?.map(PathBuf::from);
-    let metrics_path = take_flag(&mut args, "--metrics")?.map(PathBuf::from);
-    let prom_path = take_flag(&mut args, "--prom")?.map(PathBuf::from);
-    if trace_path.is_some() || metrics_path.is_some() || prom_path.is_some() {
-        pm_obs::enable();
-    }
-    // The live telemetry plane, also global. All three pieces are
-    // read-only over the recorder, so command outputs are identical with
-    // the plane on or off.
-    let serve_addr = take_str_flag(&mut args, "--serve")?;
-    let sample_interval = match take_str_flag(&mut args, "--sample-interval")? {
-        Some(v) => Some(v.parse::<u64>().ok().filter(|&ms| ms > 0).ok_or_else(|| {
-            CliError::usage(format!("--sample-interval: bad interval {v} (need ms > 0)"))
-        })?),
-        None => None,
+    let mut args = Args::new(args.to_vec());
+    // The telemetry flags are global: valid on every command, taken
+    // before dispatch so no command's own parsing sees them. Telemetry
+    // is exported even when the command failed — a trace of a failed run
+    // is exactly what one wants to look at.
+    let plane = Telemetry::take(&mut args)?.start()?;
+    let result = dispatch(args, out);
+    let exported = plane.finish(out);
+    result.and(exported)
+}
+
+fn dispatch(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let Some(command) = args.take_first() else {
+        return Err(CliError::usage(usage()));
     };
-    if let Some(path) = take_flag(&mut args, "--flight")?.map(PathBuf::from) {
-        pm_obs::flight::arm_panic_hook(path);
-    }
-    // The span-stack profiler, also global: --profile paces a sampler
-    // over every instrumented thread's live span stack and the folded
-    // profile is exported with the other artifacts below.
-    let profile_path = take_flag(&mut args, "--profile")?.map(PathBuf::from);
-    let profiler = profile_path
-        .as_ref()
-        .map(|_| pm_obs::Profiler::start(pm_obs::ProfilerConfig::default()));
-    // Sampler declared before the server: locals drop in reverse order,
-    // so the listener stops serving before the sampler takes its final
-    // interval (both are also dropped explicitly below, before export).
-    let sampler = sample_interval
-        .or(serve_addr.as_ref().map(|_| 250))
-        .map(|ms| {
-            pm_obs::Sampler::start(pm_obs::SamplerConfig {
-                interval: Duration::from_millis(ms),
-                ..Default::default()
-            })
-        });
-    let server = match &serve_addr {
-        Some(addr) => {
-            let server = pm_obs::MetricsServer::serve(addr.as_str())
-                .map_err(|e| CliError::runtime(format!("cannot serve telemetry on {addr}: {e}")))?;
-            eprintln!(
-                "pmctl: serving telemetry on http://{}/metrics",
-                server.local_addr()
-            );
-            Some(server)
-        }
-        None => None,
-    };
-    let Some(command) = args.first() else {
-        return Err(CliError::usage(USAGE));
-    };
-    let command = command.to_string_lossy().into_owned();
-    let rest = args[1..].to_vec();
-    let result = match command.as_str() {
-        "topology" => cmd_topology(&rest, out),
-        "plan" => cmd_plan(&rest, out),
-        "check" => cmd_check(&rest, out),
-        "compare" => cmd_compare(&rest, out),
-        "simulate" => cmd_simulate(&rest, out),
-        "relieve" => cmd_relieve(&rest, out),
-        "inspect" => cmd_inspect(&rest, out),
-        "sweep" => cmd_sweep(&rest, out),
-        "serve" => serve_cmd::cmd_serve(&rest, out),
-        "obs" => obs_cmd::cmd_obs(&rest, out),
+    match command.to_string_lossy().as_ref() {
+        "topology" => cmd_topology(args, out),
+        "plan" => cmd_plan(args, out),
+        "check" => cmd_check(args, out),
+        "compare" => cmd_compare(args, out),
+        "simulate" => cmd_simulate(args, out),
+        "relieve" => cmd_relieve(args, out),
+        "inspect" => cmd_inspect(args, out),
+        "sweep" => cmd_sweep(args, out),
+        "serve" => serve_cmd::cmd_serve(args, out),
+        "obs" => obs_cmd::cmd_obs(args, out),
         "help" | "--help" | "-h" => {
-            let _ = writeln!(out, "{USAGE}");
+            let _ = writeln!(out, "{}", usage());
             Ok(())
         }
         other => Err(CliError::usage(format!(
-            "unknown command {other}\n\n{USAGE}"
+            "unknown command {other}\n\n{}",
+            usage()
         ))),
-    };
-    // Tear the plane down before exporting: the server stops answering
-    // first, then the profiler and the sampler fold their final
-    // snapshots in so the exports below carry the complete picture.
-    drop(server);
-    drop(profiler);
-    drop(sampler);
-    // Telemetry is exported even when the command failed — a trace of a
-    // failed run is exactly what one wants to look at.
-    if let Some(path) = &trace_path {
-        pm_obs::write_artifact("trace", path, &pm_obs::chrome_trace_json())
-            .map_err(CliError::runtime)?;
-        let _ = writeln!(out, "trace written to {}", path.display());
-    }
-    if let Some(path) = &metrics_path {
-        pm_obs::write_artifact("metrics", path, &pm_obs::metrics_json())
-            .map_err(CliError::runtime)?;
-        let _ = writeln!(out, "metrics written to {}", path.display());
-    }
-    if let Some(path) = &prom_path {
-        pm_obs::write_artifact("prometheus metrics", path, &pm_obs::prometheus_text())
-            .map_err(CliError::runtime)?;
-        let _ = writeln!(out, "prometheus metrics written to {}", path.display());
-    }
-    if let Some(path) = &profile_path {
-        pm_obs::prof::write_folded(path).map_err(CliError::runtime)?;
-        let _ = writeln!(out, "profile written to {}", path.display());
-    }
-    result
-}
-
-/// Pulls `--flag value` out of `args` losslessly (paths keep whatever
-/// bytes the OS gave us); returns the remaining args.
-fn take_flag(args: &mut Vec<OsString>, flag: &str) -> Result<Option<OsString>, CliError> {
-    if let Some(pos) = args.iter().position(|a| a.as_os_str() == OsStr::new(flag)) {
-        if pos + 1 >= args.len() {
-            return Err(CliError::usage(format!("{flag} needs a value")));
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        Ok(Some(value))
-    } else {
-        Ok(None)
     }
 }
 
-/// Pulls `--flag value` out of `args` for values that must be text
-/// (numbers, algorithm names, failure lists) — a non-UTF-8 value is a
-/// usage error, not a panic.
-fn take_str_flag(args: &mut Vec<OsString>, flag: &str) -> Result<Option<String>, CliError> {
-    match take_flag(args, flag)? {
-        None => Ok(None),
-        Some(v) => v
-            .into_string()
-            .map(Some)
-            .map_err(|bad| CliError::usage(format!("{flag}: value {bad:?} is not valid UTF-8"))),
-    }
-}
-
-/// Pulls a boolean `--flag` out of `args`.
-fn take_switch(args: &mut Vec<OsString>, flag: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a.as_os_str() == OsStr::new(flag)) {
-        args.remove(pos);
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_network(args: &mut Vec<OsString>) -> Result<NetworkSpec, CliError> {
-    let graphml = take_flag(args, "--graphml")?.map(PathBuf::from);
-    let controllers = match take_str_flag(args, "--controllers")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--controllers: bad number {v}")))?,
-        None => 6,
-    };
-    let capacity = match take_str_flag(args, "--capacity")? {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| CliError::usage(format!("--capacity: bad number {v}")))?,
-        ),
-        None => None,
-    };
+fn parse_network(args: &mut Args) -> Result<NetworkSpec, CliError> {
     Ok(NetworkSpec {
-        graphml,
-        controllers,
-        capacity,
+        graphml: args.take_path("--graphml")?,
+        controllers: args
+            .take_parsed("--controllers", "a controller count", |_: &usize| true)?
+            .unwrap_or(6),
+        capacity: args.take_parsed("--capacity", "a capacity in flows", |_: &u32| true)?,
     })
 }
 
@@ -320,8 +168,8 @@ fn build_network(spec: &NetworkSpec) -> Result<SdWan, CliError> {
 }
 
 /// Parses `--fail 13,20` (node ids) into controller ids of `net`.
-fn parse_failures(net: &SdWan, args: &mut Vec<OsString>) -> Result<Vec<ControllerId>, CliError> {
-    let Some(spec) = take_str_flag(args, "--fail")? else {
+fn parse_failures(net: &SdWan, args: &mut Args) -> Result<Vec<ControllerId>, CliError> {
+    let Some(spec) = args.take_str_flag("--fail")? else {
         return Err(CliError::usage("--fail is required (e.g. --fail 13,20)"));
     };
     let mut failed = Vec::new();
@@ -345,8 +193,8 @@ fn parse_failures(net: &SdWan, args: &mut Vec<OsString>) -> Result<Vec<Controlle
     Ok(failed)
 }
 
-fn parse_algo(args: &mut Vec<OsString>) -> Result<String, CliError> {
-    Ok(take_str_flag(args, "--algo")?.unwrap_or_else(|| "pm".into()))
+fn parse_algo(args: &mut Args) -> Result<String, CliError> {
+    Ok(args.take_str_flag("--algo")?.unwrap_or_else(|| "pm".into()))
 }
 
 fn make_algo(name: &str, opt_secs: u64) -> Result<Box<dyn RecoveryAlgorithm>, CliError> {
@@ -366,27 +214,13 @@ fn make_algo(name: &str, opt_secs: u64) -> Result<Box<dyn RecoveryAlgorithm>, Cl
     }
 }
 
-fn parse_opt_secs(args: &mut Vec<OsString>) -> Result<u64, CliError> {
-    match take_str_flag(args, "--opt-secs")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--opt-secs: bad number {v}"))),
-        None => Ok(20),
-    }
+fn parse_opt_secs(args: &mut Args) -> Result<u64, CliError> {
+    Ok(take_opt_secs(args)?.unwrap_or(20))
 }
 
-fn ensure_consumed(args: &[OsString]) -> Result<(), CliError> {
-    if args.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::usage(format!("unrecognized arguments: {args:?}")))
-    }
-}
-
-fn cmd_topology(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
+fn cmd_topology(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = parse_network(&mut args)?;
-    ensure_consumed(&args)?;
+    args.finish()?;
     let net = build_network(&spec)?;
     let g = net.topology();
     let _ = writeln!(
@@ -476,16 +310,15 @@ fn print_metrics(out: &mut dyn Write, m: &PlanMetrics) {
     }
 }
 
-fn cmd_plan(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
+fn cmd_plan(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = parse_network(&mut args)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     let algo_name = parse_algo(&mut args)?;
     let opt_secs = parse_opt_secs(&mut args)?;
-    let out_file = take_flag(&mut args, "--out")?.map(PathBuf::from);
-    let lp_file = take_flag(&mut args, "--export-lp")?.map(PathBuf::from);
-    ensure_consumed(&args)?;
+    let out_file = args.take_path("--out")?;
+    let lp_file = args.take_path("--export-lp")?;
+    args.finish()?;
 
     let algo = make_algo(&algo_name, opt_secs)?;
     let cache = NetCache::build(&net);
@@ -525,15 +358,14 @@ fn cmd_plan(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_check(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
+fn cmd_check(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = parse_network(&mut args)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
-    let Some(plan_file) = take_flag(&mut args, "--plan")?.map(PathBuf::from) else {
+    let Some(plan_file) = args.take_path("--plan")? else {
         return Err(CliError::usage("--plan FILE is required"));
     };
-    ensure_consumed(&args)?;
+    args.finish()?;
 
     let text = std::fs::read_to_string(&plan_file)
         .map_err(|e| CliError::runtime(format!("cannot read {}: {e}", plan_file.display())))?;
@@ -556,13 +388,12 @@ fn cmd_check(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-fn cmd_compare(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
+fn cmd_compare(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = parse_network(&mut args)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     let opt_secs = parse_opt_secs(&mut args)?;
-    ensure_consumed(&args)?;
+    args.finish()?;
 
     let cache = NetCache::build(&net);
     let prog: &Programmability = cache.programmability();
@@ -595,14 +426,8 @@ fn cmd_compare(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_simulate(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    if let Some(v) = take_str_flag(&mut args, "--timelines")? {
-        let count: u64 = v
-            .parse()
-            .ok()
-            .filter(|&c| c > 0)
-            .ok_or_else(|| CliError::usage(format!("--timelines: bad count {v}")))?;
+fn cmd_simulate(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
+    if let Some(count) = take_timeline_count(&mut args)? {
         return cmd_simulate_timelines(count, args, out);
     }
     let spec = parse_network(&mut args)?;
@@ -610,8 +435,8 @@ fn cmd_simulate(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> 
     let failed = parse_failures(&net, &mut args)?;
     let algo_name = parse_algo(&mut args)?;
     let opt_secs = parse_opt_secs(&mut args)?;
-    let cascade = take_switch(&mut args, "--cascade");
-    ensure_consumed(&args)?;
+    let cascade = args.take_switch("--cascade")?;
+    args.finish()?;
 
     let algo = make_algo(&algo_name, opt_secs)?;
     let cache = NetCache::build(&net);
@@ -683,77 +508,15 @@ fn cmd_simulate(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> 
 /// sweep engine and summarizes the recovery outcomes. Deterministic in
 /// `--seed` for every `--jobs` count, and `--shard i/m` outputs
 /// concatenated in shard order equal the unsharded run.
-fn cmd_simulate_timelines(
-    count: u64,
-    mut args: Vec<OsString>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
+fn cmd_simulate_timelines(count: u64, mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = parse_network(&mut args)?;
     let net = build_network(&spec)?;
-    let mut opts = pm_bench::EvalOptions {
+    let opts = EvalOptions {
         skip_optimal: true,
-        ..Default::default()
+        ..EvalOptions::take_dispatch(&mut args)?
     };
-    if let Some(v) = take_str_flag(&mut args, "--jobs")? {
-        opts.jobs = v
-            .parse()
-            .ok()
-            .filter(|&j| j > 0)
-            .ok_or_else(|| CliError::usage(format!("--jobs: bad number {v}")))?;
-    }
-    if let Some(v) = take_str_flag(&mut args, "--shard")? {
-        opts.shard = Some(pm_bench::harness::parse_shard(&v).ok_or_else(|| {
-            CliError::usage(format!("--shard needs i/m with 1 <= i <= m, got {v}"))
-        })?);
-    }
-    if let Some(v) = take_str_flag(&mut args, "--max-scenarios")? {
-        opts.max_scenarios = Some(
-            v.parse()
-                .ok()
-                .filter(|&m| m > 0)
-                .ok_or_else(|| CliError::usage(format!("--max-scenarios: bad number {v}")))?,
-        );
-    }
-    if let Some(v) = take_str_flag(&mut args, "--seed")? {
-        opts.seed = v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--seed: bad number {v}")))?;
-    }
-    if let Some(v) = take_str_flag(&mut args, "--batch")? {
-        opts.batch = v
-            .parse()
-            .ok()
-            .filter(|&b| b > 0)
-            .ok_or_else(|| CliError::usage(format!("--batch: bad number {v}")))?;
-    }
-    let mut params = pm_simctl::TimelineParams::default();
-    if let Some(v) = take_str_flag(&mut args, "--horizon-ms")? {
-        let ms: f64 = v
-            .parse()
-            .ok()
-            .filter(|&m: &f64| m.is_finite() && m > 0.0)
-            .ok_or_else(|| CliError::usage(format!("--horizon-ms: bad number {v}")))?;
-        params.horizon = SimTime::from_ms(ms);
-    }
-    if let Some(v) = take_str_flag(&mut args, "--mean-gap-ms")? {
-        let ms: f64 = v
-            .parse()
-            .ok()
-            .filter(|&m: &f64| m.is_finite() && m > 0.0)
-            .ok_or_else(|| CliError::usage(format!("--mean-gap-ms: bad number {v}")))?;
-        params.mean_gap = SimTime::from_ms(ms);
-    }
-    if let Some(v) = take_str_flag(&mut args, "--max-failed")? {
-        params.max_concurrent = v
-            .parse()
-            .ok()
-            .filter(|&f| f > 0)
-            .ok_or_else(|| CliError::usage(format!("--max-failed: bad number {v}")))?;
-    }
-    if take_switch(&mut args, "--no-drain") {
-        params.drain = false;
-    }
-    ensure_consumed(&args)?;
+    let params = take_timeline_params(&mut args)?;
+    args.finish()?;
     if net.controllers().len() < 2 {
         return Err(CliError::usage(
             "timeline simulation needs at least 2 controllers",
@@ -806,12 +569,11 @@ fn cmd_simulate_timelines(
     Ok(())
 }
 
-fn cmd_inspect(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
+fn cmd_inspect(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = parse_network(&mut args)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
-    ensure_consumed(&args)?;
+    args.finish()?;
 
     let cache = NetCache::build(&net);
     let prog: &Programmability = cache.programmability();
@@ -894,20 +656,16 @@ fn cmd_inspect(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_relieve(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
+fn cmd_relieve(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = parse_network(&mut args)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     let algo_name = parse_algo(&mut args)?;
     let opt_secs = parse_opt_secs(&mut args)?;
-    let max_moves = match take_str_flag(&mut args, "--moves")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--moves: bad number {v}")))?,
-        None => 16,
-    };
-    ensure_consumed(&args)?;
+    let max_moves = args
+        .take_parsed("--moves", "a move count", |_: &usize| true)?
+        .unwrap_or(16);
+    args.finish()?;
 
     let algo = make_algo(&algo_name, opt_secs)?;
     let cache = NetCache::build(&net);
@@ -946,54 +704,18 @@ fn cmd_relieve(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_sweep(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
+fn cmd_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = parse_network(&mut args)?;
     let net = build_network(&spec)?;
-    let failures = match take_str_flag(&mut args, "--failures")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--failures: bad number {v}")))?,
-        None => 1,
-    };
-    let mut opts = pm_bench::EvalOptions {
+    let failures = args
+        .take_parsed("--failures", "a failure count", |_: &usize| true)?
+        .unwrap_or(1);
+    let opts = EvalOptions {
         skip_optimal: true,
-        ..Default::default()
+        ..EvalOptions::take_dispatch(&mut args)?
     };
-    if let Some(v) = take_str_flag(&mut args, "--jobs")? {
-        opts.jobs = v
-            .parse()
-            .ok()
-            .filter(|&j| j > 0)
-            .ok_or_else(|| CliError::usage(format!("--jobs: bad number {v}")))?;
-    }
-    if let Some(v) = take_str_flag(&mut args, "--shard")? {
-        opts.shard = Some(pm_bench::harness::parse_shard(&v).ok_or_else(|| {
-            CliError::usage(format!("--shard needs i/m with 1 <= i <= m, got {v}"))
-        })?);
-    }
-    if let Some(v) = take_str_flag(&mut args, "--max-scenarios")? {
-        opts.max_scenarios = Some(
-            v.parse()
-                .ok()
-                .filter(|&m| m > 0)
-                .ok_or_else(|| CliError::usage(format!("--max-scenarios: bad number {v}")))?,
-        );
-    }
-    if let Some(v) = take_str_flag(&mut args, "--seed")? {
-        opts.seed = v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--seed: bad number {v}")))?;
-    }
-    if let Some(v) = take_str_flag(&mut args, "--batch")? {
-        opts.batch = v
-            .parse()
-            .ok()
-            .filter(|&b| b > 0)
-            .ok_or_else(|| CliError::usage(format!("--batch: bad number {v}")))?;
-    }
-    let csv_dir = take_flag(&mut args, "--csv")?.map(PathBuf::from);
-    ensure_consumed(&args)?;
+    let csv_dir = args.take_path("--csv")?;
+    args.finish()?;
 
     let m = net.controllers().len();
     if failures == 0 || failures >= m {
@@ -1080,6 +802,7 @@ fn cmd_sweep(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ffi::OsStr;
 
     fn run_ok_os(args: &[OsString]) -> String {
         let mut out = Vec::new();
@@ -1273,6 +996,53 @@ mod tests {
         assert_eq!(e.code, 1, "bind failure is a runtime error");
         assert!(
             e.message.contains("cannot serve telemetry"),
+            "{}",
+            e.message
+        );
+    }
+
+    #[test]
+    fn export_failure_names_the_path_after_writing_the_rest() {
+        let dir = std::env::temp_dir().join("pmctl_export_failure_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let bad = dir.join("missing-dir").join("t.json");
+        let metrics = dir.join("m.json");
+        let _ = std::fs::remove_file(&metrics);
+        let e = run_err_os(&argv(
+            &["topology"],
+            &[("--trace", &bad), ("--metrics", &metrics)],
+        ));
+        assert_eq!(e.code, 1, "{}", e.message);
+        assert!(e.message.contains("t.json"), "{}", e.message);
+        assert!(metrics.exists(), "later artifacts are still written");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shared_flags_read_as_the_bench_binaries_do() {
+        // The bench binaries print these very messages (pinned on their
+        // side by crates/bench/tests/cli_flags.rs).
+        let message = |group: fn(&mut Args) -> Result<(), CliError>, flags: &[&str]| {
+            let mut args = Args::new(flags.iter().map(OsString::from).collect());
+            group(&mut args).expect_err("bad flags").message
+        };
+        assert_eq!(
+            run_err(&["sweep", "--batch", "0"]).message,
+            message(
+                |a| EvalOptions::take_dispatch(a).map(drop),
+                &["--batch", "0"]
+            )
+        );
+        assert_eq!(
+            run_err(&["simulate", "--timelines", "2", "--horizon-ms", "nan"]).message,
+            message(
+                |a| take_timeline_params(a).map(drop),
+                &["--horizon-ms", "nan"]
+            )
+        );
+        let e = run_err(&["sweep", "--jobs", "2", "--jobs", "2"]);
+        assert!(
+            e.message.contains("--jobs") && e.message.contains("more than once"),
             "{}",
             e.message
         );

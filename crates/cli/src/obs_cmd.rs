@@ -18,10 +18,10 @@
 //! sweep (all 41 one/two/three-controller failure cases of the paper
 //! setup) under a fresh recorder.
 
-use crate::{ensure_consumed, take_flag, take_str_flag, take_switch, CliError};
+use crate::CliError;
+use pm_bench::flags::Args;
 use pm_obs::baseline::{parse_metrics, MetricsDoc};
 use pm_obs::diff::{diff, DiffOptions};
-use std::ffi::OsString;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -63,13 +63,11 @@ longest chain of child spans, with per-worker thread attribution).
 /// usage errors (2) so CI can tell "regressed" from "broken".
 const GATE_EXIT: i32 = 3;
 
-pub(crate) fn cmd_obs(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    if args.is_empty() {
+pub(crate) fn cmd_obs(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let Some(sub) = args.take_first() else {
         return Err(CliError::usage(OBS_USAGE));
-    }
-    let sub = args.remove(0).to_string_lossy().into_owned();
-    match sub.as_str() {
+    };
+    match sub.to_string_lossy().as_ref() {
         "report" => obs_report(&mut args, out),
         "diff" => obs_diff(&mut args, out),
         "gate" => obs_gate(&mut args, out),
@@ -94,9 +92,9 @@ fn load_metrics(path: &Path) -> Result<MetricsDoc, CliError> {
 }
 
 /// Pulls the shared threshold flags off the argument list.
-fn parse_diff_options(args: &mut Vec<OsString>) -> Result<DiffOptions, CliError> {
+fn parse_diff_options(args: &mut Args) -> Result<DiffOptions, CliError> {
     let mut opts = DiffOptions::default();
-    if let Some(v) = take_str_flag(args, "--max-regress")? {
+    if let Some(v) = args.take_str_flag("--max-regress")? {
         let raw = v.strip_suffix('%').unwrap_or(&v);
         opts.max_regress_pct = raw
             .parse::<f64>()
@@ -104,29 +102,24 @@ fn parse_diff_options(args: &mut Vec<OsString>) -> Result<DiffOptions, CliError>
             .filter(|p| p.is_finite() && *p >= 0.0)
             .ok_or_else(|| CliError::usage(format!("--max-regress: bad percentage {v}")))?;
     }
-    if let Some(v) = take_str_flag(args, "--abs-tol")? {
-        opts.abs_tolerance = v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--abs-tol: bad number {v}")))?;
+    if let Some(tol) = args.take_parsed("--abs-tol", "an integer", |_: &u64| true)? {
+        opts.abs_tolerance = tol;
     }
-    opts.gate_time_metrics = take_switch(args, "--gate-time");
+    opts.gate_time_metrics = args.take_switch("--gate-time")?;
     Ok(opts)
 }
 
 /// Takes the next positional argument as a path. Shared with the
 /// profiler subcommands in `obs_prof`.
-pub(crate) fn take_path(args: &mut Vec<OsString>, what: &str) -> Result<PathBuf, CliError> {
-    if args.is_empty() {
-        return Err(CliError::usage(format!(
-            "{what} is required\n\n{OBS_USAGE}"
-        )));
-    }
-    Ok(PathBuf::from(args.remove(0)))
+pub(crate) fn take_operand(args: &mut Args, what: &str) -> Result<PathBuf, CliError> {
+    args.take_first()
+        .map(PathBuf::from)
+        .ok_or_else(|| CliError::usage(format!("{what} is required\n\n{OBS_USAGE}")))
 }
 
-fn obs_report(args: &mut Vec<OsString>, out: &mut dyn Write) -> Result<(), CliError> {
-    let path = take_path(args, "METRICS.json")?;
-    ensure_consumed(args)?;
+fn obs_report(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let path = take_operand(args, "METRICS.json")?;
+    args.finish()?;
     let doc = load_metrics(&path)?;
     let _ = writeln!(
         out,
@@ -185,12 +178,12 @@ fn obs_report(args: &mut Vec<OsString>, out: &mut dyn Write) -> Result<(), CliEr
     Ok(())
 }
 
-fn obs_diff(args: &mut Vec<OsString>, out: &mut dyn Write) -> Result<(), CliError> {
+fn obs_diff(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = parse_diff_options(args)?;
-    let markdown = take_switch(args, "--md");
-    let base_path = take_path(args, "BASELINE.json")?;
-    let current_path = take_path(args, "CURRENT.json")?;
-    ensure_consumed(args)?;
+    let markdown = args.take_switch("--md")?;
+    let base_path = take_operand(args, "BASELINE.json")?;
+    let current_path = take_operand(args, "CURRENT.json")?;
+    args.finish()?;
     let base = load_metrics(&base_path)?;
     let current = load_metrics(&current_path)?;
     let report = diff(&base, &current, &opts);
@@ -206,25 +199,27 @@ fn obs_diff(args: &mut Vec<OsString>, out: &mut dyn Write) -> Result<(), CliErro
     Ok(())
 }
 
-fn obs_gate(args: &mut Vec<OsString>, out: &mut dyn Write) -> Result<(), CliError> {
+fn obs_gate(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = parse_diff_options(args)?;
-    let Some(baseline_path) = take_flag(args, "--baseline")?.map(PathBuf::from) else {
+    let Some(baseline_path) = args.take_path("--baseline")? else {
         return Err(CliError::usage(format!(
             "--baseline FILE is required\n\n{OBS_USAGE}"
         )));
     };
-    let md_out = take_flag(args, "--md-out")?.map(PathBuf::from);
-    let flight_out = take_flag(args, "--flight")?.map(PathBuf::from);
-    let current = if args.is_empty() {
-        // Arm before the workload so a breach has recent spans to dump.
-        if flight_out.is_some() {
-            pm_obs::flight::arm(pm_obs::flight::FlightConfig::default());
+    let md_out = args.take_path("--md-out")?;
+    let flight_out = args.take_path("--flight")?;
+    let current = match args.take_first() {
+        None => {
+            // Arm before the workload so a breach has recent spans to dump.
+            if flight_out.is_some() {
+                pm_obs::flight::arm(pm_obs::flight::FlightConfig::default());
+            }
+            self_measured_baseline_workload()?
         }
-        self_measured_baseline_workload()?
-    } else {
-        let path = take_path(args, "CURRENT.json")?;
-        ensure_consumed(args)?;
-        load_metrics(&path)?
+        Some(path) => {
+            args.finish()?;
+            load_metrics(&PathBuf::from(path))?
+        }
     };
     let base = load_metrics(&baseline_path)?;
     let report = diff(&base, &current, &opts);

@@ -10,9 +10,9 @@
 //! critical path — the longest root span, then repeatedly its longest
 //! direct child — with per-worker attribution from the thread names.
 
-use crate::{ensure_consumed, take_str_flag, take_switch, CliError};
+use crate::CliError;
+use pm_bench::flags::Args;
 use std::collections::BTreeMap;
-use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::io::Write;
 
@@ -85,28 +85,23 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-pub(crate) fn cmd_obs_flame(args: &mut Vec<OsString>, out: &mut dyn Write) -> Result<(), CliError> {
-    let url = take_str_flag(args, "--url")?;
-    let markdown = take_switch(args, "--md");
-    let top = match take_str_flag(args, "--top")? {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| CliError::usage(format!("--top: bad number {v}")))?,
-        None => 0,
-    };
+pub(crate) fn cmd_obs_flame(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let url = args.take_str_flag("--url")?;
+    let markdown = args.take_switch("--md")?;
+    let top = args
+        .take_parsed("--top", "a positive integer", |&n: &usize| n > 0)?
+        .unwrap_or(0);
     let (source, body) = match url {
         Some(u) => {
-            ensure_consumed(args)?;
+            args.finish()?;
             let host = crate::obs_top::normalize_host(&u);
             let body =
                 crate::obs_top::http_get(&host, "/profile.folded").map_err(CliError::runtime)?;
             (format!("http://{host}/profile.folded"), body)
         }
         None => {
-            let path = crate::obs_cmd::take_path(args, "PROFILE.folded (or --url ADDR)")?;
-            ensure_consumed(args)?;
+            let path = crate::obs_cmd::take_operand(args, "PROFILE.folded (or --url ADDR)")?;
+            args.finish()?;
             let body = std::fs::read_to_string(&path)
                 .map_err(|e| CliError::runtime(format!("cannot read {}: {e}", path.display())))?;
             (path.display().to_string(), body)
@@ -177,13 +172,10 @@ pub(crate) fn cmd_obs_flame(args: &mut Vec<OsString>, out: &mut dyn Write) -> Re
     Ok(())
 }
 
-pub(crate) fn cmd_obs_critical(
-    args: &mut Vec<OsString>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let markdown = take_switch(args, "--md");
-    let path = crate::obs_cmd::take_path(args, "TRACE.json")?;
-    ensure_consumed(args)?;
+pub(crate) fn cmd_obs_critical(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let markdown = args.take_switch("--md")?;
+    let path = crate::obs_cmd::take_operand(args, "TRACE.json")?;
+    args.finish()?;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| CliError::runtime(format!("cannot read {}: {e}", path.display())))?;
     let doc = pm_obs::json::parse(&text)

@@ -11,9 +11,9 @@
 //! Reading is strictly observational — both sources are produced without
 //! the viewer's involvement, so watching a sweep can never change it.
 
-use crate::{ensure_consumed, take_flag, take_str_flag, take_switch, CliError};
+use crate::CliError;
+use pm_bench::flags::Args;
 use pm_obs::json::Value;
-use std::ffi::OsString;
 use std::io::{IsTerminal, Read, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -60,7 +60,7 @@ struct FrameStats {
     finished: bool,
 }
 
-pub(crate) fn cmd_obs_top(args: &mut Vec<OsString>, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn cmd_obs_top(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     let opts = parse_top_options(args)?;
     let ansi = opts.ansi.unwrap_or_else(|| std::io::stdout().is_terminal());
     let started = Instant::now();
@@ -102,26 +102,18 @@ pub(crate) fn cmd_obs_top(args: &mut Vec<OsString>, out: &mut dyn Write) -> Resu
     }
 }
 
-fn parse_top_options(args: &mut Vec<OsString>) -> Result<TopOptions, CliError> {
-    let url = take_str_flag(args, "--url")?;
-    let events = take_flag(args, "--events")?.map(PathBuf::from);
-    let interval_ms = match take_str_flag(args, "--interval-ms")? {
-        Some(v) => v
-            .parse::<u64>()
-            .ok()
-            .filter(|&ms| ms > 0)
-            .ok_or_else(|| CliError::usage(format!("--interval-ms: bad number {v}")))?,
-        None => 1000,
-    };
-    let frames = match take_str_flag(args, "--frames")? {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| CliError::usage(format!("--frames: bad number {v}")))?,
-        None => 0,
-    };
-    let force_ansi = take_switch(args, "--ansi");
-    let force_plain = take_switch(args, "--plain");
-    ensure_consumed(args)?;
+fn parse_top_options(args: &mut Args) -> Result<TopOptions, CliError> {
+    let url = args.take_str_flag("--url")?;
+    let events = args.take_path("--events")?;
+    let interval_ms = args
+        .take_parsed("--interval-ms", "milliseconds > 0", |&ms: &u64| ms > 0)?
+        .unwrap_or(1000);
+    let frames = args
+        .take_parsed("--frames", "a frame count", |_: &u64| true)?
+        .unwrap_or(0);
+    let force_ansi = args.take_switch("--ansi")?;
+    let force_plain = args.take_switch("--plain")?;
+    args.finish()?;
     if force_ansi && force_plain {
         return Err(CliError::usage("--ansi and --plain are mutually exclusive"));
     }
@@ -427,10 +419,12 @@ mod tests {
         let server = pm_obs::MetricsServer::serve("127.0.0.1:0").expect("ephemeral bind");
         let host = server.local_addr().to_string();
         let mut out = Vec::new();
-        let mut args: Vec<OsString> = ["--url", &host, "--frames", "1", "--plain"]
-            .iter()
-            .map(OsString::from)
-            .collect();
+        let mut args = Args::new(
+            ["--url", &host, "--frames", "1", "--plain"]
+                .iter()
+                .map(std::ffi::OsString::from)
+                .collect(),
+        );
         cmd_obs_top(&mut args, &mut out).expect("one frame against a live endpoint");
         let text = String::from_utf8(out).expect("utf8");
         // No sweep is running, so the frame is sparse but well-formed.

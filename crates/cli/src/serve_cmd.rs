@@ -11,53 +11,28 @@
 //! the listener is up — how scripts and CI discover an ephemeral
 //! `--addr 127.0.0.1:0` port.
 
-use crate::{
-    build_network, ensure_consumed, parse_network, take_flag, take_str_flag, CliError, NetworkSpec,
-};
+use crate::{build_network, parse_network, CliError, NetworkSpec};
+use pm_bench::flags::Args;
 use pm_bench::{Generation, PmdConfig, PmdService};
-use std::ffi::OsString;
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::Arc;
 
-pub(crate) fn cmd_serve(args: &[OsString], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    let addr = take_str_flag(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7700".into());
-    let horizon = match take_str_flag(&mut args, "--horizon")? {
-        Some(v) => v.parse::<usize>().ok().filter(|&k| k >= 1).ok_or_else(|| {
-            CliError::usage(format!("--horizon: bad failure count {v} (need >= 1)"))
-        })?,
-        None => 2,
-    };
-    let jobs =
-        match take_str_flag(&mut args, "--jobs")? {
-            Some(v) => v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                CliError::usage(format!("--jobs: bad worker count {v} (need >= 1)"))
-            })?,
-            None => PmdConfig::default().jobs,
-        };
-    let workers = match take_str_flag(&mut args, "--workers")? {
-        Some(v) => v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError::usage(format!("--workers: bad worker count {v} (need >= 1)"))
-        })?,
-        None => PmdConfig::default().workers,
-    };
-    let port_file = take_flag(&mut args, "--port-file")?.map(PathBuf::from);
+pub(crate) fn cmd_serve(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let addr = args
+        .take_str_flag("--addr")?
+        .unwrap_or_else(|| "127.0.0.1:7700".into());
+    let port_file = args.take_path("--port-file")?;
     let spec = parse_network(&mut args)?;
-    ensure_consumed(&args)?;
+    // The paper setup's controller count is known up front; a GraphML
+    // network's is checked once it is built, on every reload.
+    let att_controllers = spec
+        .graphml
+        .is_none()
+        .then_some(pm_topo::att::DEFAULT_DOMAINS.len());
+    let cfg = PmdConfig::take(&mut args, att_controllers)?;
+    args.finish()?;
 
-    let cfg = PmdConfig {
-        horizon,
-        jobs,
-        workers,
-        ..Default::default()
-    };
     let spec = Arc::new(spec);
-    if spec.graphml.is_none() && horizon >= 6 {
-        return Err(CliError::usage(format!(
-            "--horizon: {horizon} needs more controllers than the paper setup's 6"
-        )));
-    }
     // The generation source re-reads the topology on every call — that is
     // what makes POST /reload a hot swap of on-disk GraphML edits.
     let source = {

@@ -284,33 +284,6 @@ pub fn write_artifact(kind: &str, path: &Path, contents: &str) -> Result<(), Str
     std::fs::write(path, contents).map_err(|e| artifact_error(kind, path, &e))
 }
 
-/// Writes [`chrome_trace_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_chrome_trace(path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, chrome_trace_json())
-}
-
-/// Writes [`metrics_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_metrics(path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, metrics_json())
-}
-
-/// Writes [`prometheus_text`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_prometheus(path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, prometheus_text())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,7 +57,7 @@ mod export;
 
 pub use export::{
     artifact_error, chrome_trace_json, escape_label_value, metrics_json, prometheus_from_snapshot,
-    prometheus_text, write_artifact, write_chrome_trace, write_metrics, write_prometheus,
+    prometheus_text, write_artifact,
 };
 pub use prof::{Profiler, ProfilerConfig};
 pub use serve::{MetricsServer, Request, Response, Router, ServeConfig};

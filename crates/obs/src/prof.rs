@@ -16,9 +16,8 @@
 //! i.e. Brendan Gregg's folded format — `;`-joined frames, a space, and a
 //! sample count — which `inferno-flamegraph`, `flamegraph.pl` and
 //! speedscope all consume directly. The accumulated profile is rendered
-//! by [`folded_text`], written by [`write_folded`] (the `--profile FILE`
-//! flag of the bench binaries) and served live at `GET /profile.folded`
-//! by [`crate::serve`].
+//! by [`folded_text`], which the `--profile FILE` flag writes at exit and
+//! [`crate::serve`] serves live at `GET /profile.folded`.
 //!
 //! The analysis half works on *completed* spans instead of samples: span
 //! nesting is reconstructed per thread from interval containment, giving
@@ -36,7 +35,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::time::Duration;
@@ -296,15 +294,6 @@ pub fn folded_text() -> String {
         let _ = writeln!(out, "{stack} {count}");
     }
     out
-}
-
-/// Writes [`folded_text`] to `path` through the shared artifact helper.
-///
-/// # Errors
-///
-/// Returns the formatted [`crate::artifact_error`] message.
-pub fn write_folded(path: &Path) -> Result<(), String> {
-    crate::write_artifact("profile", path, &folded_text())
 }
 
 /// Unregisters the active sample map (test isolation).
