@@ -36,19 +36,25 @@ pub struct FmssmInstance<'a, 'net> {
     /// Per flow id: its dense position, `None` when online.
     flow_pos: Vec<Option<usize>>,
     /// Per offline flow: its `(switch position, p̄)` entries at offline
-    /// switches with `β = 1`, in path order.
-    entries_by_flow: Vec<Vec<(usize, u32)>>,
+    /// switches with `β = 1`, in path order — row `lp` is
+    /// `entries_by_flow[flow_offsets[lp]..flow_offsets[lp + 1]]`.
+    entries_by_flow: Vec<(usize, u32)>,
+    /// `L + 1` row starts into `entries_by_flow`.
+    flow_offsets: Vec<usize>,
     /// Per offline switch: its `(flow position, p̄)` entries, ascending by
-    /// flow.
-    entries_by_switch: Vec<Vec<(usize, u32)>>,
+    /// flow — row `ip` is
+    /// `entries_by_switch[switch_offsets[ip]..switch_offsets[ip + 1]]`.
+    entries_by_switch: Vec<(usize, u32)>,
+    /// `N + 1` row starts into `entries_by_switch`.
+    switch_offsets: Vec<usize>,
     /// `γ_i` per offline switch.
     gamma: Vec<u32>,
-    /// `delay[i][j]` = `D_ij` between offline switch `i` and active
-    /// controller `j` (dense positions).
-    delay: Vec<Vec<f64>>,
+    /// `delay[i * M + j]` = `D_ij` between offline switch `i` and active
+    /// controller `j` (dense positions), row-major.
+    delay: Vec<f64>,
     /// Controllers sorted by ascending delay per switch (the paper's
-    /// `C(i)`).
-    ctrl_by_delay: Vec<Vec<usize>>,
+    /// `C(i)`), one row of `M` positions per switch, row-major.
+    ctrl_by_delay: Vec<usize>,
 }
 
 impl<'a, 'net> FmssmInstance<'a, 'net> {
@@ -98,52 +104,70 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             flow_pos[l.index()] = Some(i);
         }
 
-        let mut entries_by_flow = Vec::with_capacity(flows.len());
-        let mut entries_by_switch: Vec<Vec<(usize, u32)>> = vec![Vec::new(); switches.len()];
-        for (lp, &l) in flows.iter().enumerate() {
-            let mut row = Vec::new();
+        // Compressed rows: the flow rows are filled in flow order, then a
+        // counting pass sizes the switch rows and a second walk over the
+        // flow rows scatters into them, so each switch row lists its flows
+        // in ascending position.
+        let mut entries_by_flow = Vec::new();
+        let mut flow_offsets = Vec::with_capacity(flows.len() + 1);
+        flow_offsets.push(0);
+        let mut switch_offsets = vec![0usize; switches.len() + 1];
+        for &l in &flows {
             for &(s, p) in prog.flow_entries(l) {
                 if let Some(ip) = switch_pos[s.index()] {
-                    row.push((ip, p));
-                    entries_by_switch[ip].push((lp, p));
+                    entries_by_flow.push((ip, p));
+                    switch_offsets[ip + 1] += 1;
                 }
             }
-            entries_by_flow.push(row);
+            flow_offsets.push(entries_by_flow.len());
+        }
+        for ip in 0..switches.len() {
+            switch_offsets[ip + 1] += switch_offsets[ip];
+        }
+        let mut fill = switch_offsets.clone();
+        let mut entries_by_switch = vec![(0, 0); entries_by_flow.len()];
+        for (lp, row) in flow_offsets.windows(2).enumerate() {
+            for &(ip, p) in &entries_by_flow[row[0]..row[1]] {
+                entries_by_switch[fill[ip]] = (lp, p);
+                fill[ip] += 1;
+            }
         }
 
+        let m = controllers.len();
         let gamma: Vec<u32> = switches.iter().map(|&s| net.gamma(s)).collect();
-        let delay: Vec<Vec<f64>> = switches
-            .iter()
-            .map(|&s| controllers.iter().map(|&c| net.ctrl_delay(s, c)).collect())
-            .collect();
-        let ctrl_by_delay: Vec<Vec<usize>> = match cache {
+        let mut delay = Vec::with_capacity(switches.len() * m);
+        for &s in &switches {
+            delay.extend(controllers.iter().map(|&c| net.ctrl_delay(s, c)));
+        }
+        let mut ctrl_by_delay = Vec::with_capacity(switches.len() * m);
+        match cache {
             // Dense positions ascend with controller id, so mapping the
             // cached id-ordered-by-delay list through `ctrl_pos` preserves
             // both the delay order and the lower-id tie-break of the sort
             // in the uncached arm below.
-            Some(cache) => switches
-                .iter()
-                .map(|&s| {
-                    cache
-                        .controllers_by_delay(s)
-                        .iter()
-                        .filter_map(|c| ctrl_pos[c.index()])
-                        .collect()
-                })
-                .collect(),
-            None => delay
-                .iter()
-                .map(|row: &Vec<f64>| {
-                    let mut order: Vec<usize> = (0..controllers.len()).collect();
-                    order.sort_by(|&a, &b| {
+            Some(cache) => {
+                for &s in &switches {
+                    ctrl_by_delay.extend(
+                        cache
+                            .controllers_by_delay(s)
+                            .iter()
+                            .filter_map(|c| ctrl_pos[c.index()]),
+                    );
+                }
+            }
+            None => {
+                for row in delay.chunks_exact(m.max(1)) {
+                    let start = ctrl_by_delay.len();
+                    ctrl_by_delay.extend(0..m);
+                    ctrl_by_delay[start..].sort_by(|&a, &b| {
                         row[a]
                             .partial_cmp(&row[b])
                             .unwrap_or(std::cmp::Ordering::Equal)
                     });
-                    order
-                })
-                .collect(),
-        };
+                }
+            }
+        }
+        debug_assert_eq!(ctrl_by_delay.len(), switches.len() * m);
 
         FmssmInstance {
             scenario,
@@ -156,7 +180,9 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             flows,
             flow_pos,
             entries_by_flow,
+            flow_offsets,
             entries_by_switch,
+            switch_offsets,
             gamma,
             delay,
             ctrl_by_delay,
@@ -210,12 +236,12 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
 
     /// `(switch position, p̄)` entries of flow position `lp`, in path order.
     pub fn flow_entries(&self, lp: usize) -> &[(usize, u32)] {
-        &self.entries_by_flow[lp]
+        &self.entries_by_flow[self.flow_offsets[lp]..self.flow_offsets[lp + 1]]
     }
 
     /// `(flow position, p̄)` entries of switch position `ip`.
     pub fn switch_entries(&self, ip: usize) -> &[(usize, u32)] {
-        &self.entries_by_switch[ip]
+        &self.entries_by_switch[self.switch_offsets[ip]..self.switch_offsets[ip + 1]]
     }
 
     /// `γ` of switch position `ip`.
@@ -225,13 +251,16 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
 
     /// `D_ij` for dense positions.
     pub fn delay(&self, ip: usize, jp: usize) -> f64 {
-        self.delay[ip][jp]
+        let m = self.controllers.len();
+        assert!(jp < m, "controller position {jp} out of range");
+        self.delay[ip * m + jp]
     }
 
     /// Controller positions sorted by ascending delay from switch `ip`
     /// (the paper's `C(i)`).
     pub fn controllers_by_delay(&self, ip: usize) -> &[usize] {
-        &self.ctrl_by_delay[ip]
+        let m = self.controllers.len();
+        &self.ctrl_by_delay[ip * m..(ip + 1) * m]
     }
 
     /// The ideal-recovery delay bound `G` (Eq. (6)).
@@ -242,16 +271,17 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     /// The paper's `TOTAL_ITERATIONS`: the maximum number of (recoverable)
     /// offline switches on any offline flow's original path.
     pub fn total_iterations(&self) -> usize {
-        self.entries_by_flow.iter().map(Vec::len).max().unwrap_or(0)
+        self.flow_offsets
+            .windows(2)
+            .map(|row| row[1] - row[0])
+            .max()
+            .unwrap_or(0)
     }
 
     /// Upper bound on the total programmability `Σ_l pro^l`: every `β = 1`
     /// entry selected.
     pub fn total_programmability_ub(&self) -> u64 {
-        self.entries_by_flow
-            .iter()
-            .flat_map(|row| row.iter().map(|&(_, p)| p as u64))
-            .sum()
+        self.entries_by_flow.iter().map(|&(_, p)| p as u64).sum()
     }
 
     /// The objective weight λ. Following the paper's reference \[17\], λ is
@@ -265,9 +295,9 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
 
     /// Number of offline flows that have at least one recoverable entry.
     pub fn recoverable_flow_count(&self) -> usize {
-        self.entries_by_flow
-            .iter()
-            .filter(|row| !row.is_empty())
+        self.flow_offsets
+            .windows(2)
+            .filter(|row| row[1] > row[0])
             .count()
     }
 
@@ -281,7 +311,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
         let r = per_flow
             .iter()
             .enumerate()
-            .filter(|&(lp, _)| !recoverable_only || !self.entries_by_flow[lp].is_empty())
+            .filter(|&(lp, _)| !recoverable_only || !self.flow_entries(lp).is_empty())
             .map(|(_, &p)| p)
             .min()
             .unwrap_or(0);
@@ -299,6 +329,85 @@ mod tests {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
         let prog = Programmability::compute(&net);
         (net, prog)
+    }
+
+    /// The row-per-vector layout the flat instance replaced, built the
+    /// straightforward way: one `Vec` per flow, switch and delay row.
+    struct NestedReference {
+        entries_by_flow: Vec<Vec<(usize, u32)>>,
+        entries_by_switch: Vec<Vec<(usize, u32)>>,
+        delay: Vec<Vec<f64>>,
+        ctrl_by_delay: Vec<Vec<usize>>,
+    }
+
+    fn nested_reference(sc: &FailureScenario<'_>, prog: &Programmability) -> NestedReference {
+        let net = sc.network();
+        let switches = sc.offline_switches();
+        let controllers = sc.active_controllers();
+        let pos = |s: SwitchId| switches.iter().position(|&x| x == s);
+        let mut entries_by_flow = Vec::new();
+        let mut entries_by_switch = vec![Vec::new(); switches.len()];
+        for (lp, &l) in sc.offline_flows().iter().enumerate() {
+            let mut row = Vec::new();
+            for &(s, p) in prog.flow_entries(l) {
+                if let Some(ip) = pos(s) {
+                    row.push((ip, p));
+                    entries_by_switch[ip].push((lp, p));
+                }
+            }
+            entries_by_flow.push(row);
+        }
+        let delay: Vec<Vec<f64>> = switches
+            .iter()
+            .map(|&s| controllers.iter().map(|&c| net.ctrl_delay(s, c)).collect())
+            .collect();
+        let ctrl_by_delay = delay
+            .iter()
+            .map(|row| {
+                let mut order: Vec<usize> = (0..controllers.len()).collect();
+                order.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap());
+                order
+            })
+            .collect();
+        NestedReference {
+            entries_by_flow,
+            entries_by_switch,
+            delay,
+            ctrl_by_delay,
+        }
+    }
+
+    /// Every row accessor of `inst` returns exactly the reference row.
+    fn assert_rows_match(inst: &FmssmInstance<'_, '_>, reference: &NestedReference) {
+        assert_eq!(inst.flows().len(), reference.entries_by_flow.len());
+        for (lp, row) in reference.entries_by_flow.iter().enumerate() {
+            assert_eq!(inst.flow_entries(lp), row.as_slice(), "flow row {lp}");
+        }
+        assert_eq!(inst.switches().len(), reference.entries_by_switch.len());
+        for (ip, row) in reference.entries_by_switch.iter().enumerate() {
+            assert_eq!(inst.switch_entries(ip), row.as_slice(), "switch row {ip}");
+            assert_eq!(
+                inst.controllers_by_delay(ip),
+                reference.ctrl_by_delay[ip].as_slice(),
+                "delay order of switch row {ip}"
+            );
+            for (jp, &d) in reference.delay[ip].iter().enumerate() {
+                assert_eq!(inst.delay(ip, jp).to_bits(), d.to_bits());
+            }
+        }
+        let rows = &reference.entries_by_flow;
+        assert_eq!(
+            inst.total_iterations(),
+            rows.iter().map(Vec::len).max().unwrap_or(0)
+        );
+        assert_eq!(
+            inst.total_programmability_ub(),
+            rows.iter().flatten().map(|&(_, p)| p as u64).sum::<u64>()
+        );
+        assert_eq!(
+            inst.recoverable_flow_count(),
+            rows.iter().filter(|row| !row.is_empty()).count()
+        );
     }
 
     #[test]
@@ -326,6 +435,11 @@ mod tests {
             assert_eq!(plain.entries_by_switch, cached.entries_by_switch);
             assert_eq!(plain.gamma, cached.gamma);
             assert_eq!(plain.delay, cached.delay);
+            assert_eq!(plain.flow_offsets, cached.flow_offsets);
+            assert_eq!(plain.switch_offsets, cached.switch_offsets);
+            let reference = nested_reference(&sc, &prog);
+            assert_rows_match(&plain, &reference);
+            assert_rows_match(&cached, &reference);
         }
     }
 

@@ -20,6 +20,8 @@
 use crate::instance::FmssmInstance;
 use crate::{PmError, RecoveryAlgorithm};
 use pm_sdwan::RecoveryPlan;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// FlowVisor's average per-request processing time, from reference \[10\] of
 /// the paper.
@@ -75,50 +77,73 @@ impl RecoveryAlgorithm for Pg {
 
     fn recover(&self, inst: &FmssmInstance<'_, '_>) -> Result<RecoveryPlan, PmError> {
         let _span = pm_obs::span("pg.recover");
-        let m = inst.controllers().len();
         let l_count = inst.flows().len();
-        let mut a: Vec<i64> = inst.residuals().iter().map(|&r| r as i64).collect();
+        let mut capacity = Capacity::new(inst.residuals());
         let mut h: Vec<u64> = vec![0; l_count];
         // Next unused entry index per flow.
         let mut cursor: Vec<usize> = vec![0; l_count];
-        let mut plan = RecoveryPlan::new();
+        // The controller position picked for each flow entry, flat in flow
+        // order: entry `k` of flow `lp` is `picked[row_start[lp] + k]`.
+        let mut row_start = Vec::with_capacity(l_count);
+        let mut entries = 0;
+        for lp in 0..l_count {
+            row_start.push(entries);
+            entries += inst.flow_entries(lp).len();
+        }
+        let mut picked: Vec<Option<usize>> = vec![None; entries];
         let mut rounds = 0u64;
         let mut picks = 0u64;
 
         // Phase 1: balanced rounds. In each round, every flow currently at
         // the least programmability (among flows that still have unused
         // entries) receives one more SDN-mode switch, assigned to the
-        // controller with the most remaining capacity.
+        // controller with the most remaining capacity. The flows with
+        // unused entries wait in a min-heap keyed `(h, position)`, so a
+        // round pops exactly its σ-flows, in ascending position, and pushes
+        // back the ones with entries left: O(picks · (log L + log M)) over
+        // all rounds instead of a rescan of every flow per round.
         let phase1_span = pm_obs::span("pg.phase1");
+        let mut waiting: BinaryHeap<Reverse<u128>> = (0..l_count)
+            .filter(|&lp| !inst.flow_entries(lp).is_empty())
+            .map(|lp| Reverse(flow_key(0, lp)))
+            .collect();
+        let mut at_sigma: Vec<usize> = Vec::new();
         loop {
             rounds += 1;
-            let active: Vec<usize> = (0..l_count)
-                .filter(|&lp| cursor[lp] < inst.flow_entries(lp).len())
-                .collect();
-            if active.is_empty() || a.iter().all(|&x| x <= 0) {
+            let Some(&Reverse(first)) = waiting.peek() else {
+                break;
+            };
+            if capacity.exhausted() {
                 break;
             }
-            let sigma = active.iter().map(|&lp| h[lp]).min().expect("non-empty");
+            let sigma = first >> 64;
+            at_sigma.clear();
+            while let Some(&Reverse(key)) = waiting.peek() {
+                if key >> 64 != sigma {
+                    break;
+                }
+                waiting.pop();
+                at_sigma.push(key as u64 as usize);
+            }
             let mut progressed = false;
-            for &lp in &active {
-                if h[lp] != sigma {
-                    continue;
-                }
-                let (ip, pbar) = inst.flow_entries(lp)[cursor[lp]];
+            for &lp in &at_sigma {
+                let k = cursor[lp];
+                let (_, pbar) = inst.flow_entries(lp)[k];
                 cursor[lp] += 1;
-                // Most remaining capacity; ties to the lower controller id.
-                let j = (0..m)
-                    .max_by_key(|&j| (a[j], std::cmp::Reverse(j)))
-                    .expect("m > 0");
-                if a[j] <= 0 {
+                let Some(j) = capacity.take_most() else {
                     continue;
-                }
-                a[j] -= 1;
+                };
                 h[lp] += pbar as u64;
-                plan.set_sdn_via(inst.switches()[ip], inst.flows()[lp], inst.controllers()[j]);
+                picked[row_start[lp] + k] = Some(j);
                 picks += 1;
                 progressed = true;
             }
+            waiting.extend(
+                at_sigma
+                    .iter()
+                    .filter(|&&lp| cursor[lp] < inst.flow_entries(lp).len())
+                    .map(|&lp| Reverse(flow_key(h[lp], lp))),
+            );
             if !progressed {
                 break;
             }
@@ -127,23 +152,33 @@ impl RecoveryAlgorithm for Pg {
 
         // Phase 2: spend leftovers on any remaining entries.
         let phase2_span = pm_obs::span("pg.phase2");
-        #[allow(clippy::needless_range_loop)] // cursor and entries are parallel
         'outer: for lp in 0..l_count {
             while cursor[lp] < inst.flow_entries(lp).len() {
-                let (ip, _pbar) = inst.flow_entries(lp)[cursor[lp]];
-                let j = (0..m)
-                    .max_by_key(|&j| (a[j], std::cmp::Reverse(j)))
-                    .expect("m > 0");
-                if a[j] <= 0 {
+                let Some(j) = capacity.take_most() else {
                     break 'outer;
-                }
+                };
+                picked[row_start[lp] + cursor[lp]] = Some(j);
                 cursor[lp] += 1;
-                a[j] -= 1;
-                plan.set_sdn_via(inst.switches()[ip], inst.flows()[lp], inst.controllers()[j]);
                 picks += 1;
             }
         }
         drop(phase2_span);
+
+        // Emit the picks switch by switch, flows ascending within each:
+        // the plan's key order, so the bulk build's sort finds one run.
+        let mut sdn = Vec::with_capacity(picks as usize);
+        for (ip, &s) in inst.switches().iter().enumerate() {
+            for &(lp, _) in inst.switch_entries(ip) {
+                let k = inst
+                    .flow_entries(lp)
+                    .iter()
+                    .position(|&(i, _)| i == ip)
+                    .expect("a switch entry is on its flow's row");
+                if let Some(j) = picked[row_start[lp] + k] {
+                    sdn.push((s, inst.flows()[lp], inst.controllers()[j]));
+                }
+            }
+        }
         if pm_obs::enabled() {
             pm_obs::count("pg.rounds", rounds);
             pm_obs::count("pg.sdn_mode_picks", picks);
@@ -151,12 +186,59 @@ impl RecoveryAlgorithm for Pg {
                 "pg.flows_touched",
                 h.iter().filter(|&&v| v > 0).count() as u64,
             );
-            pm_obs::count(
-                "pg.capacity_residual_left",
-                a.iter().map(|&v| v.max(0) as u64).sum(),
-            );
+            pm_obs::count("pg.capacity_residual_left", capacity.left());
         }
-        Ok(plan)
+        Ok(RecoveryPlan::from_parts(Vec::new(), Vec::new(), sdn))
+    }
+}
+
+/// A waiting flow's heap key: `(h, position)` packed into one integer, so
+/// the heap orders it with a single compare.
+fn flow_key(h: u64, lp: usize) -> u128 {
+    (h as u128) << 64 | lp as u128
+}
+
+/// Remaining capacity per active controller, as a max-heap of
+/// `(capacity, Reverse(position))` packed into one integer: the top is the
+/// controller with the most capacity, ties to the lower position (and so
+/// the lower controller id). Taking a unit is O(log M) instead of a scan.
+struct Capacity(BinaryHeap<u64>);
+
+impl Capacity {
+    fn new(residuals: &[u32]) -> Self {
+        Capacity(
+            residuals
+                .iter()
+                .enumerate()
+                .map(|(j, &r)| (r as u64) << 32 | (u32::MAX - j as u32) as u64)
+                .collect(),
+        )
+    }
+
+    /// `true` when no controller has capacity left.
+    fn exhausted(&self) -> bool {
+        self.0.peek().map_or(true, |&key| key >> 32 == 0)
+    }
+
+    /// Takes one unit from the controller with the most capacity and
+    /// returns its position; `None`, taking nothing, when even that one is
+    /// spent.
+    ///
+    /// # Panics
+    ///
+    /// Panics when there is no controller at all.
+    fn take_most(&mut self) -> Option<usize> {
+        let mut top = self.0.peek_mut().expect("m > 0");
+        if *top >> 32 == 0 {
+            return None;
+        }
+        *top -= 1 << 32;
+        Some((u32::MAX - *top as u32) as usize)
+    }
+
+    /// Capacity left over all controllers.
+    fn left(&self) -> u64 {
+        self.0.iter().map(|&key| key >> 32).sum()
     }
 }
 
@@ -253,6 +335,31 @@ mod tests {
             .copied()
             .unwrap_or(0);
         assert!(recovered_min >= 2);
+    }
+
+    #[test]
+    fn capacity_takes_from_the_fullest_lowest_position() {
+        let mut capacity = Capacity::new(&[2, 3, 3, 0]);
+        let taken: Vec<Option<usize>> = (0..9).map(|_| capacity.take_most()).collect();
+        assert_eq!(
+            taken,
+            [
+                Some(1),
+                Some(2),
+                Some(0),
+                Some(1),
+                Some(2),
+                Some(0),
+                Some(1),
+                Some(2),
+                None
+            ]
+        );
+        assert!(capacity.exhausted());
+        assert_eq!(capacity.left(), 0);
+        let capacity = Capacity::new(&[0, 5, 7]);
+        assert!(!capacity.exhausted());
+        assert_eq!(capacity.left(), 12);
     }
 
     #[test]

@@ -45,7 +45,8 @@ impl RecoveryAlgorithm for RetroFlow {
         let mut recovered = 0u64;
         let mut legacy = 0u64;
         let mut flows_touched = 0u64;
-        let mut plan = RecoveryPlan::new();
+        // The controller position each recovered switch is adopted by.
+        let mut adopted: Vec<Option<usize>> = vec![None; n];
         for ip in order {
             let cost = inst.gamma(ip) as i64;
             // Nearest active controller that can absorb the whole switch.
@@ -59,14 +60,26 @@ impl RecoveryAlgorithm for RetroFlow {
             };
             a[j] -= cost;
             recovered += 1;
-            let s = inst.switches()[ip];
-            plan.map_switch(s, inst.controllers()[j]);
-            plan.set_full_sdn(s);
-            // Every β = 1 flow at the switch becomes programmable there.
-            for &(lp, _) in inst.switch_entries(ip) {
-                plan.set_sdn(s, inst.flows()[lp]);
-                flows_touched += 1;
-            }
+            adopted[ip] = Some(j);
+            flows_touched += inst.switch_entries(ip).len() as u64;
+        }
+
+        // Emit in switch order, so each of the plan's maps is bulk-built
+        // from a sorted run. Every β = 1 flow at a recovered switch becomes
+        // programmable there.
+        let mut mappings = Vec::with_capacity(recovered as usize);
+        let mut full_sdn = Vec::with_capacity(recovered as usize);
+        let mut sdn = Vec::with_capacity(flows_touched as usize);
+        for (ip, j) in adopted.into_iter().enumerate() {
+            let Some(j) = j else { continue };
+            let (s, c) = (inst.switches()[ip], inst.controllers()[j]);
+            mappings.push((s, c));
+            full_sdn.push(s);
+            sdn.extend(
+                inst.switch_entries(ip)
+                    .iter()
+                    .map(|&(lp, _)| (s, inst.flows()[lp], c)),
+            );
         }
         if pm_obs::enabled() {
             pm_obs::count("retroflow.switches_recovered", recovered);
@@ -77,7 +90,7 @@ impl RecoveryAlgorithm for RetroFlow {
                 a.iter().map(|&v| v.max(0) as u64).sum(),
             );
         }
-        Ok(plan)
+        Ok(RecoveryPlan::from_parts(mappings, full_sdn, sdn))
     }
 }
 

@@ -191,7 +191,7 @@ impl PlanMetrics {
             recovered_flows: recovered,
             recoverable_flows: recoverable,
             offline_flows: scenario.offline_flows().len(),
-            recovered_switches: plan.recovered_switches().len(),
+            recovered_switches: plan.recovered_switch_count(),
             offline_switches: scenario.offline_switches().len(),
             controller_usage,
             total_overhead_ms: total_overhead,

@@ -55,6 +55,60 @@ impl RecoveryPlan {
         Self::default()
     }
 
+    /// Builds a plan from its three decision lists in one pass per map:
+    /// switch mappings, whole-switch SDN switches and `(switch, flow,
+    /// controller)` selections, each in any order. Each list is sorted and
+    /// its map bulk-built from the sorted run, which is how the heuristics
+    /// emit a plan without one keyed insert per decision.
+    ///
+    /// The result equals the plan built by [`RecoveryPlan::map_switch`],
+    /// [`RecoveryPlan::set_full_sdn`] and [`RecoveryPlan::set_sdn_via`]
+    /// calls over the same lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a switch mapped twice, a switch listed twice as full-SDN,
+    /// a `(switch, flow)` pair selected twice, or a full-SDN switch that is
+    /// not mapped: each is a bug in the algorithm emitting the plan.
+    pub fn from_parts(
+        mut mappings: Vec<(SwitchId, ControllerId)>,
+        mut full_sdn: Vec<SwitchId>,
+        mut sdn: Vec<(SwitchId, FlowId, ControllerId)>,
+    ) -> Self {
+        mappings.sort_unstable_by_key(|&(s, _)| s);
+        full_sdn.sort_unstable();
+        sdn.sort_unstable_by_key(|&(s, l, _)| (s, l));
+        if let Some(w) = mappings.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("switch {} mapped twice", w[0].0);
+        }
+        if let Some(w) = full_sdn.windows(2).find(|w| w[0] == w[1]) {
+            panic!("full-SDN switch {} listed twice", w[0]);
+        }
+        if let Some(w) = sdn
+            .windows(2)
+            .find(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        {
+            panic!("pair ({}, {}) selected twice", w[0].0, w[0].1);
+        }
+        // Both lists are sorted, so one merge walk finds every full-SDN
+        // switch among the mapped ones.
+        let mut mapped = mappings.iter().map(|&(s, _)| s).peekable();
+        for &s in &full_sdn {
+            while mapped.next_if(|&m| m < s).is_some() {}
+            assert!(
+                mapped.next_if_eq(&s).is_some(),
+                "full-SDN switch {s} is unmapped"
+            );
+        }
+        // Sorted, duplicate-free input: `collect` bulk-builds each map
+        // from the run instead of inserting key by key.
+        RecoveryPlan {
+            mapping: mappings.into_iter().collect(),
+            sdn: sdn.into_iter().map(|(s, l, c)| ((s, l), c)).collect(),
+            full_sdn: full_sdn.into_iter().collect(),
+        }
+    }
+
     /// Maps switch `s` to controller `c`, replacing any previous mapping.
     pub fn map_switch(&mut self, s: SwitchId, c: ControllerId) {
         self.mapping.insert(s, c);
@@ -135,6 +189,26 @@ impl RecoveryPlan {
         let mut set: BTreeSet<SwitchId> = self.mapping.keys().copied().collect();
         set.extend(self.sdn.keys().map(|&(s, _)| s));
         set
+    }
+
+    /// `recovered_switches().len()` without building the set: one merge
+    /// count over the sorted mapping keys and the sorted selection keys.
+    pub fn recovered_switch_count(&self) -> usize {
+        let mut mapped = self.mapping.keys().peekable();
+        let mut count = 0;
+        let mut last = None;
+        for &(s, _) in self.sdn.keys() {
+            if last == Some(s) {
+                continue;
+            }
+            last = Some(s);
+            while mapped.next_if(|&&m| m < s).is_some() {
+                count += 1;
+            }
+            mapped.next_if(|&&m| m == s);
+            count += 1;
+        }
+        count + mapped.count()
     }
 
     /// Dense per-controller accumulation backing both
@@ -323,10 +397,15 @@ impl RecoveryPlan {
     /// Parses the format produced by [`RecoveryPlan::to_text`]. Blank lines
     /// and `#` comments are ignored.
     ///
+    /// Each decision may appear once: a second `map` line for a switch, a
+    /// second `full` line for a switch or a second `sdn` line for a
+    /// `(switch, flow)` pair is rejected, even when it repeats the first,
+    /// so the parsed plan is never a silent merge of conflicting lines.
+    ///
     /// # Errors
     ///
     /// Returns [`SdwanError::InvalidPlan`] describing the first malformed
-    /// line.
+    /// or repeated line.
     pub fn from_text(text: &str) -> Result<RecoveryPlan, SdwanError> {
         fn id(token: &str, prefix: char, line_no: usize) -> Result<usize, SdwanError> {
             token
@@ -338,6 +417,9 @@ impl RecoveryPlan {
                     ))
                 })
         }
+        fn repeated(line_no: usize, what: String) -> SdwanError {
+            SdwanError::InvalidPlan(format!("line {line_no}: repeated {what}"))
+        }
         let mut plan = RecoveryPlan::new();
         for (i, line) in text.lines().enumerate() {
             let line_no = i + 1;
@@ -348,10 +430,11 @@ impl RecoveryPlan {
             let fields: Vec<&str> = line.split_whitespace().collect();
             match fields.as_slice() {
                 ["map", s, c] => {
-                    plan.mapping.insert(
-                        SwitchId(id(s, 's', line_no)?),
-                        ControllerId(id(c, 'C', line_no)?),
-                    );
+                    let s = SwitchId(id(s, 's', line_no)?);
+                    let c = ControllerId(id(c, 'C', line_no)?);
+                    if plan.mapping.insert(s, c).is_some() {
+                        return Err(repeated(line_no, format!("mapping of {s}")));
+                    }
                 }
                 ["full", s] => {
                     let s = SwitchId(id(s, 's', line_no)?);
@@ -360,13 +443,17 @@ impl RecoveryPlan {
                             "line {line_no}: full-SDN switch {s} not mapped (map lines must come first)"
                         )));
                     }
-                    plan.full_sdn.insert(s);
+                    if !plan.full_sdn.insert(s) {
+                        return Err(repeated(line_no, format!("full-SDN switch {s}")));
+                    }
                 }
                 ["sdn", s, l, c] => {
-                    plan.sdn.insert(
-                        (SwitchId(id(s, 's', line_no)?), FlowId(id(l, 'f', line_no)?)),
-                        ControllerId(id(c, 'C', line_no)?),
-                    );
+                    let s = SwitchId(id(s, 's', line_no)?);
+                    let l = FlowId(id(l, 'f', line_no)?);
+                    let c = ControllerId(id(c, 'C', line_no)?);
+                    if plan.sdn.insert((s, l), c).is_some() {
+                        return Err(repeated(line_no, format!("selection ({s}, {l})")));
+                    }
                 }
                 _ => {
                     return Err(SdwanError::InvalidPlan(format!(
@@ -667,6 +754,116 @@ mod tests {
             "full before map"
         );
         assert!(RecoveryPlan::from_text("sdn s1 f2").is_err());
+        // A repeated decision is rejected, naming the second line, whether
+        // it conflicts with the first or repeats it.
+        for (text, line) in [
+            ("map s13 C1\nmap s13 C2\n", "line 2"),
+            ("map s13 C1\n# again\nmap s13 C1\n", "line 3"),
+            ("map s9 C1\nfull s9\nfull s9\n", "line 3"),
+            ("sdn s1 f2 C1\nsdn s1 f2 C3\n", "line 2"),
+            ("map s1 C1\nsdn s1 f2 C1\nsdn s1 f2 C1\n", "line 3"),
+        ] {
+            let err = RecoveryPlan::from_text(text).unwrap_err();
+            assert!(
+                matches!(&err, SdwanError::InvalidPlan(m) if m.starts_with(line) && m.contains("repeated")),
+                "{text:?}: {err}"
+            );
+        }
+        // Distinct flows at one switch are distinct decisions.
+        RecoveryPlan::from_text("sdn s1 f2 C1\nsdn s1 f3 C1\n").unwrap();
+    }
+
+    /// A small mixed plan as decision lists: two mapped switches (one of
+    /// them whole-switch SDN), selections at both, and flow-level
+    /// selections at an unmapped switch.
+    #[allow(clippy::type_complexity)]
+    fn mixed_parts() -> (
+        Vec<(SwitchId, ControllerId)>,
+        Vec<SwitchId>,
+        Vec<(SwitchId, FlowId, ControllerId)>,
+    ) {
+        let mappings = vec![
+            (SwitchId(7), ControllerId(2)),
+            (SwitchId(3), ControllerId(0)),
+        ];
+        let full = vec![SwitchId(7)];
+        let sdn = vec![
+            (SwitchId(7), FlowId(9), ControllerId(2)),
+            (SwitchId(3), FlowId(4), ControllerId(0)),
+            (SwitchId(5), FlowId(1), ControllerId(1)),
+            (SwitchId(7), FlowId(2), ControllerId(2)),
+            (SwitchId(5), FlowId(0), ControllerId(3)),
+            (SwitchId(3), FlowId(1), ControllerId(0)),
+        ];
+        (mappings, full, sdn)
+    }
+
+    #[test]
+    fn from_parts_matches_insert_built_plan() {
+        let (mappings, full, sdn) = mixed_parts();
+        let mut inserted = RecoveryPlan::new();
+        for &(s, c) in &mappings {
+            inserted.map_switch(s, c);
+        }
+        for &s in &full {
+            inserted.set_full_sdn(s);
+        }
+        for &(s, l, c) in &sdn {
+            inserted.set_sdn_via(s, l, c);
+        }
+        // Every rotation and the reversal of every list builds the same
+        // plan: the input order is irrelevant.
+        for shift in 0..sdn.len() {
+            let mut m = mappings.clone();
+            m.rotate_left(shift % mappings.len());
+            let mut y = sdn.clone();
+            y.rotate_left(shift);
+            assert_eq!(
+                RecoveryPlan::from_parts(m, full.clone(), y.clone()),
+                inserted
+            );
+            y.reverse();
+            assert_eq!(
+                RecoveryPlan::from_parts(mappings.clone(), full.clone(), y),
+                inserted
+            );
+        }
+        assert_eq!(
+            RecoveryPlan::from_parts(vec![], vec![], vec![]),
+            RecoveryPlan::new()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "selected twice")]
+    fn from_parts_panics_on_repeated_pair() {
+        let (mappings, full, mut sdn) = mixed_parts();
+        sdn.push((SwitchId(5), FlowId(1), ControllerId(2)));
+        RecoveryPlan::from_parts(mappings, full, sdn);
+    }
+
+    #[test]
+    #[should_panic(expected = "mapped twice")]
+    fn from_parts_panics_on_repeated_switch() {
+        let (mut mappings, full, sdn) = mixed_parts();
+        mappings.push((SwitchId(3), ControllerId(0)));
+        RecoveryPlan::from_parts(mappings, full, sdn);
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn from_parts_panics_on_repeated_full_sdn_switch() {
+        let (mappings, mut full, sdn) = mixed_parts();
+        full.push(SwitchId(7));
+        RecoveryPlan::from_parts(mappings, full, sdn);
+    }
+
+    #[test]
+    #[should_panic(expected = "full-SDN switch s5 is unmapped")]
+    fn from_parts_panics_on_unmapped_full_sdn_switch() {
+        let (mappings, mut full, sdn) = mixed_parts();
+        full.push(SwitchId(5));
+        RecoveryPlan::from_parts(mappings, full, sdn);
     }
 
     #[test]
@@ -684,5 +881,27 @@ mod tests {
         let rec = plan.recovered_switches();
         assert!(rec.contains(&s) && rec.contains(&other));
         assert_eq!(rec.len(), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn recovered_switch_count_matches_set(
+            mapped in proptest::collection::vec((0usize..12, 0usize..3), 0..=8),
+            selected in proptest::collection::vec((0usize..12, 0usize..6, 0usize..3), 0..=16),
+        ) {
+            let mut plan = RecoveryPlan::new();
+            for (s, c) in mapped {
+                plan.map_switch(SwitchId(s), ControllerId(c));
+            }
+            for (s, l, c) in selected {
+                plan.set_sdn_via(SwitchId(s), FlowId(l), ControllerId(c));
+            }
+            proptest::prop_assert_eq!(
+                plan.recovered_switch_count(),
+                plan.recovered_switches().len()
+            );
+        }
     }
 }

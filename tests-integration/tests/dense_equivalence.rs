@@ -6,12 +6,32 @@
 //! Networks are random Waxman graphs with randomly placed controllers plus
 //! the paper's ATT setup; failure sets are random proper subsets of the
 //! controllers.
+//!
+//! The PG and RetroFlow heuristics are also checked against oracles: their
+//! straightforward formulations (a rescan of every flow per PG round, one
+//! keyed plan insert per decision), kept here verbatim. The shipped
+//! versions must give the same plans and the same `pg.*` / `retroflow.*`
+//! counters.
 
 use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
-use pm_sdwan::{ControllerId, FlowId, NetCache, Programmability, SdWan, SdWanBuilder, SwitchId};
+use pm_sdwan::{
+    ControllerId, FlowId, NetCache, Programmability, RecoveryPlan, SdWan, SdWanBuilder, SwitchId,
+};
 use pm_topo::{builders, NodeId};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
+
+/// The telemetry recorder is process-wide: every test here that runs a
+/// heuristic holds this lock, so the counter comparisons see only their own
+/// run's counters.
+static RECORDER: Mutex<()> = Mutex::new(());
+
+fn recorder_lock() -> MutexGuard<'static, ()> {
+    RECORDER
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// A random connected Waxman network with `m` controllers spread over the
 /// node set and all-pairs flows. Fully determined by its arguments.
@@ -113,6 +133,7 @@ fn assert_instance_consistent(net: &SdWan, failed: &[ControllerId]) {
 /// Every heuristic must produce the same (valid) plan from the cached and
 /// uncached instance builds.
 fn assert_plans_agree(net: &SdWan, failed: &[ControllerId]) {
+    let _recorder = recorder_lock();
     let prog = Programmability::compute(net);
     let cache = NetCache::build(net);
     let plain_sc = net.fail(failed).expect("valid failure set");
@@ -127,6 +148,167 @@ fn assert_plans_agree(net: &SdWan, failed: &[ControllerId]) {
         a.validate(&plain_sc, &prog, algo.is_flow_level())
             .expect("valid plan");
     }
+}
+
+/// Counters as `(name, value)`, sorted by name.
+type Counters = Vec<(String, u64)>;
+
+/// PG as first written: each round collects the flows with unused entries,
+/// scans them for σ, and inserts every pick into the plan on its own.
+fn pg_oracle(inst: &FmssmInstance<'_, '_>) -> (RecoveryPlan, Counters) {
+    let m = inst.controllers().len();
+    let l_count = inst.flows().len();
+    let mut a: Vec<i64> = inst.residuals().iter().map(|&r| r as i64).collect();
+    let mut h: Vec<u64> = vec![0; l_count];
+    let mut cursor: Vec<usize> = vec![0; l_count];
+    let mut plan = RecoveryPlan::new();
+    let mut rounds = 0u64;
+    let mut picks = 0u64;
+    loop {
+        rounds += 1;
+        let active: Vec<usize> = (0..l_count)
+            .filter(|&lp| cursor[lp] < inst.flow_entries(lp).len())
+            .collect();
+        if active.is_empty() || a.iter().all(|&x| x <= 0) {
+            break;
+        }
+        let sigma = active.iter().map(|&lp| h[lp]).min().expect("non-empty");
+        let mut progressed = false;
+        for &lp in &active {
+            if h[lp] != sigma {
+                continue;
+            }
+            let (ip, pbar) = inst.flow_entries(lp)[cursor[lp]];
+            cursor[lp] += 1;
+            let j = (0..m)
+                .max_by_key(|&j| (a[j], std::cmp::Reverse(j)))
+                .expect("m > 0");
+            if a[j] <= 0 {
+                continue;
+            }
+            a[j] -= 1;
+            h[lp] += pbar as u64;
+            plan.set_sdn_via(inst.switches()[ip], inst.flows()[lp], inst.controllers()[j]);
+            picks += 1;
+            progressed = true;
+        }
+        if !progressed {
+            break;
+        }
+    }
+    #[allow(clippy::needless_range_loop)]
+    'outer: for lp in 0..l_count {
+        while cursor[lp] < inst.flow_entries(lp).len() {
+            let (ip, _pbar) = inst.flow_entries(lp)[cursor[lp]];
+            let j = (0..m)
+                .max_by_key(|&j| (a[j], std::cmp::Reverse(j)))
+                .expect("m > 0");
+            if a[j] <= 0 {
+                break 'outer;
+            }
+            cursor[lp] += 1;
+            a[j] -= 1;
+            plan.set_sdn_via(inst.switches()[ip], inst.flows()[lp], inst.controllers()[j]);
+            picks += 1;
+        }
+    }
+    let counters = vec![
+        (
+            "pg.capacity_residual_left".to_string(),
+            a.iter().map(|&v| v.max(0) as u64).sum(),
+        ),
+        (
+            "pg.flows_touched".to_string(),
+            h.iter().filter(|&&v| v > 0).count() as u64,
+        ),
+        ("pg.rounds".to_string(), rounds),
+        ("pg.sdn_mode_picks".to_string(), picks),
+    ];
+    (plan, counters)
+}
+
+/// RetroFlow as first written: each adopted switch is mapped, marked
+/// whole-switch SDN and given its selections by keyed inserts, in adoption
+/// order.
+fn retroflow_oracle(inst: &FmssmInstance<'_, '_>) -> (RecoveryPlan, Counters) {
+    let n = inst.switches().len();
+    let mut a: Vec<i64> = inst.residuals().iter().map(|&r| r as i64).collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&ip| (std::cmp::Reverse(inst.gamma(ip)), ip));
+    let mut recovered = 0u64;
+    let mut legacy = 0u64;
+    let mut flows_touched = 0u64;
+    let mut plan = RecoveryPlan::new();
+    for ip in order {
+        let cost = inst.gamma(ip) as i64;
+        let Some(&j) = inst
+            .controllers_by_delay(ip)
+            .iter()
+            .find(|&&j| a[j] >= cost)
+        else {
+            legacy += 1;
+            continue;
+        };
+        a[j] -= cost;
+        recovered += 1;
+        let s = inst.switches()[ip];
+        plan.map_switch(s, inst.controllers()[j]);
+        plan.set_full_sdn(s);
+        for &(lp, _) in inst.switch_entries(ip) {
+            plan.set_sdn(s, inst.flows()[lp]);
+            flows_touched += 1;
+        }
+    }
+    let counters = vec![
+        (
+            "retroflow.capacity_residual_left".to_string(),
+            a.iter().map(|&v| v.max(0) as u64).sum(),
+        ),
+        ("retroflow.flows_touched".to_string(), flows_touched),
+        ("retroflow.switches_legacy".to_string(), legacy),
+        ("retroflow.switches_recovered".to_string(), recovered),
+    ];
+    (plan, counters)
+}
+
+/// Runs `algo` with the recorder on and returns its plan and the counters
+/// under `prefix` that the run recorded.
+fn recover_counted(
+    algo: &dyn RecoveryAlgorithm,
+    inst: &FmssmInstance<'_, '_>,
+    prefix: &str,
+) -> (RecoveryPlan, Counters) {
+    pm_obs::enable();
+    pm_obs::reset();
+    let plan = algo.recover(inst).expect("recovers");
+    let counters = pm_obs::snapshot()
+        .counters
+        .into_iter()
+        .filter(|(name, _)| name.starts_with(prefix))
+        .collect();
+    (plan, counters)
+}
+
+/// PG and RetroFlow equal their oracles on the failure of `failed`, plan
+/// and counters alike.
+fn assert_matches_oracles(net: &SdWan, prog: &Programmability, failed: &[ControllerId]) {
+    let _recorder = recorder_lock();
+    let sc = net.fail(failed).expect("valid failure set");
+    let inst = FmssmInstance::new(&sc, prog);
+    let (want, want_counters) = pg_oracle(&inst);
+    let (got, got_counters) = recover_counted(&Pg::new(), &inst, "pg.");
+    assert_eq!(got, want, "PG plan differs from its oracle on {failed:?}");
+    assert_eq!(got_counters, want_counters, "PG counters on {failed:?}");
+    let (want, want_counters) = retroflow_oracle(&inst);
+    let (got, got_counters) = recover_counted(&RetroFlow::new(), &inst, "retroflow.");
+    assert_eq!(
+        got, want,
+        "RetroFlow plan differs from its oracle on {failed:?}"
+    );
+    assert_eq!(
+        got_counters, want_counters,
+        "RetroFlow counters on {failed:?}"
+    );
 }
 
 proptest! {
@@ -171,6 +353,21 @@ proptest! {
         let net = waxman_net(nodes, m, capacity, seed);
         assert_plans_agree(&net, &failure_set(m, k, start));
     }
+
+    #[test]
+    fn heuristics_match_oracles_on_random_networks(
+        nodes in 10usize..=16,
+        capacity in 20u32..=300,
+        seed in 0u64..10_000,
+        start in 0usize..5,
+    ) {
+        // Five controllers, so every f = 1..4 leaves a survivor.
+        let net = waxman_net(nodes, 5, capacity, seed);
+        let prog = Programmability::compute(&net);
+        for f in 1..=4 {
+            assert_matches_oracles(&net, &prog, &failure_set(5, f, start));
+        }
+    }
 }
 
 #[test]
@@ -185,4 +382,21 @@ fn att_setup_agrees_end_to_end() {
         assert_instance_consistent(&net, &failed);
         assert_plans_agree(&net, &failed);
     }
+}
+
+#[test]
+fn att_heuristics_match_oracles_on_every_case() {
+    let net = SdWanBuilder::att_paper_setup()
+        .build()
+        .expect("paper setup");
+    let prog = Programmability::compute(&net);
+    let m = net.controllers().len();
+    let mut cases = 0;
+    for f in 1..m {
+        for failed in pm_bench::combinations(m, f) {
+            assert_matches_oracles(&net, &prog, &failed);
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, (1 << m) - 2, "every proper non-empty failure set");
 }
