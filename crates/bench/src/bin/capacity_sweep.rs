@@ -14,7 +14,7 @@
 //! Run: `cargo run --release -p pm-bench --bin capacity_sweep -- --help` for the flags.
 
 use pm_bench::flags::{run_main, Args, CliError};
-use pm_bench::par::par_map;
+use pm_bench::par::{stream_indexed, SWEEP_POOL};
 use pm_bench::report::{pct, render_table};
 use pm_bench::EvalOptions;
 use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
@@ -32,44 +32,9 @@ fn main() -> ExitCode {
 
 fn capacity_sweep(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> {
     args.finish()?;
-    let results = par_map(&CAPACITIES, opts.jobs, |_, &capacity| {
-        let builder = SdWanBuilder::att_paper_setup_with_capacity(capacity);
-        // Below ~490 some domain overloads; study that regime too.
-        let net = match builder.clone().build() {
-            Ok(n) => n,
-            Err(_) => builder
-                .allow_overload()
-                .build()
-                .expect("builds with waiver"),
-        };
-        let cache = NetCache::build(&net);
-        let scenario = net
-            .fail_cached(&[ControllerId(3), ControllerId(4)], &cache)
-            .expect("valid");
-        let prog = cache.programmability();
-        let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
-
-        let mut cells = vec![capacity.to_string()];
-        let recoverable = inst.recoverable_flow_count();
-        let residual: u32 = inst.residuals().iter().sum();
-        cells.push(residual.to_string());
-        for algo in [
-            &RetroFlow::new() as &dyn RecoveryAlgorithm,
-            &Pm::new(),
-            &Pg::new(),
-        ] {
-            let plan = algo.recover(&inst).expect("plan");
-            plan.validate(&scenario, prog, algo.is_flow_level())
-                .expect("valid plan");
-            let m = PlanMetrics::compute(&scenario, prog, &plan, 0.0);
-            cells.push(format!(
-                "{} ({})",
-                pct(m.recovered_flows as f64 / recoverable.max(1) as f64),
-                m.total_programmability
-            ));
-        }
-        (cells, capacity, recoverable)
-    });
+    let points = 0..CAPACITIES.len() as u64;
+    let point = |(): &mut (), i: u64| capacity_point(CAPACITIES[i as usize]);
+    let results = stream_indexed(points, opts.jobs, 1, SWEEP_POOL, || (), point);
 
     let paper_point_recoverable = results
         .iter()
@@ -88,4 +53,45 @@ fn capacity_sweep(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> {
     );
     println!("\n(paper operating point: capacity 500)");
     Ok(())
+}
+
+/// One capacity point: its table cells, the capacity and the recoverable
+/// flow count.
+fn capacity_point(capacity: u32) -> (Vec<String>, u32, usize) {
+    let builder = SdWanBuilder::att_paper_setup_with_capacity(capacity);
+    // Below ~490 some domain overloads; study that regime too.
+    let net = match builder.clone().build() {
+        Ok(n) => n,
+        Err(_) => builder
+            .allow_overload()
+            .build()
+            .expect("builds with waiver"),
+    };
+    let cache = NetCache::build(&net);
+    let scenario = net
+        .fail_cached(&[ControllerId(3), ControllerId(4)], &cache)
+        .expect("valid");
+    let prog = cache.programmability();
+    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+
+    let mut cells = vec![capacity.to_string()];
+    let recoverable = inst.recoverable_flow_count();
+    let residual: u32 = inst.residuals().iter().sum();
+    cells.push(residual.to_string());
+    for algo in [
+        &RetroFlow::new() as &dyn RecoveryAlgorithm,
+        &Pm::new(),
+        &Pg::new(),
+    ] {
+        let plan = algo.recover(&inst).expect("plan");
+        plan.validate(&scenario, prog, algo.is_flow_level())
+            .expect("valid plan");
+        let m = PlanMetrics::compute(&scenario, prog, &plan, 0.0);
+        cells.push(format!(
+            "{} ({})",
+            pct(m.recovered_flows as f64 / recoverable.max(1) as f64),
+            m.total_programmability
+        ));
+    }
+    (cells, capacity, recoverable)
 }

@@ -7,8 +7,8 @@
 //! flags.
 
 use pm_bench::flags::{run_plain, CliError};
-use pm_bench::harness::{run_case, EvalOptions};
-use pm_sdwan::{ControllerId, Programmability, SdWanBuilder};
+use pm_bench::{EvalOptions, SweepEngine};
+use pm_sdwan::{ControllerId, SdWanBuilder};
 use std::process::ExitCode;
 
 const HELP: &str = "flight_fixture — runs a few recovery cases with the flight recorder armed,
@@ -37,15 +37,17 @@ fn fixture(out: std::path::PathBuf, cases: usize) -> ! {
     pm_obs::set_thread_label("flight-fixture-main");
 
     let net = SdWanBuilder::att_paper_setup().build().expect("paper net");
-    let prog = Programmability::compute(&net);
-    let opts = EvalOptions {
-        skip_optimal: true,
-        ..Default::default()
-    };
+    let engine = SweepEngine::new(
+        &net,
+        EvalOptions {
+            skip_optimal: true,
+            ..Default::default()
+        },
+    );
     let n_controllers = net.controllers().len();
     for i in 0..cases.max(1) {
         let c = ControllerId(i % n_controllers);
-        let case = run_case(&net, &prog, &[c], &opts);
+        let case = engine.run_case(&[c]);
         eprintln!(
             "flight_fixture: case {} ({}) ran {} algorithms",
             i,

@@ -20,12 +20,13 @@
 //! Run: `cargo run --release -p pm-bench --bin scale_sweep -- --help` for
 //! the flags.
 
-use pm_bench::figures::{write_bench_scale_json, ScaleRunInfo};
+use pm_bench::figures::{shard_note, timing_rows, write_bench_scale_json, ScaleRunInfo, SpaceInfo};
 use pm_bench::flags::{run_main, Args, CliError, WAN_HELP};
 use pm_bench::harness::EvalOptions;
-use pm_bench::report::{render_table, write_csv};
+use pm_bench::par::{live_peak, SWEEP_POOL};
+use pm_bench::report::{render_table, write_csv, write_jsonl};
 use pm_bench::wan::{build_wan, scale_beta, WanSpec};
-use pm_bench::{timing_stats, SweepEngine};
+use pm_bench::SweepEngine;
 use std::process::ExitCode;
 
 const HELP: &str = "scale_sweep — failure sweep of a generated Waxman WAN at 1k-10k switches
@@ -79,10 +80,7 @@ fn scale_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError> {
     let sel = engine.selection(failures);
     let range = sel.shard_range(opts.shard);
     let cases_run = (range.end - range.start) as usize;
-    let shard_note = match opts.shard {
-        Some((i, m)) => format!(" (shard {i}/{m} of {})", sel.len()),
-        None => String::new(),
-    };
+    let shard_note = shard_note(opts.shard, sel.len());
     eprintln!(
         "scale_sweep: {} of {} scenario(s){}{} on {} thread(s), batch {}...",
         cases_run,
@@ -95,22 +93,8 @@ fn scale_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError> {
     let cases = engine.sweep_selection(&sel);
 
     // The streaming-dispatch contract: live scenario storage never exceeds
-    // jobs × batch entries. The engine counts it; hold it to account here.
-    let snap = pm_obs::snapshot();
-    let counter = |name: &str| -> u64 {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
-    let live_peak = counter("sweep.scenario.live_peak");
-    let live_bound = (opts.jobs as u64).saturating_mul(opts.batch as u64);
-    assert!(
-        live_peak <= live_bound,
-        "streaming sweep materialized {live_peak} scenarios at once; \
-         the contract bound is jobs*batch = {live_bound}"
-    );
+    // jobs × batch entries.
+    let (live_peak, live_bound) = live_peak(SWEEP_POOL, &opts);
 
     let info = ScaleRunInfo {
         nodes: spec.nodes,
@@ -119,13 +103,15 @@ fn scale_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError> {
         controllers: net.controllers().len(),
         flows: flow_count,
         failures,
-        space_size: sel.space().count(),
-        selected: sel.len(),
-        sampled: sel.is_sampled(),
-        shard: opts.shard,
-        cases_run: cases.len(),
-        live_peak,
-        live_bound,
+        space: SpaceInfo {
+            size: sel.space().count(),
+            selected: sel.len(),
+            sampled: sel.is_sampled(),
+            shard: opts.shard,
+            run: cases.len(),
+            live_peak,
+            live_bound,
+        },
     };
 
     println!(
@@ -135,59 +121,52 @@ fn scale_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError> {
         info.failures,
         cases.len()
     );
-    let stats = timing_stats(&cases);
-    let rows: Vec<Vec<String>> = stats
-        .iter()
-        .map(|s| {
-            vec![
-                s.algorithm.to_string(),
-                format!("{:.3}", s.mean.as_secs_f64() * 1e3),
-                format!("{:.3}", s.p95.as_secs_f64() * 1e3),
-                format!("{:.3}", s.max.as_secs_f64() * 1e3),
-                s.cases.to_string(),
-            ]
-        })
-        .collect();
     print!(
         "{}",
         render_table(
             &["algorithm", "mean ms", "p95 ms", "max ms", "cases"],
-            &rows
+            &timing_rows(&cases)
         )
     );
     println!(
         "\nscenario space {} -> selected {}{}; live peak {live_peak} <= bound {live_bound}",
-        info.space_size,
-        info.selected,
-        if info.sampled { " (seeded sample)" } else { "" }
+        info.space.size,
+        info.space.selected,
+        if info.space.sampled {
+            " (seeded sample)"
+        } else {
+            ""
+        }
     );
 
     if let Some(dir) = &opts.csv_dir {
-        let (headers, rows) = case_rows(&cases);
-        let header_refs: Vec<&str> = headers.to_vec();
-        write_csv(dir, "scale_cases", &header_refs, &rows);
-        write_case_jsonl(dir, &headers, &rows);
+        let rows = case_rows(&cases);
+        write_csv(dir, "scale_cases", &CASE_HEADERS, &rows);
+        // Only the case label is a string; every other column is numeric.
+        write_jsonl(dir, "scale_cases.jsonl", &CASE_HEADERS, &rows, 1);
     }
     write_bench_scale_json(&opts, &info, &cases);
     Ok(())
 }
 
-/// Deterministic per-case output rows: plan metrics only, no wall-clock
-/// values, so shard outputs concatenate byte-identically.
-fn case_rows(cases: &[pm_bench::CaseResult]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let headers = vec![
-        "case",
-        "offline_switches",
-        "offline_flows",
-        "retro_programmability",
-        "pm_programmability",
-        "pg_programmability",
-        "retro_recovered_flows",
-        "pm_recovered_flows",
-        "pg_recovered_flows",
-        "pm_total_delay_ms",
-    ];
-    let rows = cases
+/// Columns of the deterministic per-case output: plan metrics only, no
+/// wall-clock values, so shard outputs concatenate byte-identically.
+const CASE_HEADERS: [&str; 10] = [
+    "case",
+    "offline_switches",
+    "offline_flows",
+    "retro_programmability",
+    "pm_programmability",
+    "pg_programmability",
+    "retro_recovered_flows",
+    "pm_recovered_flows",
+    "pg_recovered_flows",
+    "pm_total_delay_ms",
+];
+
+/// One [`CASE_HEADERS`] row per case.
+fn case_rows(cases: &[pm_bench::CaseResult]) -> Vec<Vec<String>> {
+    cases
         .iter()
         .map(|case| {
             let m = |name: &str| case.run(name).expect("heuristics always run");
@@ -205,32 +184,5 @@ fn case_rows(cases: &[pm_bench::CaseResult]) -> (Vec<&'static str>, Vec<Vec<Stri
                 format!("{:.6}", pm.total_delay),
             ]
         })
-        .collect();
-    (headers, rows)
-}
-
-/// The same rows as `scale_cases.csv`, one JSON object per line — the
-/// mergeable JSON counterpart for sharded runs.
-fn write_case_jsonl(dir: &std::path::Path, headers: &[&'static str], rows: &[Vec<String>]) {
-    let mut out = String::new();
-    for row in rows {
-        out.push('{');
-        for (i, (h, v)) in headers.iter().zip(row).enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            // Only the case label is a string; every other column is numeric.
-            if i == 0 {
-                out.push_str(&format!("\"{h}\": \"{v}\""));
-            } else {
-                out.push_str(&format!("\"{h}\": {v}"));
-            }
-        }
-        out.push_str("}\n");
-    }
-    if let Err(e) = std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(dir.join("scale_cases.jsonl"), out))
-    {
-        eprintln!("warning: could not write scale_cases.jsonl: {e}");
-    }
+        .collect()
 }

@@ -19,7 +19,7 @@
 //! Run: `cargo run --release -p pm-bench --bin successive_drill -- --help` for the flags.
 
 use pm_bench::flags::{run_main, Args, CliError};
-use pm_bench::par::par_map;
+use pm_bench::par::{stream_indexed, SWEEP_POOL};
 use pm_bench::report::render_table;
 use pm_bench::{EvalOptions, SweepEngine};
 use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm, SuccessiveRecovery};
@@ -59,44 +59,11 @@ fn successive_drill(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> 
         .flat_map(|first| (0..m).filter(move |&s| s != first).map(move |s| (first, s)))
         .collect();
 
-    let sequences = par_map(&pairs, opts.jobs, |_, &(first, second)| {
-        let prog = engine.programmability();
-        let (c1, c2) = (ControllerId(first), ControllerId(second));
-
-        // Incremental: recover c1, then extend for c2.
-        let mut rec = SuccessiveRecovery::new();
-        rec.on_failure(&net, prog, &[c1]).expect("step 1");
-        let step1 = rec.plan().clone();
-        rec.on_failure(&net, prog, &[c2]).expect("step 2");
-        let inc_final = rec.plan().clone();
-        let inc_churn = churn(&step1, &inc_final);
-
-        // From scratch at each step.
-        let sc1 = engine.scenario(&[c1]).expect("valid");
-        let scratch1 = Pm::new()
-            .recover(&FmssmInstance::with_cache(&sc1, prog, engine.cache()))
-            .expect("pm step 1");
-        let sc2 = engine.scenario(&[c1, c2]).expect("valid");
-        let scratch2 = Pm::new()
-            .recover(&FmssmInstance::with_cache(&sc2, prog, engine.cache()))
-            .expect("pm step 2");
-        let scr_churn = churn(&scratch1, &scratch2);
-
-        let m_inc = PlanMetrics::compute(&sc2, prog, &inc_final, 0.0);
-        let m_scr = PlanMetrics::compute(&sc2, prog, &scratch2, 0.0);
-
-        Sequence {
-            label: format!(
-                "{} then {}",
-                net.controllers()[first].node.index(),
-                net.controllers()[second].node.index()
-            ),
-            inc_churn,
-            scr_churn,
-            inc_total: m_inc.total_programmability,
-            scr_total: m_scr.total_programmability,
-        }
-    });
+    let run = |(): &mut (), i: u64| {
+        let (first, second) = pairs[i as usize];
+        sequence(&engine, first, second)
+    };
+    let sequences = stream_indexed(0..pairs.len() as u64, opts.jobs, 1, SWEEP_POOL, || (), run);
 
     let mut rows = Vec::new();
     let mut inc_total_sum = 0u64;
@@ -145,4 +112,45 @@ fn successive_drill(args: &mut Args, opts: EvalOptions) -> Result<(), CliError> 
         100.0 * inc_total_sum as f64 / scr_total_sum.max(1) as f64,
     );
     Ok(())
+}
+
+/// Plays controller `first` then `second` failing, incrementally and from
+/// scratch.
+fn sequence(engine: &SweepEngine<'_>, first: usize, second: usize) -> Sequence {
+    let (net, prog) = (engine.network(), engine.programmability());
+    let (c1, c2) = (ControllerId(first), ControllerId(second));
+
+    // Incremental: recover c1, then extend for c2.
+    let mut rec = SuccessiveRecovery::new();
+    rec.on_failure(net, prog, &[c1]).expect("step 1");
+    let step1 = rec.plan().clone();
+    rec.on_failure(net, prog, &[c2]).expect("step 2");
+    let inc_final = rec.plan().clone();
+    let inc_churn = churn(&step1, &inc_final);
+
+    // From scratch at each step.
+    let sc1 = engine.scenario(&[c1]).expect("valid");
+    let scratch1 = Pm::new()
+        .recover(&FmssmInstance::with_cache(&sc1, prog, engine.cache()))
+        .expect("pm step 1");
+    let sc2 = engine.scenario(&[c1, c2]).expect("valid");
+    let scratch2 = Pm::new()
+        .recover(&FmssmInstance::with_cache(&sc2, prog, engine.cache()))
+        .expect("pm step 2");
+    let scr_churn = churn(&scratch1, &scratch2);
+
+    let m_inc = PlanMetrics::compute(&sc2, prog, &inc_final, 0.0);
+    let m_scr = PlanMetrics::compute(&sc2, prog, &scratch2, 0.0);
+
+    Sequence {
+        label: format!(
+            "{} then {}",
+            net.controllers()[first].node.index(),
+            net.controllers()[second].node.index()
+        ),
+        inc_churn,
+        scr_churn,
+        inc_total: m_inc.total_programmability,
+        scr_total: m_scr.total_programmability,
+    }
 }

@@ -16,12 +16,14 @@
 //! Run: `cargo run --release -p pm-bench --bin timeline_sweep -- --help`
 //! for the flags.
 
+use pm_bench::figures::{shard_note, SpaceInfo};
 use pm_bench::flags::{
     run_main, take_timeline_count, take_timeline_params, Args, CliError, WAN_HELP,
 };
 use pm_bench::harness::EvalOptions;
-use pm_bench::report::{render_table, write_csv};
-use pm_bench::timelines::{timeline_rows, write_bench_timeline_json, TimelineRunInfo};
+use pm_bench::par::live_peak;
+use pm_bench::report::{render_table, write_csv, write_jsonl};
+use pm_bench::timelines::{timeline_rows, write_bench_timeline_json, TimelineRunInfo, SIM_POOL};
 use pm_bench::wan::{build_wan, WanSpec};
 use pm_bench::{SweepEngine, TIMELINE_CASE_HEADERS};
 use std::process::ExitCode;
@@ -72,10 +74,7 @@ fn timeline_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError
     let space = engine.timeline_space(timelines, params);
     let sel = engine.timeline_selection(&space);
     let range = sel.shard_range(opts.shard);
-    let shard_note = match opts.shard {
-        Some((i, m)) => format!(" (shard {i}/{m} of {})", sel.len()),
-        None => String::new(),
-    };
+    let shard_note = shard_note(opts.shard, sel.len());
     eprintln!(
         "timeline_sweep: {} of {} timeline(s){}{} on {} thread(s), batch {}...",
         range.end - range.start,
@@ -90,22 +89,8 @@ fn timeline_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError
     let sweep_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // The streaming-dispatch contract: in-flight timelines never exceed
-    // jobs × batch. The dispatcher counts it; hold it to account here.
-    let snap = pm_obs::snapshot();
-    let counter = |name: &str| -> u64 {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
-    let live_peak = counter("sim.sweep.live_peak");
-    let live_bound = (opts.jobs as u64).saturating_mul(opts.batch as u64);
-    assert!(
-        live_peak <= live_bound,
-        "timeline sweep had {live_peak} timelines in flight; \
-         the contract bound is jobs*batch = {live_bound}"
-    );
+    // jobs × batch.
+    let (live_peak, live_bound) = live_peak(SIM_POOL, &opts);
 
     let info = TimelineRunInfo {
         nodes: spec.nodes,
@@ -113,13 +98,15 @@ fn timeline_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError
         seed: opts.seed,
         controllers: net.controllers().len(),
         flows: wan.flows,
-        space_size: space.count(),
-        selected: sel.len(),
-        sampled: sel.is_sampled(),
-        shard: opts.shard,
-        timelines_run: reports.len(),
-        live_peak,
-        live_bound,
+        space: SpaceInfo {
+            size: space.count(),
+            selected: sel.len(),
+            sampled: sel.is_sampled(),
+            shard: opts.shard,
+            run: reports.len(),
+            live_peak,
+            live_bound,
+        },
     };
 
     let solves: u64 = reports.iter().map(|r| r.solves as u64).sum();
@@ -161,37 +148,26 @@ fn timeline_sweep(args: &mut Args, mut opts: EvalOptions) -> Result<(), CliError
     print!("{}", render_table(&["metric", "value"], &summary));
     println!(
         "\ntimeline space {} -> selected {}{}; live peak {live_peak} <= bound {live_bound}",
-        info.space_size,
-        info.selected,
-        if info.sampled { " (seeded sample)" } else { "" }
+        info.space.size,
+        info.space.selected,
+        if info.space.sampled {
+            " (seeded sample)"
+        } else {
+            ""
+        }
     );
 
     if let Some(dir) = &opts.csv_dir {
         let rows = timeline_rows(&reports);
         write_csv(dir, "timeline_cases", &TIMELINE_CASE_HEADERS, &rows);
-        write_timeline_jsonl(dir, &rows);
+        write_jsonl(
+            dir,
+            "timeline_cases.jsonl",
+            &TIMELINE_CASE_HEADERS,
+            &rows,
+            0,
+        );
     }
     write_bench_timeline_json(&opts, &info, sweep_ms, &reports);
     Ok(())
-}
-
-/// The same rows as `timeline_cases.csv`, one JSON object per line — the
-/// mergeable JSON counterpart for sharded runs. Every column is numeric.
-fn write_timeline_jsonl(dir: &std::path::Path, rows: &[Vec<String>]) {
-    let mut out = String::new();
-    for row in rows {
-        out.push('{');
-        for (i, (h, v)) in TIMELINE_CASE_HEADERS.iter().zip(row).enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{h}\": {v}"));
-        }
-        out.push_str("}\n");
-    }
-    if let Err(e) = std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(dir.join("timeline_cases.jsonl"), out))
-    {
-        eprintln!("warning: could not write timeline_cases.jsonl: {e}");
-    }
 }

@@ -1,10 +1,10 @@
 //! Shared driver for the Fig. 4 / Fig. 5 / Fig. 6 binaries: run every
 //! k-failure combination through the [`SweepEngine`] and print one table
-//! per panel, plus per-case computation-time statistics.
+//! per panel, plus per-case computation-time statistics on stderr.
 
 use crate::harness::{CaseResult, EvalOptions};
 use crate::par::{timing_stats, SweepEngine};
-use crate::report::{box_summary, pct, render_table, write_csv};
+use crate::report::{box_summary, pct, render_table, write_csv, write_file};
 use pm_sdwan::SdWanBuilder;
 use std::fmt::Write as _;
 
@@ -254,51 +254,14 @@ pub fn bench_sweep_json_with_phases(
     sweeps: &[(usize, &[CaseResult])],
     phases: Option<&pm_obs::Snapshot>,
 ) -> String {
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"figure\": \"{figure}\",");
-    let _ = writeln!(out, "  \"jobs\": {jobs},");
-    if let Some(snap) = phases {
-        if !snap.spans.is_empty() {
-            out.push_str("  \"phase_breakdown\": {\n");
-            for (i, s) in snap.spans.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                    s.name, s.count, s.total_ns, s.max_ns
-                );
-                out.push_str(if i + 1 < snap.spans.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  },\n");
-        }
-    }
+    let mut out = bench_json_head(figure, jobs);
+    push_phase_breakdown(&mut out, phases);
     out.push_str("  \"sweeps\": [\n");
     for (si, (k, cases)) in sweeps.iter().enumerate() {
         out.push_str("    {\n");
         let _ = writeln!(out, "      \"failures\": {k},");
         let _ = writeln!(out, "      \"cases\": {},", cases.len());
-        out.push_str("      \"algorithms\": [\n");
-        let stats = timing_stats(cases);
-        for (ai, s) in stats.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"name\": \"{}\", \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \
-                 \"max_ms\": {:.3}, \"cases\": {}}}",
-                s.algorithm,
-                ms(s.mean),
-                ms(s.p95),
-                ms(s.max),
-                s.cases
-            );
-            out.push_str(if ai + 1 < stats.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("      ]\n");
+        push_algorithms(&mut out, cases, "      ");
         out.push_str(if si + 1 < sweeps.len() {
             "    },\n"
         } else {
@@ -310,22 +273,80 @@ pub fn bench_sweep_json_with_phases(
 }
 
 /// Writes [`bench_sweep_json`] to `BENCH_sweep.json` in the CSV directory
-/// (or the working directory when `--csv` was not given). Errors are
-/// reported to stderr but not fatal, like the CSV writers.
+/// (or the working directory), with the recorder's span aggregates when
+/// it is on.
 pub fn write_bench_sweep_json(opts: &EvalOptions, figure: &str, sweeps: &[(usize, &[CaseResult])]) {
-    // With the recorder on, fold the span aggregates into the baseline
-    // file; recorder-off runs emit the schema-1 layout unchanged.
+    write_bench_json(opts, "BENCH_sweep.json", |snap| {
+        bench_sweep_json_with_phases(figure, opts.jobs, sweeps, snap)
+    });
+}
+
+/// Writes a `BENCH_*.json` artifact into the CSV directory (or the
+/// working directory when `--csv` was not given); errors are reported to
+/// stderr but not fatal. With the recorder on, `render` gets its snapshot
+/// to fold the span aggregates in; recorder-off runs emit the plain
+/// schema-1 layout.
+pub(crate) fn write_bench_json(
+    opts: &EvalOptions,
+    name: &str,
+    render: impl FnOnce(Option<&pm_obs::Snapshot>) -> String,
+) {
     let snap = pm_obs::enabled().then(pm_obs::snapshot);
-    let body = bench_sweep_json_with_phases(figure, opts.jobs, sweeps, snap.as_ref());
     let dir = opts
         .csv_dir
         .clone()
         .unwrap_or_else(|| std::path::PathBuf::from("."));
-    if let Err(e) = std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(dir.join("BENCH_sweep.json"), body))
-    {
-        eprintln!("warning: could not write BENCH_sweep.json: {e}");
+    write_file(&dir, name, &render(snap.as_ref()));
+}
+
+/// The opening members every `BENCH_*.json` (schema version 1) shares.
+pub(crate) fn bench_json_head(figure: &str, jobs: usize) -> String {
+    format!("{{\n  \"schema_version\": 1,\n  \"figure\": \"{figure}\",\n  \"jobs\": {jobs},\n")
+}
+
+/// Appends the `phase_breakdown` member — per-span aggregate count /
+/// total / max nanoseconds — when `phases` holds recorded spans.
+pub(crate) fn push_phase_breakdown(out: &mut String, phases: Option<&pm_obs::Snapshot>) {
+    let Some(snap) = phases.filter(|s| !s.spans.is_empty()) else {
+        return;
+    };
+    let members: Vec<String> = snap
+        .spans
+        .iter()
+        .map(|s| {
+            format!(
+                "    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
+                s.name, s.count, s.total_ns, s.max_ns
+            )
+        })
+        .collect();
+    let _ = write!(
+        out,
+        "  \"phase_breakdown\": {{\n{}\n  }},\n",
+        members.join(",\n")
+    );
+}
+
+/// Appends the `algorithms` member at `indent`: per-algorithm
+/// mean/p95/max per-case time in milliseconds.
+fn push_algorithms(out: &mut String, cases: &[CaseResult], indent: &str) {
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let _ = writeln!(out, "{indent}\"algorithms\": [");
+    let stats = timing_stats(cases);
+    for (i, s) in stats.iter().enumerate() {
+        let _ = write!(
+            out,
+            "{indent}  {{\"name\": \"{}\", \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \
+             \"max_ms\": {:.3}, \"cases\": {}}}",
+            s.algorithm,
+            ms(s.mean),
+            ms(s.p95),
+            ms(s.max),
+            s.cases
+        );
+        out.push_str(if i + 1 < stats.len() { ",\n" } else { "\n" });
     }
+    let _ = writeln!(out, "{indent}]");
 }
 
 /// Everything `BENCH_scale.json` records about a `scale_sweep` run besides
@@ -346,22 +367,45 @@ pub struct ScaleRunInfo {
     pub flows: usize,
     /// Simultaneous controller failures per scenario.
     pub failures: usize,
-    /// Full scenario-space size `C(controllers, failures)`.
-    pub space_size: u64,
-    /// Scenarios selected after `--max-scenarios` (equals `space_size`
-    /// when exhaustive).
+    /// The scenario space `C(controllers, failures)` and its cut-down.
+    pub space: SpaceInfo,
+}
+
+/// How a sweep cut its space down — selection, shard, cases run — and
+/// the streaming dispatch's in-flight high-water mark.
+#[derive(Debug, Clone)]
+pub struct SpaceInfo {
+    /// Size of the swept space.
+    pub size: u64,
+    /// Items selected after `--max-scenarios` (equals `size` when
+    /// exhaustive).
     pub selected: u64,
     /// Whether the selection is a seeded sample rather than exhaustive.
     pub sampled: bool,
     /// The `--shard i/m` slice this run executed, if any.
     pub shard: Option<(usize, usize)>,
-    /// Cases actually run (the shard's slice of the selection).
-    pub cases_run: usize,
-    /// Peak number of simultaneously materialized scenarios
-    /// (`sweep.scenario.live_peak`).
+    /// Items actually run (the shard's slice of the selection).
+    pub run: usize,
+    /// Peak in-flight items (the pool's `live_peak` counter).
     pub live_peak: u64,
     /// The contract bound on `live_peak`: `jobs × batch`.
     pub live_bound: u64,
+}
+
+impl SpaceInfo {
+    /// Appends the `"{key}"` member, naming the run count `run_key`.
+    pub(crate) fn push_json(&self, out: &mut String, key: &str, run_key: &str) {
+        let shard = match self.shard {
+            Some((i, m)) => format!("\"{i}/{m}\""),
+            None => "null".into(),
+        };
+        let _ = writeln!(
+            out,
+            "  \"{key}\": {{\"size\": {}, \"selected\": {}, \"sampled\": {}, \"shard\": {shard}, \
+             \"{run_key}\": {}, \"live_peak\": {}, \"live_bound\": {}}},",
+            self.size, self.selected, self.sampled, self.run, self.live_peak, self.live_bound
+        );
+    }
 }
 
 /// Renders `BENCH_scale.json` (schema version 1): the [`ScaleRunInfo`]
@@ -374,12 +418,7 @@ pub fn bench_scale_json(
     cases: &[CaseResult],
     phases: Option<&pm_obs::Snapshot>,
 ) -> String {
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"figure\": \"scale_sweep\",");
-    let _ = writeln!(out, "  \"jobs\": {jobs},");
+    let mut out = bench_json_head("scale_sweep", jobs);
     out.push_str("  \"topology\": {");
     let _ = write!(
         out,
@@ -388,79 +427,34 @@ pub fn bench_scale_json(
         info.nodes, info.edges, info.seed, info.controllers, info.flows, info.failures
     );
     out.push_str("},\n");
-    out.push_str("  \"scenario_space\": {");
-    let shard = match info.shard {
-        Some((i, m)) => format!("\"{i}/{m}\""),
-        None => "null".into(),
-    };
-    let _ = write!(
-        out,
-        "\"size\": {}, \"selected\": {}, \"sampled\": {}, \"shard\": {shard}, \
-         \"cases_run\": {}, \"live_peak\": {}, \"live_bound\": {}",
-        info.space_size,
-        info.selected,
-        info.sampled,
-        info.cases_run,
-        info.live_peak,
-        info.live_bound
-    );
-    out.push_str("},\n");
-    if let Some(snap) = phases {
-        if !snap.spans.is_empty() {
-            out.push_str("  \"phase_breakdown\": {\n");
-            for (i, s) in snap.spans.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                    s.name, s.count, s.total_ns, s.max_ns
-                );
-                out.push_str(if i + 1 < snap.spans.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  },\n");
-        }
-    }
-    out.push_str("  \"algorithms\": [\n");
-    let stats = timing_stats(cases);
-    for (ai, s) in stats.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"max_ms\": {:.3}, \"cases\": {}}}",
-            s.algorithm,
-            ms(s.mean),
-            ms(s.p95),
-            ms(s.max),
-            s.cases
-        );
-        out.push_str(if ai + 1 < stats.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
+    info.space
+        .push_json(&mut out, "scenario_space", "cases_run");
+    push_phase_breakdown(&mut out, phases);
+    push_algorithms(&mut out, cases, "  ");
+    out.push_str("}\n");
     out
 }
 
-/// Writes [`bench_scale_json`] to `BENCH_scale.json` in the CSV directory
-/// (or the working directory when `--csv` was not given), folding in the
-/// recorder's span aggregates when it is on — the `BENCH_sweep.json`
-/// conventions exactly.
+/// Writes [`bench_scale_json`] to `BENCH_scale.json`, like
+/// [`write_bench_sweep_json`].
 pub fn write_bench_scale_json(opts: &EvalOptions, info: &ScaleRunInfo, cases: &[CaseResult]) {
-    let snap = pm_obs::enabled().then(pm_obs::snapshot);
-    let body = bench_scale_json(info, opts.jobs, cases, snap.as_ref());
-    let dir = opts
-        .csv_dir
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    if let Err(e) = std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(dir.join("BENCH_scale.json"), body))
-    {
-        eprintln!("warning: could not write BENCH_scale.json: {e}");
+    write_bench_json(opts, "BENCH_scale.json", |snap| {
+        bench_scale_json(info, opts.jobs, cases, snap)
+    });
+}
+
+/// The progress-line note naming the `--shard i/m` slice of a selection
+/// of `len` items; empty for an unsharded run.
+pub fn shard_note(shard: Option<(usize, usize)>, len: u64) -> String {
+    match shard {
+        Some((i, m)) => format!(" (shard {i}/{m} of {len})"),
+        None => String::new(),
     }
 }
 
-/// Runs all `k`-controller-failure cases and prints the paper's panels.
+/// Runs all `k`-controller-failure cases and prints the paper's panels,
+/// one row per case in ascending order of the failed node ids, to stdout;
+/// the per-case timing table goes to stderr.
 ///
 /// `fig_name` tags the output ("fig4" …); `switch_panels` adds the
 /// recovered-switch and controller-resource panels that Figs. 5 and 6 have
@@ -473,21 +467,27 @@ pub fn run_failure_figure(k: usize, fig_name: &str, switch_panels: bool, opts: &
     let sel = engine.selection(k);
     let shard_positions = sel.shard_range(opts.shard);
     let case_count = shard_positions.end - shard_positions.start;
-    let shard_note = match opts.shard {
-        Some((i, m)) => format!(" (shard {i}/{m} of {})", sel.len()),
-        None => String::new(),
-    };
+    let shard_note = shard_note(opts.shard, sel.len());
     eprintln!(
         "{fig_name}: running {case_count} case(s){shard_note} on {} thread(s)...",
         opts.jobs
     );
-    let cases = engine.sweep_selection(&sel);
+    let mut cases = engine.sweep_selection(&sel);
+    // The sweep runs in colex order; the paper (and `results/`) lists
+    // cases by their failed node ids.
+    cases.sort_by_cached_key(|c| {
+        c.failed
+            .iter()
+            .map(|&ctrl| net.controllers()[ctrl.index()].node.index())
+            .collect::<Vec<_>>()
+    });
 
     print!(
         "{}",
         metrics_report(&cases, k, fig_name, switch_panels, opts)
     );
-    print!("{}", timing_report(&cases));
+    // Wall-clock numbers stay off stdout so it regenerates byte for byte.
+    eprint!("{}", timing_report(&cases));
 
     if let Some(dir) = &opts.csv_dir {
         let (headers, panels) = build_panels(&cases, !opts.skip_optimal, switch_panels);

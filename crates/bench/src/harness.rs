@@ -121,44 +121,17 @@ pub fn case_label(net: &SdWan, failed: &[ControllerId]) -> String {
     format!("({})", nodes.join(","))
 }
 
-/// Runs RetroFlow, PM, PG and (optionally) Optimal on one failure case.
-///
-/// # Panics
-///
-/// Panics if the failure scenario is invalid or an algorithm produces an
-/// invalid plan — both indicate bugs, not data errors.
-pub fn run_case(
-    net: &SdWan,
-    prog: &Programmability,
-    failed: &[ControllerId],
-    opts: &EvalOptions,
-) -> CaseResult {
-    let scenario = net.fail(failed).expect("valid failure case");
-    let inst = FmssmInstance::new(&scenario, prog);
-    CaseResult {
-        failed: failed.to_vec(),
-        label: case_label(net, failed),
-        runs: run_algorithms(&scenario, prog, &inst, opts, &mut AlgoWorkspace::default()),
-    }
-}
-
-/// Per-worker allocation reuse across the cases of a sweep. Plans are
-/// byte-identical whether a workspace is fresh or carried over — only the
-/// buffers survive, never decisions.
-#[derive(Debug, Default)]
-pub(crate) struct AlgoWorkspace {
-    /// The PM heuristic's bitmap/accumulator buffers.
-    pub(crate) pm: PmWorkspace,
-}
-
-/// Times and validates each algorithm on an already-built instance; shared
-/// by [`run_case`] and the parallel [`crate::SweepEngine`].
+/// Runs RetroFlow, PM, PG and (optionally) Optimal on an already-built
+/// instance, timing and validating each — the body of every
+/// [`crate::SweepEngine`] case. PM runs in the worker's carried `ws`;
+/// plans are byte-identical whether it is fresh or carried over, since
+/// only buffers survive, never decisions.
 pub(crate) fn run_algorithms(
     scenario: &FailureScenario<'_>,
     prog: &Programmability,
     inst: &FmssmInstance<'_, '_>,
     opts: &EvalOptions,
-    ws: &mut AlgoWorkspace,
+    ws: &mut PmWorkspace,
 ) -> Vec<AlgoRun> {
     // One measured, validated heuristic run. `recover` is a closure rather
     // than the trait method so PM can run inside the shared workspace; the
@@ -194,7 +167,7 @@ pub(crate) fn run_algorithms(
     }));
     let pm = Pm::new();
     runs.push(heuristic_run(&pm, scenario, prog, || {
-        pm.recover_in(inst, &mut ws.pm)
+        pm.recover_in(inst, ws)
     }));
     let pg = Pg::new();
     runs.push(heuristic_run(&pg, scenario, prog, || pg.recover(inst)));
@@ -225,17 +198,17 @@ pub(crate) fn run_algorithms(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SweepEngine;
     use pm_sdwan::SdWanBuilder;
 
     #[test]
     fn runs_all_algorithms_on_a_case() {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
-        let prog = Programmability::compute(&net);
         let opts = EvalOptions {
             optimal_time_limit: Duration::from_secs(2),
             ..Default::default()
         };
-        let case = run_case(&net, &prog, &[ControllerId(4)], &opts);
+        let case = SweepEngine::new(&net, opts).run_case(&[ControllerId(4)]);
         assert_eq!(case.runs.len(), 4);
         assert!(case.run("PM").is_some());
         assert!(case.run("Optimal").is_some());
@@ -245,12 +218,11 @@ mod tests {
     #[test]
     fn skip_optimal_runs_three() {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
-        let prog = Programmability::compute(&net);
         let opts = EvalOptions {
             skip_optimal: true,
             ..Default::default()
         };
-        let case = run_case(&net, &prog, &[ControllerId(0)], &opts);
+        let case = SweepEngine::new(&net, opts).run_case(&[ControllerId(0)]);
         assert_eq!(case.runs.len(), 3);
         assert!(case.run("Optimal").is_none());
     }

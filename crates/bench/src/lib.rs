@@ -34,11 +34,12 @@ pub mod wan;
 pub use events::EventLog;
 pub use harness::{AlgoRun, CaseResult, EvalOptions};
 pub use par::{
-    current_worker, par_map, stream_indexed, timing_stats, SolvedPlan, SweepEngine, TimingStats,
+    current_worker, stream_indexed, timing_stats, PoolNames, SolvedPlan, SweepEngine, TimingStats,
+    SWEEP_POOL,
 };
 pub use plan_store::{PlanStore, StoredPlan};
 pub use pmd::{Generation, PmdConfig, PmdService};
-pub use scenario_space::{binomial, ScenarioSelection, ScenarioSpace};
+pub use scenario_space::{binomial, IndexSelection, ScenarioSelection, ScenarioSpace};
 pub use sweep::combinations;
 pub use timelines::{timeline_rows, TimelineRunInfo, TimelineSelection, TIMELINE_CASE_HEADERS};
 pub use wan::{build_wan, BuiltWan, WanSpec};

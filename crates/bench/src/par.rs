@@ -1,13 +1,16 @@
 //! Deterministic parallel failure sweeps.
 //!
-//! [`SweepEngine`] runs the failure cases of a sweep across a scoped
-//! worker pool (`--jobs N`, default: all cores) and merges the per-case
-//! results in the scenario sequence's order — ascending colexicographic
-//! rank (see [`crate::ScenarioSpace`]) — regardless of which worker
-//! finishes first. Scenarios are **streamed**: workers claim contiguous
-//! position batches and materialize each failure set on demand with
-//! [`crate::ScenarioSpace::unrank`], so live scenario storage never
-//! exceeds `jobs × batch` entries however large `C(n, f)` grows (the
+//! [`stream_indexed`] is the crate's one worker pool: scoped threads
+//! claim contiguous position batches through an atomic counter, carry a
+//! per-worker state from position to position, and hand results back in
+//! position order regardless of which worker finishes first.
+//!
+//! [`SweepEngine`] runs the failure cases of a sweep through it
+//! (`--jobs N`, default: all cores) in the scenario sequence's order —
+//! ascending colexicographic rank (see [`crate::ScenarioSpace`]).
+//! Scenarios are **streamed**: each worker materializes a failure set on
+//! demand with [`crate::ScenarioSpace::unrank`], so live scenario storage
+//! never exceeds `jobs × batch` entries however large `C(n, f)` grows (the
 //! `sweep.scenario.live_peak` counter records the observed high-water
 //! mark). `--shard i/m` restricts a run to one contiguous slice of the
 //! sequence and `--max-scenarios` subsamples it; both compose with any
@@ -19,9 +22,9 @@
 //! byte-identical between `--jobs 1` and any other thread count; only the
 //! wall-clock statistics vary run to run.
 
-use crate::harness::{case_label, run_algorithms, AlgoWorkspace, CaseResult, EvalOptions};
+use crate::harness::{case_label, run_algorithms, CaseResult, EvalOptions};
 use crate::scenario_space::{ScenarioSelection, ScenarioSpace};
-use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm};
+use pm_core::{FmssmInstance, Pm, PmWorkspace, RecoveryAlgorithm};
 use pm_sdwan::{
     ControllerId, FailureScenario, NetCache, PlanMetrics, Programmability, RecoveryPlan, SdWan,
     SdwanError,
@@ -30,7 +33,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
@@ -43,113 +46,63 @@ thread_local! {
     static WORKER_ID: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The zero-based id of the [`par_map`] worker running on this thread —
-/// 0 on the calling thread (serial path) and any thread outside a sweep.
-/// The event log ([`crate::events`]) stamps it on `case_start` /
+/// The zero-based id of the [`stream_indexed`] worker running on this
+/// thread — 0 on the calling thread (serial path) and any thread outside
+/// a pool. The event log ([`crate::events`]) stamps it on `case_start` /
 /// `case_finish` lines.
 pub fn current_worker() -> usize {
     WORKER_ID.with(Cell::get)
 }
 
-/// Applies `f` to every item on up to `jobs` scoped worker threads and
-/// returns the results in **input order**, whatever the completion order.
-///
-/// Work is handed out through an atomic index, so long and short items mix
-/// freely across workers. With `jobs <= 1` (or a single item) everything
-/// runs on the calling thread.
-///
-/// # Panics
-///
-/// Panics if `f` panics on any item (the panic is propagated when the
-/// worker scope joins).
-pub fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(items.len());
-    if jobs <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let (next, slots, f) = (&next, &slots, &f);
-            scope.spawn(move || {
-                WORKER_ID.with(|id| id.set(w));
-                let obs = pm_obs::enabled();
-                if obs {
-                    pm_obs::set_thread_label(format!("sweep-worker-{w}"));
-                }
-                // "Queue wait" is the gap between useful work items on this
-                // worker: dispatch plus the result-slot lock of the
-                // previous item. It bounds the merge/dispatch overhead the
-                // engine adds on top of the algorithms themselves.
-                let mut idle_since = obs.then(std::time::Instant::now);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if let Some(t0) = idle_since {
-                        pm_obs::observe(
-                            "sweep.queue_wait_ns",
-                            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                    }
-                    let busy_t0 = obs.then(std::time::Instant::now);
-                    let r = f(i, &items[i]);
-                    if let Some(t0) = busy_t0 {
-                        pm_obs::count(
-                            format!("sweep.worker.{w}.busy_ns"),
-                            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                        pm_obs::count(format!("sweep.worker.{w}.cases"), 1);
-                    }
-                    slots.lock().expect("no poisoned worker")[i] = Some(r);
-                    idle_since = obs.then(std::time::Instant::now);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
+/// The telemetry names a [`stream_indexed`] pool reports under when the
+/// [`pm_obs`] recorder is on: thread labels `{prefix}-worker-{w}`,
+/// per-worker counters `{prefix}.worker.{w}.busy_ns` and
+/// `{prefix}.worker.{w}.{item}`, the `{prefix}.queue_wait_ns` histogram
+/// and the in-flight high-water mark `live_peak`.
+#[derive(Debug, Clone, Copy)]
+pub struct PoolNames {
+    /// Namespace of the thread labels, worker counters and queue wait.
+    pub prefix: &'static str,
+    /// Suffix of the per-worker item counter.
+    pub item: &'static str,
+    /// Counter holding the most positions ever in flight at once.
+    pub live_peak: &'static str,
 }
 
+/// The names of the failure-case pool: the sweep engine, the store build
+/// and the bench binaries' independent work items.
+pub const SWEEP_POOL: PoolNames = PoolNames {
+    prefix: "sweep",
+    item: "cases",
+    live_peak: "sweep.scenario.live_peak",
+};
+
 /// Streams the integer positions of `range` through a batch-claiming
-/// worker pool and returns `f(position)` results in **position order**,
-/// whatever the completion order — the generic core of the streaming
-/// dispatch contract: workers claim contiguous batches of `batch`
-/// positions through an atomic counter, so at most `jobs × batch`
-/// positions are in flight at once and output is independent of the job
-/// count.
+/// worker pool and returns `f(state, position)` results in **position
+/// order**, whatever the completion order. This is the crate's one work
+/// pool: workers claim contiguous batches of `batch` positions through an
+/// atomic counter, so at most `jobs × batch` positions are in flight at
+/// once and output is independent of the job count.
 ///
-/// When the [`pm_obs`] recorder is on, the dispatch records
-/// `{prefix}.live_peak` (high-water mark of in-flight positions),
-/// `{prefix}.worker.{w}.busy_ns` / `{prefix}.worker.{w}.items` and the
-/// `{prefix}.queue_wait_ns` histogram, mirroring the scenario sweep's
-/// counters under the caller's namespace.
+/// Each worker builds its own `state` with `init` and threads it through
+/// every position it runs, in ascending order within a batch and across
+/// the batches it claims. With `jobs <= 1` (or at most one position) the
+/// whole range runs on the calling thread against one state.
 ///
 /// # Panics
 ///
 /// Panics if `f` panics on any position (propagated when the worker
 /// scope joins).
-pub fn stream_indexed<R, F>(
+pub fn stream_indexed<S, R>(
     range: Range<u64>,
     jobs: usize,
     batch: usize,
-    prefix: &str,
-    f: F,
+    names: PoolNames,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, u64) -> R + Sync,
 ) -> Vec<R>
 where
     R: Send,
-    F: Fn(u64) -> R + Sync,
 {
     let total = usize::try_from(range.end.saturating_sub(range.start))
         .expect("streamed result set fits memory");
@@ -157,28 +110,39 @@ where
     let jobs = jobs.clamp(1, total.max(1));
     let batch = batch.max(1);
     if jobs <= 1 {
-        let mut out = Vec::with_capacity(total);
-        for pos in range {
-            if obs {
-                pm_obs::count_max(format!("{prefix}.live_peak"), 1);
-            }
-            out.push(f(pos));
+        if obs && total > 0 {
+            pm_obs::count_max(names.live_peak, 1);
         }
-        return out;
+        let mut state = init();
+        return range.map(|pos| f(&mut state, pos)).collect();
     }
     let next = AtomicU64::new(0);
     let live = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..total).map(|_| None).collect());
     std::thread::scope(|scope| {
         for w in 0..jobs {
-            let (next, live, slots, f) = (&next, &live, &slots, &f);
+            let (next, live, slots, init, f) = (&next, &live, &slots, &init, &f);
             let range = range.clone();
             scope.spawn(move || {
                 WORKER_ID.with(|id| id.set(w));
-                if obs {
-                    pm_obs::set_thread_label(format!("{prefix}-worker-{w}"));
-                }
-                let mut idle_since = obs.then(std::time::Instant::now);
+                // Names are formatted once per worker, never per item.
+                let (busy_name, item_name, wait_name) = if obs {
+                    let p = names.prefix;
+                    pm_obs::set_thread_label(format!("{p}-worker-{w}"));
+                    (
+                        format!("{p}.worker.{w}.busy_ns"),
+                        format!("{p}.worker.{w}.{}", names.item),
+                        format!("{p}.queue_wait_ns"),
+                    )
+                } else {
+                    Default::default()
+                };
+                let mut state = init();
+                // "Queue wait" is the gap between claimed batches on this
+                // worker: dispatch plus the result-slot locks of the
+                // previous batch. It bounds the merge/dispatch overhead
+                // the pool adds on top of the work itself.
+                let mut idle_since = obs.then(Instant::now);
                 loop {
                     let claim = next.fetch_add(1, Ordering::Relaxed);
                     let start = range.start + claim * batch as u64;
@@ -189,23 +153,17 @@ where
                     let claimed = (end - start) as usize;
                     if obs {
                         let now = live.fetch_add(claimed, Ordering::Relaxed) + claimed;
-                        pm_obs::count_max(format!("{prefix}.live_peak"), now as u64);
+                        pm_obs::count_max(names.live_peak, now as u64);
                     }
                     if let Some(t0) = idle_since {
-                        pm_obs::observe(
-                            format!("{prefix}.queue_wait_ns"),
-                            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
+                        pm_obs::observe(&wait_name, elapsed_ns(t0));
                     }
                     for pos in start..end {
-                        let busy_t0 = obs.then(std::time::Instant::now);
-                        let r = f(pos);
+                        let busy_t0 = obs.then(Instant::now);
+                        let r = f(&mut state, pos);
                         if let Some(t0) = busy_t0 {
-                            pm_obs::count(
-                                format!("{prefix}.worker.{w}.busy_ns"),
-                                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            );
-                            pm_obs::count(format!("{prefix}.worker.{w}.items"), 1);
+                            pm_obs::count(&busy_name, elapsed_ns(t0));
+                            pm_obs::count(&item_name, 1);
                         }
                         let slot = (pos - range.start) as usize;
                         slots.lock().expect("no poisoned worker")[slot] = Some(r);
@@ -213,7 +171,7 @@ where
                     if obs {
                         live.fetch_sub(claimed, Ordering::Relaxed);
                     }
-                    idle_since = obs.then(std::time::Instant::now);
+                    idle_since = obs.then(Instant::now);
                 }
             });
         }
@@ -224,6 +182,31 @@ where
         .into_iter()
         .map(|r| r.expect("every slot filled"))
         .collect()
+}
+
+/// The in-flight high-water mark the recorder holds for a pool named
+/// `names`, and the streaming contract's bound on it, `jobs × batch`.
+///
+/// # Panics
+///
+/// Panics if the peak exceeds the bound: the dispatch broke its contract.
+pub fn live_peak(names: PoolNames, opts: &EvalOptions) -> (u64, u64) {
+    let peak = pm_obs::snapshot()
+        .counters
+        .iter()
+        .find(|(n, _)| n == names.live_peak)
+        .map_or(0, |&(_, v)| v);
+    let bound = (opts.jobs as u64).saturating_mul(opts.batch as u64);
+    assert!(
+        peak <= bound,
+        "{} = {peak} exceeds the contract bound jobs*batch = {bound}",
+        names.live_peak
+    );
+    (peak, bound)
+}
+
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Runs failure sweeps against one network, in parallel, with every
@@ -252,13 +235,13 @@ pub struct SweepEngine<'net> {
 
 /// State one sweep worker carries from case to case on the incremental
 /// path: the previous scenario (patched in place by
-/// [`pm_sdwan::FailureScenario::apply_delta`] chains) and the algorithms'
+/// [`pm_sdwan::FailureScenario::apply_delta`] chains) and PM's
 /// reusable buffers. Dropping it between cases reproduces the cold path
 /// bit for bit — it holds no decisions, only already-computed state.
 #[derive(Debug, Default)]
 struct DeltaState<'net> {
     scenario: Option<FailureScenario<'net>>,
-    ws: AlgoWorkspace,
+    ws: PmWorkspace,
 }
 
 impl<'net> SweepEngine<'net> {
@@ -281,6 +264,13 @@ impl<'net> SweepEngine<'net> {
     /// The per-network cache shared by all cases.
     pub fn cache(&self) -> &NetCache {
         &self.cache
+    }
+
+    /// Gives up the engine, keeping its per-network cache — for a caller
+    /// that outlives the sweeps but still answers cases of the same
+    /// network (`pmd`'s beyond-horizon solves).
+    pub(crate) fn into_cache(self) -> NetCache {
+        self.cache
     }
 
     /// The cached programmability table.
@@ -312,30 +302,16 @@ impl<'net> SweepEngine<'net> {
         self.run_case_in(failed, &mut DeltaState::default())
     }
 
-    /// [`SweepEngine::run_case`] against a worker's carried state: when
-    /// `state` holds the previous case's scenario (and
-    /// [`EvalOptions::incremental`] is on), the new failure set is reached
-    /// by a chain of single `(revived, failed)` swaps patched in place —
-    /// the dominant cost of a heuristic-only case — instead of a rebuild.
-    /// Results are byte-identical to the cold path: every delta operation
-    /// reproduces the fresh construction exactly.
+    /// [`SweepEngine::run_case`] against a worker's carried state (see
+    /// [`SweepEngine::with_case`]).
     fn run_case_in(&self, failed: &[ControllerId], state: &mut DeltaState<'net>) -> CaseResult {
         let label = case_label(self.net, failed);
-        let case_t0 = pm_obs::enabled().then(std::time::Instant::now);
+        let case_t0 = pm_obs::enabled().then(Instant::now);
         let _span = pm_obs::span_labeled("sweep.case", label.clone());
-        self.advance_scenario(failed, &mut state.scenario);
-        let DeltaState { scenario, ws } = state;
-        let scenario = scenario.as_ref().expect("scenario just advanced");
-        let inst_span = pm_obs::span("sweep.instance");
-        let inst = FmssmInstance::with_cache(scenario, self.cache.programmability(), &self.cache);
-        drop(inst_span);
-        let runs = run_algorithms(
-            scenario,
-            self.cache.programmability(),
-            &inst,
-            &self.opts,
-            ws,
-        );
+        let prog = self.cache.programmability();
+        let runs = self.with_case(failed, state, |scenario, inst, ws| {
+            run_algorithms(scenario, prog, inst, &self.opts, ws)
+        });
         if pm_obs::enabled() {
             pm_obs::count("sweep.cases", 1);
         }
@@ -343,10 +319,7 @@ impl<'net> SweepEngine<'net> {
         // running p95 (`pmctl obs top`) — the span aggregate only exposes
         // totals and the max.
         if let Some(t0) = case_t0 {
-            pm_obs::observe(
-                "sweep.case_ns",
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+            pm_obs::observe("sweep.case_ns", elapsed_ns(t0));
         }
         CaseResult {
             failed: failed.to_vec(),
@@ -369,102 +342,66 @@ impl<'net> SweepEngine<'net> {
         self.solve_plan_in(failed, &mut DeltaState::default())
     }
 
-    /// [`SweepEngine::solve_plan`] against a worker's carried delta state,
-    /// mirroring [`SweepEngine::run_case`]'s `run_case_in`.
     fn solve_plan_in(&self, failed: &[ControllerId], state: &mut DeltaState<'net>) -> SolvedPlan {
         let label = case_label(self.net, failed);
         let _span = pm_obs::span_labeled("store.solve", label.clone());
-        self.advance_scenario(failed, &mut state.scenario);
-        let DeltaState { scenario, ws } = state;
-        let scenario = scenario.as_ref().expect("scenario just advanced");
         let prog = self.cache.programmability();
-        let inst = FmssmInstance::with_cache(scenario, prog, &self.cache);
-        let pm = Pm::new();
-        let t0 = std::time::Instant::now();
-        let plan = pm
-            .recover_in(&inst, &mut ws.pm)
-            .expect("PM always produces a plan");
-        let elapsed = t0.elapsed();
-        plan.validate(scenario, prog, pm.is_flow_level())
-            .expect("plan must be valid");
-        let metrics = PlanMetrics::compute(scenario, prog, &plan, pm.middle_layer_ms());
-        SolvedPlan {
-            failed: failed.to_vec(),
-            label,
-            plan,
-            metrics,
-            elapsed,
-        }
-    }
-
-    /// Solves every scenario of `sel` with PM, streaming positions
-    /// through the worker pool on the delta/warm-start path — the `pmd`
-    /// plan-store build. The whole selection is solved (shards do not
-    /// apply: a plan store answers any rank); results come back in
-    /// ascending position order, byte-identical at any job count.
-    pub fn solve_selection(&self, sel: &ScenarioSelection) -> Vec<SolvedPlan> {
-        self.stream_cases(sel, 0..sel.len(), |failed, state| {
-            self.solve_plan_in(failed, state)
+        self.with_case(failed, state, |scenario, inst, ws| {
+            SolvedPlan::solve(failed, label, scenario, prog, inst, ws)
         })
+        .expect("PM produces a valid plan")
     }
 
-    /// Leaves the scenario for `failed` in `slot`, patching the previous
-    /// scenario in place when one is carried and the incremental path is
-    /// on. Consecutive colex positions usually differ in one controller;
+    /// The per-case step every case path shares: leaves `state` at the
+    /// scenario for `failed`, builds its cached instance and hands both
+    /// to `f` with the worker's PM buffers.
+    ///
+    /// When `state` carries the previous case's scenario (and
+    /// [`EvalOptions::incremental`] is on), the new failure set is reached
+    /// by a chain of single `(revived, failed)` swaps patched in place —
+    /// the dominant cost of a heuristic-only case — instead of a rebuild.
+    /// Consecutive colex positions usually differ in one controller;
     /// across block boundaries (or sampled selections) the symmetric
-    /// difference is larger and is applied as a chain of single swaps,
-    /// each a valid intermediate scenario.
-    fn advance_scenario(&self, failed: &[ControllerId], slot: &mut Option<FailureScenario<'net>>) {
-        if self.opts.incremental {
-            if let Some(prev) = slot.as_mut() {
-                if prev.failed_controllers().len() == failed.len() {
-                    let outs: Vec<ControllerId> = prev
-                        .failed_controllers()
-                        .iter()
-                        .copied()
-                        .filter(|c| !failed.contains(c))
-                        .collect();
-                    let ins: Vec<ControllerId> = failed
-                        .iter()
-                        .copied()
-                        .filter(|c| !prev.failed_controllers().contains(c))
-                        .collect();
-                    for (&remove, &add) in outs.iter().zip(&ins) {
-                        prev.apply_delta_cached(remove, add, &self.cache)
-                            .expect("symmetric-difference swaps are valid");
-                    }
-                    if pm_obs::enabled() {
-                        pm_obs::count("sweep.scenario.delta_cases", 1);
-                        pm_obs::count("sweep.scenario.delta_swaps", outs.len() as u64);
-                    }
-                    return;
+    /// difference is larger. Every swap reproduces the fresh construction
+    /// exactly, so results are byte-identical to the cold path.
+    fn with_case<R>(
+        &self,
+        failed: &[ControllerId],
+        state: &mut DeltaState<'net>,
+        f: impl FnOnce(&FailureScenario<'net>, &FmssmInstance<'_, '_>, &mut PmWorkspace) -> R,
+    ) -> R {
+        let DeltaState { scenario: slot, ws } = state;
+        match slot.as_mut() {
+            Some(prev)
+                if self.opts.incremental && prev.failed_controllers().len() == failed.len() =>
+            {
+                let outs: Vec<ControllerId> = prev
+                    .failed_controllers()
+                    .iter()
+                    .copied()
+                    .filter(|c| !failed.contains(c))
+                    .collect();
+                let ins: Vec<ControllerId> = failed
+                    .iter()
+                    .copied()
+                    .filter(|c| !prev.failed_controllers().contains(c))
+                    .collect();
+                for (&remove, &add) in outs.iter().zip(&ins) {
+                    prev.apply_delta_cached(remove, add, &self.cache)
+                        .expect("symmetric-difference swaps are valid");
+                }
+                if pm_obs::enabled() {
+                    pm_obs::count("sweep.scenario.delta_cases", 1);
+                    pm_obs::count("sweep.scenario.delta_swaps", outs.len() as u64);
                 }
             }
+            _ => *slot = Some(self.scenario(failed).expect("valid failure case")),
         }
-        *slot = Some(self.scenario(failed).expect("valid failure case"));
-    }
-
-    /// Runs the given cases across the worker pool; results come back in
-    /// the order of `cases`, independent of completion order.
-    ///
-    /// When [`EvalOptions::events`] is set, per-case progress events are
-    /// streamed as the sweep runs. Event emission only wraps the per-case
-    /// closure — it never reads or writes a [`CaseResult`] — so results
-    /// are byte-identical with the log on or off.
-    pub fn run_cases(&self, cases: &[Vec<ControllerId>]) -> Vec<CaseResult> {
-        let Some(events) = &self.opts.events else {
-            return par_map(cases, self.opts.jobs, |_, failed| self.run_case(failed));
-        };
-        events.sweep_start(cases.len(), self.opts.jobs.clamp(1, cases.len().max(1)));
-        let out = par_map(cases, self.opts.jobs, |_, failed| {
-            let label = case_label(self.net, failed);
-            let token = events.case_start(&label);
-            let result = self.run_case(failed);
-            events.case_finish(token, &label);
-            result
-        });
-        events.sweep_finish();
-        out
+        let scenario = slot.as_ref().expect("scenario just advanced");
+        let inst_span = pm_obs::span("sweep.instance");
+        let inst = FmssmInstance::with_cache(scenario, self.cache.programmability(), &self.cache);
+        drop(inst_span);
+        f(scenario, &inst, ws)
     }
 
     /// The scenario selection a `f`-failure sweep of this engine executes:
@@ -486,22 +423,11 @@ impl<'net> SweepEngine<'net> {
         self.sweep_selection(&sel)
     }
 
-    /// Runs the scenarios of `sel` this engine's shard covers, streaming
-    /// them through the worker pool in position order.
-    ///
-    /// Workers claim contiguous batches of [`EvalOptions::batch`]
-    /// positions and materialize each batch's failure sets on demand, so
-    /// at most `jobs × batch` scenario descriptors are live at once —
-    /// recorded in the `sweep.scenario.live_peak` counter when the
-    /// recorder is on. Results merge in position order, making output
-    /// independent of the job count, and m shards concatenated in shard
-    /// order byte-identical to the unsharded run.
+    /// Runs the scenarios of `sel` this engine's shard covers, streamed
+    /// through [`stream_indexed`] with at most `jobs × batch` in flight,
+    /// in position order. The m shards of a selection concatenated in
+    /// shard order are byte-identical to the unsharded run.
     pub fn sweep_selection(&self, sel: &ScenarioSelection) -> Vec<CaseResult> {
-        self.run_stream(sel, sel.shard_range(self.opts.shard))
-    }
-
-    fn run_stream(&self, sel: &ScenarioSelection, range: Range<u64>) -> Vec<CaseResult> {
-        let total = usize::try_from(range.end - range.start).expect("shard result set fits memory");
         if pm_obs::enabled() {
             pm_obs::count_max("sweep.scenario.space_size", sel.space().count());
             pm_obs::count_max("sweep.scenario.selected", sel.len());
@@ -509,130 +435,69 @@ impl<'net> SweepEngine<'net> {
                 pm_obs::count("sweep.scenario.sampled_sweeps", 1);
             }
         }
-        if let Some(events) = &self.opts.events {
+        self.stream(sel, sel.shard_range(self.opts.shard), |failed, state| {
+            self.run_case_in(failed, state)
+        })
+    }
+
+    /// Solves every scenario of `sel` with PM — the `pmd` plan-store
+    /// build. The whole selection is solved (shards do not apply: a plan
+    /// store answers any rank); results come back in ascending position
+    /// order, byte-identical at any job count.
+    pub fn solve_selection(&self, sel: &ScenarioSelection) -> Vec<SolvedPlan> {
+        self.stream(sel, 0..sel.len(), |failed, state| {
+            self.solve_plan_in(failed, state)
+        })
+    }
+
+    /// The one streaming case path: the positions of `range` go through
+    /// [`stream_indexed`] with [`EvalOptions::jobs`] workers claiming
+    /// [`EvalOptions::batch`] positions at a time, so at most
+    /// `jobs × batch` scenarios are in flight (the
+    /// `sweep.scenario.live_peak` counter). Each worker unranks its
+    /// positions into one reused buffer and runs `case` against its own
+    /// [`DeltaState`], reset per case when the incremental path is off.
+    ///
+    /// When [`EvalOptions::events`] is set, per-case progress events wrap
+    /// `case`; emission never reads or writes a result, so results are
+    /// byte-identical with the log on or off.
+    fn stream<R: Send>(
+        &self,
+        sel: &ScenarioSelection,
+        range: Range<u64>,
+        case: impl Fn(&[ControllerId], &mut DeltaState<'net>) -> R + Sync,
+    ) -> Vec<R> {
+        let events = self.opts.events.as_deref();
+        if let Some(events) = events {
+            let total = usize::try_from(range.end - range.start).expect("result set fits memory");
             events.sweep_start(total, self.opts.jobs.clamp(1, total.max(1)));
         }
-        let out = self.stream_cases(sel, range, |failed, state| match &self.opts.events {
-            None => self.run_case_in(failed, state),
-            Some(events) => {
+        let out = stream_indexed(
+            range,
+            self.opts.jobs,
+            self.opts.batch,
+            SWEEP_POOL,
+            || (DeltaState::default(), Vec::new()),
+            |(state, failed), pos| {
+                sel.scenario_at_into(pos, failed);
+                if !self.opts.incremental {
+                    // Cold recompute: nothing survives between cases.
+                    *state = DeltaState::default();
+                }
+                let Some(events) = events else {
+                    return case(failed, state);
+                };
                 let label = case_label(self.net, failed);
                 let token = events.case_start(&label);
-                let result = self.run_case_in(failed, state);
+                let result = case(failed, state);
                 events.case_finish(token, &label);
                 result
-            }
-        });
-        if let Some(events) = &self.opts.events {
+            },
+        );
+        if let Some(events) = events {
             events.sweep_finish();
         }
         out
-    }
-
-    /// The streaming batch-claim dispatch shared by the sweep
-    /// ([`SweepEngine::sweep_selection`]) and the PM-only store build
-    /// ([`SweepEngine::solve_selection`]): positions of `range` are
-    /// materialized on demand and `f` runs against a per-worker
-    /// [`DeltaState`], reset per case when the incremental path is off.
-    /// Results come back in position order at any job count.
-    fn stream_cases<R, F>(&self, sel: &ScenarioSelection, range: Range<u64>, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&[ControllerId], &mut DeltaState<'net>) -> R + Sync,
-    {
-        let total = usize::try_from(range.end - range.start).expect("result set fits memory");
-        let obs = pm_obs::enabled();
-        let jobs = self.opts.jobs.clamp(1, total.max(1));
-        let batch = self.opts.batch.max(1);
-        let run_one = |failed: &[ControllerId], state: &mut DeltaState<'net>| -> R {
-            if !self.opts.incremental {
-                // Cold recompute: nothing survives between cases.
-                *state = DeltaState::default();
-            }
-            f(failed, state)
-        };
-        if jobs <= 1 {
-            // Serial path: one scenario buffer, reused across positions,
-            // and one delta state threaded through the whole shard.
-            let mut buf = Vec::new();
-            let mut state = DeltaState::default();
-            let mut out = Vec::with_capacity(total);
-            for pos in range {
-                sel.scenario_at_into(pos, &mut buf);
-                if obs {
-                    pm_obs::count_max("sweep.scenario.live_peak", 1);
-                }
-                out.push(run_one(&buf, &mut state));
-            }
-            out
-        } else {
-            let next = AtomicU64::new(0);
-            let live = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..total).map(|_| None).collect());
-            std::thread::scope(|scope| {
-                for w in 0..jobs {
-                    let (next, live, slots, run_one) = (&next, &live, &slots, &run_one);
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        WORKER_ID.with(|id| id.set(w));
-                        if obs {
-                            pm_obs::set_thread_label(format!("sweep-worker-{w}"));
-                        }
-                        let mut batch_buf: Vec<Vec<ControllerId>> = Vec::with_capacity(batch);
-                        // Carried across every block this worker claims:
-                        // the first case of a block deltas from the last
-                        // case of the previous one.
-                        let mut state = DeltaState::default();
-                        let mut idle_since = obs.then(std::time::Instant::now);
-                        loop {
-                            let claim = next.fetch_add(1, Ordering::Relaxed);
-                            let start = range.start + claim * batch as u64;
-                            if start >= range.end {
-                                break;
-                            }
-                            let end = (start + batch as u64).min(range.end);
-                            batch_buf.clear();
-                            for pos in start..end {
-                                batch_buf.push(sel.scenario_at(pos));
-                            }
-                            if obs {
-                                let now = live.fetch_add(batch_buf.len(), Ordering::Relaxed)
-                                    + batch_buf.len();
-                                pm_obs::count_max("sweep.scenario.live_peak", now as u64);
-                            }
-                            if let Some(t0) = idle_since {
-                                pm_obs::observe(
-                                    "sweep.queue_wait_ns",
-                                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                );
-                            }
-                            for (off, failed) in batch_buf.iter().enumerate() {
-                                let busy_t0 = obs.then(std::time::Instant::now);
-                                let r = run_one(failed, &mut state);
-                                if let Some(t0) = busy_t0 {
-                                    pm_obs::count(
-                                        format!("sweep.worker.{w}.busy_ns"),
-                                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                    );
-                                    pm_obs::count(format!("sweep.worker.{w}.cases"), 1);
-                                }
-                                let slot = (start - range.start) as usize + off;
-                                slots.lock().expect("no poisoned worker")[slot] = Some(r);
-                            }
-                            if obs {
-                                live.fetch_sub(batch_buf.len(), Ordering::Relaxed);
-                            }
-                            idle_since = obs.then(std::time::Instant::now);
-                        }
-                    });
-                }
-            });
-            slots
-                .into_inner()
-                .expect("workers joined")
-                .into_iter()
-                .map(|r| r.expect("every slot filled"))
-                .collect()
-        }
     }
 }
 
@@ -650,6 +515,40 @@ pub struct SolvedPlan {
     pub metrics: PlanMetrics,
     /// Wall-clock time of the recovery computation.
     pub elapsed: Duration,
+}
+
+impl SolvedPlan {
+    /// PM's solve → validate → metrics step on a built instance: the unit
+    /// of the plan-store build ([`SweepEngine::solve_plan`]) and of
+    /// `pmd`'s beyond-horizon fallback. `ws` only lends buffers, so the
+    /// plan is byte-identical to a cold solve.
+    ///
+    /// # Errors
+    ///
+    /// PM's error or the plan validator's, as text.
+    pub(crate) fn solve(
+        failed: &[ControllerId],
+        label: String,
+        scenario: &FailureScenario<'_>,
+        prog: &Programmability,
+        inst: &FmssmInstance<'_, '_>,
+        ws: &mut PmWorkspace,
+    ) -> Result<SolvedPlan, String> {
+        let pm = Pm::new();
+        let t0 = Instant::now();
+        let plan = pm.recover_in(inst, ws).map_err(|e| e.to_string())?;
+        let elapsed = t0.elapsed();
+        plan.validate(scenario, prog, pm.is_flow_level())
+            .map_err(|e| e.to_string())?;
+        let metrics = PlanMetrics::compute(scenario, prog, &plan, pm.middle_layer_ms());
+        Ok(SolvedPlan {
+            failed: failed.to_vec(),
+            label,
+            plan,
+            metrics,
+            elapsed,
+        })
+    }
 }
 
 /// Wall-clock statistics of one algorithm across a sweep's cases.
@@ -708,44 +607,35 @@ mod tests {
     use pm_sdwan::SdWanBuilder;
 
     #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<usize> = (0..57).collect();
-        // Uneven per-item cost so completion order differs from input order.
-        let f = |i: usize, &x: &usize| {
-            if x % 7 == 0 {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            (i, x * x)
-        };
-        let serial = par_map(&items, 1, f);
-        let parallel = par_map(&items, 8, f);
-        assert_eq!(serial, parallel);
-        assert_eq!(parallel[10], (10, 100));
-    }
-
-    #[test]
-    fn par_map_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, 4, |_, &x| x).is_empty());
-        assert_eq!(par_map(&[5u32], 4, |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
     fn stream_indexed_matches_serial_and_preserves_position_order() {
         // Uneven per-position cost so completion order differs from
         // position order.
-        let f = |pos: u64| {
+        let f = |_: &mut (), pos: u64| {
             if pos % 5 == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
             pos * pos
         };
-        let serial = stream_indexed(3..40, 1, 4, "test.stream", f);
-        let parallel = stream_indexed(3..40, 8, 4, "test.stream", f);
+        let serial = stream_indexed(3..40, 1, 4, SWEEP_POOL, || (), f);
+        let parallel = stream_indexed(3..40, 8, 4, SWEEP_POOL, || (), f);
         assert_eq!(serial, parallel);
         assert_eq!(serial[0], 9);
         assert_eq!(serial.len(), 37);
-        assert!(stream_indexed(5..5, 4, 4, "test.stream", |p| p).is_empty());
+        assert!(stream_indexed(5..5, 4, 4, SWEEP_POOL, || (), |_, p| p).is_empty());
+        assert_eq!(
+            stream_indexed(5..6, 4, 1, SWEEP_POOL, || (), |_, p| p + 1),
+            vec![6]
+        );
+        // Each worker threads one state through the positions it runs,
+        // in ascending order.
+        let runs = stream_indexed(0..64, 3, 4, SWEEP_POOL, Vec::new, |seen, pos| {
+            seen.push(pos);
+            seen.clone()
+        });
+        for (pos, seen) in runs.iter().enumerate() {
+            assert_eq!(seen.last(), Some(&(pos as u64)));
+            assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+        }
     }
 
     #[test]
@@ -759,10 +649,13 @@ mod tests {
         let engine = SweepEngine::new(&net, opts.clone());
         let prog = Programmability::compute(&net);
         for case in engine.sweep(1) {
-            let serial = crate::harness::run_case(&net, &prog, &case.failed, &opts);
-            assert_eq!(case.label, serial.label);
-            assert_eq!(case.runs.len(), serial.runs.len());
-            for (a, b) in case.runs.iter().zip(&serial.runs) {
+            // Reference: an uncached scenario and instance, fresh buffers.
+            let scenario = net.fail(&case.failed).unwrap();
+            let inst = FmssmInstance::new(&scenario, &prog);
+            let serial = run_algorithms(&scenario, &prog, &inst, &opts, &mut Default::default());
+            assert_eq!(case.label, case_label(&net, &case.failed));
+            assert_eq!(case.runs.len(), serial.len());
+            for (a, b) in case.runs.iter().zip(&serial) {
                 assert_eq!(a.name, b.name);
                 assert_eq!(
                     a.metrics.per_flow_programmability,
@@ -808,12 +701,12 @@ mod tests {
         let engine = SweepEngine::new(&net, opts);
         for k in 1..=3 {
             let streamed = engine.sweep(k);
-            // Reference: materialize the same colex sequence and run it
-            // through the explicit-case path.
+            // Reference: materialize the same colex sequence and run each
+            // case cold.
             let sel = engine.selection(k);
-            let cases: Vec<Vec<ControllerId>> =
-                (0..sel.len()).map(|p| sel.scenario_at(p)).collect();
-            let reference = engine.run_cases(&cases);
+            let reference: Vec<CaseResult> = (0..sel.len())
+                .map(|p| engine.run_case(&sel.scenario_at(p)))
+                .collect();
             assert_eq!(streamed.len(), reference.len());
             for (a, b) in streamed.iter().zip(&reference) {
                 assert_eq!(case_fingerprint(a), case_fingerprint(b), "k = {k}");
@@ -888,17 +781,12 @@ mod tests {
             batch: 3,
             ..Default::default()
         };
-        SweepEngine::new(&net, opts).sweep(2);
-        let snap = pm_obs::snapshot();
-        let peak = snap
-            .counters
-            .iter()
-            .find(|(n, _)| n == "sweep.scenario.live_peak")
-            .map(|&(_, v)| v)
-            .expect("live peak recorded");
+        SweepEngine::new(&net, opts.clone()).sweep(2);
+        // `live_peak` itself panics on a peak above the bound.
+        let (peak, bound) = live_peak(SWEEP_POOL, &opts);
         assert!(peak >= 1, "peak observed");
-        assert!(peak <= 2 * 3, "peak {peak} exceeds jobs * batch");
-        let space = snap
+        assert_eq!(bound, 2 * 3);
+        let space = pm_obs::snapshot()
             .counters
             .iter()
             .find(|(n, _)| n == "sweep.scenario.space_size")

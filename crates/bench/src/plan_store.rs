@@ -60,7 +60,7 @@ pub struct StoredPlan {
 }
 
 impl StoredPlan {
-    fn from_solved(rank: u64, solved: &SolvedPlan, buf: &mut String) -> StoredPlan {
+    pub(crate) fn from_solved(rank: u64, solved: &SolvedPlan, buf: &mut String) -> StoredPlan {
         buf.clear();
         solved.plan.to_text_into(buf);
         StoredPlan {

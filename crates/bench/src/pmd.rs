@@ -35,11 +35,11 @@
 //! `POST /shutdown` *is* the daemon's termination signal.
 
 use crate::harness::EvalOptions;
-use crate::par::SweepEngine;
+use crate::par::{SolvedPlan, SweepEngine};
 use crate::plan_store::{PlanStore, StoredPlan};
-use pm_core::{FmssmInstance, Pm, PmWorkspace, RecoveryAlgorithm};
+use pm_core::{FmssmInstance, PmWorkspace};
 use pm_obs::{json, MetricsServer, Request, Response, Router, ServeConfig};
-use pm_sdwan::{ControllerId, NetCache, PlanMetrics, SdWan};
+use pm_sdwan::{ControllerId, NetCache, SdWan};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -89,24 +89,23 @@ thread_local! {
 }
 
 impl Generation {
-    /// Builds generation `id` from `net`: caches the network once, then
-    /// solves the full `f ≤ horizon` store on `cfg.jobs` workers via the
-    /// sweep engine's delta/warm-start path.
+    /// Builds generation `id` from `net`: caches the network once, solves
+    /// the full `f ≤ horizon` store on `cfg.jobs` workers via the sweep
+    /// engine's delta/warm-start path, and keeps the engine's cache for
+    /// beyond-horizon solves.
     pub fn build(id: u64, net: SdWan, cfg: &PmdConfig) -> Generation {
         let _span = pm_obs::span("pmd.generation.build");
-        let store = {
-            let engine = SweepEngine::new(
-                &net,
-                EvalOptions {
-                    skip_optimal: true,
-                    jobs: cfg.jobs,
-                    batch: cfg.batch,
-                    ..Default::default()
-                },
-            );
-            PlanStore::build(&engine, cfg.horizon)
-        };
-        let cache = NetCache::build(&net);
+        let engine = SweepEngine::new(
+            &net,
+            EvalOptions {
+                skip_optimal: true,
+                jobs: cfg.jobs,
+                batch: cfg.batch,
+                ..Default::default()
+            },
+        );
+        let store = PlanStore::build(&engine, cfg.horizon);
+        let cache = engine.into_cache();
         Generation {
             id,
             net,
@@ -146,28 +145,16 @@ impl Generation {
             .map_err(|e| e.to_string())?;
         let prog = self.cache.programmability();
         let inst = FmssmInstance::with_cache(&scenario, prog, &self.cache);
-        let pm = Pm::new();
-        let t0 = std::time::Instant::now();
-        let plan = FALLBACK_WS
-            .with(|ws| pm.recover_in(&inst, &mut ws.borrow_mut()))
-            .map_err(|e| e.to_string())?;
-        let elapsed = t0.elapsed();
-        plan.validate(&scenario, prog, pm.is_flow_level())
-            .map_err(|e| e.to_string())?;
-        let metrics = PlanMetrics::compute(&scenario, prog, &plan, pm.middle_layer_ms());
-        Ok(StoredPlan {
-            rank: u64::MAX, // no global rank: not in the store
-            failed: failed.to_vec(),
-            label: crate::harness::case_label(&self.net, failed),
-            plan_text: plan.to_text(),
-            min_programmability: metrics.min_programmability,
-            total_programmability: metrics.total_programmability,
-            recovered_flows: metrics.recovered_flows,
-            offline_flows: metrics.offline_flows,
-            recovered_switches: metrics.recovered_switches,
-            offline_switches: metrics.offline_switches,
-            solve_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-        })
+        let label = crate::harness::case_label(&self.net, failed);
+        let solved = FALLBACK_WS.with(|ws| {
+            SolvedPlan::solve(failed, label, &scenario, prog, &inst, &mut ws.borrow_mut())
+        })?;
+        // No global rank: the plan is not in the store.
+        Ok(StoredPlan::from_solved(
+            u64::MAX,
+            &solved,
+            &mut String::new(),
+        ))
     }
 }
 

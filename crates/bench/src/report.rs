@@ -43,9 +43,46 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes a CSV file (header + rows) into `dir/name.csv`, creating the
-/// directory if needed. Errors are reported to stderr but not fatal — the
-/// text tables on stdout are the primary artifact.
+/// Writes `body` to `dir/name`, creating the directory if needed. Errors
+/// are reported to stderr but not fatal — the text tables on stdout are
+/// the primary artifact.
+pub fn write_file(dir: &Path, name: &str, body: &str) {
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(dir.join(name), body))
+    {
+        eprintln!("warning: could not write {name}: {e}");
+    }
+}
+
+/// Writes `rows` to `dir/name` as JSON lines keyed by `headers` — the
+/// mergeable JSON counterpart of a CSV. The first `text_cols` columns are
+/// strings; every other column is numeric.
+pub fn write_jsonl(
+    dir: &Path,
+    name: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+    text_cols: usize,
+) {
+    let mut out = String::new();
+    for row in rows {
+        out.push('{');
+        for (i, (h, v)) in headers.iter().zip(row).enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            if i < text_cols {
+                let _ = write!(out, "\"{h}\": \"{v}\"");
+            } else {
+                let _ = write!(out, "\"{h}\": {v}");
+            }
+        }
+        out.push_str("}\n");
+    }
+    write_file(dir, name, &out);
+}
+
+/// Writes a CSV file (header + rows) into `dir/name.csv` through
+/// [`write_file`].
 pub fn write_csv(dir: &Path, name: &str, headers: &[&str], rows: &[Vec<String>]) {
     let mut body = headers.join(",");
     body.push('\n');
@@ -63,11 +100,7 @@ pub fn write_csv(dir: &Path, name: &str, headers: &[&str], rows: &[Vec<String>])
         body.push_str(&escaped.join(","));
         body.push('\n');
     }
-    if let Err(e) = std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(dir.join(format!("{name}.csv")), body))
-    {
-        eprintln!("warning: could not write {name}.csv: {e}");
-    }
+    write_file(dir, &format!("{name}.csv"), &body);
 }
 
 /// Formats a ratio as a percentage with no decimals ("315%").

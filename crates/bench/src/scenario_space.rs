@@ -242,89 +242,133 @@ fn uniform_below(rng: &mut DetRng, bound: u64) -> u64 {
     }
 }
 
-/// Exactly `max` distinct indices from `0..pool`, drawn without
-/// replacement by Floyd's algorithm from a [`DetRng`] seeded with `seed`
-/// and returned in ascending order. Shared by the scenario-rank and
-/// timeline-id selections so both sample identically.
-///
-/// Callers must ensure `max < pool`; oversized budgets fall back to the
-/// exhaustive range before reaching this.
-pub(crate) fn floyd_sample(pool: u64, max: u64, seed: u64) -> Vec<u64> {
-    debug_assert!(max < pool);
-    // Floyd's algorithm: exactly `max` distinct indices in `max` draws,
-    // no rejection loop however close `max` is to the pool size.
-    let want = usize::try_from(max).expect("sample budget fits usize");
-    let mut rng = DetRng::seed_from_u64(seed);
-    let mut seen = std::collections::HashSet::with_capacity(want);
-    let mut picks = Vec::with_capacity(want);
-    for j in (pool - max)..pool {
-        let t = uniform_below(&mut rng, j + 1);
-        let pick = if seen.insert(t) { t } else { j };
-        if pick != t {
-            seen.insert(pick);
-        }
-        picks.push(pick);
-    }
-    picks.sort_unstable();
-    debug_assert!(picks.windows(2).all(|w| w[0] < w[1]));
-    picks
-}
-
-/// The position range shard `i` of `m` covers in a sequence of `len`
-/// positions (1-based `i`, the `--shard i/m` convention): contiguous,
-/// disjoint, covering, sizes differing by at most one. `shard = None`
-/// means the whole range. Shared by scenario and timeline selections.
-///
-/// # Panics
-///
-/// Panics if `i` is not in `1..=m` or `m == 0`.
-pub(crate) fn slice_range(len: u64, shard: Option<(usize, usize)>) -> Range<u64> {
-    let Some((i, m)) = shard else {
-        return 0..len;
-    };
-    assert!(m >= 1 && i >= 1 && i <= m, "--shard {i}/{m} out of range");
-    let (i, m) = (i as u128, m as u128);
-    let lo = (u128::from(len) * (i - 1) / m) as u64;
-    let hi = (u128::from(len) * i / m) as u64;
-    lo..hi
-}
-
-/// Which scenarios of a [`ScenarioSpace`] a sweep executes: either the
-/// exhaustive rank range or a seeded sample of it, in ascending rank
-/// order either way.
-///
-/// Positions `0..len()` index the selection; sharding slices that
-/// position range ([`ScenarioSelection::shard_range`]), so m shards
+/// Which indices of `0..count` a sweep executes: all of them, or a seeded
+/// sample, ascending either way. Positions `0..len()` index the
+/// selection, and sharding slices that position range, so m shards
 /// concatenated in shard order visit exactly the unsharded sequence.
+/// [`ScenarioSelection`] picks colex ranks with it, and
+/// [`crate::TimelineSelection`] is one over timeline ids.
+#[derive(Debug, Clone)]
+pub struct IndexSelection {
+    count: u64,
+    /// Sampled indices in ascending order; `None` means exhaustive.
+    picks: Option<Vec<u64>>,
+}
+
+impl IndexSelection {
+    /// Selects every index of `0..count`.
+    pub fn exhaustive(count: u64) -> Self {
+        IndexSelection { count, picks: None }
+    }
+
+    /// Selects at most `max` indices of `0..count`, drawn without
+    /// replacement by Floyd's algorithm from a [`DetRng`] seeded with
+    /// `seed`.
+    ///
+    /// When `max >= count` the budget is not a constraint and the
+    /// selection falls back to the exhaustive range — sampling-without-
+    /// replacement must never spin on an exhausted pool.
+    pub fn sampled(count: u64, max: u64, seed: u64) -> Self {
+        if max >= count {
+            return IndexSelection::exhaustive(count);
+        }
+        // Floyd's algorithm: exactly `max` distinct indices in `max` draws,
+        // no rejection loop however close `max` is to the pool size.
+        let want = usize::try_from(max).expect("sample budget fits usize");
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut seen = std::collections::HashSet::with_capacity(want);
+        let mut picks = Vec::with_capacity(want);
+        for j in (count - max)..count {
+            let t = uniform_below(&mut rng, j + 1);
+            let pick = if seen.insert(t) { t } else { j };
+            if pick != t {
+                seen.insert(pick);
+            }
+            picks.push(pick);
+        }
+        picks.sort_unstable();
+        debug_assert!(picks.windows(2).all(|w| w[0] < w[1]));
+        IndexSelection {
+            count,
+            picks: Some(picks),
+        }
+    }
+
+    /// `true` when this is a strict subsample of the index space.
+    pub fn is_sampled(&self) -> bool {
+        self.picks.is_some()
+    }
+
+    /// How many indices the selection contains.
+    pub fn len(&self) -> u64 {
+        match &self.picks {
+            Some(p) => p.len() as u64,
+            None => self.count,
+        }
+    }
+
+    /// `true` when the selection contains no indices.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The index executed at position `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= len()`.
+    pub fn index_at(&self, pos: u64) -> u64 {
+        match &self.picks {
+            Some(p) => p[usize::try_from(pos).expect("position fits usize")],
+            None => {
+                assert!(pos < self.count, "position {pos} out of range");
+                pos
+            }
+        }
+    }
+
+    /// The position range shard `i` of `m` executes (1-based `i`, the
+    /// `--shard i/m` convention). Shards are contiguous, disjoint, cover
+    /// the selection, and differ in size by at most one position;
+    /// `shard = None` means the whole range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not in `1..=m` or `m == 0` — flag parsing
+    /// rejects those shapes before they get here.
+    pub fn shard_range(&self, shard: Option<(usize, usize)>) -> Range<u64> {
+        let len = self.len();
+        let Some((i, m)) = shard else {
+            return 0..len;
+        };
+        assert!(m >= 1 && i >= 1 && i <= m, "--shard {i}/{m} out of range");
+        let (i, m) = (i as u128, m as u128);
+        let lo = (u128::from(len) * (i - 1) / m) as u64;
+        let hi = (u128::from(len) * i / m) as u64;
+        lo..hi
+    }
+}
+
+/// Which scenarios of a [`ScenarioSpace`] a sweep executes: an
+/// [`IndexSelection`] over its colex ranks.
 #[derive(Debug, Clone)]
 pub struct ScenarioSelection {
     space: ScenarioSpace,
-    /// Sampled ranks in ascending order; `None` means exhaustive.
-    ranks: Option<Vec<u64>>,
+    ranks: IndexSelection,
 }
 
 impl ScenarioSelection {
     /// Selects every scenario of `space`.
     pub fn exhaustive(space: ScenarioSpace) -> Self {
-        ScenarioSelection { space, ranks: None }
+        let ranks = IndexSelection::exhaustive(space.count());
+        ScenarioSelection { space, ranks }
     }
 
-    /// Selects at most `max` scenarios of `space`, drawn without
-    /// replacement by a [`DetRng`] seeded with `seed` and kept in
-    /// ascending rank order.
-    ///
-    /// When `max >= count()` the budget is not a constraint and the
-    /// selection falls back to the exhaustive range — sampling-without-
-    /// replacement must never spin on an exhausted pool.
+    /// Selects at most `max` scenarios of `space` (see
+    /// [`IndexSelection::sampled`]).
     pub fn sampled(space: ScenarioSpace, max: u64, seed: u64) -> Self {
-        if max >= space.count() {
-            return ScenarioSelection::exhaustive(space);
-        }
-        let picks = floyd_sample(space.count(), max, seed);
-        ScenarioSelection {
-            space,
-            ranks: Some(picks),
-        }
+        let ranks = IndexSelection::sampled(space.count(), max, seed);
+        ScenarioSelection { space, ranks }
     }
 
     /// The underlying scenario space.
@@ -334,20 +378,17 @@ impl ScenarioSelection {
 
     /// `true` when this is a strict subsample of the space.
     pub fn is_sampled(&self) -> bool {
-        self.ranks.is_some()
+        self.ranks.is_sampled()
     }
 
     /// How many scenarios the selection contains.
     pub fn len(&self) -> u64 {
-        match &self.ranks {
-            Some(r) => r.len() as u64,
-            None => self.space.count(),
-        }
+        self.ranks.len()
     }
 
     /// `true` when the selection contains no scenarios.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ranks.is_empty()
     }
 
     /// The colex rank executed at position `pos`.
@@ -356,13 +397,7 @@ impl ScenarioSelection {
     ///
     /// Panics if `pos >= len()`.
     pub fn rank_at(&self, pos: u64) -> u64 {
-        match &self.ranks {
-            Some(r) => r[usize::try_from(pos).expect("position fits usize")],
-            None => {
-                assert!(pos < self.space.count(), "position {pos} out of range");
-                pos
-            }
-        }
+        self.ranks.index_at(pos)
     }
 
     /// The failure scenario at position `pos`.
@@ -383,17 +418,10 @@ impl ScenarioSelection {
         self.space.unrank_into(self.rank_at(pos), out);
     }
 
-    /// The position range shard `i` of `m` executes (1-based `i`, the
-    /// `--shard i/m` convention). Shards are contiguous, disjoint, cover
-    /// the selection, and differ in size by at most one scenario;
-    /// `shard = None` means the whole range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not in `1..=m` or `m == 0` — flag parsing
-    /// rejects those shapes before they get here.
+    /// The position range shard `i` of `m` executes (see
+    /// [`IndexSelection::shard_range`]).
     pub fn shard_range(&self, shard: Option<(usize, usize)>) -> Range<u64> {
-        slice_range(self.len(), shard)
+        self.ranks.shard_range(shard)
     }
 }
 

@@ -11,87 +11,26 @@
 //! counts and m shards concatenated in shard order reassemble the
 //! unsharded run.
 
+use crate::figures::SpaceInfo;
 use crate::harness::EvalOptions;
-use crate::par::{stream_indexed, SweepEngine};
-use crate::scenario_space::{floyd_sample, slice_range};
+use crate::par::{stream_indexed, PoolNames, SweepEngine};
+use crate::scenario_space::IndexSelection;
 use pm_simctl::{TimelineParams, TimelineReport, TimelineSpace};
 use std::fmt::Write as _;
-use std::ops::Range;
 
-/// Which timelines of a [`TimelineSpace`] a sweep executes: either the
-/// exhaustive id range or a seeded sample of it, in ascending id order
-/// either way — the timeline analogue of [`crate::ScenarioSelection`].
-#[derive(Debug, Clone)]
-pub struct TimelineSelection {
-    count: u64,
-    /// Sampled ids in ascending order; `None` means exhaustive.
-    ids: Option<Vec<u64>>,
-}
+/// The timeline pool's telemetry names: `sim.sweep.worker.N.items`,
+/// `sim.sweep.live_peak`, `sim.sweep.queue_wait_ns`, threads
+/// `sim.sweep-worker-N`.
+pub const SIM_POOL: PoolNames = PoolNames {
+    prefix: "sim.sweep",
+    item: "items",
+    live_peak: "sim.sweep.live_peak",
+};
 
-impl TimelineSelection {
-    /// Selects every timeline of a space with `count` ids.
-    pub fn exhaustive(count: u64) -> Self {
-        TimelineSelection { count, ids: None }
-    }
-
-    /// Selects at most `max` timeline ids, drawn without replacement by
-    /// the same seeded Floyd sampler the scenario selection uses. Budgets
-    /// covering the space fall back to the exhaustive range.
-    pub fn sampled(count: u64, max: u64, seed: u64) -> Self {
-        if max >= count {
-            return TimelineSelection::exhaustive(count);
-        }
-        TimelineSelection {
-            count,
-            ids: Some(floyd_sample(count, max, seed)),
-        }
-    }
-
-    /// `true` when this is a strict subsample of the space.
-    pub fn is_sampled(&self) -> bool {
-        self.ids.is_some()
-    }
-
-    /// How many timelines the selection contains.
-    pub fn len(&self) -> u64 {
-        match &self.ids {
-            Some(ids) => ids.len() as u64,
-            None => self.count,
-        }
-    }
-
-    /// `true` when the selection contains no timelines.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The timeline id executed at position `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos >= len()`.
-    pub fn id_at(&self, pos: u64) -> u64 {
-        match &self.ids {
-            Some(ids) => ids[usize::try_from(pos).expect("position fits usize")],
-            None => {
-                assert!(pos < self.count, "position {pos} out of range");
-                pos
-            }
-        }
-    }
-
-    /// The position range shard `i` of `m` executes (1-based, the
-    /// `--shard i/m` convention); `None` means the whole selection. Same
-    /// contiguous-partition contract as
-    /// [`crate::ScenarioSelection::shard_range`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not in `1..=m` or `m == 0`.
-    pub fn shard_range(&self, shard: Option<(usize, usize)>) -> Range<u64> {
-        slice_range(self.len(), shard)
-    }
-}
+/// Which timelines of a [`TimelineSpace`] a sweep executes: the
+/// exhaustive id range or a seeded sample of it, in ascending id order —
+/// the same selection machinery as [`crate::ScenarioSelection`].
+pub type TimelineSelection = IndexSelection;
 
 impl SweepEngine<'_> {
     /// The timeline space a `--timelines count` sweep of this engine
@@ -152,9 +91,10 @@ impl SweepEngine<'_> {
             range,
             self.options().jobs,
             self.options().batch,
-            "sim.sweep",
-            |pos| {
-                let id = sel.id_at(pos);
+            SIM_POOL,
+            || (),
+            |(), pos| {
+                let id = sel.index_at(pos);
                 space
                     .generate(id)
                     .replay(net, cache)
@@ -220,21 +160,8 @@ pub struct TimelineRunInfo {
     pub controllers: usize,
     /// Number of routed flows.
     pub flows: usize,
-    /// Timeline-space size (`--timelines`).
-    pub space_size: u64,
-    /// Timelines selected after `--max-scenarios` (equals `space_size`
-    /// when exhaustive).
-    pub selected: u64,
-    /// Whether the selection is a seeded sample rather than exhaustive.
-    pub sampled: bool,
-    /// The `--shard i/m` slice this run executed, if any.
-    pub shard: Option<(usize, usize)>,
-    /// Timelines actually replayed (the shard's slice of the selection).
-    pub timelines_run: usize,
-    /// Peak in-flight timelines (`sim.sweep.live_peak`).
-    pub live_peak: u64,
-    /// The contract bound on `live_peak`: `jobs × batch`.
-    pub live_bound: u64,
+    /// The timeline space (`--timelines`) and its cut-down.
+    pub space: SpaceInfo,
 }
 
 /// Renders `BENCH_timeline.json` (schema version 1): the
@@ -249,11 +176,7 @@ pub fn bench_timeline_json(
     reports: &[TimelineReport],
     phases: Option<&pm_obs::Snapshot>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"figure\": \"timeline_sweep\",");
-    let _ = writeln!(out, "  \"jobs\": {jobs},");
+    let mut out = crate::figures::bench_json_head("timeline_sweep", jobs);
     out.push_str("  \"topology\": {");
     let _ = write!(
         out,
@@ -262,23 +185,8 @@ pub fn bench_timeline_json(
         info.nodes, info.edges, info.seed, info.controllers, info.flows
     );
     out.push_str("},\n");
-    out.push_str("  \"timeline_space\": {");
-    let shard = match info.shard {
-        Some((i, m)) => format!("\"{i}/{m}\""),
-        None => "null".into(),
-    };
-    let _ = write!(
-        out,
-        "\"size\": {}, \"selected\": {}, \"sampled\": {}, \"shard\": {shard}, \
-         \"timelines_run\": {}, \"live_peak\": {}, \"live_bound\": {}",
-        info.space_size,
-        info.selected,
-        info.sampled,
-        info.timelines_run,
-        info.live_peak,
-        info.live_bound
-    );
-    out.push_str("},\n");
+    info.space
+        .push_json(&mut out, "timeline_space", "timelines_run");
     let sum =
         |f: fn(&TimelineReport) -> usize| -> u64 { reports.iter().map(|r| f(r) as u64).sum() };
     let recovered = reports.iter().filter(|r| r.fully_recovered).count();
@@ -310,49 +218,23 @@ pub fn bench_timeline_json(
          \"pm_worst_recovered_ppm\": {worst_ppm}"
     );
     out.push_str("},\n");
-    if let Some(snap) = phases {
-        if !snap.spans.is_empty() {
-            out.push_str("  \"phase_breakdown\": {\n");
-            for (i, s) in snap.spans.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                    s.name, s.count, s.total_ns, s.max_ns
-                );
-                out.push_str(if i + 1 < snap.spans.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  },\n");
-        }
-    }
+    crate::figures::push_phase_breakdown(&mut out, phases);
     let _ = writeln!(out, "  \"sweep_ms\": {sweep_ms:.3}");
     out.push_str("}\n");
     out
 }
 
-/// Writes [`bench_timeline_json`] to `BENCH_timeline.json` in the CSV
-/// directory (or the working directory when `--csv` was not given),
-/// folding in the recorder's span aggregates when it is on.
+/// Writes [`bench_timeline_json`] to `BENCH_timeline.json`, like
+/// [`crate::figures::write_bench_sweep_json`].
 pub fn write_bench_timeline_json(
     opts: &EvalOptions,
     info: &TimelineRunInfo,
     sweep_ms: f64,
     reports: &[TimelineReport],
 ) {
-    let snap = pm_obs::enabled().then(pm_obs::snapshot);
-    let body = bench_timeline_json(info, opts.jobs, sweep_ms, reports, snap.as_ref());
-    let dir = opts
-        .csv_dir
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    if let Err(e) = std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(dir.join("BENCH_timeline.json"), body))
-    {
-        eprintln!("warning: could not write BENCH_timeline.json: {e}");
-    }
+    crate::figures::write_bench_json(opts, "BENCH_timeline.json", |snap| {
+        bench_timeline_json(info, opts.jobs, sweep_ms, reports, snap)
+    });
 }
 
 #[cfg(test)]
@@ -367,7 +249,7 @@ mod tests {
         let c = TimelineSelection::sampled(500, 64, 8);
         assert!(a.is_sampled());
         assert_eq!(a.len(), 64);
-        let ids = |s: &TimelineSelection| (0..s.len()).map(|p| s.id_at(p)).collect::<Vec<_>>();
+        let ids = |s: &TimelineSelection| (0..s.len()).map(|p| s.index_at(p)).collect::<Vec<_>>();
         assert_eq!(ids(&a), ids(&b), "same seed, same sample");
         assert_ne!(ids(&a), ids(&c), "different seed, different sample");
         assert!(ids(&a).windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
@@ -455,13 +337,15 @@ mod tests {
             seed: 42,
             controllers: net.controllers().len(),
             flows: net.flows().len(),
-            space_size: 2,
-            selected: 2,
-            sampled: false,
-            shard: None,
-            timelines_run: reports.len(),
-            live_peak: 1,
-            live_bound: 32,
+            space: SpaceInfo {
+                size: 2,
+                selected: 2,
+                sampled: false,
+                shard: None,
+                run: reports.len(),
+                live_peak: 1,
+                live_bound: 32,
+            },
         };
         let json = bench_timeline_json(&info, 1, 12.5, &reports, None);
         assert!(json.starts_with("{\n  \"schema_version\": 1,\n"));

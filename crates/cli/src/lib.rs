@@ -27,8 +27,8 @@ use pm_bench::flags::{take_opt_secs, take_timeline_count, take_timeline_params, 
 use pm_bench::EvalOptions;
 use pm_core::{FmssmInstance, Optimal, Pg, Pm, RecoveryAlgorithm, RetroFlow, TwoStage};
 use pm_sdwan::{
-    place_controllers, ControllerId, NetCache, PlacementStrategy, PlanMetrics, Programmability,
-    RecoveryPlan, SdWan, SdWanBuilder,
+    place_controllers, ControllerId, FailureScenario, NetCache, PlacementStrategy, PlanMetrics,
+    Programmability, RecoveryPlan, SdWan, SdWanBuilder,
 };
 use pm_simctl::{RecoveryTiming, SimTime, Simulation};
 use std::ffi::OsString;
@@ -407,22 +407,37 @@ fn cmd_compare(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         "algorithm", "flows", "switches", "min", "total", "overhead(ms)"
     );
     for name in ["retroflow", "pm", "pg", "optimal"] {
-        let algo = make_algo(name, opt_secs)?;
-        let plan = algo
-            .recover(&inst)
-            .map_err(|e| CliError::runtime(format!("{name} failed: {e}")))?;
-        let m = PlanMetrics::compute(&scenario, prog, &plan, algo.middle_layer_ms());
-        let _ = writeln!(
-            out,
-            "{:<10} {:>9} {:>9} {:>7} {:>9} {:>12.3}",
-            algo.name(),
-            format!("{}/{}", m.recovered_flows, m.recoverable_flows),
-            format!("{}/{}", m.recovered_switches, m.offline_switches),
-            m.min_programmability_recoverable(),
-            m.total_programmability,
-            m.per_flow_overhead_ms()
-        );
+        compare_row(out, &*make_algo(name, opt_secs)?, &scenario, prog, &inst)?;
     }
+    Ok(())
+}
+
+/// One `pmctl compare` row: runs `algo`, validates its plan the way
+/// `pmctl plan` does, and prints the plan's metrics.
+fn compare_row(
+    out: &mut dyn Write,
+    algo: &dyn RecoveryAlgorithm,
+    scenario: &FailureScenario<'_>,
+    prog: &Programmability,
+    inst: &FmssmInstance<'_, '_>,
+) -> Result<(), CliError> {
+    let name = algo.name();
+    let plan = algo
+        .recover(inst)
+        .map_err(|e| CliError::runtime(format!("{name} failed: {e}")))?;
+    plan.validate(scenario, prog, algo.is_flow_level())
+        .map_err(|e| CliError::runtime(format!("{name} produced an invalid plan: {e}")))?;
+    let m = PlanMetrics::compute(scenario, prog, &plan, algo.middle_layer_ms());
+    let _ = writeln!(
+        out,
+        "{:<10} {:>9} {:>9} {:>7} {:>9} {:>12.3}",
+        name,
+        format!("{}/{}", m.recovered_flows, m.recoverable_flows),
+        format!("{}/{}", m.recovered_switches, m.offline_switches),
+        m.min_programmability_recoverable(),
+        m.total_programmability,
+        m.per_flow_overhead_ms()
+    );
     Ok(())
 }
 
@@ -1096,6 +1111,41 @@ mod tests {
         for name in ["RetroFlow", "PM", "PG", "Optimal"] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
+    }
+
+    /// PM, then one offline switch remapped onto a failed controller.
+    struct MapsToFailed(ControllerId);
+
+    impl RecoveryAlgorithm for MapsToFailed {
+        fn name(&self) -> &'static str {
+            "stub"
+        }
+
+        fn recover(&self, inst: &FmssmInstance<'_, '_>) -> Result<RecoveryPlan, pm_core::PmError> {
+            let mut plan = Pm::new().recover(inst)?;
+            plan.map_switch(inst.switches()[0], self.0);
+            Ok(plan)
+        }
+    }
+
+    #[test]
+    fn compare_rejects_an_invalid_plan() {
+        let net = SdWanBuilder::att_paper_setup().build().unwrap();
+        let cache = NetCache::build(&net);
+        let prog = cache.programmability();
+        let failed = [ControllerId(3), ControllerId(4)];
+        let scenario = net.fail_cached(&failed, &cache).unwrap();
+        let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+        let mut out = Vec::new();
+        compare_row(&mut out, &Pm::new(), &scenario, prog, &inst).expect("PM's plan is valid");
+        let e = compare_row(&mut out, &MapsToFailed(failed[0]), &scenario, prog, &inst)
+            .expect_err("a plan using a failed controller is rejected");
+        assert_eq!(e.code, 1, "an invalid plan is a runtime error");
+        assert!(
+            e.message.contains("stub produced an invalid plan"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

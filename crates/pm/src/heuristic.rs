@@ -634,6 +634,24 @@ mod tests {
         let p1 = Pm::new().recover(&inst).unwrap();
         let p2 = Pm::new().recover(&inst).unwrap();
         assert_eq!(p1, p2);
+        // Every ablation variant is deterministic too, and valid on the
+        // headline (13,20) case.
+        let sc = net.fail(&[ControllerId(3), ControllerId(4)]).unwrap();
+        let inst = FmssmInstance::new(&sc, &prog);
+        let ablations: [fn(&mut PmConfig); 5] = [
+            |c| c.selection = SelectionRule::HighestGamma,
+            |c| c.selection = SelectionRule::LowestId,
+            |c| c.mapping = MappingRule::MaxCapacity,
+            |c| c.skip_phase2 = true,
+            |c| c.faithful_sigma = true,
+        ];
+        for ablate in ablations {
+            let mut config = PmConfig::default();
+            ablate(&mut config);
+            let plan = Pm::with_config(config).recover(&inst).unwrap();
+            plan.validate(&sc, &prog, false).unwrap();
+            assert_eq!(plan, Pm::with_config(config).recover(&inst).unwrap());
+        }
     }
 
     #[test]

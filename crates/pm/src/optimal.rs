@@ -827,6 +827,18 @@ mod tests {
             .unwrap();
         assert!(out.proved_optimal(), "status {:?}", out.status);
         out.plan.validate(&sc, &prog, false).unwrap();
+        // The λ-sensitivity ablation's inputs: no delay bound, λ from
+        // r-only to a flat sum.
+        for lambda in [0.0, 0.01, 1.0] {
+            let out = Optimal::new()
+                .lambda(lambda)
+                .delay_bound(DelayBound::Unbounded)
+                .time_limit(Duration::from_secs(20))
+                .solve_detailed(&inst)
+                .unwrap();
+            assert!(out.proved_optimal(), "λ = {lambda}: {:?}", out.status);
+            out.plan.validate(&sc, &prog, false).unwrap();
+        }
     }
 
     #[test]

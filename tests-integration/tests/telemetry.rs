@@ -1,8 +1,8 @@
 //! The event log's core guarantee: streaming progress never perturbs
 //! sweep results.
 //!
-//! [`EventLog`] emission wraps the per-case closure inside
-//! [`SweepEngine::run_cases`]; this test pins that the rendered metric
+//! [`EventLog`] emission wraps the per-case closure of the
+//! [`SweepEngine`]'s one streaming case path; this test pins that the rendered metric
 //! tables are byte-identical with the log on or off, at `--jobs 1` and
 //! `--jobs 8`, and that the JSONL stream itself is well-formed (every
 //! line parses, sequence numbers and done/total counts add up, worker
