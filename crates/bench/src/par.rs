@@ -435,18 +435,24 @@ impl<'net> SweepEngine<'net> {
                 pm_obs::count("sweep.scenario.sampled_sweeps", 1);
             }
         }
-        self.stream(sel, sel.shard_range(self.opts.shard), |failed, state| {
+        self.stream(sel, sel.shard_range(self.opts.shard), |_, failed, state| {
             self.run_case_in(failed, state)
         })
     }
 
     /// Solves every scenario of `sel` with PM — the `pmd` plan-store
-    /// build. The whole selection is solved (shards do not apply: a plan
+    /// build — and hands each plan with its position in `sel` to `keep` on
+    /// the worker that solved it, so only what `keep` returns outlives the
+    /// solve. The whole selection is solved (shards do not apply: a plan
     /// store answers any rank); results come back in ascending position
     /// order, byte-identical at any job count.
-    pub fn solve_selection(&self, sel: &ScenarioSelection) -> Vec<SolvedPlan> {
-        self.stream(sel, 0..sel.len(), |failed, state| {
-            self.solve_plan_in(failed, state)
+    pub fn solve_selection<R: Send>(
+        &self,
+        sel: &ScenarioSelection,
+        keep: impl Fn(u64, SolvedPlan) -> R + Sync,
+    ) -> Vec<R> {
+        self.stream(sel, 0..sel.len(), |pos, failed, state| {
+            keep(pos, self.solve_plan_in(failed, state))
         })
     }
 
@@ -455,8 +461,9 @@ impl<'net> SweepEngine<'net> {
     /// [`EvalOptions::batch`] positions at a time, so at most
     /// `jobs × batch` scenarios are in flight (the
     /// `sweep.scenario.live_peak` counter). Each worker unranks its
-    /// positions into one reused buffer and runs `case` against its own
-    /// [`DeltaState`], reset per case when the incremental path is off.
+    /// positions into one reused buffer and runs `case` on the position,
+    /// its failure set and the worker's own [`DeltaState`], reset per case
+    /// when the incremental path is off.
     ///
     /// When [`EvalOptions::events`] is set, per-case progress events wrap
     /// `case`; emission never reads or writes a result, so results are
@@ -465,7 +472,7 @@ impl<'net> SweepEngine<'net> {
         &self,
         sel: &ScenarioSelection,
         range: Range<u64>,
-        case: impl Fn(&[ControllerId], &mut DeltaState<'net>) -> R + Sync,
+        case: impl Fn(u64, &[ControllerId], &mut DeltaState<'net>) -> R + Sync,
     ) -> Vec<R> {
         let events = self.opts.events.as_deref();
         if let Some(events) = events {
@@ -485,11 +492,11 @@ impl<'net> SweepEngine<'net> {
                     *state = DeltaState::default();
                 }
                 let Some(events) = events else {
-                    return case(failed, state);
+                    return case(pos, failed, state);
                 };
                 let label = case_label(self.net, failed);
                 let token = events.case_start(&label);
-                let result = case(failed, state);
+                let result = case(pos, failed, state);
                 events.case_finish(token, &label);
                 result
             },

@@ -28,7 +28,13 @@
 use crate::par::{SolvedPlan, SweepEngine};
 use crate::scenario_space::{ScenarioSelection, ScenarioSpace};
 use pm_sdwan::ControllerId;
+use std::cell::RefCell;
 use std::time::Duration;
+
+thread_local! {
+    /// Each store-build worker's text buffer, carried across its plans.
+    static TEXT: RefCell<String> = const { RefCell::new(String::new()) };
+}
 
 /// One precomputed plan: PM's recovery plan in its stable text form
 /// ([`pm_sdwan::RecoveryPlan::to_text`]) plus the summary metrics the
@@ -110,16 +116,20 @@ impl PlanStore {
         let mut offsets = Vec::with_capacity(horizon + 1);
         let mut spaces = Vec::with_capacity(horizon);
         let mut entries = Vec::new();
-        let mut buf = String::new();
         let mut next_rank = 0u64;
         for f in 1..=horizon {
             offsets.push(next_rank);
             let space = ScenarioSpace::new(controllers, f);
             let sel = ScenarioSelection::exhaustive(space);
-            for solved in engine.solve_selection(&sel) {
-                entries.push(StoredPlan::from_solved(next_rank, &solved, &mut buf));
-                next_rank += 1;
-            }
+            // Each worker renders its plans as it solves them, so a solved
+            // plan never waits for the rest of its f-block.
+            let first = next_rank;
+            entries.extend(engine.solve_selection(&sel, |pos, solved| {
+                TEXT.with(|buf| {
+                    StoredPlan::from_solved(first + pos, &solved, &mut buf.borrow_mut())
+                })
+            }));
+            next_rank += sel.len();
             spaces.push(ScenarioSpace::new(controllers, f));
         }
         offsets.push(next_rank);
@@ -238,6 +248,27 @@ mod tests {
             assert!(!entry.plan_text.is_empty() || entry.offline_switches == 0);
         }
         assert!(store.get(21).is_none());
+    }
+
+    #[test]
+    fn stored_fields_are_identical_at_jobs_1_and_2() {
+        // Workers render their own plans; the store must not notice.
+        let (_net, serial) = store(1, 3);
+        let (_net2, parallel) = store(2, 3);
+        assert_eq!(serial.len(), 6 + 15 + 20);
+        assert_eq!(parallel.len(), serial.len());
+        let fields = |p: &StoredPlan| {
+            let counts = [p.recovered_flows, p.offline_flows];
+            let switches = [p.recovered_switches, p.offline_switches];
+            let objectives = [p.min_programmability, p.total_programmability];
+            let text = (p.label.clone(), p.plan_text.clone());
+            (p.rank, p.failed.clone(), text, objectives, counts, switches)
+        };
+        for rank in 0..serial.len() {
+            let a = serial.get(rank).unwrap();
+            assert_eq!(a.rank, rank);
+            assert_eq!(fields(a), fields(parallel.get(rank).unwrap()));
+        }
     }
 
     #[test]

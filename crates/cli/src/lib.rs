@@ -1122,9 +1122,16 @@ mod tests {
         }
 
         fn recover(&self, inst: &FmssmInstance<'_, '_>) -> Result<RecoveryPlan, pm_core::PmError> {
-            let mut plan = Pm::new().recover(inst)?;
+            let pm = Pm::new().recover(inst)?;
+            let mut plan = pm_sdwan::PlanBuilder::default();
+            for (s, c) in pm.mappings() {
+                plan.map_switch(s, c);
+            }
+            for (s, l, c) in pm.sdn_selections() {
+                plan.set_sdn_via(s, l, c);
+            }
             plan.map_switch(inst.switches()[0], self.0);
-            Ok(plan)
+            Ok(plan.build())
         }
     }
 

@@ -23,15 +23,15 @@ use crate::instance::FmssmInstance;
 use crate::{PmError, RecoveryAlgorithm};
 use pm_sdwan::RecoveryPlan;
 
-/// Dense `Y`: a flat row-major `switch × flow` membership bitmap plus the
-/// selection list, replacing the ordered-set representation on the hot
-/// path. Emission order does not matter — [`RecoveryPlan`] sorts — so the
-/// list records selections in insertion order.
+/// Dense `Y`: a flat row-major `switch × flow` membership bitmap plus a
+/// count of the cells set. The plan is emitted by walking each mapped
+/// switch's entry row against the bitmap, which yields the selections in
+/// [`RecoveryPlan`]'s own switch-major order.
 #[derive(Debug, Default)]
 struct Selections {
     flows: usize,
     mask: Vec<bool>,
-    selected: Vec<(usize, usize)>,
+    count: usize,
 }
 
 impl Selections {
@@ -42,7 +42,7 @@ impl Selections {
         self.flows = flows;
         self.mask.clear();
         self.mask.resize(switches * flows, false);
-        self.selected.clear();
+        self.count = 0;
     }
 
     fn contains(&self, ip: usize, lp: usize) -> bool {
@@ -56,7 +56,7 @@ impl Selections {
             return false;
         }
         *cell = true;
-        self.selected.push((ip, lp));
+        self.count += 1;
         true
     }
 }
@@ -296,10 +296,12 @@ impl Pm {
                 ) else {
                     continue;
                 };
-                if x[ip] != Some(jp) || !y.insert(ip, lp) {
+                // p̄ = 0 exactly when β = 0: such a pair is no instance
+                // entry, so a seed's invalid selection is dropped.
+                let pbar = inst.programmability().pbar(l, s) as u64;
+                if x[ip] != Some(jp) || pbar == 0 || !y.insert(ip, lp) {
                     continue;
                 }
-                let pbar = inst.programmability().pbar(l, s) as u64;
                 h[lp] += pbar;
                 a[jp] -= 1;
             }
@@ -414,7 +416,7 @@ impl Pm {
         }
 
         drop(phase1_span);
-        let phase1_picks = y.selected.len();
+        let phase1_picks = y.count;
 
         // Lines 42–50: improve the total programmability with leftovers.
         if !self.config.skip_phase2 {
@@ -438,18 +440,12 @@ impl Pm {
             pm_obs::observe("pm.phase1.mode_ns", t_mode);
             pm_obs::count("pm.passes", test_count as u64);
             pm_obs::count("pm.switches_mapped", x.iter().flatten().count() as u64);
-            pm_obs::count("pm.sdn_mode_picks", y.selected.len() as u64);
+            pm_obs::count("pm.sdn_mode_picks", y.count as u64);
             pm_obs::count("pm.phase1.sdn_mode_picks", phase1_picks as u64);
-            pm_obs::count(
-                "pm.phase2.sdn_mode_picks",
-                (y.selected.len() - phase1_picks) as u64,
-            );
+            pm_obs::count("pm.phase2.sdn_mode_picks", (y.count - phase1_picks) as u64);
             // β = 1 entries left in legacy mode vs. put into SDN mode.
             let total_entries: usize = (0..n).map(|ip| inst.switch_entries(ip).len()).sum();
-            pm_obs::count(
-                "pm.legacy_mode_left",
-                (total_entries - y.selected.len()) as u64,
-            );
+            pm_obs::count("pm.legacy_mode_left", (total_entries - y.count) as u64);
             pm_obs::count(
                 "pm.flows_touched",
                 h.iter().filter(|&&v| v > 0).count() as u64,
@@ -460,17 +456,21 @@ impl Pm {
             );
         }
 
-        // Line 51: emit X and Y.
-        let mut plan = RecoveryPlan::new();
+        // Line 51: emit X and Y. Switches, flows and each switch's entry row
+        // ascend by id, so the lists come out in the plan's sorted order.
+        let mut mapping = Vec::with_capacity(x.iter().flatten().count());
+        let mut sdn = Vec::with_capacity(y.count);
         for (ip, ctrl) in x.iter().enumerate() {
-            if let Some(j) = ctrl {
-                plan.map_switch(inst.switches()[ip], inst.controllers()[*j]);
-            }
+            let Some(j) = *ctrl else { continue };
+            let (s, c) = (inst.switches()[ip], inst.controllers()[j]);
+            mapping.push((s, c));
+            let row = inst.switch_entries(ip).iter();
+            sdn.extend(
+                row.filter(|&&(lp, _)| y.contains(ip, lp))
+                    .map(|&(lp, _)| (s, inst.flows()[lp], c)),
+            );
         }
-        for &(ip, lp) in &y.selected {
-            plan.set_sdn(inst.switches()[ip], inst.flows()[lp]);
-        }
-        Ok(plan)
+        Ok(RecoveryPlan::from_parts(mapping, Vec::new(), sdn))
     }
 }
 

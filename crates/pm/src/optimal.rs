@@ -749,33 +749,30 @@ impl BuiltModel {
         values
     }
 
-    /// Decodes a solver assignment into a recovery plan.
+    /// Decodes a solver assignment into a recovery plan. Both lists are
+    /// built switch-major (a selection's entry found through
+    /// `entry_index`), the plan's own order. Should an assignment set two
+    /// variables of one switch or entry, the last controller wins.
     pub(crate) fn extract_plan(
         &self,
         inst: &FmssmInstance<'_, '_>,
         values: &[f64],
     ) -> RecoveryPlan {
-        let mut plan = RecoveryPlan::new();
         let m = inst.controllers().len();
+        let last_set = |vars: &[Var]| (0..m).rev().find(|&jp| values[vars[jp].index()] > 0.5);
+        let mut mapping = Vec::new();
+        let mut sdn = Vec::new();
         for (ip, &s) in inst.switches().iter().enumerate() {
-            for jp in 0..m {
-                if values[self.x[ip][jp].index()] > 0.5 {
-                    plan.map_switch(s, inst.controllers()[jp]);
+            if let Some(jp) = last_set(&self.x[ip]) {
+                mapping.push((s, inst.controllers()[jp]));
+            }
+            for &(lp, _) in inst.switch_entries(ip) {
+                if let Some(jp) = last_set(&self.omega[self.entry_index.at(ip, lp)]) {
+                    sdn.push((s, inst.flows()[lp], inst.controllers()[jp]));
                 }
             }
         }
-        for (k, &(ip, lp, _)) in self.entries.iter().enumerate() {
-            for jp in 0..m {
-                if values[self.omega[k][jp].index()] > 0.5 {
-                    plan.set_sdn_via(
-                        inst.switches()[ip],
-                        inst.flows()[lp],
-                        inst.controllers()[jp],
-                    );
-                }
-            }
-        }
-        plan
+        RecoveryPlan::from_parts(mapping, Vec::new(), sdn)
     }
 }
 

@@ -165,7 +165,7 @@ impl RecoveryAlgorithm for Pg {
         drop(phase2_span);
 
         // Emit the picks switch by switch, flows ascending within each:
-        // the plan's key order, so the bulk build's sort finds one run.
+        // the plan's own order, so `from_parts` keeps the list as it is.
         let mut sdn = Vec::with_capacity(picks as usize);
         for (ip, &s) in inst.switches().iter().enumerate() {
             for &(lp, _) in inst.switch_entries(ip) {

@@ -64,9 +64,9 @@ impl RecoveryAlgorithm for RetroFlow {
             flows_touched += inst.switch_entries(ip).len() as u64;
         }
 
-        // Emit in switch order, so each of the plan's maps is bulk-built
-        // from a sorted run. Every β = 1 flow at a recovered switch becomes
-        // programmable there.
+        // Emit in switch order, the plan's own order, so `from_parts` keeps
+        // the lists as they are. Every β = 1 flow at a recovered switch
+        // becomes programmable there.
         let mut mappings = Vec::with_capacity(recovered as usize);
         let mut full_sdn = Vec::with_capacity(recovered as usize);
         let mut sdn = Vec::with_capacity(flows_touched as usize);

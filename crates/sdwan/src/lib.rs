@@ -62,7 +62,7 @@ pub use metrics::{BoxStats, PlanMetrics};
 pub use network::{Controller, ControllerId, Flow, FlowId, SdWan, SwitchId};
 pub use partition::{nearest_controller_partition, spread_controllers};
 pub use placement::{place_controllers, PlacementStrategy};
-pub use plan::RecoveryPlan;
+pub use plan::{PlanBuilder, RecoveryPlan};
 pub use programmability::{Programmability, ScenarioProgrammability};
 pub use scenario::{FailureScenario, SdWanBuilder};
 pub use traffic::{LinkKey, LinkLoads, TrafficMatrix};

@@ -158,7 +158,7 @@ impl PlanMetrics {
         let recovered = per_flow.iter().filter(|&&p| p > 0).count();
         let recoverable = recoverable_mask.iter().filter(|&&b| b).count();
 
-        let used = plan.controller_usage_dense(scenario);
+        let (used, _) = plan.usage_tables(scenario);
         let controller_usage: Vec<ControllerUsage> = scenario
             .active_controllers()
             .iter()
@@ -172,15 +172,11 @@ impl PlanMetrics {
         // One control interaction per capacity unit consumed: γ_i of them
         // for a whole-switch SDN switch, one per flow-level selection.
         let mut total_overhead = 0.0;
-        for (s, c) in plan.mappings() {
-            if plan.is_full_sdn(s) {
-                total_overhead += net.gamma(s) as f64 * (net.ctrl_delay(s, c) + middle_layer_ms);
-            }
+        for (s, c) in plan.full_sdn_mappings() {
+            total_overhead += net.gamma(s) as f64 * (net.ctrl_delay(s, c) + middle_layer_ms);
         }
-        for (s, _l, c) in plan.sdn_selections() {
-            if !plan.is_full_sdn(s) {
-                total_overhead += net.ctrl_delay(s, c) + middle_layer_ms;
-            }
+        for (s, _, c, _, _) in plan.annotated_selections().filter(|&(.., full)| !full) {
+            total_overhead += net.ctrl_delay(s, c) + middle_layer_ms;
         }
 
         PlanMetrics {
@@ -288,6 +284,7 @@ impl PlanMetrics {
 mod tests {
     use super::*;
     use crate::network::SwitchId;
+    use crate::plan::PlanBuilder;
     use crate::scenario::SdWanBuilder;
 
     #[test]
@@ -352,9 +349,10 @@ mod tests {
             })
             .expect("recoverable flow");
         let c = *sc.active_controllers().first().unwrap();
-        let mut plan = RecoveryPlan::new();
+        let mut plan = PlanBuilder::default();
         plan.map_switch(s, c);
         plan.set_sdn(s, l);
+        let plan = plan.build();
         plan.validate(&sc, &prog, false).unwrap();
 
         let m = PlanMetrics::compute(&sc, &prog, &plan, 0.0);
@@ -392,7 +390,7 @@ mod tests {
         let sc = net.fail(&[ControllerId(3), ControllerId(4)]).unwrap();
         let prog = Programmability::compute(&net);
         // Recover EVERY recoverable flow with one entry.
-        let mut plan = RecoveryPlan::new();
+        let mut plan = PlanBuilder::default();
         let c = *sc
             .active_controllers()
             .iter()
@@ -413,7 +411,7 @@ mod tests {
                 used += 1;
             }
         }
-        let m = PlanMetrics::compute(&sc, &prog, &plan, 0.0);
+        let m = PlanMetrics::compute(&sc, &prog, &plan.build(), 0.0);
         // Hopeless flows keep min_programmability at 0 …
         assert_eq!(m.min_programmability, 0);
         // … but the recoverable-only view can exceed it once some flows are
@@ -442,7 +440,7 @@ mod tests {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
         let sc = net.fail(&[ControllerId(3)]).unwrap();
         let prog = Programmability::compute(&net);
-        let mut plan = RecoveryPlan::new();
+        let mut plan = PlanBuilder::default();
         // Recover exactly one flow: the minimum across all offline flows
         // stays 0 because other flows are unrecovered.
         let (l, s) = sc
@@ -457,7 +455,7 @@ mod tests {
             .unwrap();
         plan.map_switch(s, *sc.active_controllers().first().unwrap());
         plan.set_sdn(s, l);
-        let m = PlanMetrics::compute(&sc, &prog, &plan, 0.0);
+        let m = PlanMetrics::compute(&sc, &prog, &plan.build(), 0.0);
         assert_eq!(m.min_programmability, 0);
         assert!(sc.offline_flows().len() > 1);
         let _ = SwitchId(0);

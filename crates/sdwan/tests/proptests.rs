@@ -1,7 +1,7 @@
 //! Property tests for the SD-WAN domain model: scenario derivation,
 //! programmability structure and plan validation on random networks.
 
-use pm_sdwan::{ControllerId, FlowId, Programmability, RecoveryPlan, SdWan, SdWanBuilder};
+use pm_sdwan::{ControllerId, FlowId, PlanBuilder, Programmability, SdWan, SdWanBuilder};
 use pm_topo::builders::{waxman, WaxmanParams};
 use pm_topo::NodeId;
 use proptest::prelude::*;
@@ -82,9 +82,9 @@ proptest! {
 
         // Corruption 1: map an online switch.
         if let Some(online) = net.switches().find(|&s| !scenario.is_offline(s)) {
-            let mut plan = RecoveryPlan::new();
+            let mut plan = PlanBuilder::default();
             plan.map_switch(online, active);
-            prop_assert!(plan.validate(&scenario, &prog, false).is_err());
+            prop_assert!(plan.build().validate(&scenario, &prog, false).is_err());
         }
         // Corruption 2: select a β = 0 pair (an offline flow at its
         // offline destination switch).
@@ -93,10 +93,10 @@ proptest! {
             scenario.is_offline(f.dst).then_some((l, f.dst))
         });
         if let Some((l, s)) = bad {
-            let mut plan = RecoveryPlan::new();
+            let mut plan = PlanBuilder::default();
             plan.map_switch(s, active);
             plan.set_sdn(s, l);
-            prop_assert!(plan.validate(&scenario, &prog, false).is_err());
+            prop_assert!(plan.build().validate(&scenario, &prog, false).is_err());
         }
     }
 

@@ -3,7 +3,7 @@
 //! and brings it down (the paper's cascading-failure motivation, \[8\]).
 
 use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm};
-use pm_sdwan::{ControllerId, Programmability, RecoveryPlan, SdWanBuilder};
+use pm_sdwan::{ControllerId, PlanBuilder, Programmability, SdWanBuilder};
 use pm_simctl::{CascadeConfig, RecoveryTiming, SimTime, Simulation};
 
 #[test]
@@ -48,7 +48,7 @@ fn naive_single_controller_remap_cascades() {
     let scenario = net.fail(&failed).unwrap();
 
     let victim = ControllerId(0); // C2: residual 64 — far too small
-    let mut naive = RecoveryPlan::new();
+    let mut naive = PlanBuilder::default();
     for &s in scenario.offline_switches() {
         naive.map_switch(s, victim);
     }
@@ -59,6 +59,7 @@ fn naive_single_controller_remap_cascades() {
             }
         }
     }
+    let naive = naive.build();
     assert!(
         naive.validate(&scenario, &prog, false).is_err(),
         "the naive plan must violate Eq. (3)"
@@ -94,7 +95,7 @@ fn cascade_disabled_by_default() {
     let failed = [ControllerId(3), ControllerId(4)];
     let scenario = net.fail(&failed).unwrap();
     let victim = ControllerId(0);
-    let mut naive = RecoveryPlan::new();
+    let mut naive = PlanBuilder::default();
     for &s in scenario.offline_switches() {
         naive.map_switch(s, victim);
     }
@@ -105,6 +106,7 @@ fn cascade_disabled_by_default() {
             }
         }
     }
+    let naive = naive.build();
     let mut sim = Simulation::new(&net);
     sim.schedule_failure(SimTime::from_ms(0.0), &failed);
     sim.schedule_recovery(

@@ -58,7 +58,7 @@ fn recovery_restores_control_and_counts_messages() {
     let inst = FmssmInstance::new(&scenario, &prog);
     let plan = Pm::new().recover(&inst).unwrap();
     let planned_mods = plan.sdn_count();
-    let planned_switches = plan.recovered_switches().len();
+    let planned_switches = plan.recovered_switch_count();
 
     let mut sim = Simulation::new(&net);
     sim.schedule_failure(SimTime::from_ms(100.0), &[ControllerId(3)]);

@@ -12,14 +12,21 @@
 //! keyed plan insert per decision), kept here verbatim. The shipped
 //! versions must give the same plans and the same `pg.*` / `retroflow.*`
 //! counters.
+//!
+//! The flat `RecoveryPlan` (three sorted vectors) is checked against
+//! `RefPlan`, the ordered-map plan it replaced, kept here as the model:
+//! random builder operations, bulk lists and edited plan texts on the ATT
+//! (C13, C20) failure must give the same text, lookups, validation
+//! verdicts, usage, differences and delay bits.
 
 use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
 use pm_sdwan::{
-    ControllerId, FlowId, NetCache, Programmability, RecoveryPlan, SdWan, SdWanBuilder, SwitchId,
+    ControllerId, FailureScenario, FlowId, NetCache, PlanBuilder, PlanMetrics, Programmability,
+    RecoveryPlan, SdWan, SdWanBuilder, SwitchId,
 };
 use pm_topo::{builders, NodeId};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Mutex, MutexGuard};
 
 /// The telemetry recorder is process-wide: every test here that runs a
@@ -161,7 +168,7 @@ fn pg_oracle(inst: &FmssmInstance<'_, '_>) -> (RecoveryPlan, Counters) {
     let mut a: Vec<i64> = inst.residuals().iter().map(|&r| r as i64).collect();
     let mut h: Vec<u64> = vec![0; l_count];
     let mut cursor: Vec<usize> = vec![0; l_count];
-    let mut plan = RecoveryPlan::new();
+    let mut plan = PlanBuilder::default();
     let mut rounds = 0u64;
     let mut picks = 0u64;
     loop {
@@ -224,7 +231,7 @@ fn pg_oracle(inst: &FmssmInstance<'_, '_>) -> (RecoveryPlan, Counters) {
         ("pg.rounds".to_string(), rounds),
         ("pg.sdn_mode_picks".to_string(), picks),
     ];
-    (plan, counters)
+    (plan.build(), counters)
 }
 
 /// RetroFlow as first written: each adopted switch is mapped, marked
@@ -238,7 +245,7 @@ fn retroflow_oracle(inst: &FmssmInstance<'_, '_>) -> (RecoveryPlan, Counters) {
     let mut recovered = 0u64;
     let mut legacy = 0u64;
     let mut flows_touched = 0u64;
-    let mut plan = RecoveryPlan::new();
+    let mut plan = PlanBuilder::default();
     for ip in order {
         let cost = inst.gamma(ip) as i64;
         let Some(&j) = inst
@@ -268,7 +275,7 @@ fn retroflow_oracle(inst: &FmssmInstance<'_, '_>) -> (RecoveryPlan, Counters) {
         ("retroflow.switches_legacy".to_string(), legacy),
         ("retroflow.switches_recovered".to_string(), recovered),
     ];
-    (plan, counters)
+    (plan.build(), counters)
 }
 
 /// Runs `algo` with the recorder on and returns its plan and the counters
@@ -399,4 +406,597 @@ fn att_heuristics_match_oracles_on_every_case() {
         }
     }
     assert_eq!(cases, (1 << m) - 2, "every proper non-empty failure set");
+}
+
+/// The recovery plan as it was before the flat layout: two ordered maps
+/// and an ordered set, one keyed insert per decision, one keyed lookup per
+/// selection. Kept verbatim (minus docs) as the model the flat
+/// [`RecoveryPlan`] must match.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct RefPlan {
+    mapping: BTreeMap<SwitchId, ControllerId>,
+    sdn: BTreeMap<(SwitchId, FlowId), ControllerId>,
+    full_sdn: BTreeSet<SwitchId>,
+}
+
+type Parts = (
+    Vec<(SwitchId, ControllerId)>,
+    Vec<SwitchId>,
+    Vec<(SwitchId, FlowId, ControllerId)>,
+);
+
+impl RefPlan {
+    fn from_parts(
+        mut mappings: Vec<(SwitchId, ControllerId)>,
+        mut full_sdn: Vec<SwitchId>,
+        mut sdn: Vec<(SwitchId, FlowId, ControllerId)>,
+    ) -> Self {
+        mappings.sort_unstable_by_key(|&(s, _)| s);
+        full_sdn.sort_unstable();
+        sdn.sort_unstable_by_key(|&(s, l, _)| (s, l));
+        if let Some(w) = mappings.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("switch {} mapped twice", w[0].0);
+        }
+        if let Some(w) = full_sdn.windows(2).find(|w| w[0] == w[1]) {
+            panic!("full-SDN switch {} listed twice", w[0]);
+        }
+        if let Some(w) = sdn
+            .windows(2)
+            .find(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        {
+            panic!("pair ({}, {}) selected twice", w[0].0, w[0].1);
+        }
+        let mut mapped = mappings.iter().map(|&(s, _)| s).peekable();
+        for &s in &full_sdn {
+            while mapped.next_if(|&m| m < s).is_some() {}
+            assert!(
+                mapped.next_if_eq(&s).is_some(),
+                "full-SDN switch {s} is unmapped"
+            );
+        }
+        RefPlan {
+            mapping: mappings.into_iter().collect(),
+            sdn: sdn.into_iter().map(|(s, l, c)| ((s, l), c)).collect(),
+            full_sdn: full_sdn.into_iter().collect(),
+        }
+    }
+
+    fn map_switch(&mut self, s: SwitchId, c: ControllerId) {
+        self.mapping.insert(s, c);
+    }
+
+    fn controller_of(&self, s: SwitchId) -> Option<ControllerId> {
+        self.mapping.get(&s).copied()
+    }
+
+    fn set_sdn(&mut self, s: SwitchId, l: FlowId) -> bool {
+        let c = self
+            .mapping
+            .get(&s)
+            .copied()
+            .expect("switch must be mapped before set_sdn");
+        self.sdn.insert((s, l), c).is_none()
+    }
+
+    fn set_sdn_via(&mut self, s: SwitchId, l: FlowId, c: ControllerId) -> bool {
+        self.sdn.insert((s, l), c).is_none()
+    }
+
+    fn set_full_sdn(&mut self, s: SwitchId) {
+        assert!(
+            self.mapping.contains_key(&s),
+            "switch must be mapped before set_full_sdn"
+        );
+        self.full_sdn.insert(s);
+    }
+
+    fn is_full_sdn(&self, s: SwitchId) -> bool {
+        self.full_sdn.contains(&s)
+    }
+
+    fn is_sdn(&self, s: SwitchId, l: FlowId) -> bool {
+        self.sdn.contains_key(&(s, l))
+    }
+
+    fn mappings(&self) -> impl Iterator<Item = (SwitchId, ControllerId)> + '_ {
+        self.mapping.iter().map(|(&s, &c)| (s, c))
+    }
+
+    fn sdn_selections(&self) -> impl Iterator<Item = (SwitchId, FlowId, ControllerId)> + '_ {
+        self.sdn.iter().map(|(&(s, l), &c)| (s, l, c))
+    }
+
+    fn recovered_switches(&self) -> BTreeSet<SwitchId> {
+        let mut set: BTreeSet<SwitchId> = self.mapping.keys().copied().collect();
+        set.extend(self.sdn.keys().map(|&(s, _)| s));
+        set
+    }
+
+    fn controller_usage(&self, scenario: &FailureScenario<'_>) -> BTreeMap<ControllerId, u32> {
+        let net = scenario.network();
+        let mut usage = BTreeMap::new();
+        for &s in &self.full_sdn {
+            if let Some(&c) = self.mapping.get(&s) {
+                *usage.entry(c).or_insert(0) += net.gamma(s);
+            }
+        }
+        for (&(s, _), &c) in &self.sdn {
+            if !self.full_sdn.contains(&s) {
+                *usage.entry(c).or_insert(0) += 1;
+            }
+        }
+        usage
+    }
+
+    fn validate(
+        &self,
+        scenario: &FailureScenario<'_>,
+        prog: &Programmability,
+        flow_level: bool,
+    ) -> Result<(), String> {
+        for (&s, &c) in &self.mapping {
+            if !scenario.is_offline(s) {
+                return Err(format!("{s} is not offline"));
+            }
+            if !scenario.is_active(c) {
+                return Err(format!("{c} is not active"));
+            }
+        }
+        for (&(s, l), &c) in &self.sdn {
+            if !scenario.is_offline(s) {
+                return Err(format!("SDN pair at online switch {s}"));
+            }
+            if !scenario.is_active(c) {
+                return Err(format!(
+                    "SDN pair ({s}, {l}) assigned to failed controller {c}"
+                ));
+            }
+            if !scenario.is_offline_flow(l) {
+                return Err(format!("{l} is not an offline flow"));
+            }
+            if !prog.beta(l, s) {
+                return Err(format!(
+                    "β = 0 for {l} at {s}: SDN mode has no effect (Eq. (1))"
+                ));
+            }
+            match self.mapping.get(&s) {
+                Some(&mc) if mc != c => {
+                    return Err(format!(
+                        "pair ({s}, {l}) uses {c} but {s} is mapped to {mc}"
+                    ));
+                }
+                None if !flow_level => {
+                    return Err(format!(
+                        "SDN mode for {l} at unmapped switch {s} (switch-level plan)"
+                    ));
+                }
+                _ => {}
+            }
+        }
+        for &s in &self.full_sdn {
+            if !self.mapping.contains_key(&s) {
+                return Err(format!("full-SDN switch {s} is unmapped"));
+            }
+        }
+        for (c, used) in self.controller_usage(scenario) {
+            let avail = scenario.residual_capacity(c);
+            if used > avail {
+                return Err(format!(
+                    "{c} assigned {used} flows but has capacity {avail}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    fn to_text(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for (&s, &c) in &self.mapping {
+            let _ = writeln!(out, "map s{} C{}", s.index(), c.index());
+        }
+        for &s in &self.full_sdn {
+            let _ = writeln!(out, "full s{}", s.index());
+        }
+        for (&(s, l), &c) in &self.sdn {
+            let _ = writeln!(out, "sdn s{} f{} C{}", s.index(), l.index(), c.index());
+        }
+        out
+    }
+
+    fn from_text(text: &str) -> Result<RefPlan, String> {
+        fn id(token: &str, prefix: char, line_no: usize) -> Result<usize, String> {
+            token
+                .strip_prefix(prefix)
+                .and_then(|rest| rest.parse().ok())
+                .ok_or_else(|| format!("line {line_no}: expected {prefix}<number>, got {token}"))
+        }
+        fn repeated(line_no: usize, what: String) -> String {
+            format!("line {line_no}: repeated {what}")
+        }
+        let mut plan = RefPlan::default();
+        for (i, line) in text.lines().enumerate() {
+            let line_no = i + 1;
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            match fields.as_slice() {
+                ["map", s, c] => {
+                    let s = SwitchId(id(s, 's', line_no)?);
+                    let c = ControllerId(id(c, 'C', line_no)?);
+                    if plan.mapping.insert(s, c).is_some() {
+                        return Err(repeated(line_no, format!("mapping of {s}")));
+                    }
+                }
+                ["full", s] => {
+                    let s = SwitchId(id(s, 's', line_no)?);
+                    if !plan.mapping.contains_key(&s) {
+                        return Err(format!(
+                            "line {line_no}: full-SDN switch {s} not mapped (map lines must come first)"
+                        ));
+                    }
+                    if !plan.full_sdn.insert(s) {
+                        return Err(repeated(line_no, format!("full-SDN switch {s}")));
+                    }
+                }
+                ["sdn", s, l, c] => {
+                    let s = SwitchId(id(s, 's', line_no)?);
+                    let l = FlowId(id(l, 'f', line_no)?);
+                    let c = ControllerId(id(c, 'C', line_no)?);
+                    if plan.sdn.insert((s, l), c).is_some() {
+                        return Err(repeated(line_no, format!("selection ({s}, {l})")));
+                    }
+                }
+                _ => return Err(format!("line {line_no}: unrecognized directive: {line}")),
+            }
+        }
+        Ok(plan)
+    }
+
+    fn difference(&self, base: &RefPlan) -> RefPlan {
+        let mut delta = RefPlan::default();
+        for (&s, &c) in &self.mapping {
+            if base.mapping.get(&s) != Some(&c) {
+                delta.mapping.insert(s, c);
+            }
+        }
+        for (&(s, l), &c) in &self.sdn {
+            if base.sdn.get(&(s, l)) != Some(&c) {
+                delta.sdn.insert((s, l), c);
+            }
+        }
+        for &s in &self.full_sdn {
+            if !base.full_sdn.contains(&s) && delta.mapping.contains_key(&s) {
+                delta.full_sdn.insert(s);
+            }
+        }
+        delta
+    }
+
+    fn total_control_delay(&self, scenario: &FailureScenario<'_>) -> f64 {
+        self.sdn
+            .iter()
+            .map(|(&(s, _), &c)| scenario.network().ctrl_delay(s, c))
+            .sum()
+    }
+
+    /// `PlanMetrics::total_overhead_ms` as it was computed with one
+    /// full-SDN lookup per mapping and per selection.
+    fn total_overhead(&self, scenario: &FailureScenario<'_>, middle_layer_ms: f64) -> f64 {
+        let net = scenario.network();
+        let mut total = 0.0;
+        for (s, c) in self.mappings() {
+            if self.is_full_sdn(s) {
+                total += net.gamma(s) as f64 * (net.ctrl_delay(s, c) + middle_layer_ms);
+            }
+        }
+        for (s, _, c) in self.sdn_selections() {
+            if !self.is_full_sdn(s) {
+                total += net.ctrl_delay(s, c) + middle_layer_ms;
+            }
+        }
+        total
+    }
+
+    fn parts(&self) -> Parts {
+        (
+            self.mappings().collect(),
+            self.full_sdn.iter().copied().collect(),
+            self.sdn_selections().collect(),
+        )
+    }
+}
+
+/// One random builder step. Switch, flow and controller ids index the
+/// network's id ranges (flows two past the end), or, for `on_entry`, an
+/// offline `β = 1` pair of the scenario, so that both valid and invalid
+/// plans come up.
+#[derive(Debug, Clone)]
+struct PlanOp {
+    kind: u8,
+    on_entry: bool,
+    entry: usize,
+    s: usize,
+    l: usize,
+    c: usize,
+}
+
+fn plan_op() -> impl Strategy<Value = PlanOp> {
+    (
+        0u8..4,
+        0u8..2,
+        0usize..1 << 20,
+        0usize..64,
+        0usize..4096,
+        0usize..64,
+    )
+        .prop_map(|(kind, on_entry, entry, s, l, c)| PlanOp {
+            kind,
+            on_entry: on_entry == 1,
+            entry,
+            s,
+            l,
+            c,
+        })
+}
+
+/// The ATT paper setup failed at (C13, C20), its programmability table and
+/// every offline `β = 1` pair.
+struct Att {
+    net: SdWan,
+    prog: Programmability,
+    entries: Vec<(SwitchId, FlowId)>,
+}
+
+fn att() -> &'static Att {
+    static ATT: std::sync::OnceLock<Att> = std::sync::OnceLock::new();
+    ATT.get_or_init(|| {
+        let net = SdWanBuilder::att_paper_setup()
+            .build()
+            .expect("paper setup");
+        let prog = Programmability::compute(&net);
+        let sc = net.fail(&ATT_FAILED).expect("valid failure set");
+        let mut entries = Vec::new();
+        for &l in sc.offline_flows() {
+            for &(s, _) in prog.flow_entries(l) {
+                if sc.is_offline(s) {
+                    entries.push((s, l));
+                }
+            }
+        }
+        drop(sc);
+        Att { net, prog, entries }
+    })
+}
+
+/// C13 and C20 of the paper's ATT setup.
+const ATT_FAILED: [ControllerId; 2] = [ControllerId(3), ControllerId(4)];
+
+/// Applies `ops` through [`PlanBuilder`] and to a [`RefPlan`] alike. A
+/// `set_sdn` or `set_full_sdn` at an unmapped switch (a panic in both)
+/// is skipped.
+fn build_both(att: &Att, ops: &[PlanOp]) -> (RecoveryPlan, RefPlan) {
+    let switches = att.net.switch_count();
+    let controllers = att.net.controllers().len();
+    let flows = att.net.flows().len() + 2;
+    let mut builder = PlanBuilder::default();
+    let mut reference = RefPlan::default();
+    for op in ops {
+        let (s, l) = if op.on_entry {
+            att.entries[op.entry % att.entries.len()]
+        } else {
+            (SwitchId(op.s % switches), FlowId(op.l % flows))
+        };
+        let c = ControllerId(op.c % controllers);
+        match op.kind {
+            0 => {
+                builder.map_switch(s, c);
+                reference.map_switch(s, c);
+            }
+            1 if reference.controller_of(s).is_some() => {
+                assert_eq!(builder.set_sdn(s, l), reference.set_sdn(s, l));
+            }
+            2 => assert_eq!(builder.set_sdn_via(s, l, c), reference.set_sdn_via(s, l, c)),
+            3 if reference.controller_of(s).is_some() => {
+                builder.set_full_sdn(s);
+                reference.set_full_sdn(s);
+            }
+            _ => {}
+        }
+    }
+    (builder.build(), reference)
+}
+
+/// Every observable of the flat plan equals the model's.
+fn assert_plan_matches_model(
+    att: &Att,
+    sc: &FailureScenario<'_>,
+    plan: &RecoveryPlan,
+    reference: &RefPlan,
+) {
+    assert_eq!(plan.to_text(), reference.to_text());
+    assert!(plan.mappings().eq(reference.mappings()));
+    assert!(plan.sdn_selections().eq(reference.sdn_selections()));
+    assert_eq!(plan.sdn_count(), reference.sdn.len());
+    for s in (0..att.net.switch_count() + 2).map(SwitchId) {
+        assert_eq!(plan.controller_of(s), reference.controller_of(s));
+        assert_eq!(plan.is_full_sdn(s), reference.is_full_sdn(s));
+        for l in (0..att.net.flows().len() + 2).map(FlowId) {
+            assert_eq!(plan.is_sdn(s, l), reference.is_sdn(s, l));
+        }
+    }
+    for flow_level in [false, true] {
+        assert_eq!(
+            plan.validate(sc, &att.prog, flow_level)
+                .map_err(|e| match e {
+                    pm_sdwan::SdwanError::InvalidPlan(m) => m,
+                    other => other.to_string(),
+                }),
+            reference.validate(sc, &att.prog, flow_level),
+            "validate(flow_level = {flow_level}) of\n{}",
+            reference.to_text()
+        );
+    }
+    assert_eq!(plan.controller_usage(sc), reference.controller_usage(sc));
+    assert_eq!(
+        plan.recovered_switch_count(),
+        reference.recovered_switches().len()
+    );
+    assert_eq!(
+        plan.total_control_delay(sc).to_bits(),
+        reference.total_control_delay(sc).to_bits()
+    );
+    for middle_layer_ms in [0.0, 0.48] {
+        let metrics = PlanMetrics::compute(sc, &att.prog, plan, middle_layer_ms);
+        assert_eq!(
+            metrics.total_overhead_ms.to_bits(),
+            reference.total_overhead(sc, middle_layer_ms).to_bits()
+        );
+        assert_eq!(
+            metrics.recovered_switches,
+            reference.recovered_switches().len()
+        );
+    }
+}
+
+/// Runs `f` on both sides and compares: equal values, or equal panic
+/// messages.
+fn same_outcome<A, B>(
+    flat: impl FnOnce() -> A + std::panic::UnwindSafe,
+    model: impl FnOnce() -> B + std::panic::UnwindSafe,
+) -> Option<(A, B)> {
+    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_default()
+    }
+    match (
+        std::panic::catch_unwind(flat),
+        std::panic::catch_unwind(model),
+    ) {
+        (Ok(a), Ok(b)) => Some((a, b)),
+        (Err(a), Err(b)) => {
+            assert_eq!(message(a), message(b), "both panic, alike");
+            None
+        }
+        (a, b) => panic!("one side panics: flat {}, model {}", a.is_ok(), b.is_ok()),
+    }
+}
+
+/// A text edit applied to both sides' input: a line moved, duplicated,
+/// reversed with the rest, or replaced by junk.
+#[derive(Debug, Clone)]
+enum TextEdit {
+    Move(usize, usize),
+    Duplicate(usize, usize),
+    Reverse,
+    Junk(usize),
+}
+
+fn text_edit() -> impl Strategy<Value = TextEdit> {
+    (0u8..4, 0usize..1 << 20, 0usize..1 << 20).prop_map(|(kind, a, b)| match kind {
+        0 => TextEdit::Move(a, b),
+        1 => TextEdit::Duplicate(a, b),
+        2 => TextEdit::Reverse,
+        _ => TextEdit::Junk(a),
+    })
+}
+
+fn edited_text(text: &str, edits: &[TextEdit]) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    for edit in edits {
+        let n = lines.len().max(1);
+        match *edit {
+            TextEdit::Move(a, b) if !lines.is_empty() => {
+                let line = lines.remove(a % n);
+                lines.insert(b % n, line);
+            }
+            TextEdit::Duplicate(a, b) if !lines.is_empty() => {
+                let line = lines[a % n].clone();
+                lines.insert(b % (n + 1), line);
+            }
+            TextEdit::Reverse => lines.reverse(),
+            TextEdit::Junk(a) => {
+                let junk = ["map s1", "sdn s1 f2 Cx", "full", "# note", ""][a % 5];
+                lines.insert(a % (lines.len() + 1), junk.to_string());
+            }
+            _ => {}
+        }
+    }
+    lines.join("\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn flat_plan_matches_the_tree_model(
+        ops in proptest::collection::vec(plan_op(), 0..48),
+        base_ops in proptest::collection::vec(plan_op(), 0..24),
+        order in 0usize..1 << 20,
+        repeat in (0u8..4, 0usize..1 << 20),
+        edits in proptest::collection::vec(text_edit(), 0..4),
+    ) {
+        let att = att();
+        let sc = att.net.fail(&ATT_FAILED).expect("valid failure set");
+
+        // Builder operations.
+        let (plan, reference) = build_both(att, &ops);
+        assert_plan_matches_model(att, &sc, &plan, &reference);
+
+        // Bulk construction: the same decision lists, rotated out of
+        // order, optionally with one decision repeated.
+        let (mut mapping, mut full, mut sdn) = reference.parts();
+        let turn = |len: usize| if len == 0 { 0 } else { order % len };
+        let turned = turn(mapping.len());
+        mapping.rotate_left(turned);
+        let turned = turn(sdn.len());
+        sdn.rotate_left(turned);
+        full.reverse();
+        // Kinds 0..3 repeat a mapping, a full-SDN switch or a selection.
+        let (which, at) = repeat;
+        match which {
+            0 if !mapping.is_empty() => mapping.push(mapping[at % mapping.len()]),
+            1 if !full.is_empty() => full.push(full[at % full.len()]),
+            2 if !sdn.is_empty() => sdn.push(sdn[at % sdn.len()]),
+            _ => {}
+        }
+        let lists = (mapping, full, sdn);
+        let model_lists = lists.clone();
+        if let Some((bulk, model)) = same_outcome(
+            move || RecoveryPlan::from_parts(lists.0, lists.1, lists.2),
+            move || RefPlan::from_parts(model_lists.0, model_lists.1, model_lists.2),
+        ) {
+            prop_assert_eq!(&model, &reference);
+            assert_plan_matches_model(att, &sc, &bulk, &model);
+        }
+
+        // Text: the plan's own serialization, then edited.
+        let text = edited_text(&plan.to_text(), &edits);
+        match (RecoveryPlan::from_text(&text), RefPlan::from_text(&text)) {
+            (Ok(parsed), Ok(model)) => assert_plan_matches_model(att, &sc, &parsed, &model),
+            (Err(pm_sdwan::SdwanError::InvalidPlan(e)), Err(model)) => prop_assert_eq!(e, model),
+            (flat, model) => prop_assert!(false, "{text:?}: flat {flat:?}, model {model:?}"),
+        }
+
+        // Difference against a second random plan, both ways.
+        let (base, base_reference) = build_both(att, &base_ops);
+        assert_plan_matches_model(att, &sc, &base, &base_reference);
+        assert_plan_matches_model(
+            att,
+            &sc,
+            &plan.difference(&base),
+            &reference.difference(&base_reference),
+        );
+        assert_plan_matches_model(
+            att,
+            &sc,
+            &base.difference(&plan),
+            &base_reference.difference(&reference),
+        );
+    }
 }
