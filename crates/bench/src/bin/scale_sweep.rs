@@ -10,9 +10,9 @@
 //! pipeline avoids any all-pairs computation, so memory and time scale
 //! with the controller count and flow pool — not the switch count squared.
 //!
-//! Artifacts: `BENCH_scale.json` (pinned schema: topology, scenario-space
-//! accounting including the streaming-dispatch live peak, per-algorithm
-//! timing, optional phase breakdown), plus — with `--csv DIR` —
+//! Artifacts, written with `--csv DIR`: `BENCH_scale.json` (pinned schema:
+//! topology, scenario-space accounting including the streaming-dispatch
+//! live peak, per-algorithm timing, optional phase breakdown), plus
 //! `scale_cases.csv` and `scale_cases.jsonl` holding only deterministic
 //! per-case metrics, so the outputs of `--shard i/m` runs concatenated in
 //! shard order are byte-identical to the unsharded run.

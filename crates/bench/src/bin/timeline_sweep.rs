@@ -7,11 +7,11 @@
 //! compose unchanged: m shard outputs concatenated in shard order are
 //! byte-identical to the unsharded run, at any `--jobs` count.
 //!
-//! Artifacts: `BENCH_timeline.json` (pinned schema: topology,
-//! timeline-space accounting including the streaming-dispatch live peak,
-//! aggregate event totals, optional phase breakdown), plus — with
-//! `--csv DIR` — `timeline_cases.csv` and `timeline_cases.jsonl` holding
-//! only deterministic per-timeline outcomes.
+//! Artifacts, written with `--csv DIR`: `BENCH_timeline.json` (pinned
+//! schema: topology, timeline-space accounting including the
+//! streaming-dispatch live peak, aggregate event totals, optional phase
+//! breakdown), plus `timeline_cases.csv` and `timeline_cases.jsonl`
+//! holding only deterministic per-timeline outcomes.
 //!
 //! Run: `cargo run --release -p pm-bench --bin timeline_sweep -- --help`
 //! for the flags.

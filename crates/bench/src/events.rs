@@ -4,7 +4,7 @@
 //! sweep runs — `sweep_start`, `case_start` / `case_finish` per failure
 //! case (with the worker that ran it and a running p95 of case times), and
 //! `sweep_finish` — plus an opt-in, rate-limited progress line on stderr.
-//! `--events FILE` / `--progress` on the bench binaries wire it up; see
+//! `--events FILE` / `--progress` (the evaluation group) wire it up; see
 //! [`crate::EvalOptions`].
 //!
 //! Event emission is strictly observational: it wraps the per-case closure

@@ -1,6 +1,7 @@
-//! Shared driver for the Fig. 4 / Fig. 5 / Fig. 6 binaries: run every
-//! k-failure combination through the [`SweepEngine`] and print one table
-//! per panel, plus per-case computation-time statistics on stderr.
+//! Shared driver for Fig. 4 / Fig. 5 / Fig. 6 (`pmctl repro fig4` …):
+//! run every k-failure combination through the [`SweepEngine`] and write
+//! one table per panel, plus per-case computation-time statistics on
+//! stderr.
 
 use crate::harness::{CaseResult, EvalOptions};
 use crate::par::{timing_stats, SweepEngine};
@@ -272,31 +273,26 @@ pub fn bench_sweep_json_with_phases(
     out
 }
 
-/// Writes [`bench_sweep_json`] to `BENCH_sweep.json` in the CSV directory
-/// (or the working directory), with the recorder's span aggregates when
-/// it is on.
+/// Writes [`bench_sweep_json`] to `BENCH_sweep.json` in the CSV directory,
+/// with the recorder's span aggregates when it is on.
 pub fn write_bench_sweep_json(opts: &EvalOptions, figure: &str, sweeps: &[(usize, &[CaseResult])]) {
     write_bench_json(opts, "BENCH_sweep.json", |snap| {
         bench_sweep_json_with_phases(figure, opts.jobs, sweeps, snap)
     });
 }
 
-/// Writes a `BENCH_*.json` artifact into the CSV directory (or the
-/// working directory when `--csv` was not given); errors are reported to
-/// stderr but not fatal. With the recorder on, `render` gets its snapshot
-/// to fold the span aggregates in; recorder-off runs emit the plain
-/// schema-1 layout.
+/// Writes a `BENCH_*.json` artifact into the CSV directory; without
+/// `--csv` nothing is written. Errors are reported to stderr but not
+/// fatal. With the recorder on, `render` gets its snapshot to fold the
+/// span aggregates in; recorder-off runs emit the plain schema-1 layout.
 pub(crate) fn write_bench_json(
     opts: &EvalOptions,
     name: &str,
     render: impl FnOnce(Option<&pm_obs::Snapshot>) -> String,
 ) {
+    let Some(dir) = &opts.csv_dir else { return };
     let snap = pm_obs::enabled().then(pm_obs::snapshot);
-    let dir = opts
-        .csv_dir
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    write_file(&dir, name, &render(snap.as_ref()));
+    write_file(dir, name, &render(snap.as_ref()));
 }
 
 /// The opening members every `BENCH_*.json` (schema version 1) shares.
@@ -452,14 +448,20 @@ pub fn shard_note(shard: Option<(usize, usize)>, len: u64) -> String {
     }
 }
 
-/// Runs all `k`-controller-failure cases and prints the paper's panels,
-/// one row per case in ascending order of the failed node ids, to stdout;
+/// Runs all `k`-controller-failure cases and writes the paper's panels,
+/// one row per case in ascending order of the failed node ids, to `out`;
 /// the per-case timing table goes to stderr.
 ///
 /// `fig_name` tags the output ("fig4" …); `switch_panels` adds the
 /// recovered-switch and controller-resource panels that Figs. 5 and 6 have
 /// but Fig. 4 does not.
-pub fn run_failure_figure(k: usize, fig_name: &str, switch_panels: bool, opts: &EvalOptions) {
+pub fn run_failure_figure(
+    k: usize,
+    fig_name: &str,
+    switch_panels: bool,
+    opts: &EvalOptions,
+    out: &mut dyn std::io::Write,
+) -> std::io::Result<()> {
     let net = SdWanBuilder::att_paper_setup()
         .build()
         .expect("paper setup builds");
@@ -482,11 +484,8 @@ pub fn run_failure_figure(k: usize, fig_name: &str, switch_panels: bool, opts: &
             .collect::<Vec<_>>()
     });
 
-    print!(
-        "{}",
-        metrics_report(&cases, k, fig_name, switch_panels, opts)
-    );
-    // Wall-clock numbers stay off stdout so it regenerates byte for byte.
+    out.write_all(metrics_report(&cases, k, fig_name, switch_panels, opts).as_bytes())?;
+    // Wall-clock numbers stay off `out` so it regenerates byte for byte.
     eprint!("{}", timing_report(&cases));
 
     if let Some(dir) = &opts.csv_dir {
@@ -508,6 +507,7 @@ pub fn run_failure_figure(k: usize, fig_name: &str, switch_panels: bool, opts: &
         );
     }
     write_bench_sweep_json(opts, fig_name, &[(k, cases.as_slice())]);
+    Ok(())
 }
 
 #[cfg(test)]

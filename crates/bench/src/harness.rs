@@ -6,7 +6,7 @@ use pm_sdwan::{ControllerId, FailureScenario, PlanMetrics, Programmability, Reco
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Evaluation options shared by the figure binaries, parsed from the
+/// Evaluation options shared by the sweeps and figures, parsed from the
 /// command line by [`EvalOptions::take`].
 #[derive(Debug, Clone)]
 pub struct EvalOptions {

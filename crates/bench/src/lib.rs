@@ -1,9 +1,9 @@
 //! Evaluation harness for the ProgrammabilityMedic reproduction.
 //!
-//! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper's evaluation (Section VI):
+//! `pmctl repro NAME` (crate `pm-cli`) regenerates every table and figure
+//! of the paper's evaluation (Section VI) through this harness:
 //!
-//! | Binary   | Paper artifact | Content |
+//! | NAME     | Paper artifact | Content |
 //! |----------|----------------|---------|
 //! | `table3` | Table III      | controller domains and per-switch flow counts |
 //! | `fig4`   | Fig. 4(a–d)    | one controller failure, 6 cases |

@@ -70,7 +70,7 @@ pub struct PoolNames {
 }
 
 /// The names of the failure-case pool: the sweep engine, the store build
-/// and the bench binaries' independent work items.
+/// and `pmctl repro`'s independent work items.
 pub const SWEEP_POOL: PoolNames = PoolNames {
     prefix: "sweep",
     item: "cases",

@@ -1,4 +1,4 @@
-//! Text-table and CSV rendering for the evaluation binaries.
+//! Text-table and CSV rendering for the evaluation outputs.
 
 use std::fmt::Write as _;
 use std::path::Path;

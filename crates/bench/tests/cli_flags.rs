@@ -119,38 +119,6 @@ fn scale_sweep_batch_zero_reads_as_pmctl_sweep_does() {
     assert_eq!(stderr, expected);
 }
 
-#[test]
-fn fig7_metrics_carry_the_tail_sample_interval() {
-    // A 60 s interval never completes during the sweep: only the final
-    // interval, taken at teardown, can fill the time series.
-    let dir = scratch_dir("fig7");
-    let args: Vec<&OsStr> = [
-        "--skip-optimal",
-        "--jobs",
-        "1",
-        "--sample-interval",
-        "60000",
-        "--metrics",
-        "m.json",
-        "--csv",
-        ".",
-    ]
-    .iter()
-    .map(OsStr::new)
-    .collect();
-    let out = spawn_in(&dir, "fig7", &args);
-    assert!(out.status.success(), "{out:?}");
-    let text = std::fs::read_to_string(dir.join("m.json")).expect("metrics written");
-    let doc = pm_obs::json::parse(&text).expect("metrics JSON parses");
-    let intervals = doc
-        .get("timeseries")
-        .and_then(|ts| ts.get("intervals"))
-        .and_then(pm_obs::json::Value::items)
-        .map_or(0, |iv| iv.len());
-    assert!(intervals >= 1, "no tail interval in:\n{text}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[cfg(unix)]
 #[test]
 fn scale_sweep_takes_non_utf8_paths_and_rejects_non_utf8_numbers() {
@@ -205,5 +173,7 @@ fn every_bin_answers_help_and_rejects_unknown_flags() {
         assert!(stderr.contains("--bogus"), "{bin}: {stderr}");
         seen += 1;
     }
-    assert!(seen >= 12, "only {seen} binaries found");
+    // loadgen, flight_fixture, scale_sweep, timeline_sweep; the paper
+    // outputs are `pmctl repro` entries (crates/cli/tests/cli_flags.rs).
+    assert_eq!(seen, 4, "{seen} binaries found");
 }

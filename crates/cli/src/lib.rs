@@ -13,6 +13,7 @@
 //! pmctl simulate --fail 13,20       # discrete-event recovery animation
 //! pmctl relieve --fail 13,20        # hotspot relief with the recovered programmability
 //! pmctl inspect --fail 13,20        # FMSSM instance diagnostics
+//! pmctl repro fig5 --opt-secs 20    # regenerate the paper's Fig. 5
 //! ```
 
 #![forbid(unsafe_code)]
@@ -21,6 +22,7 @@
 mod obs_cmd;
 mod obs_prof;
 mod obs_top;
+mod repro;
 mod serve_cmd;
 
 use pm_bench::flags::{take_opt_secs, take_timeline_count, take_timeline_params, Args, Telemetry};
@@ -60,6 +62,8 @@ USAGE:
                  [--port-file PATH] [network options]
                  run pmd: precompute all f <= K plans, serve POST /plan,
                  GET /plans/<rank>, POST /reload, POST /shutdown
+  pmctl repro    NAME [evaluation options]   regenerate a paper output
+                 (table3, fig4..fig7 and three studies; see pmctl repro help)
   pmctl obs      report|diff|gate|top|flame|critical ...   (see pmctl obs help)
 
 Failed controllers are named by the node they sit at (the paper's
@@ -120,6 +124,7 @@ fn dispatch(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         "relieve" => cmd_relieve(args, out),
         "inspect" => cmd_inspect(args, out),
         "sweep" => cmd_sweep(args, out),
+        "repro" => repro::cmd_repro(args, out),
         "serve" => serve_cmd::cmd_serve(args, out),
         "obs" => obs_cmd::cmd_obs(args, out),
         "help" | "--help" | "-h" => {

@@ -248,13 +248,11 @@ fn obs_gate(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// Runs the baseline workload in-process and snapshots its telemetry: the
-/// fig7 `--skip-optimal --jobs 1` sweep over every 1/2/3-controller
-/// failure case of the paper's ATT setup, on a freshly reset recorder.
+/// Runs the baseline workload in-process and snapshots its telemetry:
+/// `pmctl repro fig7 --skip-optimal --jobs 1`, the sweep over every
+/// 1/2/3-controller failure case of the paper's ATT setup, on a freshly
+/// reset recorder.
 fn self_measured_baseline_workload() -> Result<MetricsDoc, CliError> {
-    let net = pm_sdwan::SdWanBuilder::att_paper_setup()
-        .build()
-        .map_err(|e| CliError::runtime(format!("cannot build paper network: {e}")))?;
     pm_obs::enable();
     pm_obs::reset();
     let opts = pm_bench::EvalOptions {
@@ -262,9 +260,6 @@ fn self_measured_baseline_workload() -> Result<MetricsDoc, CliError> {
         jobs: 1,
         ..Default::default()
     };
-    let engine = pm_bench::SweepEngine::new(&net, opts);
-    for k in 1..=3 {
-        engine.sweep(k);
-    }
+    crate::repro::fig7(opts, &mut std::io::sink()).map_err(|e| CliError::runtime(e.to_string()))?;
     Ok(MetricsDoc::from_snapshot(&pm_obs::snapshot()))
 }

@@ -1,0 +1,92 @@
+//! Flag validation of `pmctl repro`: every paper output takes the
+//! evaluation and telemetry groups and nothing else, and answers a bad
+//! flag with exit 2 and a message naming it.
+
+use std::ffi::OsString;
+use std::path::Path;
+use std::process::{Command, Output};
+
+/// Every output `pmctl repro` regenerates.
+const OUTPUTS: [&str; 8] = [
+    "table3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "capacity_sweep",
+    "reroute_drill",
+    "successive_drill",
+];
+
+fn pmctl(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pmctl"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("pmctl spawns")
+}
+
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pmctl_cli_flags_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn every_repro_output_rejects_unknown_flags() {
+    let dir = std::env::temp_dir();
+    for name in OUTPUTS {
+        let out = pmctl(&dir, &["repro", name, "--bogus"]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("usage error is UTF-8");
+        assert!(stderr.contains("--bogus"), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn an_unknown_or_missing_output_lists_every_name() {
+    for args in [&["repro", "fig8"][..], &["repro"][..]] {
+        let argv: Vec<OsString> = args.iter().map(OsString::from).collect();
+        let e = pm_cli::run(&argv, &mut Vec::new()).expect_err("usage error");
+        assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+        for name in OUTPUTS {
+            assert!(
+                e.message.contains(name),
+                "{args:?} lacks {name}: {}",
+                e.message
+            );
+        }
+    }
+}
+
+#[test]
+fn fig7_metrics_carry_the_tail_sample_interval() {
+    // A 60 s interval never completes during the sweep: only the final
+    // interval, taken at teardown, can fill the time series.
+    let dir = scratch_dir("fig7");
+    let args = [
+        "repro",
+        "fig7",
+        "--skip-optimal",
+        "--jobs",
+        "1",
+        "--sample-interval",
+        "60000",
+        "--metrics",
+        "m.json",
+        "--csv",
+        ".",
+    ];
+    let out = pmctl(&dir, &args);
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(dir.join("m.json")).expect("metrics written");
+    let doc = pm_obs::json::parse(&text).expect("metrics JSON parses");
+    let intervals = doc
+        .get("timeseries")
+        .and_then(|ts| ts.get("intervals"))
+        .and_then(pm_obs::json::Value::items)
+        .map_or(0, |iv| iv.len());
+    assert!(intervals >= 1, "no tail interval in:\n{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,8 +1,8 @@
-//! Regenerates the committed paper outputs under `results/` and compares
-//! them with the files:
+//! Regenerates the committed paper outputs under `results/` through
+//! `pmctl repro` and compares them with the files:
 //!
 //! * `table3`, `capacity_sweep`, `reroute_drill` and `successive_drill`
-//!   are fully deterministic — their stdout must equal
+//!   are fully deterministic — their output must equal
 //!   `results/<name>.txt` byte for byte at every `--jobs` value;
 //! * `fig4`–`fig6` depend on the wall clock only through Optimal, so they
 //!   run with `--skip-optimal`, and every panel's case, RetroFlow, PM and
@@ -10,16 +10,15 @@
 //!
 //! `fig7` is a timing figure and is not regenerated here.
 
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-/// A fresh scratch directory for one test, so the artifacts the
-/// binaries write (CSV files, `BENCH_sweep.json`) stay out of the source
-/// tree.
+/// A fresh scratch directory for one test, for the CSV files a run
+/// writes.
 fn scratch(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pm-results-regen-{}-{test}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -27,20 +26,18 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
-/// Runs bench binary `bin` with `args` in `dir` and returns its stdout.
-fn run(bin: &str, dir: &Path, args: &[&str]) -> String {
-    let exe = Path::new(env!("CARGO_BIN_EXE_table3")).with_file_name(bin);
-    let out = Command::new(exe)
-        .args(args)
-        .current_dir(dir)
-        .output()
-        .unwrap_or_else(|e| panic!("{bin} spawns: {e}"));
-    assert!(
-        out.status.success(),
-        "{bin} {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+/// Runs `pmctl repro name args` in-process and returns its output.
+fn run(name: &str, args: &[&str]) -> String {
+    let argv: Vec<OsString> = ["repro", name]
+        .iter()
+        .chain(args)
+        .map(OsString::from)
+        .collect();
+    let mut out = Vec::new();
+    if let Err(e) = pm_cli::run(&argv, &mut out) {
+        panic!("repro {name} {args:?} failed: {}", e.message);
+    }
+    String::from_utf8(out).expect("UTF-8 output")
 }
 
 fn committed(name: &str) -> String {
@@ -50,23 +47,21 @@ fn committed(name: &str) -> String {
 
 #[test]
 fn deterministic_outputs_match_the_committed_files() {
-    let dir = scratch("text");
-    for bin in [
+    for name in [
         "table3",
         "capacity_sweep",
         "reroute_drill",
         "successive_drill",
     ] {
-        let want = committed(&format!("{bin}.txt"));
+        let want = committed(&format!("{name}.txt"));
         for jobs in ["1", "2"] {
-            let got = run(bin, &dir, &["--jobs", jobs]);
+            let got = run(name, &["--jobs", jobs]);
             assert!(
                 got == want,
-                "{bin} --jobs {jobs} differs from results/{bin}.txt:\n{got}"
+                "{name} --jobs {jobs} differs from results/{name}.txt:\n{got}"
             );
         }
     }
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// One panel of a figure report: its title and rows of cells.
@@ -134,7 +129,7 @@ fn figure_heuristic_cells_match_the_committed_files() {
         assert_eq!(want.len(), panel_count, "results/{fig}.txt panels");
         for jobs in ["1", "2"] {
             let args = ["--skip-optimal", "--jobs", jobs, "--csv", csv_arg];
-            let got_text = run(fig, &dir, &args);
+            let got_text = run(fig, &args);
             let got = text_panels(&got_text);
             assert_eq!(got.len(), want.len(), "{fig} --jobs {jobs} panel count");
             for (i, ((got_title, got_rows), (want_title, want_rows))) in

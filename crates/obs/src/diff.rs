@@ -7,8 +7,10 @@
 //! sample count and p50/p95/p99/max estimates, and each span's
 //! count/total/max. Deltas on **time-valued** quantities (names ending in
 //! a time unit, span durations) are informational by default — wall-clock
-//! numbers vary run to run — while structural quantities (solver pivots,
-//! node counts, case counts, mode picks…) are *gated*: a gated delta
+//! numbers vary run to run — and so are one worker's share of a pool
+//! (`<pool>.worker.<n>.*`), which depends on scheduling. Structural
+//! quantities (solver pivots, node counts, case counts, mode picks, pool
+//! totals…) are *gated*: a gated delta
 //! beyond the configured thresholds is a breach, and `pmctl obs gate`
 //! turns breaches into a non-zero exit for CI.
 //!
@@ -51,6 +53,16 @@ impl Default for DiffOptions {
 /// `..._ms`) — see DESIGN.md.
 pub fn is_time_metric(name: &str) -> bool {
     name.ends_with("_ns") || name.ends_with("_us") || name.ends_with("_ms")
+}
+
+/// Is `name` one worker's share of a pool (`<pool>.worker.<n>.*`)? How a
+/// pool splits its items across workers depends on scheduling, so only
+/// the pool's totals are structural.
+pub fn is_worker_metric(name: &str) -> bool {
+    let parts: Vec<&str> = name.split('.').collect();
+    parts[1..]
+        .windows(3)
+        .any(|w| w[0] == "worker" && !w[1].is_empty() && w[1].bytes().all(|b| b.is_ascii_digit()))
 }
 
 /// The metric families a [`Delta`] can belong to.
@@ -318,7 +330,11 @@ pub fn diff(base: &MetricsDoc, current: &MetricsDoc, options: &DiffOptions) -> D
             field,
             base: b,
             current: c,
-            gated: !time || options.gate_time_metrics,
+            gated: if time {
+                options.gate_time_metrics
+            } else {
+                !is_worker_metric(name)
+            },
             breach: false,
         };
         breaches(&mut d);
@@ -436,6 +452,36 @@ mod tests {
         };
         assert!(diff(&base, &cur, &strict).breached());
         assert!(is_time_metric("x_ns") && is_time_metric("y_ms") && !is_time_metric("cases"));
+    }
+
+    #[test]
+    fn worker_shares_inform_but_pool_totals_gate() {
+        let base = doc(&[
+            ("sim.sweep.worker.0.items", 32),
+            ("sim.sweep.worker.1.items", 28),
+            ("sim.timeline.replays", 60),
+        ]);
+        let swapped = doc(&[
+            ("sim.sweep.worker.0.items", 28),
+            ("sim.sweep.worker.1.items", 32),
+            ("sim.timeline.replays", 60),
+        ]);
+        let r = diff(&base, &swapped, &DiffOptions::default());
+        assert!(!r.breached(), "{}", r.text());
+        assert!(r
+            .deltas
+            .iter()
+            .all(|d| d.name.contains("worker") != d.gated));
+        let more = doc(&[
+            ("sim.sweep.worker.0.items", 28),
+            ("sim.sweep.worker.1.items", 42),
+            ("sim.timeline.replays", 70),
+        ]);
+        let r = diff(&base, &more, &DiffOptions::default());
+        assert_eq!(r.breach_count(), 1, "{}", r.text());
+        assert!(is_worker_metric("sweep.worker.12.cases"));
+        assert!(!is_worker_metric("worker.0.items") && !is_worker_metric("sweep.worker.x.items"));
+        assert!(!is_worker_metric("sweep.worker.0"));
     }
 
     #[test]
