@@ -66,14 +66,12 @@ pub struct StoredPlan {
 }
 
 impl StoredPlan {
-    pub(crate) fn from_solved(rank: u64, solved: &SolvedPlan, buf: &mut String) -> StoredPlan {
-        buf.clear();
-        solved.plan.to_text_into(buf);
+    pub(crate) fn from_solved(rank: u64, solved: &SolvedPlan, plan_text: String) -> StoredPlan {
         StoredPlan {
             rank,
             failed: solved.failed.clone(),
             label: solved.label.clone(),
-            plan_text: buf.clone(),
+            plan_text,
             min_programmability: solved.metrics.min_programmability,
             total_programmability: solved.metrics.total_programmability,
             recovered_flows: solved.metrics.recovered_flows,
@@ -126,7 +124,10 @@ impl PlanStore {
             let first = next_rank;
             entries.extend(engine.solve_selection(&sel, |pos, solved| {
                 TEXT.with(|buf| {
-                    StoredPlan::from_solved(first + pos, &solved, &mut buf.borrow_mut())
+                    let mut buf = buf.borrow_mut();
+                    buf.clear();
+                    solved.plan.to_text_into(&mut buf);
+                    StoredPlan::from_solved(first + pos, &solved, buf.clone())
                 })
             }));
             next_rank += sel.len();

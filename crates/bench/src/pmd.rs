@@ -150,11 +150,8 @@ impl Generation {
             SolvedPlan::solve(failed, label, &scenario, prog, &inst, &mut ws.borrow_mut())
         })?;
         // No global rank: the plan is not in the store.
-        Ok(StoredPlan::from_solved(
-            u64::MAX,
-            &solved,
-            &mut String::new(),
-        ))
+        let text = solved.plan.to_text();
+        Ok(StoredPlan::from_solved(u64::MAX, &solved, text))
     }
 }
 

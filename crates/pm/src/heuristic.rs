@@ -18,6 +18,15 @@
 //! * `σ = min(H)` (line 38) is taken over *recoverable* flows by default —
 //!   flows with no `β = 1` offline switch would pin `σ` at 0 forever.
 //!   [`PmConfig::faithful_sigma`] restores the literal behaviour.
+//!
+//! Lines 5–15 pick from kept σ-counts: for each switch still in `S*`, the
+//! number of its entries whose flow has `h = σ` (0 once tested). They are
+//! rebuilt in `O(E)` whenever `σ` is set — after seeding and at both pass
+//! restarts (`S*` emptied, or no untested switch with an entry at `σ`) —
+//! and, as `H` only rises within a pass, a flow raised off `σ` decrements
+//! each untested switch on its row. Phase 1 costs
+//! `O(passes·(E + picks·n))` for `E` entries and `n` offline switches,
+//! not a per-pick rescan's `O(passes·picks·E)`.
 
 use crate::instance::FmssmInstance;
 use crate::{PmError, RecoveryAlgorithm};
@@ -61,33 +70,76 @@ impl Selections {
     }
 }
 
-/// Dense `S*`: the not-yet-tested switch set of one phase-1 pass, as a
-/// membership bitmap plus a live count (ascending-index iteration over the
-/// bitmap reproduces the ordered-set iteration it replaces, preserving the
-/// lowest-position tie-breaks).
+/// Dense `S*`: the not-yet-tested switch set of one phase-1 pass, as one
+/// `(untested, σ-count)` slot per switch plus a live count of untested
+/// switches. Ascending-index scans reproduce the ordered-set iteration this
+/// replaced, preserving the lowest-position tie-breaks.
 #[derive(Debug, Default)]
 struct SwitchPool {
-    mask: Vec<bool>,
+    slots: Vec<(bool, u32)>,
     len: usize,
 }
 
 impl SwitchPool {
-    /// Re-dimensions to `n` switches, all untested, keeping capacity.
-    fn reset(&mut self, n: usize) {
-        self.mask.clear();
-        self.mask.resize(n, true);
+    /// Puts every switch of `inst` back into `S*` and recounts the
+    /// σ-counts from `h`, keeping capacity. `O(E)` over the switch rows,
+    /// which the SDN-mode step reads anyway (cheaper than the flow rows
+    /// on small instances with cold caches).
+    fn refill(&mut self, inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64) {
+        let n = inst.switches().len();
+        self.slots.clear();
+        self.slots
+            .extend((0..n).map(|ip| (true, entries_at_sigma(inst, h, sigma, ip))));
         self.len = n;
     }
 
-    fn refill(&mut self) {
-        self.mask.fill(true);
-        self.len = self.mask.len();
-    }
-
+    /// Marks `ip` tested; its σ-count drops to 0.
     fn remove(&mut self, ip: usize) {
-        if std::mem::replace(&mut self.mask[ip], false) {
+        if std::mem::take(&mut self.slots[ip]).0 {
             self.len -= 1;
         }
+    }
+
+    /// Flow `lp` was raised off `σ`: one entry fewer at `σ` on each
+    /// untested switch of its row.
+    fn flow_left_sigma(&mut self, inst: &FmssmInstance<'_, '_>, lp: usize) {
+        for &(ip, _) in inst.flow_entries(lp) {
+            if let (true, count) = &mut self.slots[ip] {
+                *count -= 1;
+            }
+        }
+    }
+
+    /// Lines 5–15: the untested switch with the most entries at `σ`, the
+    /// lowest position among ties; `None` when no switch has one.
+    fn most_at_sigma(&self) -> Option<usize> {
+        let mut delta = 0;
+        let mut best = None;
+        for (ip, &(_, count)) in self.slots.iter().enumerate() {
+            if count > delta {
+                delta = count;
+                best = Some(ip);
+            }
+        }
+        best
+    }
+
+    /// Debug-build invariant: [`SwitchPool::most_at_sigma`] and its count
+    /// equal a rescan of every untested switch's entries.
+    #[cfg(debug_assertions)]
+    fn assert_counts(&self, inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64) {
+        let mut rescan = None;
+        for ip in self.iter() {
+            let count = entries_at_sigma(inst, h, sigma, ip);
+            if count > rescan.map_or(0, |(_, best)| best) {
+                rescan = Some((ip, count));
+            }
+        }
+        let kept = self.most_at_sigma().map(|ip| (ip, self.slots[ip].1));
+        assert_eq!(
+            kept, rescan,
+            "σ-counts disagree with a rescan at σ = {sigma}"
+        );
     }
 
     fn is_empty(&self) -> bool {
@@ -95,12 +147,18 @@ impl SwitchPool {
     }
 
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.mask
+        self.slots
             .iter()
             .enumerate()
-            .filter(|&(_, &m)| m)
+            .filter(|&(_, &(untested, _))| untested)
             .map(|(ip, _)| ip)
     }
+}
+
+/// The number of switch `ip`'s entries whose flow has `h = σ`.
+fn entries_at_sigma(inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64, ip: usize) -> u32 {
+    let row = inst.switch_entries(ip).iter();
+    row.filter(|&&(lp, _)| h[lp] == sigma).count() as u32
 }
 
 /// Reusable buffers for repeated [`Pm`] runs — the per-case `X`/`Y`/`A`/`H`
@@ -306,9 +364,9 @@ impl Pm {
                 a[jp] -= 1;
             }
         }
-        pool.reset(n);
         let s_star = pool;
         let mut sigma: u64 = 0;
+        s_star.refill(inst, h, sigma);
         let mut test_count = 0usize;
         let total_iterations = inst.total_iterations().max(1);
 
@@ -329,23 +387,10 @@ impl Pm {
         while test_count < total_iterations {
             // Lines 5–15: find the switch s_{i0} to recover.
             let select_t0 = obs.then(std::time::Instant::now);
+            #[cfg(debug_assertions)]
+            s_star.assert_counts(inst, h, sigma);
             let i0 = match self.config.selection {
-                SelectionRule::MostLeastProgFlows => {
-                    let mut delta = 0usize;
-                    let mut best = None;
-                    for ip in s_star.iter() {
-                        let test_num = inst
-                            .switch_entries(ip)
-                            .iter()
-                            .filter(|&&(lp, _)| h[lp] == sigma)
-                            .count();
-                        if test_num > delta {
-                            delta = test_num;
-                            best = Some(ip);
-                        }
-                    }
-                    best
-                }
+                SelectionRule::MostLeastProgFlows => s_star.most_at_sigma(),
                 SelectionRule::HighestGamma => s_star
                     .iter()
                     .filter(|&ip| !inst.switch_entries(ip).is_empty())
@@ -360,9 +405,11 @@ impl Pm {
             let Some(i0) = i0 else {
                 // No switch can serve a least-programmable flow: this pass
                 // is exhausted, behave as lines 37–39.
-                s_star.refill();
                 test_count += 1;
-                sigma = min_h(h);
+                if test_count < total_iterations {
+                    sigma = min_h(h);
+                    s_star.refill(inst, h, sigma);
+                }
                 continue;
             };
 
@@ -401,6 +448,7 @@ impl Pm {
                     a[j0] -= 1;
                     h[lp] += pbar as u64;
                     y.insert(i0, lp);
+                    s_star.flow_left_sigma(inst, lp);
                 }
             }
             if let Some(t0) = mode_t0 {
@@ -408,10 +456,14 @@ impl Pm {
             }
 
             // Lines 37–39: restart the pass when every switch was tested.
+            // After the last pass nothing reads σ or the σ-counts, so
+            // neither is recomputed.
             if s_star.is_empty() {
-                s_star.refill();
                 test_count += 1;
-                sigma = min_h(h);
+                if test_count < total_iterations {
+                    sigma = min_h(h);
+                    s_star.refill(inst, h, sigma);
+                }
             }
         }
 

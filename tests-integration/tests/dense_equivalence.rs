@@ -7,11 +7,12 @@
 //! the paper's ATT setup; failure sets are random proper subsets of the
 //! controllers.
 //!
-//! The PG and RetroFlow heuristics are also checked against oracles: their
-//! straightforward formulations (a rescan of every flow per PG round, one
-//! keyed plan insert per decision), kept here verbatim. The shipped
-//! versions must give the same plans and the same `pg.*` / `retroflow.*`
-//! counters.
+//! The PG, RetroFlow and PM heuristics are also checked against oracles:
+//! their straightforward formulations (a rescan of every flow per PG round,
+//! one keyed plan insert per decision, a rescan of every untested switch's
+//! entries per PM pick), kept here as first written. The shipped versions
+//! must give the same plans and the same `pg.*` / `retroflow.*` / `pm.*`
+//! counters — PM under all 24 configurations, unseeded and seeded.
 //!
 //! The flat `RecoveryPlan` (three sorted vectors) is checked against
 //! `RefPlan`, the ordered-map plan it replaced, kept here as the model:
@@ -19,7 +20,8 @@
 //! (C13, C20) failure must give the same text, lookups, validation
 //! verdicts, usage, differences and delay bits.
 
-use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
+use pm_core::heuristic::{MappingRule, SelectionRule};
+use pm_core::{FmssmInstance, Pg, Pm, PmConfig, PmWorkspace, RecoveryAlgorithm, RetroFlow};
 use pm_sdwan::{
     ControllerId, FailureScenario, FlowId, NetCache, PlanBuilder, PlanMetrics, Programmability,
     RecoveryPlan, SdWan, SdWanBuilder, SwitchId,
@@ -278,16 +280,225 @@ fn retroflow_oracle(inst: &FmssmInstance<'_, '_>) -> (RecoveryPlan, Counters) {
     (plan.build(), counters)
 }
 
-/// Runs `algo` with the recorder on and returns its plan and the counters
-/// under `prefix` that the run recorded.
-fn recover_counted(
-    algo: &dyn RecoveryAlgorithm,
+/// PM as first written: each pick of lines 5–15 recounts `h[l] == σ` over
+/// every entry of every untested switch, `S*` and `Y` are ordered sets, and
+/// the plan is built by keyed inserts.
+fn pm_oracle(
     inst: &FmssmInstance<'_, '_>,
+    config: PmConfig,
+    seed: Option<&RecoveryPlan>,
+) -> (RecoveryPlan, Counters) {
+    let n = inst.switches().len();
+    let m = inst.controllers().len();
+    let l_count = inst.flows().len();
+    let mut x: Vec<Option<usize>> = vec![None; n];
+    let mut y: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut a: Vec<i64> = inst.residuals().iter().map(|&r| r as i64).collect();
+    let mut h: Vec<u64> = vec![0; l_count];
+    if let Some(seed) = seed {
+        for (s, c) in seed.mappings() {
+            let (Some(ip), Some(jp)) = (inst.switch_position(s), inst.controller_position(c))
+            else {
+                continue;
+            };
+            x[ip] = Some(jp);
+        }
+        for (s, l, c) in seed.sdn_selections() {
+            let (Some(ip), Some(lp), Some(jp)) = (
+                inst.switch_position(s),
+                inst.flow_position(l),
+                inst.controller_position(c),
+            ) else {
+                continue;
+            };
+            let pbar = inst.programmability().pbar(l, s) as u64;
+            if x[ip] != Some(jp) || pbar == 0 || !y.insert((ip, lp)) {
+                continue;
+            }
+            h[lp] += pbar;
+            a[jp] -= 1;
+        }
+    }
+    let mut s_star: BTreeSet<usize> = (0..n).collect();
+    let mut sigma: u64 = 0;
+    let mut test_count = 0usize;
+    let total_iterations = inst.total_iterations().max(1);
+    let min_h = |h: &[u64]| -> u64 {
+        (0..l_count)
+            .filter(|&lp| config.faithful_sigma || !inst.flow_entries(lp).is_empty())
+            .map(|lp| h[lp])
+            .min()
+            .unwrap_or(0)
+    };
+    while test_count < total_iterations {
+        let i0 = match config.selection {
+            SelectionRule::MostLeastProgFlows => {
+                let mut delta = 0usize;
+                let mut best = None;
+                for &ip in &s_star {
+                    let test_num = inst
+                        .switch_entries(ip)
+                        .iter()
+                        .filter(|&&(lp, _)| h[lp] == sigma)
+                        .count();
+                    if test_num > delta {
+                        delta = test_num;
+                        best = Some(ip);
+                    }
+                }
+                best
+            }
+            SelectionRule::HighestGamma => s_star
+                .iter()
+                .copied()
+                .filter(|&ip| !inst.switch_entries(ip).is_empty())
+                .max_by_key(|&ip| inst.gamma(ip)),
+            SelectionRule::LowestId => s_star
+                .iter()
+                .copied()
+                .find(|&ip| !inst.switch_entries(ip).is_empty()),
+        };
+        let Some(i0) = i0 else {
+            s_star = (0..n).collect();
+            test_count += 1;
+            sigma = min_h(&h);
+            continue;
+        };
+        let j0 = match x[i0] {
+            Some(j) => j,
+            None => {
+                let by_rule = match config.mapping {
+                    MappingRule::NearestWithCapacity => inst
+                        .controllers_by_delay(i0)
+                        .iter()
+                        .copied()
+                        .find(|&j| a[j] >= inst.gamma(i0) as i64),
+                    MappingRule::MaxCapacity => None,
+                };
+                by_rule.unwrap_or_else(|| (0..m).max_by_key(|&j| a[j]).expect("m > 0"))
+            }
+        };
+        x[i0] = Some(j0);
+        s_star.remove(&i0);
+        for &(lp, pbar) in inst.switch_entries(i0) {
+            if h[lp] <= sigma && !y.contains(&(i0, lp)) && a[j0] > 0 {
+                a[j0] -= 1;
+                h[lp] += pbar as u64;
+                y.insert((i0, lp));
+            }
+        }
+        if s_star.is_empty() {
+            s_star = (0..n).collect();
+            test_count += 1;
+            sigma = min_h(&h);
+        }
+    }
+    let phase1_picks = y.len();
+    if !config.skip_phase2 {
+        for (ip, ctrl) in x.iter().enumerate() {
+            if let Some(j0) = *ctrl {
+                for &(lp, pbar) in inst.switch_entries(ip) {
+                    if a[j0] > 0 && !y.contains(&(ip, lp)) {
+                        a[j0] -= 1;
+                        h[lp] += pbar as u64;
+                        y.insert((ip, lp));
+                    }
+                }
+            }
+        }
+    }
+    let total_entries: usize = (0..n).map(|ip| inst.switch_entries(ip).len()).sum();
+    let mut counters: Counters = [
+        ("pm.passes", test_count),
+        ("pm.switches_mapped", x.iter().flatten().count()),
+        ("pm.sdn_mode_picks", y.len()),
+        ("pm.phase1.sdn_mode_picks", phase1_picks),
+        ("pm.phase2.sdn_mode_picks", y.len() - phase1_picks),
+        ("pm.legacy_mode_left", total_entries - y.len()),
+        ("pm.flows_touched", h.iter().filter(|&&v| v > 0).count()),
+        (
+            "pm.capacity_residual_left",
+            a.iter().map(|&v| v.max(0) as usize).sum(),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, v)| (name.to_string(), v as u64))
+    .collect();
+    counters.sort();
+    let mut plan = PlanBuilder::default();
+    for (ip, ctrl) in x.iter().enumerate() {
+        if let Some(j) = *ctrl {
+            plan.map_switch(inst.switches()[ip], inst.controllers()[j]);
+        }
+    }
+    for &(ip, lp) in &y {
+        plan.set_sdn(inst.switches()[ip], inst.flows()[lp]);
+    }
+    (plan.build(), counters)
+}
+
+/// Every PM configuration: 3 selection × 2 mapping rules × phase 2 on/off ×
+/// literal or recoverable-only `σ`.
+fn pm_configs() -> Vec<PmConfig> {
+    let mut configs = Vec::new();
+    for selection in [
+        SelectionRule::MostLeastProgFlows,
+        SelectionRule::HighestGamma,
+        SelectionRule::LowestId,
+    ] {
+        for mapping in [MappingRule::NearestWithCapacity, MappingRule::MaxCapacity] {
+            for skip_phase2 in [false, true] {
+                for faithful_sigma in [false, true] {
+                    configs.push(PmConfig {
+                        selection,
+                        mapping,
+                        skip_phase2,
+                        faithful_sigma,
+                    });
+                }
+            }
+        }
+    }
+    configs
+}
+
+/// A hand-built PM seed for the failure of `failed`: offline switch 0 mapped
+/// to a surviving controller with one valid (`β = 1`) selection and one
+/// `β = 0` selection there, offline switch 1 mapped to the failed
+/// controller `failed[0]` with a selection through it. Only the first
+/// mapping and the valid selection may take effect.
+fn hand_built_seed(inst: &FmssmInstance<'_, '_>, failed: &[ControllerId]) -> RecoveryPlan {
+    let prog = inst.programmability();
+    let live = inst.controllers()[0];
+    let mut mapping = Vec::new();
+    let mut sdn = Vec::new();
+    if let Some(&s0) = inst.switches().first() {
+        mapping.push((s0, live));
+        if let Some(&(lp, _)) = inst.switch_entries(0).first() {
+            sdn.push((s0, inst.flows()[lp], live));
+        }
+        if let Some(&l) = inst.flows().iter().find(|&&l| prog.pbar(l, s0) == 0) {
+            sdn.push((s0, l, live));
+        }
+    }
+    if let Some(&s1) = inst.switches().get(1) {
+        mapping.push((s1, failed[0]));
+        if let Some(&(lp, _)) = inst.switch_entries(1).first() {
+            sdn.push((s1, inst.flows()[lp], failed[0]));
+        }
+    }
+    RecoveryPlan::from_parts(mapping, Vec::new(), sdn)
+}
+
+/// Runs `recover` with the recorder on and returns its plan and the
+/// counters under `prefix` that the run recorded.
+fn recover_counted(
+    recover: impl FnOnce() -> RecoveryPlan,
     prefix: &str,
 ) -> (RecoveryPlan, Counters) {
     pm_obs::enable();
     pm_obs::reset();
-    let plan = algo.recover(inst).expect("recovers");
+    let plan = recover();
     let counters = pm_obs::snapshot()
         .counters
         .into_iter()
@@ -296,18 +507,24 @@ fn recover_counted(
     (plan, counters)
 }
 
-/// PG and RetroFlow equal their oracles on the failure of `failed`, plan
-/// and counters alike.
+/// PG, RetroFlow and PM equal their oracles on the failure of `failed`,
+/// plan and counters alike. PM runs under every configuration: unseeded,
+/// seeded with the plan of a neighbouring failure set, and seeded with
+/// [`hand_built_seed`], all through one workspace carried across runs.
 fn assert_matches_oracles(net: &SdWan, prog: &Programmability, failed: &[ControllerId]) {
     let _recorder = recorder_lock();
     let sc = net.fail(failed).expect("valid failure set");
     let inst = FmssmInstance::new(&sc, prog);
     let (want, want_counters) = pg_oracle(&inst);
-    let (got, got_counters) = recover_counted(&Pg::new(), &inst, "pg.");
+    let (got, got_counters) =
+        recover_counted(|| Pg::new().recover(&inst).expect("recovers"), "pg.");
     assert_eq!(got, want, "PG plan differs from its oracle on {failed:?}");
     assert_eq!(got_counters, want_counters, "PG counters on {failed:?}");
     let (want, want_counters) = retroflow_oracle(&inst);
-    let (got, got_counters) = recover_counted(&RetroFlow::new(), &inst, "retroflow.");
+    let (got, got_counters) = recover_counted(
+        || RetroFlow::new().recover(&inst).expect("recovers"),
+        "retroflow.",
+    );
     assert_eq!(
         got, want,
         "RetroFlow plan differs from its oracle on {failed:?}"
@@ -316,6 +533,48 @@ fn assert_matches_oracles(net: &SdWan, prog: &Programmability, failed: &[Control
         got_counters, want_counters,
         "RetroFlow counters on {failed:?}"
     );
+
+    let m = net.controllers().len();
+    let neighbour: Vec<ControllerId> = match failed {
+        [only] => vec![ControllerId((only.index() + 1) % m)],
+        [rest @ .., _] => rest.to_vec(),
+        [] => unreachable!("a failure set is non-empty"),
+    };
+    let neighbour_sc = net.fail(&neighbour).expect("valid failure set");
+    let neighbour_plan = Pm::new()
+        .recover(&FmssmInstance::new(&neighbour_sc, prog))
+        .expect("recovers");
+    let hand_seed = hand_built_seed(&inst, failed);
+    let mut ws = PmWorkspace::default();
+    for config in pm_configs() {
+        let pm = Pm::with_config(config);
+        for (kind, seed) in [
+            ("unseeded", None),
+            ("neighbour-seeded", Some(&neighbour_plan)),
+            ("hand-seeded", Some(&hand_seed)),
+        ] {
+            let (want, want_counters) = pm_oracle(&inst, config, seed);
+            let (got, got_counters) = recover_counted(
+                || {
+                    match seed {
+                        None => pm.recover_in(&inst, &mut ws),
+                        Some(seed) => pm.recover_with_seed_in(&inst, seed, &mut ws),
+                    }
+                    .expect("recovers")
+                },
+                "pm.",
+            );
+            assert_eq!(
+                got.to_text(),
+                want.to_text(),
+                "{kind} PM plan differs from its oracle on {failed:?} under {config:?}"
+            );
+            assert_eq!(
+                got_counters, want_counters,
+                "{kind} PM counters on {failed:?} under {config:?}"
+            );
+        }
+    }
 }
 
 proptest! {
