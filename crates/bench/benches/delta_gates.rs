@@ -68,7 +68,7 @@ fn assert_delta_wins(kernel: &str, fresh_ns: f64, delta_ns: f64) {
     );
 }
 
-/// The Waxman WAN the gates run on — the scale binaries' topology
+/// The Waxman WAN the gates run on — `pmctl sweep --nodes`'s topology
 /// family, sized so one kernel call is microseconds, not seconds.
 fn delta_wan() -> SdWan {
     build_wan(&WanSpec {

@@ -345,17 +345,19 @@ fn push_algorithms(out: &mut String, cases: &[CaseResult], indent: &str) {
     let _ = writeln!(out, "{indent}]");
 }
 
-/// Everything `BENCH_scale.json` records about a `scale_sweep` run besides
-/// the timing table: the generated topology, the scenario space and how it
+/// Everything `BENCH_scale.json` records about a `pmctl sweep` run
+/// besides the timing table: the topology, the scenario space and how it
 /// was cut down (sampling, sharding), and the streaming-dispatch memory
 /// high-water mark.
 #[derive(Debug, Clone)]
 pub struct ScaleRunInfo {
-    /// Switch count of the generated Waxman topology.
+    /// The network source: `att`, `graphml` or `waxman`.
+    pub model: &'static str,
+    /// Switch count of the topology.
     pub nodes: usize,
-    /// Edge count of the generated topology.
+    /// Edge count of the topology.
     pub edges: usize,
-    /// Seed the topology (and the scenario sample) was generated from.
+    /// Seed of the scenario sample (and of a generated topology).
     pub seed: u64,
     /// Number of placed controllers.
     pub controllers: usize,
@@ -418,9 +420,9 @@ pub fn bench_scale_json(
     out.push_str("  \"topology\": {");
     let _ = write!(
         out,
-        "\"model\": \"waxman\", \"nodes\": {}, \"edges\": {}, \"seed\": {}, \
+        "\"model\": \"{}\", \"nodes\": {}, \"edges\": {}, \"seed\": {}, \
          \"controllers\": {}, \"flows\": {}, \"failures\": {}",
-        info.nodes, info.edges, info.seed, info.controllers, info.flows, info.failures
+        info.model, info.nodes, info.edges, info.seed, info.controllers, info.flows, info.failures
     );
     out.push_str("},\n");
     info.space
@@ -437,6 +439,48 @@ pub fn write_bench_scale_json(opts: &EvalOptions, info: &ScaleRunInfo, cases: &[
     write_bench_json(opts, "BENCH_scale.json", |snap| {
         bench_scale_json(info, opts.jobs, cases, snap)
     });
+}
+
+/// Columns of `scale_cases.csv`: plan metrics only, no wall-clock
+/// values, so shard outputs concatenate byte-identically.
+pub const SCALE_CASE_HEADERS: [&str; 10] = [
+    "case",
+    "offline_switches",
+    "offline_flows",
+    "retro_programmability",
+    "pm_programmability",
+    "pg_programmability",
+    "retro_recovered_flows",
+    "pm_recovered_flows",
+    "pg_recovered_flows",
+    "pm_total_delay_ms",
+];
+
+/// One [`SCALE_CASE_HEADERS`] row per heuristic-only case.
+///
+/// # Panics
+///
+/// Panics if a case lacks a RetroFlow, PM or PG run.
+pub fn scale_case_rows(cases: &[CaseResult]) -> Vec<Vec<String>> {
+    cases
+        .iter()
+        .map(|case| {
+            let m = |name: &str| case.run(name).expect("heuristics always run");
+            let (retro, pm, pg) = (m("RetroFlow"), m("PM"), m("PG"));
+            vec![
+                case.label.clone(),
+                pm.metrics.offline_switches.to_string(),
+                pm.metrics.offline_flows.to_string(),
+                retro.metrics.total_programmability.to_string(),
+                pm.metrics.total_programmability.to_string(),
+                pg.metrics.total_programmability.to_string(),
+                retro.metrics.recovered_flows.to_string(),
+                pm.metrics.recovered_flows.to_string(),
+                pg.metrics.recovered_flows.to_string(),
+                format!("{:.6}", pm.total_delay),
+            ]
+        })
+        .collect()
 }
 
 /// The progress-line note naming the `--shard i/m` slice of a selection

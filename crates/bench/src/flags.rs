@@ -1,4 +1,4 @@
-//! One flag parser for `pmctl` and every bench binary.
+//! One flag parser for `pmctl` and the bench binaries.
 //!
 //! Every flag group two front ends share is parsed by exactly one
 //! function here:
@@ -7,8 +7,9 @@
 //! |---|---|---|
 //! | telemetry | `--trace --metrics --prom --serve --sample-interval --flight --profile` | [`Telemetry::take`] |
 //! | dispatch | `--jobs --shard --max-scenarios --seed --batch` | [`EvalOptions::take_dispatch`] |
-//! | evaluation | dispatch plus `--opt-secs --skip-optimal --csv --no-incremental --events --progress` | [`EvalOptions::take`] |
-//! | WAN shape | `--nodes --controllers --flows --headroom` | [`WanSpec::take`] |
+//! | event log | `--events --progress` | [`take_event_log`] |
+//! | evaluation | dispatch, event log, `--opt-secs --skip-optimal --csv` | [`EvalOptions::take`] |
+//! | generated WAN | `--nodes --controllers --flows --headroom` | [`WanSpec::take`] |
 //! | timeline | `--horizon-ms --mean-gap-ms --max-failed --no-drain` | [`take_timeline_params`] |
 //! | `pmd` | `--horizon --jobs --workers` | [`PmdConfig::take`] |
 //!
@@ -16,9 +17,7 @@
 //! calls [`Args::finish`], so anything left over is a usage error. Every
 //! taker answers a missing, repeated, malformed or out-of-range value
 //! with a usage error whose ASCII message names the flag. A bench
-//! binary's `main` is [`run_main`] (or [`run_plain`] for the two without
-//! the evaluation and telemetry groups), which handles `--help`, tears
-//! the telemetry plane down and exports its artifacts, and maps a
+//! binary's `main` is [`run_plain`], which handles `--help` and maps a
 //! [`CliError`] to the exit code: 2 for a usage error, 1 for a runtime
 //! error.
 
@@ -96,6 +95,11 @@ impl Args {
 
     fn position(&self, flag: &str) -> Option<usize> {
         self.0.iter().position(|a| a == flag)
+    }
+
+    /// Whether `flag` is still among the arguments.
+    pub fn contains(&self, flag: &str) -> bool {
+        self.position(flag).is_some()
     }
 
     fn reject_repeat(&self, flag: &str) -> Result<(), CliError> {
@@ -186,9 +190,6 @@ evaluation options:
   --opt-secs N         wall-clock budget per Optimal solve (default 20)
   --skip-optimal       skip the exact Optimal baseline
   --csv DIR            write CSV files (and BENCH_*.json) into DIR
-  --no-incremental     rebuild every scenario from scratch instead of
-                       patching the previous one in place (results are
-                       identical)
   --events FILE        stream per-case progress as JSON lines
   --progress           print a rate-limited progress line to stderr
   --jobs N             worker threads (default: all cores); results are
@@ -222,16 +223,6 @@ observability:
                        to FILE (render with pmctl obs flame, inferno,
                        flamegraph.pl or speedscope); adds
                        GET /profile.folded to --serve
-";
-
-/// Help text of the WAN shape group ([`WanSpec::take`]).
-pub const WAN_HELP: &str = "\
-WAN options:
-  --nodes N            Waxman switch count (default 1000)
-  --controllers K      placed controllers, 2..=N (default 32)
-  --flows N            routed flows over bounded endpoint pools (default 1024)
-  --headroom H         uniform auto-capacity factor over the peak load
-                       (default 1.5)
 ";
 
 /// The telemetry group: which artifacts to export and which parts of
@@ -407,7 +398,7 @@ impl EvalOptions {
             opts.shard = Some(shard);
         }
         opts.max_scenarios = args.take_parsed("--max-scenarios", POSITIVE, |&m: &u64| m > 0)?;
-        if let Some(seed) = args.take_parsed("--seed", "an integer", |_: &u64| true)? {
+        if let Some(seed) = take_seed(args)? {
             opts.seed = seed;
         }
         if let Some(batch) = args.take_parsed("--batch", POSITIVE, |&b: &usize| b > 0)? {
@@ -416,14 +407,12 @@ impl EvalOptions {
         Ok(opts)
     }
 
-    /// Takes the evaluation group off `args`: the dispatch group plus
-    /// `--opt-secs --skip-optimal --csv --no-incremental --events
-    /// --progress`. `--events` or `--progress` opens the [`EventLog`].
+    /// Takes the evaluation group off `args`: the dispatch group, the
+    /// event log and `--opt-secs --skip-optimal --csv`.
     ///
     /// # Errors
     ///
-    /// As [`take_dispatch`](Self::take_dispatch), and a runtime error
-    /// naming the path when the event log cannot be created.
+    /// As [`take_dispatch`](Self::take_dispatch) and [`take_event_log`].
     pub fn take(args: &mut Args) -> Result<EvalOptions, CliError> {
         let mut opts = Self::take_dispatch(args)?;
         if let Some(secs) = take_opt_secs(args)? {
@@ -431,15 +420,32 @@ impl EvalOptions {
         }
         opts.skip_optimal = args.take_switch("--skip-optimal")?;
         opts.csv_dir = args.take_path("--csv")?;
-        opts.incremental = !args.take_switch("--no-incremental")?;
-        let events = args.take_path("--events")?;
-        let progress = args.take_switch("--progress")?;
-        if events.is_some() || progress {
-            let log = EventLog::create(events.as_deref(), progress).map_err(CliError::runtime)?;
-            opts.events = Some(Arc::new(log));
-        }
+        opts.events = take_event_log(args)?;
         Ok(opts)
     }
+}
+
+/// Takes `--seed N`, the seed of a scenario sample, a timeline space or
+/// a generated WAN.
+pub fn take_seed(args: &mut Args) -> Result<Option<u64>, CliError> {
+    args.take_parsed("--seed", "an integer", |_: &u64| true)
+}
+
+/// Takes the event-log group (`--events FILE --progress`); either flag
+/// opens the sweep's [`EventLog`].
+///
+/// # Errors
+///
+/// A usage error as for any flag, and a runtime error naming the path
+/// when the event log cannot be created.
+pub fn take_event_log(args: &mut Args) -> Result<Option<Arc<EventLog>>, CliError> {
+    let events = args.take_path("--events")?;
+    let progress = args.take_switch("--progress")?;
+    if events.is_none() && !progress {
+        return Ok(None);
+    }
+    let log = EventLog::create(events.as_deref(), progress).map_err(CliError::runtime)?;
+    Ok(Some(Arc::new(log)))
 }
 
 /// Takes `--opt-secs N`, the wall-clock budget in seconds of each exact
@@ -449,10 +455,12 @@ pub fn take_opt_secs(args: &mut Args) -> Result<Option<u64>, CliError> {
 }
 
 impl WanSpec {
-    /// Takes the WAN shape group (`--nodes --controllers --flows
+    /// Takes the generated-WAN group (`--nodes --controllers --flows
     /// --headroom`) off `args`, defaulting to the 1k-switch,
     /// 32-controller, 1024-flow drill WAN with 1.5 headroom. The
-    /// controller count must lie in `2..=nodes`.
+    /// controller count must lie in `2..=nodes`, and the headroom must be
+    /// finite and at least 1, the rule of
+    /// [`pm_sdwan::SdWanBuilder::auto_capacity`].
     pub fn take(args: &mut Args, seed: u64) -> Result<WanSpec, CliError> {
         let spec = WanSpec {
             nodes: args
@@ -465,7 +473,9 @@ impl WanSpec {
                 .take_parsed("--flows", POSITIVE, |&f: &usize| f > 0)?
                 .unwrap_or(1024),
             headroom: args
-                .take_parsed("--headroom", "a number", |_: &f64| true)?
+                .take_parsed("--headroom", "a finite number >= 1", |&h: &f64| {
+                    h.is_finite() && h >= 1.0
+                })?
                 .unwrap_or(1.5),
             seed,
         };
@@ -532,9 +542,9 @@ impl PmdConfig {
     }
 }
 
-/// The `main` of a bench binary without the evaluation and telemetry
-/// groups: prints `help` for `--help`/`-h` and exits 0, otherwise runs
-/// `body` on the arguments and maps its [`CliError`] to the exit code.
+/// The `main` of a bench binary: prints `help` for `--help`/`-h` and
+/// exits 0, otherwise runs `body` on the arguments and maps its
+/// [`CliError`] to the exit code.
 pub fn run_plain(help: &str, body: impl FnOnce(&mut Args) -> Result<(), CliError>) -> ExitCode {
     let mut args = Args::new(std::env::args_os().skip(1).collect());
     if args.0.iter().any(|a| a == "--help" || a == "-h") {
@@ -549,26 +559,6 @@ pub fn run_plain(help: &str, body: impl FnOnce(&mut Args) -> Result<(), CliError
             ExitCode::from(u8::try_from(e.code).unwrap_or(1))
         }
     }
-}
-
-/// The `main` of a bench binary: [`run_plain`] plus the telemetry and
-/// evaluation groups, whose help follows the `help` sections. Starts the
-/// telemetry plane, hands `body` the parsed [`EvalOptions`], then tears
-/// the plane down and exports its artifacts, noting them on stderr,
-/// whether or not `body` failed. An export failure exits 1 once the
-/// other artifacts are written.
-pub fn run_main(
-    help: &[&str],
-    body: impl FnOnce(&mut Args, EvalOptions) -> Result<(), CliError>,
-) -> ExitCode {
-    let sections = help.iter().chain([&EVAL_HELP, &TELEMETRY_HELP]);
-    let help: Vec<&str> = sections.map(|s| s.trim_end()).collect();
-    run_plain(&help.join("\n\n"), |args| {
-        let plane = Telemetry::take(args)?.start()?;
-        let result = EvalOptions::take(args).and_then(|opts| body(args, opts));
-        let exported = plane.finish(&mut std::io::stderr());
-        result.and(exported)
-    })
 }
 
 #[cfg(test)]
@@ -634,6 +624,7 @@ mod tests {
             (eval, "--opt-secs", "2"),
             (telemetry, "--sample-interval", "2"),
             (wan, "--flows", "2"),
+            (wan, "--headroom", "2"),
             (timeline, "--horizon-ms", "2"),
             (timeline, "--mean-gap-ms", "2"),
             (timeline, "--max-failed", "2"),
@@ -676,6 +667,11 @@ mod tests {
         for v in ["nan", "inf", "-5"] {
             let e = take_timeline_params(&mut args(&["--horizon-ms", v])).unwrap_err();
             assert!(e.message.contains("--horizon-ms"), "{v}: {}", e.message);
+        }
+        for v in ["nan", "inf", "-1", "0", "0.5"] {
+            let e = WanSpec::take(&mut args(&["--headroom", v]), 1).unwrap_err();
+            assert_eq!(e.code, 2, "{v}: {}", e.message);
+            assert!(e.message.contains("--headroom"), "{v}: {}", e.message);
         }
     }
 

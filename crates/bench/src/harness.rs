@@ -44,16 +44,10 @@ pub struct EvalOptions {
     /// streaming sweep is bounded by `jobs × batch` entries.
     pub batch: usize,
     /// Eagerly warm the whole topology cache when the engine is built
-    /// (default). Scale binaries switch this off so only the
-    /// shortest-path state the sweep actually touches is computed.
+    /// (default). `pmctl sweep` and `pmctl simulate --timelines` switch
+    /// this off so only the shortest-path state the sweep actually
+    /// touches is computed.
     pub eager_warm: bool,
-    /// Walk each worker's claimed scenario blocks incrementally (default):
-    /// consecutive colex-adjacent failure sets are patched in place with
-    /// [`pm_sdwan::FailureScenario::apply_delta`] and the PM heuristic
-    /// reuses a per-worker workspace, instead of rebuilding everything per
-    /// case. Results are byte-identical either way (`--no-incremental`
-    /// forces the cold recompute path, e.g. to verify exactly that).
-    pub incremental: bool,
 }
 
 impl Default for EvalOptions {
@@ -69,7 +63,6 @@ impl Default for EvalOptions {
             seed: 42,
             batch: 32,
             eager_warm: true,
-            incremental: true,
         }
     }
 }

@@ -356,10 +356,11 @@ impl<'net> SweepEngine<'net> {
     /// scenario for `failed`, builds its cached instance and hands both
     /// to `f` with the worker's PM buffers.
     ///
-    /// When `state` carries the previous case's scenario (and
-    /// [`EvalOptions::incremental`] is on), the new failure set is reached
-    /// by a chain of single `(revived, failed)` swaps patched in place —
-    /// the dominant cost of a heuristic-only case — instead of a rebuild.
+    /// When `state` carries the previous case's scenario, the new failure
+    /// set is reached by a chain of single `(revived, failed)` swaps
+    /// patched in place — the dominant cost of a heuristic-only case —
+    /// instead of a rebuild. A fresh `state` ([`SweepEngine::run_case`])
+    /// takes the cold path.
     /// Consecutive colex positions usually differ in one controller;
     /// across block boundaries (or sampled selections) the symmetric
     /// difference is larger. Every swap reproduces the fresh construction
@@ -372,9 +373,7 @@ impl<'net> SweepEngine<'net> {
     ) -> R {
         let DeltaState { scenario: slot, ws } = state;
         match slot.as_mut() {
-            Some(prev)
-                if self.opts.incremental && prev.failed_controllers().len() == failed.len() =>
-            {
+            Some(prev) if prev.failed_controllers().len() == failed.len() => {
                 let outs: Vec<ControllerId> = prev
                     .failed_controllers()
                     .iter()
@@ -462,8 +461,7 @@ impl<'net> SweepEngine<'net> {
     /// `jobs × batch` scenarios are in flight (the
     /// `sweep.scenario.live_peak` counter). Each worker unranks its
     /// positions into one reused buffer and runs `case` on the position,
-    /// its failure set and the worker's own [`DeltaState`], reset per case
-    /// when the incremental path is off.
+    /// its failure set and the worker's own [`DeltaState`].
     ///
     /// When [`EvalOptions::events`] is set, per-case progress events wrap
     /// `case`; emission never reads or writes a result, so results are
@@ -487,10 +485,6 @@ impl<'net> SweepEngine<'net> {
             || (DeltaState::default(), Vec::new()),
             |(state, failed), pos| {
                 sel.scenario_at_into(pos, failed);
-                if !self.opts.incremental {
-                    // Cold recompute: nothing survives between cases.
-                    *state = DeltaState::default();
-                }
                 let Some(events) = events else {
                     return case(pos, failed, state);
                 };

@@ -150,6 +150,8 @@ pub fn timeline_rows(reports: &[TimelineReport]) -> Vec<Vec<String>> {
 /// the topology, the timeline space, and the selection accounting.
 #[derive(Debug, Clone)]
 pub struct TimelineRunInfo {
+    /// The network source: `att`, `graphml` or `waxman`.
+    pub model: &'static str,
     /// Switch count of the topology.
     pub nodes: usize,
     /// Edge count of the topology.
@@ -180,9 +182,9 @@ pub fn bench_timeline_json(
     out.push_str("  \"topology\": {");
     let _ = write!(
         out,
-        "\"model\": \"waxman\", \"nodes\": {}, \"edges\": {}, \"seed\": {}, \
+        "\"model\": \"{}\", \"nodes\": {}, \"edges\": {}, \"seed\": {}, \
          \"controllers\": {}, \"flows\": {}",
-        info.nodes, info.edges, info.seed, info.controllers, info.flows
+        info.model, info.nodes, info.edges, info.seed, info.controllers, info.flows
     );
     out.push_str("},\n");
     info.space
@@ -332,6 +334,7 @@ mod tests {
         let sel = engine.timeline_selection(&space);
         let reports = engine.sweep_timelines(&space, &sel);
         let info = TimelineRunInfo {
+            model: "att",
             nodes: net.switch_count(),
             edges: 0,
             seed: 42,

@@ -1,13 +1,13 @@
 //! Shared construction of the large Waxman WAN the scale drills sweep.
 //!
-//! The scale binaries (`scale_sweep`, `timeline_sweep`) exercise the
-//! engine on the same topology family: a connected Waxman graph whose β
-//! shrinks with the node count so the average degree stays in the high
-//! single digits, farthest-point controller placement,
-//! nearest-controller domains, and a bounded random flow population over
-//! small endpoint pools — no all-pairs computation anywhere, so memory
-//! and time scale with the controller count and flow pool, not the
-//! switch count squared.
+//! `pmctl sweep --nodes N` and `pmctl simulate --timelines T --nodes N`
+//! (and the benchmark) exercise the engine on the same topology family:
+//! a connected Waxman graph whose β shrinks with the node count so the
+//! average degree stays in the high single digits, farthest-point
+//! controller placement, nearest-controller domains, and a bounded
+//! random flow population over small endpoint pools — no all-pairs
+//! computation anywhere, so memory and time scale with the controller
+//! count and flow pool, not the switch count squared.
 
 use pm_sdwan::{nearest_controller_partition, spread_controllers, SdWan, SdWanBuilder, SwitchId};
 use pm_topo::builders::{waxman, WaxmanParams};
@@ -30,18 +30,12 @@ pub struct WanSpec {
     pub seed: u64,
 }
 
-/// A generated WAN plus the shape facts the BENCH artifacts report.
+/// A generated WAN. Its shape facts (edges, routed flows, which can fall
+/// short of the budget on tiny pools) are read off the network itself.
 #[derive(Debug)]
 pub struct BuiltWan {
     /// The assembled network.
     pub net: SdWan,
-    /// Edge count of the generated topology.
-    pub edges: usize,
-    /// The β the Waxman generator ran with.
-    pub beta: f64,
-    /// Flows actually routed (the sampler can fall short of the budget
-    /// on tiny pools).
-    pub flows: usize,
 }
 
 /// The β that keeps the expected Waxman degree in the high single digits
@@ -64,13 +58,17 @@ fn sample_pool(rng: &mut DetRng, n: usize, size: usize) -> Vec<usize> {
 
 /// Up to `want` distinct `(src, dst)` pairs over bounded endpoint pools,
 /// so the per-source and per-destination shortest-path caches stay small
-/// no matter how large the topology is.
+/// no matter how large the topology is. The pool of `p = min(n, 192)`
+/// endpoints holds `p·(p−1)` distinct pairs, so sampling stops there
+/// however large `want` is.
 pub fn sample_flows(rng: &mut DetRng, n: usize, want: usize) -> Vec<(SwitchId, SwitchId)> {
     let pool = sample_pool(rng, n, 192.min(n));
-    let mut pairs = Vec::with_capacity(want);
+    let want_pairs = want.min(pool.len() * pool.len().saturating_sub(1));
+    let max_misses = want.saturating_mul(20).saturating_add(100);
+    let mut pairs = Vec::with_capacity(want_pairs);
     let mut seen = HashSet::new();
     let mut misses = 0usize;
-    while pairs.len() < want && misses < 20 * want + 100 {
+    while pairs.len() < want_pairs && misses < max_misses {
         let src = pool[(rng.next_u64() as usize) % pool.len()];
         let dst = pool[(rng.next_u64() as usize) % pool.len()];
         if src == dst || !seen.insert((src, dst)) {
@@ -90,12 +88,12 @@ pub fn sample_flows(rng: &mut DetRng, n: usize, want: usize) -> Vec<(SwitchId, S
 /// # Panics
 ///
 /// Panics if the spec is out of range (`controllers` must be in
-/// `2..=nodes`); the binaries validate flags before calling this.
+/// `2..=nodes`, `headroom` finite and at least 1); [`WanSpec::take`]
+/// validates the flags before pmctl calls this.
 pub fn build_wan(spec: &WanSpec) -> BuiltWan {
-    let beta = scale_beta(spec.nodes);
     let params = WaxmanParams {
         nodes: spec.nodes,
-        beta,
+        beta: scale_beta(spec.nodes),
         seed: spec.seed,
         ..Default::default()
     };
@@ -103,7 +101,6 @@ pub fn build_wan(spec: &WanSpec) -> BuiltWan {
         let _span = pm_obs::span("scale.topology");
         waxman(&params).expect("waxman parameters are valid")
     };
-    let edges = g.edge_count();
     let (sites, domains, flows) = {
         let _span = pm_obs::span("scale.placement");
         let sites = spread_controllers(&g, spec.controllers).expect("connected by construction");
@@ -112,7 +109,6 @@ pub fn build_wan(spec: &WanSpec) -> BuiltWan {
         let flows = sample_flows(&mut rng, spec.nodes, spec.flows);
         (sites, domains, flows)
     };
-    let flow_count = flows.len();
     let net = {
         let _span = pm_obs::span("scale.build");
         let mut b = SdWanBuilder::new(g);
@@ -125,12 +121,7 @@ pub fn build_wan(spec: &WanSpec) -> BuiltWan {
             .build()
             .expect("generated network is valid")
     };
-    BuiltWan {
-        net,
-        edges,
-        beta,
-        flows: flow_count,
-    }
+    BuiltWan { net }
 }
 
 #[cfg(test)]
@@ -146,23 +137,40 @@ mod tests {
             headroom: 1.5,
             seed: 11,
         };
-        let a = build_wan(&spec);
-        let b = build_wan(&spec);
-        assert_eq!(a.edges, b.edges);
-        assert_eq!(a.flows, b.flows);
-        assert_eq!(a.net.switch_count(), 60);
-        assert_eq!(a.net.controllers().len(), 5);
-        assert_eq!(
-            a.net.flows().len(),
-            b.net.flows().len(),
-            "same seed, same flows"
-        );
-        let c = build_wan(&WanSpec { seed: 12, ..spec });
-        assert_ne!(a.edges, 0);
+        let (a, b) = (build_wan(&spec).net, build_wan(&spec).net);
+        let edges = |net: &SdWan| net.topology().edge_count();
+        assert_eq!(edges(&a), edges(&b));
+        assert_eq!(a.switch_count(), 60);
+        assert_eq!(a.controllers().len(), 5);
+        assert_eq!(a.flows(), b.flows(), "same seed, same flows");
+        let c = build_wan(&WanSpec { seed: 12, ..spec }).net;
+        assert_ne!(edges(&a), 0);
         assert!(
-            a.edges != c.edges || a.flows != c.flows || a.net.flows() != c.net.flows(),
+            edges(&a) != edges(&c) || a.flows() != c.flows(),
             "different seed must change the WAN"
         );
+    }
+
+    #[test]
+    fn a_flow_budget_beyond_the_pool_stops_at_every_distinct_pair() {
+        let start = std::time::Instant::now();
+        let pairs = sample_flows(&mut DetRng::seed_from_u64(3), 40, usize::MAX);
+        assert_eq!(pairs.len(), 40 * 39, "every distinct pair of the pool");
+        assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
+        // A budget the pool covers draws the same pairs as before the cap.
+        let capped = sample_flows(&mut DetRng::seed_from_u64(3), 400, 1000);
+        let mut rng = DetRng::seed_from_u64(3);
+        let pool = sample_pool(&mut rng, 400, 192);
+        let mut expected = Vec::new();
+        let mut seen = HashSet::new();
+        while expected.len() < 1000 {
+            let src = pool[(rng.next_u64() as usize) % pool.len()];
+            let dst = pool[(rng.next_u64() as usize) % pool.len()];
+            if src != dst && seen.insert((src, dst)) {
+                expected.push((SwitchId(src), SwitchId(dst)));
+            }
+        }
+        assert_eq!(capped, expected);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! pmctl relieve --fail 13,20        # hotspot relief with the recovered programmability
 //! pmctl inspect --fail 13,20        # FMSSM instance diagnostics
 //! pmctl repro fig5 --opt-secs 20    # regenerate the paper's Fig. 5
+//! pmctl sweep --nodes 1000 --failures 3 --csv out   # 1k-switch failure sweep
+//! pmctl simulate --timelines 100 --nodes 1000       # seeded failure timelines
 //! ```
 
 #![forbid(unsafe_code)]
@@ -25,8 +27,18 @@ mod obs_top;
 mod repro;
 mod serve_cmd;
 
-use pm_bench::flags::{take_opt_secs, take_timeline_count, take_timeline_params, Args, Telemetry};
-use pm_bench::EvalOptions;
+use pm_bench::figures::{
+    scale_case_rows, shard_note, timing_report, write_bench_scale_json, ScaleRunInfo, SpaceInfo,
+    SCALE_CASE_HEADERS,
+};
+use pm_bench::flags::{
+    take_event_log, take_opt_secs, take_seed, take_timeline_count, take_timeline_params, Args,
+    Telemetry,
+};
+use pm_bench::par::{live_peak, SWEEP_POOL};
+use pm_bench::report::{write_csv, write_jsonl};
+use pm_bench::timelines::{timeline_rows, write_bench_timeline_json, TimelineRunInfo, SIM_POOL};
+use pm_bench::{build_wan, EvalOptions, SweepEngine, WanSpec, TIMELINE_CASE_HEADERS};
 use pm_core::{FmssmInstance, Optimal, Pg, Pm, RecoveryAlgorithm, RetroFlow, TwoStage};
 use pm_sdwan::{
     place_controllers, ControllerId, FailureScenario, NetCache, PlacementStrategy, PlanMetrics,
@@ -36,7 +48,7 @@ use pm_simctl::{RecoveryTiming, SimTime, Simulation};
 use std::ffi::OsString;
 use std::io::Write;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use pm_bench::flags::CliError;
 
@@ -51,13 +63,19 @@ USAGE:
   pmctl check    --fail N[,N..] --plan FILE [network options]
   pmctl compare  --fail N[,N..] [--opt-secs S] [network options]
   pmctl simulate --fail N[,N..] [--algo ...] [--cascade] [network options]
-  pmctl simulate --timelines N [--horizon-ms N] [--mean-gap-ms N]
-                 [--max-failed F] [--no-drain] [--jobs N] [--shard i/m]
-                 [--max-scenarios N] [--seed N] [--batch N] [network options]
+  pmctl simulate --timelines N [--horizon-ms MS] [--mean-gap-ms MS]
+                 [--max-failed F] [--no-drain] [dispatch options]
+                 [--csv DIR] [network options]
+                 replay N seeded failure timelines; --csv DIR writes
+                 timeline_cases.csv, timeline_cases.jsonl, BENCH_timeline.json
   pmctl relieve  --fail N[,N..] [--algo ...] [--moves M] [network options]
   pmctl inspect  --fail N[,N..] [network options]
-  pmctl sweep    [--failures K] [--jobs N] [--shard i/m] [--max-scenarios N]
-                 [--seed N] [--batch N] [--csv DIR] [network options]
+  pmctl sweep    [--failures K] [dispatch options] [--csv DIR]
+                 [--events FILE] [--progress] [network options]
+                 RetroFlow, PM and PG on every K-failure case (default 1);
+                 --csv DIR writes scale_cases.csv, scale_cases.jsonl,
+                 BENCH_scale.json; --events streams JSON lines per case,
+                 --progress prints a progress line to stderr
   pmctl serve    [--addr HOST:PORT] [--horizon K] [--jobs N] [--workers W]
                  [--port-file PATH] [network options]
                  run pmd: precompute all f <= K plans, serve POST /plan,
@@ -69,10 +87,28 @@ USAGE:
 Failed controllers are named by the node they sit at (the paper's
 convention): --fail 13,20 fails the controllers at nodes 13 and 20.
 
-network options (default: the paper's ATT setup):
-  --graphml FILE       load a Topology Zoo GraphML file
-  --controllers K      place K controllers by k-center (default 6)
-  --capacity C         per-controller capacity (default: auto-sized)
+network options: one source; the default, the paper's ATT setup, has a
+fixed shape. A shape flag the source does not take is a usage error.
+  --graphml FILE       load a Topology Zoo GraphML file, with
+    --controllers K    controllers placed by k-center (default 6)
+    --capacity C       per-controller capacity (default: auto-sized)
+  --nodes N            generate a connected Waxman WAN of N switches, with
+    --controllers K    controllers placed farthest-point (default 32)
+    --flows F          flows routed over bounded endpoint pools (default 1024)
+    --headroom H       uniform capacity factor >= 1 over the peak load
+                       (default 1.5)
+    --seed N           topology and flow seed (default 42); on sweep and
+                       simulate --timelines, the dispatch --seed below
+
+dispatch options (sweep, simulate --timelines):
+  --jobs N             worker threads (default: all cores); results are
+                       identical for every N
+  --shard i/m          run only the i-th of m contiguous slices; shard
+                       outputs concatenate to the full run
+  --max-scenarios N    cap the sweep, sampling without replacement
+  --seed N             seed of the sample, the timelines and a --nodes
+                       network (default 42)
+  --batch N            items materialized per worker dispatch (default 32)
 
 The observability options below are valid on every command.
 ";
@@ -82,11 +118,29 @@ fn usage() -> String {
     format!("{USAGE}\n{}", pm_bench::flags::TELEMETRY_HELP)
 }
 
-/// Parsed network selection.
-struct NetworkSpec {
-    graphml: Option<PathBuf>,
-    controllers: usize,
-    capacity: Option<u32>,
+/// Where a command's network comes from (the network group).
+pub(crate) enum NetworkSpec {
+    /// The paper's ATT setup; its shape is fixed.
+    Att,
+    /// A Topology Zoo GraphML file, controllers placed by k-center.
+    GraphMl {
+        path: PathBuf,
+        controllers: usize,
+        capacity: Option<u32>,
+    },
+    /// A generated Waxman WAN ([`pm_bench::build_wan`]).
+    Wan(WanSpec),
+}
+
+impl NetworkSpec {
+    /// The source's name, the `topology.model` of the BENCH artifacts.
+    fn model(&self) -> &'static str {
+        match self {
+            NetworkSpec::Att => "att",
+            NetworkSpec::GraphMl { .. } => "graphml",
+            NetworkSpec::Wan(_) => "waxman",
+        }
+    }
 }
 
 /// Runs the CLI against `args` (without the program name), writing human
@@ -138,38 +192,110 @@ fn dispatch(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-fn parse_network(args: &mut Args) -> Result<NetworkSpec, CliError> {
-    Ok(NetworkSpec {
-        graphml: args.take_path("--graphml")?,
-        controllers: args
-            .take_parsed("--controllers", "a controller count", |_: &usize| true)?
-            .unwrap_or(6),
-        capacity: args.take_parsed("--capacity", "a capacity in flows", |_: &u32| true)?,
-    })
+/// Takes the network group off `args`: `--graphml FILE [--controllers K]
+/// [--capacity C]`, `--nodes N [--controllers K] [--flows F] [--headroom
+/// H]`, or neither for the paper's ATT setup. A shape flag the chosen
+/// source does not take is a usage error naming it. `seed` is the
+/// `--seed` the command's dispatch group already took; without one, a
+/// `--nodes` source takes `--seed` itself.
+pub(crate) fn parse_network(args: &mut Args, seed: Option<u64>) -> Result<NetworkSpec, CliError> {
+    let graphml = args.take_path("--graphml")?;
+    let nodes = args.contains("--nodes");
+    let (spec, source, foreign): (_, _, &[&str]) = match graphml {
+        Some(_) if nodes => {
+            return Err(CliError::usage(
+                "--graphml and --nodes name two network sources; give one",
+            ))
+        }
+        Some(path) => (
+            NetworkSpec::GraphMl {
+                path,
+                controllers: args
+                    .take_parsed("--controllers", "a controller count", |_: &usize| true)?
+                    .unwrap_or(6),
+                capacity: args.take_parsed("--capacity", "a capacity in flows", |_: &u32| true)?,
+            },
+            "a --graphml network",
+            &["--flows", "--headroom"],
+        ),
+        None if nodes => {
+            let seed = match seed {
+                Some(seed) => seed,
+                None => take_seed(args)?.unwrap_or(EvalOptions::default().seed),
+            };
+            let spec = NetworkSpec::Wan(WanSpec::take(args, seed)?);
+            (spec, "a --nodes network", &["--capacity"])
+        }
+        None => (
+            NetworkSpec::Att,
+            "the paper's ATT network (give --graphml or --nodes)",
+            &["--controllers", "--capacity", "--flows", "--headroom"],
+        ),
+    };
+    match foreign.iter().find(|flag| args.contains(flag)) {
+        Some(flag) => Err(CliError::usage(format!(
+            "{flag} does not apply to {source}"
+        ))),
+        None => Ok(spec),
+    }
 }
 
-fn build_network(spec: &NetworkSpec) -> Result<SdWan, CliError> {
-    match &spec.graphml {
-        None => SdWanBuilder::att_paper_setup()
+pub(crate) fn build_network(spec: &NetworkSpec) -> Result<SdWan, CliError> {
+    match spec {
+        NetworkSpec::Att => SdWanBuilder::att_paper_setup()
             .build()
             .map_err(|e| CliError::runtime(format!("cannot build paper network: {e}"))),
-        Some(path) => {
+        NetworkSpec::GraphMl {
+            path,
+            controllers,
+            capacity,
+        } => {
             let g = pm_topo::zoo::load_graphml_file(path)
                 .map_err(|e| CliError::runtime(format!("cannot load {}: {e}", path.display())))?;
-            let sites = place_controllers(&g, spec.controllers, PlacementStrategy::KCenter)
+            let sites = place_controllers(&g, *controllers, PlacementStrategy::KCenter)
                 .map_err(|e| CliError::runtime(format!("placement failed: {e}")))?;
             let mut b = SdWanBuilder::new(g);
             for &s in &sites {
-                b = b.controller(s, spec.capacity.unwrap_or(0));
+                b = b.controller(s, capacity.unwrap_or(0));
             }
-            if spec.capacity.is_none() {
+            if capacity.is_none() {
                 // Auto-size capacity from the realized loads, 10 % headroom.
                 b = b.auto_capacity(1.1);
             }
             b.build()
                 .map_err(|e| CliError::runtime(format!("cannot build network: {e}")))
         }
+        NetworkSpec::Wan(wan) => Ok(build_wan(wan).net),
     }
+}
+
+/// The dispatch group as `sweep` and `simulate --timelines` run it:
+/// heuristics only, and no eager cache warming, which would reintroduce
+/// the all-pairs cost a large generated WAN avoids.
+fn sweep_options(args: &mut Args) -> Result<EvalOptions, CliError> {
+    Ok(EvalOptions {
+        skip_optimal: true,
+        eager_warm: false,
+        ..EvalOptions::take_dispatch(args)?
+    })
+}
+
+/// The closing stdout line of a sweep: the space, its selection and the
+/// dispatch's in-flight peak against its `jobs × batch` bound.
+fn write_space_line(out: &mut dyn Write, kind: &str, space: &SpaceInfo) {
+    let _ = writeln!(
+        out,
+        "{kind} space {} -> selected {}{}; live peak {} <= bound {}",
+        space.size,
+        space.selected,
+        if space.sampled {
+            " (seeded sample)"
+        } else {
+            ""
+        },
+        space.live_peak,
+        space.live_bound
+    );
 }
 
 /// Parses `--fail 13,20` (node ids) into controller ids of `net`.
@@ -224,7 +350,7 @@ fn parse_opt_secs(args: &mut Args) -> Result<u64, CliError> {
 }
 
 fn cmd_topology(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = parse_network(&mut args)?;
+    let spec = parse_network(&mut args, None)?;
     args.finish()?;
     let net = build_network(&spec)?;
     let g = net.topology();
@@ -237,7 +363,7 @@ fn cmd_topology(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     );
     let _ = writeln!(
         out,
-        "flows: {} (all ordered pairs, shortest path)",
+        "flows: {} (routed on shortest paths)",
         net.flows().len()
     );
     let _ = writeln!(out, "controllers:");
@@ -316,7 +442,7 @@ fn print_metrics(out: &mut dyn Write, m: &PlanMetrics) {
 }
 
 fn cmd_plan(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = parse_network(&mut args)?;
+    let spec = parse_network(&mut args, None)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     let algo_name = parse_algo(&mut args)?;
@@ -364,7 +490,7 @@ fn cmd_plan(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_check(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = parse_network(&mut args)?;
+    let spec = parse_network(&mut args, None)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     let Some(plan_file) = args.take_path("--plan")? else {
@@ -394,7 +520,7 @@ fn cmd_check(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_compare(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = parse_network(&mut args)?;
+    let spec = parse_network(&mut args, None)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     let opt_secs = parse_opt_secs(&mut args)?;
@@ -450,7 +576,7 @@ fn cmd_simulate(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(count) = take_timeline_count(&mut args)? {
         return cmd_simulate_timelines(count, args, out);
     }
-    let spec = parse_network(&mut args)?;
+    let spec = parse_network(&mut args, None)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     let algo_name = parse_algo(&mut args)?;
@@ -525,42 +651,46 @@ fn cmd_simulate(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `pmctl simulate --timelines N`: replays N seeded failure timelines
 /// (failures, recoveries, cascades, partitions, flow churn) through the
-/// sweep engine and summarizes the recovery outcomes. Deterministic in
-/// `--seed` for every `--jobs` count, and `--shard i/m` outputs
-/// concatenated in shard order equal the unsharded run.
+/// sweep engine. Stdout holds one row per timeline, the totals and the
+/// timeline-space line; the rows are identical for every `--jobs`, and
+/// `--shard i/m` rows concatenated in shard order equal the unsharded
+/// run's.
 fn cmd_simulate_timelines(count: u64, mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = parse_network(&mut args)?;
-    let net = build_network(&spec)?;
-    let opts = EvalOptions {
-        skip_optimal: true,
-        ..EvalOptions::take_dispatch(&mut args)?
-    };
+    let mut opts = sweep_options(&mut args)?;
+    let spec = parse_network(&mut args, Some(opts.seed))?;
     let params = take_timeline_params(&mut args)?;
+    opts.csv_dir = args.take_path("--csv")?;
     args.finish()?;
+    // The recorder backs the live-peak accounting.
+    pm_obs::enable();
+    let net = build_network(&spec)?;
     if net.controllers().len() < 2 {
         return Err(CliError::usage(
             "timeline simulation needs at least 2 controllers",
         ));
     }
 
-    let engine = pm_bench::SweepEngine::new(&net, opts.clone());
+    let engine = SweepEngine::new(&net, opts.clone());
     let space = engine.timeline_space(count, params);
     let sel = engine.timeline_selection(&space);
     let range = sel.shard_range(opts.shard);
-    let shard_note = match opts.shard {
-        Some((i, m)) => format!(" (shard {i}/{m} of {})", sel.len()),
-        None => String::new(),
-    };
-    let _ = writeln!(
-        out,
-        "replaying {} of {} seeded timeline(s){}{} on {} thread(s)",
+    eprintln!(
+        "simulate: replaying {} of {} timeline(s){}{} on a {}-switch {} network, \
+         {} thread(s), batch {}...",
         range.end - range.start,
         space.count(),
         if sel.is_sampled() { " [sampled]" } else { "" },
-        shard_note,
-        opts.jobs
+        shard_note(opts.shard, sel.len()),
+        net.switch_count(),
+        spec.model(),
+        opts.jobs,
+        opts.batch
     );
+    let t0 = Instant::now();
     let reports = engine.sweep_timelines(&space, &sel);
+    let sweep_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (live_peak, live_bound) = live_peak(SIM_POOL, &opts);
+
     for r in &reports {
         let _ = writeln!(
             out,
@@ -586,11 +716,43 @@ fn cmd_simulate_timelines(count: u64, mut args: Args, out: &mut dyn Write) -> Re
         recovered,
         reports.len()
     );
+    let info = TimelineRunInfo {
+        model: spec.model(),
+        nodes: net.switch_count(),
+        edges: net.topology().edge_count(),
+        seed: opts.seed,
+        controllers: net.controllers().len(),
+        flows: net.flows().len(),
+        space: SpaceInfo {
+            size: space.count(),
+            selected: sel.len(),
+            sampled: sel.is_sampled(),
+            shard: opts.shard,
+            run: reports.len(),
+            live_peak,
+            live_bound,
+        },
+    };
+    write_space_line(out, "timeline", &info.space);
+    eprintln!("simulate: replayed in {sweep_ms:.1} ms (wall clock)");
+
+    if let Some(dir) = &opts.csv_dir {
+        let rows = timeline_rows(&reports);
+        write_csv(dir, "timeline_cases", &TIMELINE_CASE_HEADERS, &rows);
+        write_jsonl(
+            dir,
+            "timeline_cases.jsonl",
+            &TIMELINE_CASE_HEADERS,
+            &rows,
+            0,
+        );
+    }
+    write_bench_timeline_json(&opts, &info, sweep_ms, &reports);
     Ok(())
 }
 
 fn cmd_inspect(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = parse_network(&mut args)?;
+    let spec = parse_network(&mut args, None)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     args.finish()?;
@@ -620,7 +782,7 @@ fn cmd_inspect(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let entries: usize = (0..inst.flows().len())
         .map(|lp| inst.flow_entries(lp).len())
         .sum();
-    let capacity: u32 = inst.residuals().iter().sum();
+    let capacity: u64 = inst.residuals().iter().map(|&r| u64::from(r)).sum();
     let _ = writeln!(
         out,
         "  recoverable flows: {recoverable} ({} structurally hopeless)",
@@ -677,7 +839,7 @@ fn cmd_inspect(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_relieve(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = parse_network(&mut args)?;
+    let spec = parse_network(&mut args, None)?;
     let net = build_network(&spec)?;
     let failed = parse_failures(&net, &mut args)?;
     let algo_name = parse_algo(&mut args)?;
@@ -724,19 +886,24 @@ fn cmd_relieve(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `pmctl sweep`: runs RetroFlow, PM and PG on every `--failures`-
+/// controller failure case of the network (or a seeded sample of them,
+/// or one shard). Stdout holds one row per case and the scenario-space
+/// line; the rows are identical for every `--jobs`, and `--shard i/m`
+/// rows concatenated in shard order equal the unsharded run's. The
+/// wall-clock table goes to stderr.
 fn cmd_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let spec = parse_network(&mut args)?;
-    let net = build_network(&spec)?;
+    let mut opts = sweep_options(&mut args)?;
+    let spec = parse_network(&mut args, Some(opts.seed))?;
     let failures = args
         .take_parsed("--failures", "a failure count", |_: &usize| true)?
         .unwrap_or(1);
-    let opts = EvalOptions {
-        skip_optimal: true,
-        ..EvalOptions::take_dispatch(&mut args)?
-    };
-    let csv_dir = args.take_path("--csv")?;
+    opts.csv_dir = args.take_path("--csv")?;
+    opts.events = take_event_log(&mut args)?;
     args.finish()?;
-
+    // The recorder backs the live-peak accounting.
+    pm_obs::enable();
+    let net = build_network(&spec)?;
     let m = net.controllers().len();
     if failures == 0 || failures >= m {
         return Err(CliError::usage(format!(
@@ -744,33 +911,29 @@ fn cmd_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
 
-    let engine = pm_bench::SweepEngine::new(&net, opts.clone());
+    let engine = SweepEngine::new(&net, opts.clone());
     let sel = engine.selection(failures);
     let range = sel.shard_range(opts.shard);
-    let _ = writeln!(
-        out,
-        "sweeping {} of {} {failures}-failure scenario(s){}{} on {} thread(s)",
+    eprintln!(
+        "sweep: {} of {} {failures}-failure scenario(s){}{} on a {}-switch {} network, \
+         {} thread(s), batch {}...",
         range.end - range.start,
         sel.space().count(),
-        if sel.is_sampled() {
-            " [seeded sample]"
-        } else {
-            ""
-        },
-        match opts.shard {
-            Some((i, m)) => format!(" [shard {i}/{m}]"),
-            None => String::new(),
-        },
-        opts.jobs
+        if sel.is_sampled() { " [sampled]" } else { "" },
+        shard_note(opts.shard, sel.len()),
+        net.switch_count(),
+        spec.model(),
+        opts.jobs,
+        opts.batch
     );
     let cases = engine.sweep_selection(&sel);
+    let (live_peak, live_bound) = live_peak(SWEEP_POOL, &opts);
 
     let _ = writeln!(
         out,
         "{:<16} {:>9} {:>9} {:>12} {:>12}",
         "case", "flows", "switches", "pm_total", "retro_total"
     );
-    let mut rows = Vec::new();
     for case in &cases {
         let pm = case.run("PM").expect("heuristics always run");
         let retro = case.run("RetroFlow").expect("heuristics always run");
@@ -789,33 +952,35 @@ fn cmd_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
             pm.metrics.total_programmability,
             retro.metrics.total_programmability
         );
-        rows.push(vec![
-            case.label.clone(),
-            pm.metrics.offline_switches.to_string(),
-            pm.metrics.offline_flows.to_string(),
-            retro.metrics.total_programmability.to_string(),
-            pm.metrics.total_programmability.to_string(),
-            retro.metrics.recovered_flows.to_string(),
-            pm.metrics.recovered_flows.to_string(),
-        ]);
     }
-    if let Some(dir) = &csv_dir {
-        pm_bench::report::write_csv(
-            dir,
-            "sweep_cases",
-            &[
-                "case",
-                "offline_switches",
-                "offline_flows",
-                "retro_programmability",
-                "pm_programmability",
-                "retro_recovered_flows",
-                "pm_recovered_flows",
-            ],
-            &rows,
-        );
-        let _ = writeln!(out, "per-case CSV written to {}", dir.display());
+    let info = ScaleRunInfo {
+        model: spec.model(),
+        nodes: net.switch_count(),
+        edges: net.topology().edge_count(),
+        seed: opts.seed,
+        controllers: m,
+        flows: net.flows().len(),
+        failures,
+        space: SpaceInfo {
+            size: sel.space().count(),
+            selected: sel.len(),
+            sampled: sel.is_sampled(),
+            shard: opts.shard,
+            run: cases.len(),
+            live_peak,
+            live_bound,
+        },
+    };
+    write_space_line(out, "scenario", &info.space);
+    eprint!("{}", timing_report(&cases));
+
+    if let Some(dir) = &opts.csv_dir {
+        let rows = scale_case_rows(&cases);
+        write_csv(dir, "scale_cases", &SCALE_CASE_HEADERS, &rows);
+        // Only the case label is a string; every other column is numeric.
+        write_jsonl(dir, "scale_cases.jsonl", &SCALE_CASE_HEADERS, &rows, 1);
     }
+    write_bench_scale_json(&opts, &info, &cases);
     Ok(())
 }
 
@@ -1040,8 +1205,8 @@ mod tests {
 
     #[test]
     fn shared_flags_read_as_the_bench_binaries_do() {
-        // The bench binaries print these very messages (pinned on their
-        // side by crates/bench/tests/cli_flags.rs).
+        // Every front end parses a shared group with the same function, so
+        // pmctl prints that function's very message.
         let message = |group: fn(&mut Args) -> Result<(), CliError>, flags: &[&str]| {
             let mut args = Args::new(flags.iter().map(OsString::from).collect());
             group(&mut args).expect_err("bad flags").message
@@ -1167,6 +1332,12 @@ mod tests {
         assert!(text.contains("data plane continuous: true"));
     }
 
+    /// Stdout without the live-peak line, whose peak depends on the
+    /// schedule (and, in-process, on the recorder other tests share).
+    fn without_live_peak(text: &str) -> Vec<&str> {
+        text.lines().filter(|l| !l.contains("live peak")).collect()
+    }
+
     #[test]
     fn simulate_timelines_is_deterministic_across_jobs() {
         let base = [
@@ -1181,13 +1352,11 @@ mod tests {
         let serial = run_ok(&[&base[..], &["--jobs", "1"]].concat());
         let parallel = run_ok(&[&base[..], &["--jobs", "8"]].concat());
         assert!(
-            serial.contains("replaying 6 of 6 seeded timeline(s)"),
+            serial.contains("timeline space 6 -> selected 6; live peak"),
             "{serial}"
         );
         assert!(serial.contains("timeline(s) fully recovered"), "{serial}");
-        // Identical modulo the thread-count banner line.
-        let body = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(body(&serial), body(&parallel));
+        assert_eq!(without_live_peak(&serial), without_live_peak(&parallel));
     }
 
     #[test]
@@ -1203,7 +1372,8 @@ mod tests {
         ];
         let full = run_ok(&[&base[..], &["--jobs", "2"]].concat());
         let timeline_lines = |s: &str| {
-            s.lines()
+            without_live_peak(s)
+                .into_iter()
                 .filter(|l| l.starts_with("timeline "))
                 .map(str::to_string)
                 .collect::<Vec<_>>()
@@ -1315,7 +1485,7 @@ mod tests {
     fn sweep_runs_every_single_failure_case() {
         let text = run_ok(&["sweep", "--jobs", "2"]);
         assert!(
-            text.contains("sweeping 6 of 6 1-failure scenario(s)"),
+            text.contains("scenario space 6 -> selected 6; live peak"),
             "{text}"
         );
         // One row per controller, labeled by node id.
@@ -1327,11 +1497,13 @@ mod tests {
     #[test]
     fn sweep_caps_scenarios_with_a_seeded_sample() {
         let text = run_ok(&["sweep", "--failures", "2", "--max-scenarios", "5"]);
-        assert!(text.contains("sweeping 5 of 15"), "{text}");
-        assert!(text.contains("[seeded sample]"), "{text}");
+        assert!(
+            text.contains("scenario space 15 -> selected 5 (seeded sample)"),
+            "{text}"
+        );
         // The same seed reproduces the same sample; a different one may not.
         let again = run_ok(&["sweep", "--failures", "2", "--max-scenarios", "5"]);
-        assert_eq!(text, again);
+        assert_eq!(without_live_peak(&text), without_live_peak(&again));
     }
 
     #[test]
@@ -1343,7 +1515,7 @@ mod tests {
             &["sweep", "--failures", "2"],
             &[("--csv", &full_dir)],
         ));
-        let full = std::fs::read_to_string(full_dir.join("sweep_cases.csv")).unwrap();
+        let full = std::fs::read_to_string(full_dir.join("scale_cases.csv")).unwrap();
         let mut merged = String::new();
         for i in 1..=3 {
             let shard_dir = dir.join(format!("shard{i}"));
@@ -1359,7 +1531,7 @@ mod tests {
                 ],
                 &[("--csv", &shard_dir)],
             ));
-            let text = std::fs::read_to_string(shard_dir.join("sweep_cases.csv")).unwrap();
+            let text = std::fs::read_to_string(shard_dir.join("scale_cases.csv")).unwrap();
             let (header, body) = text.split_once('\n').unwrap();
             if merged.is_empty() {
                 merged.push_str(header);
@@ -1380,6 +1552,11 @@ mod tests {
         // Zero workers / zero-sized batches are usage errors with readable
         // UTF-8 messages naming the flag — never a panic or a division by
         // zero deep in the dispatch loop.
+        for flag in ["--batch", "--jobs", "--max-scenarios"] {
+            let e = run_err(&["sweep", flag, "many"]);
+            assert_eq!(e.code, 2, "{flag}: {}", e.message);
+            assert!(e.message.contains(flag), "{flag}: {}", e.message);
+        }
         for flag in ["--batch", "--jobs"] {
             let e = run_err(&["sweep", flag, "0"]);
             assert_eq!(e.code, 2, "{flag}: {}", e.message);

@@ -1,7 +1,7 @@
 //! `pmctl obs` — the telemetry analysis subcommands.
 //!
-//! These read the metrics JSON the bench binaries and `pmctl --metrics`
-//! export (schema version 1) and turn it into human-readable reports,
+//! These read the metrics JSON `pmctl --metrics` exports (schema
+//! version 1) and turn it into human-readable reports,
 //! baseline diffs, and a CI regression gate:
 //!
 //! ```console

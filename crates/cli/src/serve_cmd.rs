@@ -1,7 +1,7 @@
 //! `pmctl serve` — run `pmd`, the resident plan-serving daemon.
 //!
-//! Builds the selected network (paper ATT setup by default, or
-//! `--graphml`), precomputes every `f ≤ --horizon` recovery plan into a
+//! Builds the selected network (paper ATT setup by default, `--graphml`
+//! or `--nodes`), precomputes every `f ≤ --horizon` recovery plan into a
 //! [`pm_bench::PlanStore`], and serves plan lookups over HTTP until a
 //! `POST /shutdown` arrives. `POST /reload` re-reads the topology source
 //! (the GraphML file, for `--graphml` runs) and swaps the serving
@@ -22,14 +22,16 @@ pub(crate) fn cmd_serve(mut args: Args, out: &mut dyn Write) -> Result<(), CliEr
         .take_str_flag("--addr")?
         .unwrap_or_else(|| "127.0.0.1:7700".into());
     let port_file = args.take_path("--port-file")?;
-    let spec = parse_network(&mut args)?;
-    // The paper setup's controller count is known up front; a GraphML
-    // network's is checked once it is built, on every reload.
-    let att_controllers = spec
-        .graphml
-        .is_none()
-        .then_some(pm_topo::att::DEFAULT_DOMAINS.len());
-    let cfg = PmdConfig::take(&mut args, att_controllers)?;
+    let spec = parse_network(&mut args, None)?;
+    // The paper setup's and a generated WAN's controller counts are known
+    // up front; a GraphML network's is checked once it is built, on every
+    // reload.
+    let controllers = match &spec {
+        NetworkSpec::Att => Some(pm_topo::att::DEFAULT_DOMAINS.len()),
+        NetworkSpec::GraphMl { .. } => None,
+        NetworkSpec::Wan(wan) => Some(wan.controllers),
+    };
+    let cfg = PmdConfig::take(&mut args, controllers)?;
     args.finish()?;
 
     let spec = Arc::new(spec);

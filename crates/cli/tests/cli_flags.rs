@@ -1,8 +1,8 @@
-//! Flag validation of `pmctl repro`: every paper output takes the
-//! evaluation and telemetry groups and nothing else, and answers a bad
-//! flag with exit 2 and a message naming it.
+//! Flag validation of pmctl: every `pmctl repro` paper output takes the
+//! evaluation and telemetry groups and nothing else, no command accepts a
+//! flag it then ignores, and a bad flag exits 2 with a message naming it.
 
-use std::ffi::OsString;
+use std::ffi::{OsStr, OsString};
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -18,7 +18,7 @@ const OUTPUTS: [&str; 8] = [
     "successive_drill",
 ];
 
-fn pmctl(dir: &Path, args: &[&str]) -> Output {
+fn pmctl<S: AsRef<OsStr>>(dir: &Path, args: &[S]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_pmctl"))
         .args(args)
         .current_dir(dir)
@@ -88,5 +88,76 @@ fn fig7_metrics_carry_the_tail_sample_interval() {
         .and_then(pm_obs::json::Value::items)
         .map_or(0, |iv| iv.len());
     assert!(intervals >= 1, "no tail interval in:\n{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn no_command_ignores_a_flag_it_accepts() {
+    // Each flag is one the command or its network source does not honour:
+    // rejected by name, never accepted and dropped.
+    for (args, flag) in [
+        (
+            &["simulate", "--timelines", "2", "--events", "f"][..],
+            "--events",
+        ),
+        (
+            &["simulate", "--timelines", "2", "--opt-secs", "3"][..],
+            "--opt-secs",
+        ),
+        (&["topology", "--controllers", "4"][..], "--controllers"),
+        (
+            &["sweep", "--nodes", "40", "--capacity", "5"][..],
+            "--capacity",
+        ),
+        (&["sweep", "--graphml", "F", "--flows", "8"][..], "--flows"),
+    ] {
+        let argv: Vec<OsString> = args.iter().map(OsString::from).collect();
+        let e = pm_cli::run(&argv, &mut Vec::new()).expect_err("usage error");
+        assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+        assert!(e.message.contains(flag), "{args:?}: {}", e.message);
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn scale_sweep_takes_non_utf8_paths_and_rejects_non_utf8_numbers() {
+    use std::os::unix::ffi::OsStrExt;
+    let dir = scratch_dir("non_utf8");
+    let metrics = OsStr::from_bytes(b"m\xFF.json");
+    let small = [
+        "sweep",
+        "--nodes",
+        "40",
+        "--controllers",
+        "4",
+        "--failures",
+        "1",
+        "--flows",
+        "16",
+        "--jobs",
+        "1",
+        "--csv",
+        ".",
+    ];
+    let mut args: Vec<&OsStr> = small.iter().map(OsStr::new).collect();
+    args.extend([OsStr::new("--metrics"), metrics]);
+    let out = pmctl(&dir, &args);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        dir.join(metrics).exists(),
+        "metrics file at the non-UTF-8 path"
+    );
+    assert!(dir.join("scale_cases.csv").exists(), "{out:?}");
+    let out = pmctl(
+        &dir,
+        &[
+            OsStr::new("sweep"),
+            OsStr::new("--jobs"),
+            OsStr::from_bytes(b"4\xFF"),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("usage error is UTF-8");
+    assert!(stderr.is_ascii() && stderr.contains("--jobs"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

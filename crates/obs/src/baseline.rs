@@ -1,8 +1,8 @@
 //! Reading exported metrics JSON back into an analyzable form.
 //!
 //! [`metrics_json`](crate::metrics_json) documents (schema version 1) are
-//! the workspace's telemetry interchange format: the bench binaries and
-//! `pmctl` write them, CI commits one per tracked workload under
+//! the workspace's telemetry interchange format: every `pmctl` command
+//! writes them with `--metrics`, CI commits one per tracked workload under
 //! `results/baselines/`, and this module parses them back — via the
 //! in-tree [`crate::json`] parser, no external dependency — so
 //! [`crate::diff`] can compare a fresh run against a committed baseline.

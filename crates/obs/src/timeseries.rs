@@ -33,7 +33,7 @@ use std::time::{Duration, Instant, SystemTime};
 #[derive(Debug, Clone)]
 pub struct SamplerConfig {
     /// Gap between snapshots. The default, 250 ms, matches the
-    /// `--sample-interval` default of the bench binaries.
+    /// `--sample-interval` default pmctl uses with `--serve`.
     pub interval: Duration,
     /// Ring capacity in intervals. At the default interval the default
     /// capacity (240) holds one minute of history.

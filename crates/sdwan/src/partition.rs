@@ -2,8 +2,8 @@
 //!
 //! [`place_controllers`](crate::place_controllers) computes all-pairs
 //! shortest paths, which is fine on paper-scale graphs (tens of nodes) but
-//! prohibitive on the 1k–10k switch Waxman networks driven by the
-//! `scale_sweep` bench. This module provides large-topology counterparts
+//! prohibitive on the 1k–10k switch Waxman networks `pmctl sweep --nodes`
+//! generates. This module provides large-topology counterparts
 //! that run exactly one Dijkstra per controller:
 //!
 //! * [`spread_controllers`] — farthest-point traversal (the classic greedy

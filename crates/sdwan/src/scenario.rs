@@ -289,7 +289,8 @@ impl SdWanBuilder {
                 .map(|c| net.controller_load(ControllerId(c)))
                 .max()
                 .unwrap_or(0);
-            let capacity = (max_load as f64 * headroom) as u32 + 1;
+            // The cast saturates at u32::MAX; so must the + 1.
+            let capacity = ((max_load as f64 * headroom) as u32).saturating_add(1);
             for c in &mut net.controllers {
                 c.capacity = capacity;
             }
@@ -893,6 +894,17 @@ mod tests {
             assert_eq!(c.capacity, expect);
         }
         assert!(net.controllers()[0].capacity > max_load);
+    }
+
+    #[test]
+    fn auto_capacity_saturates_a_huge_headroom() {
+        // max_load * 1e308 casts to u32::MAX; the + 1 must not wrap to 0.
+        let net = SdWanBuilder::new(builders::ring(6))
+            .controller(NodeId(0), 0)
+            .auto_capacity(1e308)
+            .build()
+            .unwrap();
+        assert_eq!(net.controllers()[0].capacity, u32::MAX);
     }
 
     #[test]

@@ -177,14 +177,13 @@ fn delta_sweeps_match_recompute_across_jobs_and_shards() {
         batch: 4,
         ..Default::default()
     };
-    let reference = sweep_fingerprints(
-        &net,
-        EvalOptions {
-            jobs: 1,
-            incremental: false,
-            ..base.clone()
-        },
-    );
+    // The cold reference: `run_case` starts every case from a fresh
+    // delta state.
+    let engine = SweepEngine::new(&net, base.clone());
+    let sel = engine.selection(2);
+    let reference: Vec<String> = (0..sel.len())
+        .map(|pos| fingerprint(&engine.run_case(&sel.scenario_at(pos))))
+        .collect();
     assert!(!reference.is_empty());
     for jobs in [1usize, 8] {
         for m in [1usize, 3] {
