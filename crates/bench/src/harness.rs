@@ -2,7 +2,7 @@
 
 use crate::events::EventLog;
 use pm_core::{FmssmInstance, Optimal, Pg, Pm, PmError, PmWorkspace, RecoveryAlgorithm, RetroFlow};
-use pm_sdwan::{ControllerId, FailureScenario, PlanMetrics, Programmability, RecoveryPlan, SdWan};
+use pm_sdwan::{ControllerId, PlanMetrics, RecoveryPlan, SdWan};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -120,19 +120,16 @@ pub fn case_label(net: &SdWan, failed: &[ControllerId]) -> String {
 /// plans are byte-identical whether it is fresh or carried over, since
 /// only buffers survive, never decisions.
 pub(crate) fn run_algorithms(
-    scenario: &FailureScenario<'_>,
-    prog: &Programmability,
     inst: &FmssmInstance<'_, '_>,
     opts: &EvalOptions,
     ws: &mut PmWorkspace,
 ) -> Vec<AlgoRun> {
-    // One measured, validated heuristic run. `recover` is a closure rather
+    // One measured, checked heuristic run. `recover` is a closure rather
     // than the trait method so PM can run inside the shared workspace; the
     // name/span/metrics handling stays common to all three.
     fn heuristic_run(
         algo: &dyn RecoveryAlgorithm,
-        scenario: &FailureScenario<'_>,
-        prog: &Programmability,
+        inst: &FmssmInstance<'_, '_>,
         recover: impl FnOnce() -> Result<RecoveryPlan, PmError>,
     ) -> AlgoRun {
         let algo_span = pm_obs::span_labeled("bench.algo", algo.name());
@@ -140,10 +137,9 @@ pub(crate) fn run_algorithms(
         let plan = recover().expect("heuristics always produce a plan");
         let elapsed = start.elapsed();
         drop(algo_span);
-        plan.validate(scenario, prog, algo.is_flow_level())
+        let (metrics, total_delay) = inst
+            .evaluate(&plan, algo.is_flow_level(), algo.middle_layer_ms())
             .expect("plan must be valid");
-        let metrics = PlanMetrics::compute(scenario, prog, &plan, algo.middle_layer_ms());
-        let total_delay = plan.total_control_delay(scenario);
         AlgoRun {
             name: algo.name(),
             metrics,
@@ -155,15 +151,11 @@ pub(crate) fn run_algorithms(
 
     let mut runs = Vec::new();
     let retroflow = RetroFlow::new();
-    runs.push(heuristic_run(&retroflow, scenario, prog, || {
-        retroflow.recover(inst)
-    }));
+    runs.push(heuristic_run(&retroflow, inst, || retroflow.recover(inst)));
     let pm = Pm::new();
-    runs.push(heuristic_run(&pm, scenario, prog, || {
-        pm.recover_in(inst, ws)
-    }));
+    runs.push(heuristic_run(&pm, inst, || pm.recover_in(inst, ws)));
     let pg = Pg::new();
-    runs.push(heuristic_run(&pg, scenario, prog, || pg.recover(inst)));
+    runs.push(heuristic_run(&pg, inst, || pg.recover(inst)));
 
     if !opts.skip_optimal {
         let _algo_span = pm_obs::span_labeled("bench.algo", "Optimal");
@@ -171,11 +163,9 @@ pub(crate) fn run_algorithms(
         let out = solver
             .solve_detailed(inst)
             .expect("warm start guarantees an incumbent");
-        out.plan
-            .validate(scenario, prog, false)
+        let (metrics, total_delay) = inst
+            .evaluate(&out.plan, false, 0.0)
             .expect("optimal plan must be valid");
-        let metrics = PlanMetrics::compute(scenario, prog, &out.plan, 0.0);
-        let total_delay = out.plan.total_control_delay(scenario);
         runs.push(AlgoRun {
             name: "Optimal",
             metrics,

@@ -308,9 +308,8 @@ impl<'net> SweepEngine<'net> {
         let label = case_label(self.net, failed);
         let case_t0 = pm_obs::enabled().then(Instant::now);
         let _span = pm_obs::span_labeled("sweep.case", label.clone());
-        let prog = self.cache.programmability();
-        let runs = self.with_case(failed, state, |scenario, inst, ws| {
-            run_algorithms(scenario, prog, inst, &self.opts, ws)
+        let runs = self.with_case(failed, state, |_, inst, ws| {
+            run_algorithms(inst, &self.opts, ws)
         });
         if pm_obs::enabled() {
             pm_obs::count("sweep.cases", 1);
@@ -345,9 +344,8 @@ impl<'net> SweepEngine<'net> {
     fn solve_plan_in(&self, failed: &[ControllerId], state: &mut DeltaState<'net>) -> SolvedPlan {
         let label = case_label(self.net, failed);
         let _span = pm_obs::span_labeled("store.solve", label.clone());
-        let prog = self.cache.programmability();
-        self.with_case(failed, state, |scenario, inst, ws| {
-            SolvedPlan::solve(failed, label, scenario, prog, inst, ws)
+        self.with_case(failed, state, |_, inst, ws| {
+            SolvedPlan::solve(failed, label, inst, ws)
         })
         .expect("PM produces a valid plan")
     }
@@ -519,7 +517,7 @@ pub struct SolvedPlan {
 }
 
 impl SolvedPlan {
-    /// PM's solve → validate → metrics step on a built instance: the unit
+    /// PM's solve → check → metrics step on a built instance: the unit
     /// of the plan-store build ([`SweepEngine::solve_plan`]) and of
     /// `pmd`'s beyond-horizon fallback. `ws` only lends buffers, so the
     /// plan is byte-identical to a cold solve.
@@ -530,8 +528,6 @@ impl SolvedPlan {
     pub(crate) fn solve(
         failed: &[ControllerId],
         label: String,
-        scenario: &FailureScenario<'_>,
-        prog: &Programmability,
         inst: &FmssmInstance<'_, '_>,
         ws: &mut PmWorkspace,
     ) -> Result<SolvedPlan, String> {
@@ -539,9 +535,9 @@ impl SolvedPlan {
         let t0 = Instant::now();
         let plan = pm.recover_in(inst, ws).map_err(|e| e.to_string())?;
         let elapsed = t0.elapsed();
-        plan.validate(scenario, prog, pm.is_flow_level())
+        let (metrics, _) = inst
+            .evaluate(&plan, pm.is_flow_level(), pm.middle_layer_ms())
             .map_err(|e| e.to_string())?;
-        let metrics = PlanMetrics::compute(scenario, prog, &plan, pm.middle_layer_ms());
         Ok(SolvedPlan {
             failed: failed.to_vec(),
             label,
@@ -653,7 +649,7 @@ mod tests {
             // Reference: an uncached scenario and instance, fresh buffers.
             let scenario = net.fail(&case.failed).unwrap();
             let inst = FmssmInstance::new(&scenario, &prog);
-            let serial = run_algorithms(&scenario, &prog, &inst, &opts, &mut Default::default());
+            let serial = run_algorithms(&inst, &opts, &mut Default::default());
             assert_eq!(case.label, case_label(&net, &case.failed));
             assert_eq!(case.runs.len(), serial.len());
             for (a, b) in case.runs.iter().zip(&serial) {

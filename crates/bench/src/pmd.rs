@@ -143,12 +143,10 @@ impl Generation {
             .net
             .fail_cached(failed, &self.cache)
             .map_err(|e| e.to_string())?;
-        let prog = self.cache.programmability();
-        let inst = FmssmInstance::with_cache(&scenario, prog, &self.cache);
+        let inst = FmssmInstance::with_cache(&scenario, self.cache.programmability(), &self.cache);
         let label = crate::harness::case_label(&self.net, failed);
-        let solved = FALLBACK_WS.with(|ws| {
-            SolvedPlan::solve(failed, label, &scenario, prog, &inst, &mut ws.borrow_mut())
-        })?;
+        let solved =
+            FALLBACK_WS.with(|ws| SolvedPlan::solve(failed, label, &inst, &mut ws.borrow_mut()))?;
         // No global rank: the plan is not in the store.
         let text = solved.plan.to_text();
         Ok(StoredPlan::from_solved(u64::MAX, &solved, text))

@@ -41,8 +41,8 @@ use pm_bench::timelines::{timeline_rows, write_bench_timeline_json, TimelineRunI
 use pm_bench::{build_wan, EvalOptions, SweepEngine, WanSpec, TIMELINE_CASE_HEADERS};
 use pm_core::{FmssmInstance, Optimal, Pg, Pm, RecoveryAlgorithm, RetroFlow, TwoStage};
 use pm_sdwan::{
-    place_controllers, ControllerId, FailureScenario, NetCache, PlacementStrategy, PlanMetrics,
-    Programmability, RecoveryPlan, SdWan, SdWanBuilder,
+    place_controllers, ControllerId, NetCache, PlacementStrategy, PlanMetrics, Programmability,
+    RecoveryPlan, SdWan, SdWanBuilder,
 };
 use pm_simctl::{RecoveryTiming, SimTime, Simulation};
 use std::ffi::OsString;
@@ -471,9 +471,9 @@ fn cmd_plan(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let plan = algo
         .recover(&inst)
         .map_err(|e| CliError::runtime(format!("{} failed: {e}", algo.name())))?;
-    plan.validate(&scenario, prog, algo.is_flow_level())
+    let (metrics, _) = inst
+        .evaluate(&plan, algo.is_flow_level(), algo.middle_layer_ms())
         .map_err(|e| CliError::runtime(format!("produced plan invalid: {e}")))?;
-    let metrics = PlanMetrics::compute(&scenario, prog, &plan, algo.middle_layer_ms());
     let _ = writeln!(out, "algorithm: {}", algo.name());
     print_metrics(out, &metrics);
     match out_file {
@@ -507,11 +507,11 @@ fn cmd_check(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let scenario = net
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
+    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
     // Accept flow-level plans: a switch-level plan also passes that check.
-    match plan.validate(&scenario, prog, true) {
-        Ok(()) => {
+    match inst.evaluate(&plan, true, 0.0) {
+        Ok((metrics, _)) => {
             let _ = writeln!(out, "plan is FEASIBLE for failure of {failed:?}");
-            let metrics = PlanMetrics::compute(&scenario, prog, &plan, 0.0);
             print_metrics(out, &metrics);
             Ok(())
         }
@@ -538,7 +538,7 @@ fn cmd_compare(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         "algorithm", "flows", "switches", "min", "total", "overhead(ms)"
     );
     for name in ["retroflow", "pm", "pg", "optimal"] {
-        compare_row(out, &*make_algo(name, opt_secs)?, &scenario, prog, &inst)?;
+        compare_row(out, &*make_algo(name, opt_secs)?, &inst)?;
     }
     Ok(())
 }
@@ -548,17 +548,15 @@ fn cmd_compare(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn compare_row(
     out: &mut dyn Write,
     algo: &dyn RecoveryAlgorithm,
-    scenario: &FailureScenario<'_>,
-    prog: &Programmability,
     inst: &FmssmInstance<'_, '_>,
 ) -> Result<(), CliError> {
     let name = algo.name();
     let plan = algo
         .recover(inst)
         .map_err(|e| CliError::runtime(format!("{name} failed: {e}")))?;
-    plan.validate(scenario, prog, algo.is_flow_level())
+    let (m, _) = inst
+        .evaluate(&plan, algo.is_flow_level(), algo.middle_layer_ms())
         .map_err(|e| CliError::runtime(format!("{name} produced an invalid plan: {e}")))?;
-    let m = PlanMetrics::compute(scenario, prog, &plan, algo.middle_layer_ms());
     let _ = writeln!(
         out,
         "{:<10} {:>9} {:>9} {:>7} {:>9} {:>12.3}",
@@ -1314,8 +1312,8 @@ mod tests {
         let scenario = net.fail_cached(&failed, &cache).unwrap();
         let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
         let mut out = Vec::new();
-        compare_row(&mut out, &Pm::new(), &scenario, prog, &inst).expect("PM's plan is valid");
-        let e = compare_row(&mut out, &MapsToFailed(failed[0]), &scenario, prog, &inst)
+        compare_row(&mut out, &Pm::new(), &inst).expect("PM's plan is valid");
+        let e = compare_row(&mut out, &MapsToFailed(failed[0]), &inst)
             .expect_err("a plan using a failed controller is rejected");
         assert_eq!(e.code, 1, "an invalid plan is a runtime error");
         assert!(

@@ -2,9 +2,10 @@
 //! Figs. 4–7) or one of the three studies beyond them.
 //!
 //! Every output is one entry of [`OUTPUTS`]: a name, a one-line
-//! description and a body. `repro` takes the evaluation flag group and
-//! nothing else (the telemetry group is global to pmctl), so every output
-//! accepts the same flags. A body writes its report to `out`; the
+//! description, the sweep flags its body reads and the body. `repro`
+//! takes the evaluation flag group and nothing else (the telemetry group
+//! is global to pmctl); a sweep flag the output does not read is a usage
+//! error. A body writes its report to `out`; the
 //! wall-clock table of Figs. 4–6 goes to stderr so `out` regenerates byte
 //! for byte (`tests/results_regen.rs`).
 
@@ -25,8 +26,14 @@ use std::io::{self, Write};
 struct Repro {
     name: &'static str,
     about: &'static str,
+    /// The flags of [`SWEEP_FLAGS`] the body reads.
+    reads: &'static [&'static str],
     run: fn(EvalOptions, &mut dyn Write) -> io::Result<()>,
 }
+
+/// The evaluation flags only the failure sweeps (Figs. 4–7) read; every
+/// other evaluation flag applies to every output.
+const SWEEP_FLAGS: [&str; 3] = ["--shard", "--opt-secs", "--skip-optimal"];
 
 /// Every output `pmctl repro` regenerates, in the order the usage lists
 /// them.
@@ -34,53 +41,71 @@ const OUTPUTS: [Repro; 8] = [
     Repro {
         name: "table3",
         about: "the paper's Table III, controller domains and per-switch flow counts",
+        reads: &[],
         run: table3,
     },
     Repro {
         name: "fig4",
         about: "the paper's Fig. 4, one controller failure (6 cases, panels a-d)",
+        reads: &SWEEP_FLAGS,
         run: |opts, out| run_failure_figure(1, "fig4", false, &opts, out),
     },
     Repro {
         name: "fig5",
         about: "the paper's Fig. 5, two controller failures (15 cases, panels a-f)",
+        reads: &SWEEP_FLAGS,
         run: |opts, out| run_failure_figure(2, "fig5", true, &opts, out),
     },
     Repro {
         name: "fig6",
         about: "the paper's Fig. 6, three controller failures (20 cases, panels a-f)",
+        reads: &SWEEP_FLAGS,
         run: |opts, out| run_failure_figure(3, "fig6", true, &opts, out),
     },
     Repro {
         name: "fig7",
         about: "the paper's Fig. 7, PM's time as % of Optimal's \
                 (--skip-optimal: heuristic timing per case)",
+        reads: &SWEEP_FLAGS,
         run: fig7,
     },
     Repro {
         name: "capacity_sweep",
         about: "controller-capacity sensitivity of the (13,20) failure",
+        reads: &[],
         run: capacity_sweep,
     },
     Repro {
         name: "reroute_drill",
         about: "rerouting around a congested link after the (13,20) failure",
+        reads: &[],
         run: reroute_drill,
     },
     Repro {
         name: "successive_drill",
         about: "successive failures, incremental recovery vs recompute",
+        reads: &[],
         run: successive_drill,
     },
 ];
 
-/// The usage of `repro`: the output names, then the evaluation flags.
+/// The usage of `repro`: the output names, then the evaluation flags and
+/// the outputs that read the sweep flags.
 fn repro_usage() -> String {
     let mut text = String::from("USAGE:\n  pmctl repro NAME [evaluation options]\n\nNAME:\n");
     for r in &OUTPUTS {
         text.push_str(&format!("  {:<18} {}\n", r.name, r.about));
     }
-    format!("{text}\n{EVAL_HELP}")
+    let sweeps: Vec<&str> = OUTPUTS
+        .iter()
+        .filter(|r| !r.reads.is_empty())
+        .map(|r| r.name)
+        .collect();
+    format!(
+        "{text}\n{EVAL_HELP}\n{} apply to {} only\n",
+        SWEEP_FLAGS.join(", "),
+        sweeps.join(", ")
+    )
 }
 
 pub(crate) fn cmd_repro(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -96,6 +121,15 @@ pub(crate) fn cmd_repro(mut args: Args, out: &mut dyn Write) -> Result<(), CliEr
             repro_usage()
         )));
     };
+    if let Some(flag) = SWEEP_FLAGS
+        .iter()
+        .find(|&flag| args.contains(flag) && !repro.reads.contains(flag))
+    {
+        return Err(CliError::usage(format!(
+            "{flag} does not apply to repro {}",
+            repro.name
+        )));
+    }
     let opts = EvalOptions::take(&mut args)?;
     args.finish()?;
     (repro.run)(opts, out).map_err(|e| CliError::runtime(format!("repro {}: {e}", repro.name)))
@@ -108,18 +142,15 @@ fn paper_net() -> SdWan {
 }
 
 /// RetroFlow's, PM's and PG's plans for `inst`, in that order, each
-/// checked against the instance's scenario.
-fn heuristic_plans(inst: &FmssmInstance<'_, '_>) -> [(&'static str, RecoveryPlan); 3] {
+/// checked against the instance and scored.
+fn heuristic_plans(inst: &FmssmInstance<'_, '_>) -> [(&'static str, RecoveryPlan, PlanMetrics); 3] {
     let algos: [&dyn RecoveryAlgorithm; 3] = [&RetroFlow::new(), &Pm::new(), &Pg::new()];
     algos.map(|algo| {
         let plan = algo.recover(inst).expect("plan");
-        plan.validate(
-            inst.scenario(),
-            inst.programmability(),
-            algo.is_flow_level(),
-        )
-        .expect("valid plan");
-        (algo.name(), plan)
+        let (metrics, _) = inst
+            .evaluate(&plan, algo.is_flow_level(), algo.middle_layer_ms())
+            .expect("valid plan");
+        (algo.name(), plan, metrics)
     })
 }
 
@@ -362,8 +393,7 @@ fn capacity_point(capacity: u32) -> (Vec<String>, u32, usize) {
     let recoverable = inst.recoverable_flow_count();
     let residual: u32 = inst.residuals().iter().sum();
     cells.push(residual.to_string());
-    for (_, plan) in heuristic_plans(&inst) {
-        let m = PlanMetrics::compute(&scenario, prog, &plan, 0.0);
+    for (_, _, m) in heuristic_plans(&inst) {
         cells.push(format!(
             "{} ({})",
             pct(m.recovered_flows as f64 / recoverable.max(1) as f64),
@@ -430,7 +460,7 @@ fn reroute_drill(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
         let nodes: Vec<_> = path.iter().map(|s| s.node()).collect();
         pm_topo::paths::path_weight(net.topology(), &nodes)
     };
-    for (name, plan) in &plans {
+    for (name, plan, _) in &plans {
         let mut rr = Rerouter::new(&scenario, prog, plan);
         let mut moved = 0usize;
         let mut detour_sum = 0.0;
@@ -475,7 +505,7 @@ fn reroute_drill(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
         "{:<10} {:>12} {:>12} {:>8} {:>7}",
         "algorithm", "initial", "final", "relief", "moves"
     )?;
-    for (name, plan) in &plans {
+    for (name, plan, _) in &plans {
         let report =
             pm_core::relieve_hotspots(&scenario, prog, plan, &tm, capacity, 32).expect("traffic");
         writeln!(
@@ -581,11 +611,13 @@ fn sequence(engine: &SweepEngine<'_>, first: usize, second: usize) -> (String, [
         .recover(&FmssmInstance::with_cache(&sc1, prog, engine.cache()))
         .expect("pm step 1");
     let sc2 = engine.scenario(&[c1, c2]).expect("valid");
-    let scratch2 = Pm::new()
-        .recover(&FmssmInstance::with_cache(&sc2, prog, engine.cache()))
-        .expect("pm step 2");
+    let inst2 = FmssmInstance::with_cache(&sc2, prog, engine.cache());
+    let scratch2 = Pm::new().recover(&inst2).expect("pm step 2");
 
-    let total = |plan| PlanMetrics::compute(&sc2, prog, plan, 0.0).total_programmability;
+    let total = |plan| {
+        let (m, _) = inst2.evaluate(plan, false, 0.0).expect("valid plan");
+        m.total_programmability
+    };
     let node = |c: usize| net.controllers()[c].node.index();
     let cells = [
         churn(&step1, &inc_final),

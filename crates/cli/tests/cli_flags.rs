@@ -45,6 +45,56 @@ fn every_repro_output_rejects_unknown_flags() {
 }
 
 #[test]
+fn repro_rejects_a_sweep_flag_its_output_ignores() {
+    let sweep_flags: [&[&str]; 3] = [
+        &["--shard", "1/2"],
+        &["--opt-secs", "5"],
+        &["--skip-optimal"],
+    ];
+    for name in [
+        "table3",
+        "capacity_sweep",
+        "reroute_drill",
+        "successive_drill",
+    ] {
+        for flag in sweep_flags {
+            let mut args = vec!["repro", name, "--jobs", "1"];
+            args.extend(flag);
+            let argv: Vec<OsString> = args.iter().map(OsString::from).collect();
+            let e = pm_cli::run(&argv, &mut Vec::new()).expect_err("usage error");
+            assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+            assert!(e.message.contains(flag[0]), "{args:?}: {}", e.message);
+        }
+    }
+    // The reported invocation, spawned: exit 2 naming a flag it ignores.
+    let out = pmctl(
+        &std::env::temp_dir(),
+        &["repro", "table3", "--opt-secs", "5", "--shard", "1/2"],
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("usage error is UTF-8");
+    assert!(stderr.contains("--shard"), "{stderr}");
+    // The failure sweeps read all three.
+    let argv: Vec<OsString> = [
+        "repro",
+        "fig4",
+        "--skip-optimal",
+        "--opt-secs",
+        "1",
+        "--shard",
+        "1/2",
+        "--jobs",
+        "1",
+    ]
+    .iter()
+    .map(OsString::from)
+    .collect();
+    let mut out = Vec::new();
+    pm_cli::run(&argv, &mut out).expect("fig4 takes every sweep flag");
+    assert!(!out.is_empty());
+}
+
+#[test]
 fn an_unknown_or_missing_output_lists_every_name() {
     for args in [&["repro", "fig8"][..], &["repro"][..]] {
         let argv: Vec<OsString> = args.iter().map(OsString::from).collect();

@@ -228,8 +228,9 @@ pub struct PmConfig {
 /// let net = SdWanBuilder::att_paper_setup().build()?;
 /// let prog = Programmability::compute(&net);
 /// let scenario = net.fail(&[ControllerId(3)])?;
-/// let plan = Pm::new().recover(&FmssmInstance::new(&scenario, &prog))?;
-/// plan.validate(&scenario, &prog, false)?;
+/// let instance = FmssmInstance::new(&scenario, &prog);
+/// let plan = Pm::new().recover(&instance)?;
+/// instance.evaluate(&plan, false, 0.0)?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]

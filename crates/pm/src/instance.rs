@@ -5,8 +5,10 @@
 //! `0..N`, active controllers `0..M`, offline flows `0..L` — exactly the
 //! index sets of the formulation, so algorithms work on compact vectors.
 
+use pm_sdwan::metrics::ControllerUsage;
 use pm_sdwan::{
-    ControllerId, FailureScenario, FlowId, IndexSpace, NetCache, Programmability, SwitchId,
+    ControllerId, FailureScenario, FlowId, IndexSpace, NetCache, PlanMetrics, Programmability,
+    RecoveryPlan, SdwanError, SwitchId,
 };
 
 /// A dense view of one recovery problem.
@@ -317,6 +319,146 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             .unwrap_or(0);
         let total: u64 = per_flow.iter().sum();
         r as f64 + self.lambda() * total as f64
+    }
+
+    /// Checks `plan` against this instance's scenario and scores it: the
+    /// result of [`RecoveryPlan::validate`] (same checks in the same
+    /// order, same error text), then [`PlanMetrics::compute`] and
+    /// [`RecoveryPlan::total_control_delay`] bit for bit, which stay the
+    /// reference. One merge walk of the plan's selections against the
+    /// instance's switch rows replaces their reads of the network-wide
+    /// tables: p̄ and `β` come from the row entry, delays from the dense
+    /// delay row, and the recoverable mask from the flow rows.
+    ///
+    /// # Errors
+    ///
+    /// [`SdwanError::InvalidPlan`] describing the first violation.
+    pub fn evaluate(
+        &self,
+        plan: &RecoveryPlan,
+        flow_level: bool,
+        middle_layer_ms: f64,
+    ) -> Result<(PlanMetrics, f64), SdwanError> {
+        let invalid = |what: String| Err(SdwanError::InvalidPlan(what));
+        let m = self.controllers.len();
+        let mut used = vec![0u32; m];
+        // The overhead sums the whole-switch terms first, then the
+        // selections, as `PlanMetrics::compute` does.
+        let mut overhead = 0.0;
+        let mut full = plan.full_sdn_switches().peekable();
+        let mut recovered_switches = 0;
+        for (s, c) in plan.mappings() {
+            recovered_switches += 1;
+            let Some(ip) = self.switch_position(s) else {
+                return invalid(format!("{s} is not offline"));
+            };
+            let Some(jp) = self.controller_position(c) else {
+                return invalid(format!("{c} is not active"));
+            };
+            // Every full-SDN switch is mapped, so the two lists walk
+            // together.
+            if full.next_if_eq(&s).is_some() {
+                used[jp] += self.gamma[ip];
+                overhead += self.gamma[ip] as f64 * (self.delay[ip * m + jp] + middle_layer_ms);
+            }
+        }
+
+        let mut per_flow = vec![0u64; self.flows.len()];
+        // `f64`'s `Sum` starts at -0.0, and `total_control_delay` sums.
+        let mut total_delay = -0.0;
+        let mut mapped = plan.mappings().peekable();
+        let mut full = plan.full_sdn_switches().peekable();
+        // The switch of the current run of selections: its position, its
+        // row's entries not yet passed, its mapping and whether it is
+        // whole-switch SDN.
+        let mut at = None;
+        let (mut ip, mut row, mut mc, mut is_full) = (None, &[][..], None, false);
+        for (s, l, c) in plan.sdn_selections() {
+            if at != Some(s) {
+                at = Some(s);
+                ip = self.switch_position(s);
+                row = ip.map_or(&[][..], |ip| self.switch_entries(ip));
+                while mapped.next_if(|&(t, _)| t < s).is_some() {}
+                mc = mapped.peek().filter(|&&(t, _)| t == s).map(|&(_, c)| c);
+                while full.next_if(|&f| f < s).is_some() {}
+                is_full = full.peek() == Some(&s);
+                recovered_switches += usize::from(mc.is_none());
+            }
+            let Some(ip) = ip else {
+                return invalid(format!("SDN pair at online switch {s}"));
+            };
+            let Some(jp) = self.controller_position(c) else {
+                return invalid(format!(
+                    "SDN pair ({s}, {l}) assigned to failed controller {c}"
+                ));
+            };
+            let Some(lp) = self.flow_position(l) else {
+                return invalid(format!("{l} is not an offline flow"));
+            };
+            // The row and the run both ascend by flow.
+            while row.first().is_some_and(|&(f, _)| f < lp) {
+                row = &row[1..];
+            }
+            let pbar = match row.first() {
+                Some(&(f, p)) if f == lp => p,
+                _ => {
+                    return invalid(format!(
+                        "β = 0 for {l} at {s}: SDN mode has no effect (Eq. (1))"
+                    ))
+                }
+            };
+            match mc {
+                Some(mc) if mc != c => {
+                    return invalid(format!(
+                        "pair ({s}, {l}) uses {c} but {s} is mapped to {mc}"
+                    ))
+                }
+                None if !flow_level => {
+                    return invalid(format!(
+                        "SDN mode for {l} at unmapped switch {s} (switch-level plan)"
+                    ))
+                }
+                _ => {}
+            }
+            per_flow[lp] += pbar as u64;
+            let delay = self.delay[ip * m + jp];
+            total_delay += delay;
+            if !is_full {
+                used[jp] += 1;
+                overhead += delay + middle_layer_ms;
+            }
+        }
+        for (jp, &u) in used.iter().enumerate().filter(|&(_, &u)| u > 0) {
+            let avail = self.residual[jp];
+            if u > avail {
+                let c = self.controllers[jp];
+                return invalid(format!("{c} assigned {u} flows but has capacity {avail}"));
+            }
+        }
+
+        let recoverable_mask: Vec<bool> =
+            self.flow_offsets.windows(2).map(|w| w[1] > w[0]).collect();
+        let metrics = PlanMetrics {
+            total_programmability: per_flow.iter().sum(),
+            min_programmability: per_flow.iter().copied().min().unwrap_or(0),
+            recovered_flows: per_flow.iter().filter(|&&p| p > 0).count(),
+            recoverable_flows: recoverable_mask.iter().filter(|&&b| b).count(),
+            per_flow_programmability: per_flow,
+            recoverable_mask,
+            offline_flows: self.flows.len(),
+            recovered_switches,
+            offline_switches: self.switches.len(),
+            controller_usage: (self.controllers.iter().zip(&self.residual).zip(used))
+                .map(|((&controller, &available), used)| ControllerUsage {
+                    controller,
+                    available,
+                    used,
+                })
+                .collect(),
+            total_overhead_ms: overhead,
+            ideal_delay_g: self.ideal_delay_g(),
+        };
+        Ok((metrics, total_delay))
     }
 }
 

@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use pm_sdwan::{SdWanBuilder, ControllerId, PlanMetrics, Programmability};
+//! use pm_sdwan::{SdWanBuilder, ControllerId, Programmability};
 //! use pm_core::{FmssmInstance, Pm, RecoveryAlgorithm};
 //!
 //! let net = SdWanBuilder::att_paper_setup().build()?;
@@ -28,9 +28,10 @@
 //! let instance = FmssmInstance::new(&scenario, &prog);
 //!
 //! let plan = Pm::default().recover(&instance)?;
-//! plan.validate(&scenario, &prog, false)?;
-//! let metrics = PlanMetrics::compute(&scenario, &prog, &plan, 0.0);
+//! // Check the plan against the instance and score it in one walk.
+//! let (metrics, total_delay) = instance.evaluate(&plan, false, 0.0)?;
 //! assert!(metrics.total_programmability > 0);
+//! assert!(total_delay > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -124,6 +124,11 @@ impl RecoveryPlan {
         self.sdn.iter().copied()
     }
 
+    /// Iterator over whole-switch SDN switches, ascending; each is mapped.
+    pub fn full_sdn_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
+        self.full_sdn.iter().copied()
+    }
+
     /// Number of SDN-mode `(switch, flow)` selections.
     pub fn sdn_count(&self) -> usize {
         self.sdn.len()

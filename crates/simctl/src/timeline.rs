@@ -657,14 +657,12 @@ impl Timeline {
                 .recover(&inst)
                 .expect("RetroFlow always produces a plan");
             let pm_plan = pm_algo.recover(&inst).expect("PM always produces a plan");
-            retro_plan
-                .validate(&scenario, prog, retro_algo.is_flow_level())
+            let (retro_metrics, _) = inst
+                .evaluate(&retro_plan, retro_algo.is_flow_level(), 0.0)
                 .expect("RetroFlow plan must be valid");
-            pm_plan
-                .validate(&scenario, prog, pm_algo.is_flow_level())
+            let (pm_metrics, _) = inst
+                .evaluate(&pm_plan, pm_algo.is_flow_level(), 0.0)
                 .expect("PM plan must be valid");
-            let retro_metrics = PlanMetrics::compute(&scenario, prog, &retro_plan, 0.0);
-            let pm_metrics = PlanMetrics::compute(&scenario, prog, &pm_plan, 0.0);
             drop(solve_span);
             report.solves += 1;
 
