@@ -235,12 +235,11 @@ fn plant(
     let usable =
         |parts: &Parts, s, rng: &mut DetRng| parts.mapped(s).or_else(|| pick(rng, &pools.active));
     match kind {
-        // A mapped online, then out-of-range switch.
+        // A mapped online switch.
         0 => {
             let s = pick(rng, &pools.online)?;
             parts.map(s, pick(rng, &pools.active)?);
         }
-        12 => parts.map(SwitchId(switch_end + 2), pick(rng, &pools.active)?),
         // A switch mapped to a failed, then to an out-of-range controller.
         1 => {
             let s = pick(rng, &pools.offline)?;
@@ -328,6 +327,8 @@ fn plant(
                 sdn: pools.pairs.iter().map(|&(s, l)| (s, l, c)).collect(),
             };
         }
+        // A mapped out-of-range switch.
+        12 => parts.map(SwitchId(switch_end + 2), pick(rng, &pools.active)?),
         _ => unreachable!("{kind} >= KINDS"),
     }
     Some(())
