@@ -99,7 +99,6 @@ fn toggle(at_a: &mut bool) -> (ControllerId, ControllerId) {
 
 fn scenario_delta(net: &SdWan) {
     let cache = NetCache::build(net);
-    cache.topo().warm();
     let mut rolling = net.fail_cached(&A, &cache).expect("valid case");
     let mut at_a = true;
     let (fresh_ns, delta_ns) = interleaved_medians_ns(

@@ -43,10 +43,9 @@ pub struct EvalOptions {
     /// (`--batch N`, default 32). Live scenario storage during a
     /// streaming sweep is bounded by `jobs × batch` entries.
     pub batch: usize,
-    /// Eagerly warm the whole topology cache when the engine is built
-    /// (default). `pmctl sweep` and `pmctl simulate --timelines` switch
-    /// this off so only the shortest-path state the sweep actually
-    /// touches is computed.
+    /// Has no effect (default `false`): the engine keeps no topology
+    /// state to warm. Kept only because the benchmark harness still sets
+    /// it; it goes with the next change to the benchmark.
     pub eager_warm: bool,
 }
 
@@ -62,7 +61,7 @@ impl Default for EvalOptions {
             max_scenarios: None,
             seed: 42,
             batch: 32,
-            eager_warm: true,
+            eager_warm: false,
         }
     }
 }

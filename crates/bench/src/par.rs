@@ -250,9 +250,6 @@ impl<'net> SweepEngine<'net> {
     /// calls).
     pub fn new(net: &'net SdWan, opts: EvalOptions) -> Self {
         let cache = NetCache::build(net);
-        if opts.eager_warm {
-            cache.topo().warm();
-        }
         SweepEngine { net, cache, opts }
     }
 

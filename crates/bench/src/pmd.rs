@@ -45,6 +45,7 @@ use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::{Duration, Instant};
 
 /// Store and pool sizing for a [`PmdService`].
 #[derive(Debug, Clone, Copy)]
@@ -78,6 +79,8 @@ pub struct Generation {
     net: SdWan,
     cache: NetCache,
     store: PlanStore,
+    /// Wall time of [`Generation::build`]: the cache and the store.
+    build_elapsed: Duration,
 }
 
 thread_local! {
@@ -95,6 +98,7 @@ impl Generation {
     /// beyond-horizon solves.
     pub fn build(id: u64, net: SdWan, cfg: &PmdConfig) -> Generation {
         let _span = pm_obs::span("pmd.generation.build");
+        let t0 = Instant::now();
         let engine = SweepEngine::new(
             &net,
             EvalOptions {
@@ -111,6 +115,7 @@ impl Generation {
             net,
             cache,
             store,
+            build_elapsed: t0.elapsed(),
         }
     }
 
@@ -127,6 +132,12 @@ impl Generation {
     /// The precomputed plan store.
     pub fn store(&self) -> &PlanStore {
         &self.store
+    }
+
+    /// Wall time of the whole build, [`NetCache`] plus store: what a
+    /// reload costs.
+    pub fn build_elapsed(&self) -> Duration {
+        self.build_elapsed
     }
 
     /// Solves a failure set beyond the precomputed horizon on demand,
@@ -511,6 +522,11 @@ fn status_json(shared: &PmdShared) -> Response {
     let _ = writeln!(out, "  \"controllers\": {},", gen.net().controllers().len());
     let _ = writeln!(
         out,
+        "  \"generation_build_ms\": {:.3},",
+        gen.build_elapsed().as_secs_f64() * 1e3
+    );
+    let _ = writeln!(
+        out,
         "  \"store_build_ms\": {:.3},",
         gen.store().build_elapsed().as_secs_f64() * 1e3
     );
@@ -536,7 +552,6 @@ mod tests {
     use pm_sdwan::SdWanBuilder;
     use std::io::{Read as _, Write as _};
     use std::net::TcpStream;
-    use std::time::Duration;
 
     fn att_source(cfg: PmdConfig) -> GenerationSource {
         Box::new(move |id| {
@@ -663,6 +678,22 @@ mod tests {
         assert_eq!(v.get("generation").and_then(json::Value::as_u64), Some(2));
         let (_, v) = get(addr, "/status.json");
         assert_eq!(v.get("reloads").and_then(json::Value::as_u64), Some(1));
+    }
+
+    #[test]
+    fn status_reports_the_whole_generation_build() {
+        let svc = service();
+        let (_, v) = get(svc.local_addr(), "/status.json");
+        let ms = |key| match v.get(key) {
+            Some(&json::Value::Num(ms)) => ms,
+            other => panic!("status.json {key}: {other:?}"),
+        };
+        let (generation, store) = (ms("generation_build_ms"), ms("store_build_ms"));
+        assert!(store > 0.0, "store_build_ms {store}");
+        assert!(
+            generation >= store,
+            "generation {generation} < store {store}"
+        );
     }
 
     #[test]

@@ -270,12 +270,10 @@ pub(crate) fn build_network(spec: &NetworkSpec) -> Result<SdWan, CliError> {
 }
 
 /// The dispatch group as `sweep` and `simulate --timelines` run it:
-/// heuristics only, and no eager cache warming, which would reintroduce
-/// the all-pairs cost a large generated WAN avoids.
+/// heuristics only.
 fn sweep_options(args: &mut Args) -> Result<EvalOptions, CliError> {
     Ok(EvalOptions {
         skip_optimal: true,
-        eager_warm: false,
         ..EvalOptions::take_dispatch(args)?
     })
 }

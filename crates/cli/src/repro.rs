@@ -2,10 +2,10 @@
 //! Figs. 4–7) or one of the three studies beyond them.
 //!
 //! Every output is one entry of [`OUTPUTS`]: a name, a one-line
-//! description, the sweep flags its body reads and the body. `repro`
-//! takes the evaluation flag group and nothing else (the telemetry group
-//! is global to pmctl); a sweep flag the output does not read is a usage
-//! error. A body writes its report to `out`; the
+//! description, the evaluation flags its body reads and the body.
+//! `repro` takes the evaluation flag group and nothing else (the
+//! telemetry group is global to pmctl); an evaluation flag the output
+//! does not read is a usage error. A body writes its report to `out`; the
 //! wall-clock table of Figs. 4–6 goes to stderr so `out` regenerates byte
 //! for byte (`tests/results_regen.rs`).
 
@@ -26,14 +26,25 @@ use std::io::{self, Write};
 struct Repro {
     name: &'static str,
     about: &'static str,
-    /// The flags of [`SWEEP_FLAGS`] the body reads.
+    /// The flags of [`EVAL_FLAGS`] the body reads.
     reads: &'static [&'static str],
     run: fn(EvalOptions, &mut dyn Write) -> io::Result<()>,
 }
 
-/// The evaluation flags only the failure sweeps (Figs. 4–7) read; every
-/// other evaluation flag applies to every output.
-const SWEEP_FLAGS: [&str; 3] = ["--shard", "--opt-secs", "--skip-optimal"];
+/// The evaluation group's flags; the failure sweeps (Figs. 4–7) read
+/// them all.
+const EVAL_FLAGS: [&str; 10] = [
+    "--opt-secs",
+    "--skip-optimal",
+    "--csv",
+    "--events",
+    "--progress",
+    "--jobs",
+    "--shard",
+    "--max-scenarios",
+    "--seed",
+    "--batch",
+];
 
 /// Every output `pmctl repro` regenerates, in the order the usage lists
 /// them.
@@ -41,38 +52,38 @@ const OUTPUTS: [Repro; 8] = [
     Repro {
         name: "table3",
         about: "the paper's Table III, controller domains and per-switch flow counts",
-        reads: &[],
+        reads: &["--csv"],
         run: table3,
     },
     Repro {
         name: "fig4",
         about: "the paper's Fig. 4, one controller failure (6 cases, panels a-d)",
-        reads: &SWEEP_FLAGS,
+        reads: &EVAL_FLAGS,
         run: |opts, out| run_failure_figure(1, "fig4", false, &opts, out),
     },
     Repro {
         name: "fig5",
         about: "the paper's Fig. 5, two controller failures (15 cases, panels a-f)",
-        reads: &SWEEP_FLAGS,
+        reads: &EVAL_FLAGS,
         run: |opts, out| run_failure_figure(2, "fig5", true, &opts, out),
     },
     Repro {
         name: "fig6",
         about: "the paper's Fig. 6, three controller failures (20 cases, panels a-f)",
-        reads: &SWEEP_FLAGS,
+        reads: &EVAL_FLAGS,
         run: |opts, out| run_failure_figure(3, "fig6", true, &opts, out),
     },
     Repro {
         name: "fig7",
         about: "the paper's Fig. 7, PM's time as % of Optimal's \
                 (--skip-optimal: heuristic timing per case)",
-        reads: &SWEEP_FLAGS,
+        reads: &EVAL_FLAGS,
         run: fig7,
     },
     Repro {
         name: "capacity_sweep",
         about: "controller-capacity sensitivity of the (13,20) failure",
-        reads: &[],
+        reads: &["--jobs"],
         run: capacity_sweep,
     },
     Repro {
@@ -84,28 +95,30 @@ const OUTPUTS: [Repro; 8] = [
     Repro {
         name: "successive_drill",
         about: "successive failures, incremental recovery vs recompute",
-        reads: &[],
+        reads: &["--jobs"],
         run: successive_drill,
     },
 ];
 
-/// The usage of `repro`: the output names, then the evaluation flags and
-/// the outputs that read the sweep flags.
+/// The usage of `repro`: the output names, the evaluation flags and the
+/// ones each output reads.
 fn repro_usage() -> String {
     let mut text = String::from("USAGE:\n  pmctl repro NAME [evaluation options]\n\nNAME:\n");
     for r in &OUTPUTS {
         text.push_str(&format!("  {:<18} {}\n", r.name, r.about));
     }
-    let sweeps: Vec<&str> = OUTPUTS
-        .iter()
-        .filter(|r| !r.reads.is_empty())
-        .map(|r| r.name)
-        .collect();
-    format!(
-        "{text}\n{EVAL_HELP}\n{} apply to {} only\n",
-        SWEEP_FLAGS.join(", "),
-        sweeps.join(", ")
-    )
+    text.push('\n');
+    text.push_str(EVAL_HELP);
+    text.push_str("\nthe evaluation options each output reads (any other is an error):\n");
+    for r in &OUTPUTS {
+        let reads = match r.reads.len() {
+            0 => "none".to_string(),
+            n if n == EVAL_FLAGS.len() => "all".to_string(),
+            _ => r.reads.join(" "),
+        };
+        text.push_str(&format!("  {:<18} {reads}\n", r.name));
+    }
+    text
 }
 
 pub(crate) fn cmd_repro(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -121,12 +134,15 @@ pub(crate) fn cmd_repro(mut args: Args, out: &mut dyn Write) -> Result<(), CliEr
             repro_usage()
         )));
     };
-    if let Some(flag) = SWEEP_FLAGS
-        .iter()
-        .find(|&flag| args.contains(flag) && !repro.reads.contains(flag))
-    {
+    let ignored: Vec<&str> = EVAL_FLAGS
+        .into_iter()
+        .filter(|&flag| args.contains(flag) && !repro.reads.contains(&flag))
+        .collect();
+    if !ignored.is_empty() {
+        let verb = if ignored.len() == 1 { "does" } else { "do" };
         return Err(CliError::usage(format!(
-            "{flag} does not apply to repro {}",
+            "{} {verb} not apply to repro {}",
+            ignored.join(", "),
             repro.name
         )));
     }

@@ -95,6 +95,90 @@ fn repro_rejects_a_sweep_flag_its_output_ignores() {
 }
 
 #[test]
+fn repro_rejects_every_evaluation_flag_its_output_ignores() {
+    let flags: [&[&str]; 10] = [
+        &["--opt-secs", "5"],
+        &["--skip-optimal"],
+        &["--csv", "d"],
+        &["--events", "e.jsonl"],
+        &["--progress"],
+        &["--jobs", "1"],
+        &["--shard", "1/2"],
+        &["--max-scenarios", "3"],
+        &["--seed", "9"],
+        &["--batch", "2"],
+    ];
+    // What each non-sweep output's body reads; Figs. 4-7 read them all.
+    for (name, reads) in [
+        ("table3", &["--csv"][..]),
+        ("capacity_sweep", &["--jobs"]),
+        ("reroute_drill", &[]),
+        ("successive_drill", &["--jobs"]),
+    ] {
+        for flag in flags.iter().filter(|f| !reads.contains(&f[0])) {
+            let mut args = vec!["repro", name];
+            args.extend(*flag);
+            let argv: Vec<OsString> = args.iter().map(OsString::from).collect();
+            let e = pm_cli::run(&argv, &mut Vec::new()).expect_err("usage error");
+            assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+            assert!(e.message.contains(flag[0]), "{args:?}: {}", e.message);
+        }
+    }
+    // The reported invocations, spawned: exit 2 naming every ignored flag.
+    let dir = scratch_dir("ignored");
+    for (args, named) in [
+        (
+            &["repro", "capacity_sweep", "--csv", "D"][..],
+            &["--csv"][..],
+        ),
+        (
+            &[
+                "repro",
+                "table3",
+                "--max-scenarios",
+                "3",
+                "--seed",
+                "9",
+                "--batch",
+                "2",
+            ],
+            &["--max-scenarios", "--seed", "--batch"],
+        ),
+    ] {
+        let out = pmctl(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("usage error is UTF-8");
+        for flag in named {
+            assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        }
+    }
+    assert!(!dir.join("D").exists(), "a rejected --csv writes nothing");
+    // A flag the output reads takes effect.
+    let argv: Vec<OsString> = vec![
+        "repro".into(),
+        "table3".into(),
+        "--csv".into(),
+        dir.clone().into(),
+    ];
+    pm_cli::run(&argv, &mut Vec::new()).expect("table3 reads --csv");
+    assert!(dir.join("table3.csv").exists());
+    // The usage says which output reads which flag.
+    let mut usage = Vec::new();
+    pm_cli::run(&["repro".into(), "help".into()], &mut usage).expect("help");
+    let usage = String::from_utf8(usage).expect("UTF-8 usage");
+    for line in [
+        "table3             --csv",
+        "fig4               all",
+        "reroute_drill      none",
+    ] {
+        assert!(
+            usage.lines().any(|l| l.trim_end() == format!("  {line}")),
+            "{usage}"
+        );
+    }
+}
+
+#[test]
 fn an_unknown_or_missing_output_lists_every_name() {
     for args in [&["repro", "fig8"][..], &["repro"][..]] {
         let argv: Vec<OsString> = args.iter().map(OsString::from).collect();

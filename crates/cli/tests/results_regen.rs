@@ -3,7 +3,8 @@
 //!
 //! * `table3`, `capacity_sweep`, `reroute_drill` and `successive_drill`
 //!   are fully deterministic — their output must equal
-//!   `results/<name>.txt` byte for byte at every `--jobs` value;
+//!   `results/<name>.txt` byte for byte, and at every `--jobs` value
+//!   where the output runs a worker pool;
 //! * `fig4`–`fig6` depend on the wall clock only through Optimal, so they
 //!   run with `--skip-optimal`, and every panel's case, RetroFlow, PM and
 //!   PG cells (text and CSV) must equal the committed run's.
@@ -47,14 +48,20 @@ fn committed(name: &str) -> String {
 
 #[test]
 fn deterministic_outputs_match_the_committed_files() {
-    for name in [
-        "table3",
-        "capacity_sweep",
-        "reroute_drill",
-        "successive_drill",
+    // table3 and reroute_drill run no worker pool, so they take no --jobs.
+    for (name, jobs) in [
+        ("table3", &[][..]),
+        ("capacity_sweep", &["1", "2"]),
+        ("reroute_drill", &[]),
+        ("successive_drill", &["1", "2"]),
     ] {
         let want = committed(&format!("{name}.txt"));
-        for jobs in ["1", "2"] {
+        let got = run(name, &[]);
+        assert!(
+            got == want,
+            "{name} differs from results/{name}.txt:\n{got}"
+        );
+        for jobs in jobs {
             let got = run(name, &["--jobs", jobs]);
             assert!(
                 got == want,

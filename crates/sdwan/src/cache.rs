@@ -2,18 +2,16 @@
 //!
 //! A failure sweep evaluates every k-subset of controllers against the same
 //! [`SdWan`]. Most of the per-scenario setup cost is state that does not
-//! depend on *which* controllers failed: the topology's shortest-path trees
-//! and path counts, the programmability table, each controller's normal
-//! load, and each switch's controllers-sorted-by-delay order. [`NetCache`]
-//! computes all of it once; [`SdWan::fail_cached`] and
+//! depend on *which* controllers failed: the programmability table, each
+//! controller's normal load, and each switch's controllers-sorted-by-delay
+//! order. [`NetCache`] computes all of it once (the path counts behind the
+//! table are dropped as soon as it is built); [`SdWan::fail_cached`] and
 //! `FmssmInstance::with_cache` (in `pm-core`) then build per-scenario views
 //! from cached parts without repeating the work — with results identical to
 //! the uncached paths.
 
-use crate::dest_counts::DestCounts;
 use crate::network::{ControllerId, SdWan, SwitchId};
 use crate::programmability::Programmability;
-use pm_topo::TopoCache;
 use std::sync::Arc;
 
 /// Read-only derived state of one [`SdWan`], shareable across threads.
@@ -33,7 +31,6 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct NetCache {
-    topo: Arc<TopoCache>,
     prog: Arc<Programmability>,
     /// Normal-operation control load per controller.
     loads: Vec<u32>,
@@ -50,11 +47,7 @@ impl NetCache {
     /// Computes every cacheable quantity of `net`.
     pub fn build(net: &SdWan) -> Self {
         let _span = pm_obs::span("sdwan.netcache.build");
-        let topo = Arc::new(TopoCache::new(net.topology().clone()));
-        let prog = Arc::new(Programmability::compute_with(
-            net,
-            &mut DestCounts::cached(&topo),
-        ));
+        let prog = Arc::new(Programmability::compute(net));
         let loads: Vec<u32> = (0..net.controllers().len())
             .map(|c| net.controller_load(ControllerId(c)))
             .collect();
@@ -78,17 +71,11 @@ impl NetCache {
             })
             .collect();
         NetCache {
-            topo,
             prog,
             loads,
             residuals,
             ctrl_order,
         }
-    }
-
-    /// The topology-level cache (shortest-path trees, path counts).
-    pub fn topo(&self) -> &Arc<TopoCache> {
-        &self.topo
     }
 
     /// The programmability table, identical to

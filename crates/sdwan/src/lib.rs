@@ -52,7 +52,6 @@ pub mod programmability;
 pub mod scenario;
 pub mod traffic;
 
-mod dest_counts;
 mod error;
 
 pub use cache::NetCache;

@@ -304,15 +304,15 @@ impl RecoveryPlan {
     /// Appends the [`RecoveryPlan::to_text`] serialization to `out`, for
     /// callers that render many plans into one carried buffer.
     pub fn to_text_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
         for &(s, c) in &self.mapping {
-            let _ = writeln!(out, "map s{} C{}", s.index(), c.index());
+            push_line(out, &[("map s", s.index()), (" C", c.index())]);
         }
         for &s in &self.full_sdn {
-            let _ = writeln!(out, "full s{}", s.index());
+            push_line(out, &[("full s", s.index())]);
         }
         for &(s, l, c) in &self.sdn {
-            let _ = writeln!(out, "sdn s{} f{} C{}", s.index(), l.index(), c.index());
+            let fields = [("sdn s", s.index()), (" f", l.index()), (" C", c.index())];
+            push_line(out, &fields);
         }
     }
 
@@ -430,6 +430,28 @@ impl RecoveryPlan {
         let net = scenario.network();
         self.sdn.iter().map(|&(s, _, c)| net.ctrl_delay(s, c)).sum()
     }
+}
+
+/// Appends one line of [`RecoveryPlan::to_text`], each field a literal
+/// then a decimal id, assembled on the stack without `fmt` and pushed once.
+fn push_line(out: &mut String, fields: &[(&str, usize)]) {
+    // Room for the longest line, `sdn s<id> f<id> C<id>\n` with three
+    // 20-digit ids.
+    let mut buf = [0u8; 72];
+    let mut len = 0;
+    for &(literal, id) in fields {
+        let end = len + literal.len();
+        buf[len..end].copy_from_slice(literal.as_bytes());
+        let digits = id.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut rest = id;
+        for b in buf[end..end + digits].iter_mut().rev() {
+            *b = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        len = end + digits;
+    }
+    buf[len] = b'\n';
+    out.push_str(std::str::from_utf8(&buf[..=len]).expect("ASCII line"));
 }
 
 /// Sorts `v` by `key` unless its keys already ascend strictly; returns an

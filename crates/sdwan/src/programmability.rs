@@ -8,11 +8,10 @@
 //! path count from `s_i`, and `β_i^l = 1` iff that count is at least two.
 //! `p̄_i^l = β_i^l · p_i^l` is the quantity the objective sums.
 
-use crate::dest_counts::DestCounts;
 use crate::index::{FlowSwitchTable, IndexSpace};
 use crate::network::{ControllerId, FlowId, SdWan, SwitchId};
 use crate::scenario::FailureScenario;
-use pm_topo::TopoCache;
+use pm_topo::PathCounts;
 
 /// Precomputed programmability data for every flow of a network.
 #[derive(Debug, Clone)]
@@ -43,36 +42,31 @@ impl Programmability {
     /// # Ok::<(), pm_sdwan::SdwanError>(())
     /// ```
     pub fn compute(net: &SdWan) -> Self {
-        Self::compute_with(net, &mut DestCounts::fresh(net.topology()))
-    }
-
-    /// Like [`Programmability::compute`], reusing (and populating) the
-    /// path counts of `cache` instead of recomputing them. The result is
-    /// identical to the uncached computation.
-    pub fn compute_cached(net: &SdWan, cache: &TopoCache) -> Self {
-        Self::compute_with(net, &mut DestCounts::cached(cache))
-    }
-
-    /// The one computation both entry points share, parameterized over how
-    /// per-destination path counts are assembled (see [`DestCounts`]).
-    pub(crate) fn compute_with(net: &SdWan, dest_counts: &mut DestCounts<'_>) -> Self {
-        let mut entries = Vec::with_capacity(net.flows().len());
+        let flows = net.flows();
+        // Destination by destination, so one `PathCounts` is alive at a time.
+        let mut by_dst: Vec<usize> = (0..flows.len()).collect();
+        by_dst.sort_by_key(|&l| flows[l].dst);
+        let mut entries = vec![Vec::new(); flows.len()];
         let mut lookup = IndexSpace::of(net).flow_switch_table(0u32);
-        for (l, flow) in net.flows().iter().enumerate() {
-            let pc = dest_counts.toward(flow.dst);
-            let mut flow_entries = Vec::new();
-            for &s in &flow.path {
-                if s == flow.dst {
-                    continue; // the destination cannot reroute the flow
-                }
-                let count = pc.count_from(s.node());
-                if count >= 2 {
-                    let pbar = count.min(u32::MAX as u64) as u32;
-                    flow_entries.push((s, pbar));
-                    lookup.set(FlowId(l), s, pbar);
+        let mut rest = by_dst.as_slice();
+        while let Some(&first) = rest.first() {
+            let dst = flows[first].dst;
+            let (group, tail) = rest.split_at(rest.partition_point(|&l| flows[l].dst == dst));
+            rest = tail;
+            let pc = PathCounts::toward(net.topology(), dst.node());
+            for &l in group {
+                for &s in &flows[l].path {
+                    if s == dst {
+                        continue; // the destination cannot reroute the flow
+                    }
+                    let count = pc.count_from(s.node());
+                    if count >= 2 {
+                        let pbar = count.min(u32::MAX as u64) as u32;
+                        entries[l].push((s, pbar));
+                        lookup.set(FlowId(l), s, pbar);
+                    }
                 }
             }
-            entries.push(flow_entries);
         }
         Programmability { entries, lookup }
     }
@@ -236,6 +230,33 @@ mod tests {
         for l in 0..net.flows().len() {
             assert!(prog.flow_entries(FlowId(l)).is_empty());
             assert_eq!(prog.max_programmability(FlowId(l)), 0);
+        }
+    }
+
+    /// The per-destination pass equals the flow-by-flow definition: each
+    /// flow's entries from its own destination's path counts, in path order.
+    #[test]
+    fn grouped_by_destination_matches_per_flow_counts() {
+        let net = SdWanBuilder::new(builders::grid(3, 4))
+            .controller(NodeId(0), 500)
+            .controller(NodeId(11), 500)
+            .build()
+            .unwrap();
+        let prog = Programmability::compute(&net);
+        for (l, flow) in net.flows().iter().enumerate() {
+            let pc = PathCounts::toward(net.topology(), flow.dst.node());
+            let want: Vec<(SwitchId, u32)> = flow
+                .path
+                .iter()
+                .filter(|&&s| s != flow.dst)
+                .map(|&s| (s, pc.count_from(s.node()) as u32))
+                .filter(|&(_, count)| count >= 2)
+                .collect();
+            assert_eq!(prog.flow_entries(FlowId(l)), want.as_slice(), "flow {l}");
+            for s in net.switches() {
+                let pbar = want.iter().find(|e| e.0 == s).map_or(0, |e| e.1);
+                assert_eq!(prog.pbar(FlowId(l), s), pbar, "flow {l} at {s}");
+            }
         }
     }
 

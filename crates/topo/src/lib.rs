@@ -41,7 +41,6 @@
 
 pub mod att;
 pub mod builders;
-pub mod cache;
 pub mod geo;
 pub mod graph;
 pub mod ksp;
@@ -52,7 +51,6 @@ pub mod zoo;
 
 mod error;
 
-pub use cache::TopoCache;
 pub use error::TopoError;
 pub use geo::GeoPoint;
 pub use graph::{EdgeId, Graph, NodeId};

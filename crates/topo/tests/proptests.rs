@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use pm_topo::paths::{self, PathCounts};
-use pm_topo::{ksp, Graph, NodeId, TopoCache};
+use pm_topo::{ksp, Graph, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph with `3..=14` nodes and random positive
@@ -193,29 +193,6 @@ fn exhaustive_dag_count(g: &Graph, dist: &[f64], v: NodeId, dest: NodeId) -> u64
 }
 
 proptest! {
-    /// The cache layer is transparent: `TopoCache` hands back trees and
-    /// path counts equal to freshly computed ones, and repeated lookups
-    /// share one allocation.
-    #[test]
-    fn cache_matches_fresh(g in arb_graph()) {
-        let cache = TopoCache::new(g.clone());
-        for v in g.nodes() {
-            let cached_spt = cache.spt(v);
-            prop_assert_eq!(&*cached_spt, &paths::dijkstra(&g, v));
-            prop_assert!(std::sync::Arc::ptr_eq(&cached_spt, &cache.spt(v)));
-
-            let cached_pc = cache.path_counts(v);
-            let fresh = PathCounts::toward(&g, v);
-            prop_assert_eq!(cached_pc.dest(), fresh.dest());
-            for u in g.nodes() {
-                prop_assert_eq!(cached_pc.count_from(u), fresh.count_from(u));
-                let (dc, df) = (cached_pc.dist_from(u), fresh.dist_from(u));
-                prop_assert!(dc == df || (dc.is_infinite() && df.is_infinite()));
-            }
-            prop_assert!(std::sync::Arc::ptr_eq(&cached_pc, &cache.path_counts(v)));
-        }
-    }
-
     /// On small graphs the DP path counts equal an independent exhaustive
     /// enumeration of the DAG, and never exceed the count of *all* simple
     /// paths.
