@@ -393,7 +393,7 @@ impl<'net> SweepEngine<'net> {
         }
         let scenario = slot.as_ref().expect("scenario just advanced");
         let inst_span = pm_obs::span("sweep.instance");
-        let inst = FmssmInstance::with_cache(scenario, self.cache.programmability(), &self.cache);
+        let inst = FmssmInstance::new(scenario, self.cache.programmability());
         drop(inst_span);
         f(scenario, &inst, ws)
     }

@@ -154,7 +154,7 @@ impl Generation {
             .net
             .fail_cached(failed, &self.cache)
             .map_err(|e| e.to_string())?;
-        let inst = FmssmInstance::with_cache(&scenario, self.cache.programmability(), &self.cache);
+        let inst = FmssmInstance::new(&scenario, self.cache.programmability());
         let label = crate::harness::case_label(&self.net, failed);
         let solved =
             FALLBACK_WS.with(|ws| SolvedPlan::solve(failed, label, &inst, &mut ws.borrow_mut()))?;

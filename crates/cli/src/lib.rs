@@ -455,7 +455,7 @@ fn cmd_plan(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let scenario = net
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
-    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+    let inst = FmssmInstance::new(&scenario, prog);
     if let Some(path) = lp_file {
         let lp = Optimal::new().export_lp(&inst);
         std::fs::write(&path, lp)
@@ -505,7 +505,7 @@ fn cmd_check(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let scenario = net
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
-    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+    let inst = FmssmInstance::new(&scenario, prog);
     // Accept flow-level plans: a switch-level plan also passes that check.
     match inst.evaluate(&plan, true, 0.0) {
         Ok((metrics, _)) => {
@@ -529,7 +529,7 @@ fn cmd_compare(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let scenario = net
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
-    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+    let inst = FmssmInstance::new(&scenario, prog);
     let _ = writeln!(
         out,
         "{:<10} {:>9} {:>9} {:>7} {:>9} {:>12}",
@@ -586,7 +586,7 @@ fn cmd_simulate(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let scenario = net
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
-    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+    let inst = FmssmInstance::new(&scenario, prog);
     let plan = algo
         .recover(&inst)
         .map_err(|e| CliError::runtime(format!("{} failed: {e}", algo.name())))?;
@@ -758,7 +758,7 @@ fn cmd_inspect(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let scenario = net
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
-    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+    let inst = FmssmInstance::new(&scenario, prog);
     let _ = writeln!(
         out,
         "FMSSM instance for failure of {:?}:",
@@ -851,7 +851,7 @@ fn cmd_relieve(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let scenario = net
         .fail_cached(&failed, &cache)
         .map_err(|e| CliError::runtime(format!("invalid failure: {e}")))?;
-    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+    let inst = FmssmInstance::new(&scenario, prog);
     let plan = algo
         .recover(&inst)
         .map_err(|e| CliError::runtime(format!("{} failed: {e}", algo.name())))?;
@@ -1308,7 +1308,7 @@ mod tests {
         let prog = cache.programmability();
         let failed = [ControllerId(3), ControllerId(4)];
         let scenario = net.fail_cached(&failed, &cache).unwrap();
-        let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+        let inst = FmssmInstance::new(&scenario, prog);
         let mut out = Vec::new();
         compare_row(&mut out, &Pm::new(), &inst).expect("PM's plan is valid");
         let e = compare_row(&mut out, &MapsToFailed(failed[0]), &inst)

@@ -403,7 +403,7 @@ fn capacity_point(capacity: u32) -> (Vec<String>, u32, usize) {
         .fail_cached(&[ControllerId(3), ControllerId(4)], &cache)
         .expect("valid");
     let prog = cache.programmability();
-    let inst = FmssmInstance::with_cache(&scenario, prog, &cache);
+    let inst = FmssmInstance::new(&scenario, prog);
 
     let mut cells = vec![capacity.to_string()];
     let recoverable = inst.recoverable_flow_count();
@@ -436,7 +436,7 @@ fn reroute_drill(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
     let prog = engine.programmability();
     let failed = [ControllerId(3), ControllerId(4)];
     let scenario = engine.scenario(&failed).expect("valid failure");
-    let inst = FmssmInstance::with_cache(&scenario, prog, engine.cache());
+    let inst = FmssmInstance::new(&scenario, prog);
     let plans = heuristic_plans(&inst);
 
     // The most-loaded link by flow count.
@@ -624,10 +624,10 @@ fn sequence(engine: &SweepEngine<'_>, first: usize, second: usize) -> (String, [
     // From scratch at each step.
     let sc1 = engine.scenario(&[c1]).expect("valid");
     let scratch1 = Pm::new()
-        .recover(&FmssmInstance::with_cache(&sc1, prog, engine.cache()))
+        .recover(&FmssmInstance::new(&sc1, prog))
         .expect("pm step 1");
     let sc2 = engine.scenario(&[c1, c2]).expect("valid");
-    let inst2 = FmssmInstance::with_cache(&sc2, prog, engine.cache());
+    let inst2 = FmssmInstance::new(&sc2, prog);
     let scratch2 = Pm::new().recover(&inst2).expect("pm step 2");
 
     let total = |plan| {

@@ -24,43 +24,49 @@
 //! rebuilt in `O(E)` whenever `σ` is set — after seeding and at both pass
 //! restarts (`S*` emptied, or no untested switch with an entry at `σ`) —
 //! and, as `H` only rises within a pass, a flow raised off `σ` decrements
-//! each untested switch on its row. Phase 1 costs
-//! `O(passes·(E + picks·n))` for `E` entries and `n` offline switches,
-//! not a per-pick rescan's `O(passes·picks·E)`.
+//! each untested switch on its row. The untested switches are bucketed by
+//! count, one bitset per count value. Invariant: the buckets partition
+//! `S*`, each switch in exactly its count's bucket, and a `top` pointer
+//! never sits below the highest non-empty one; counts only fall between
+//! rebuilds, so `top` only falls. A pick is the lowest set bit of the
+//! highest non-empty bucket above 0 — the most entries at `σ`, lowest
+//! position on ties — and a decrement or a removal moves one bit. Phase 1
+//! costs `O(passes·(E + n·c̄/64))` for `E` entries, `n` offline switches
+//! and counts up to `c̄`, not a per-pick scan's `O(passes·picks·n)`.
 
 use crate::instance::FmssmInstance;
 use crate::{PmError, RecoveryAlgorithm};
 use pm_sdwan::RecoveryPlan;
 
-/// Dense `Y`: a flat row-major `switch × flow` membership bitmap plus a
-/// count of the cells set. The plan is emitted by walking each mapped
-/// switch's entry row against the bitmap, which yields the selections in
-/// [`RecoveryPlan`]'s own switch-major order.
+/// Dense `Y`: one membership flag per instance entry, numbered
+/// switch-major (entry `k` of switch `ip`'s row is
+/// `FmssmInstance::switch_row_start(ip) + k`), plus a count of the flags
+/// set. The plan is emitted by walking each mapped switch's entry row
+/// against the flags, which yields the selections in [`RecoveryPlan`]'s
+/// own switch-major order.
 #[derive(Debug, Default)]
 struct Selections {
-    flows: usize,
     mask: Vec<bool>,
     count: usize,
 }
 
 impl Selections {
-    /// Re-dimensions for a `switches × flows` instance, clearing all state.
-    /// Retains the mask's capacity so repeated sweeps stop paying an
-    /// allocation per case (the bitmap is the largest per-case buffer).
-    fn reset(&mut self, switches: usize, flows: usize) {
-        self.flows = flows;
+    /// Re-dimensions for an instance of `entries` entries, clearing all
+    /// state. Retains the mask's capacity so repeated sweeps stop paying
+    /// an allocation per case.
+    fn reset(&mut self, entries: usize) {
         self.mask.clear();
-        self.mask.resize(switches * flows, false);
+        self.mask.resize(entries, false);
         self.count = 0;
     }
 
-    fn contains(&self, ip: usize, lp: usize) -> bool {
-        self.mask[ip * self.flows + lp]
+    fn contains(&self, e: usize) -> bool {
+        self.mask[e]
     }
 
-    /// Marks `(ip, lp)` selected; `false` if it already was.
-    fn insert(&mut self, ip: usize, lp: usize) -> bool {
-        let cell = &mut self.mask[ip * self.flows + lp];
+    /// Marks entry `e` selected; `false` if it already was.
+    fn insert(&mut self, e: usize) -> bool {
+        let cell = &mut self.mask[e];
         if *cell {
             return false;
         }
@@ -72,62 +78,108 @@ impl Selections {
 
 /// Dense `S*`: the not-yet-tested switch set of one phase-1 pass, as one
 /// `(untested, σ-count)` slot per switch plus a live count of untested
-/// switches. Ascending-index scans reproduce the ordered-set iteration this
+/// switches, and the same switches bucketed by σ-count: bucket `c` is a
+/// bitset (`words` words) of the untested switches whose count is `c`, so
+/// the buckets partition the untested set. `top` bounds the highest
+/// non-empty bucket; counts only fall between refills, so it only falls
+/// too. Ascending-index scans reproduce the ordered-set iteration this
 /// replaced, preserving the lowest-position tie-breaks.
 #[derive(Debug, Default)]
 struct SwitchPool {
     slots: Vec<(bool, u32)>,
     len: usize,
+    words: usize,
+    buckets: Vec<u64>,
+    top: usize,
 }
 
 impl SwitchPool {
     /// Puts every switch of `inst` back into `S*` and recounts the
     /// σ-counts from `h`, keeping capacity. `O(E)` over the switch rows,
     /// which the SDN-mode step reads anyway (cheaper than the flow rows
-    /// on small instances with cold caches).
+    /// on small instances with cold caches), plus clearing the buckets.
     fn refill(&mut self, inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64) {
         let n = inst.switches().len();
+        let mut top = 0;
         self.slots.clear();
-        self.slots
-            .extend((0..n).map(|ip| (true, entries_at_sigma(inst, h, sigma, ip))));
+        self.slots.extend((0..n).map(|ip| {
+            let count = entries_at_sigma(inst, h, sigma, ip);
+            top = top.max(count as usize);
+            (true, count)
+        }));
         self.len = n;
+        self.top = top;
+        self.words = n.div_ceil(64);
+        self.buckets.clear();
+        self.buckets.resize((self.top + 1) * self.words, 0);
+        for ip in 0..n {
+            self.flip(ip, self.slots[ip].1);
+        }
     }
 
-    /// Marks `ip` tested; its σ-count drops to 0.
+    /// Toggles switch `ip`'s bit in bucket `count`.
+    fn flip(&mut self, ip: usize, count: u32) {
+        self.buckets[count as usize * self.words + ip / 64] ^= 1 << (ip % 64);
+    }
+
+    /// Marks `ip` tested; it leaves its bucket and its σ-count drops to 0.
     fn remove(&mut self, ip: usize) {
-        if std::mem::take(&mut self.slots[ip]).0 {
+        if let (true, count) = std::mem::take(&mut self.slots[ip]) {
+            self.flip(ip, count);
             self.len -= 1;
         }
     }
 
     /// Flow `lp` was raised off `σ`: one entry fewer at `σ` on each
-    /// untested switch of its row.
+    /// untested switch of its row, which moves down one bucket.
     fn flow_left_sigma(&mut self, inst: &FmssmInstance<'_, '_>, lp: usize) {
         for &(ip, _) in inst.flow_entries(lp) {
             if let (true, count) = &mut self.slots[ip] {
+                let at = *count as usize * self.words + ip / 64;
+                self.buckets[at] ^= 1 << (ip % 64);
+                self.buckets[at - self.words] ^= 1 << (ip % 64);
                 *count -= 1;
             }
         }
     }
 
     /// Lines 5–15: the untested switch with the most entries at `σ`, the
-    /// lowest position among ties; `None` when no switch has one.
-    fn most_at_sigma(&self) -> Option<usize> {
-        let mut delta = 0;
-        let mut best = None;
-        for (ip, &(_, count)) in self.slots.iter().enumerate() {
-            if count > delta {
-                delta = count;
-                best = Some(ip);
+    /// lowest position among ties — the lowest set bit of the highest
+    /// non-empty bucket above 0; `None` when no switch has an entry at σ.
+    fn most_at_sigma(&mut self) -> Option<usize> {
+        while self.top > 0 {
+            let bucket = &self.buckets[self.top * self.words..(self.top + 1) * self.words];
+            if let Some((w, &bits)) = bucket.iter().enumerate().find(|&(_, &bits)| bits != 0) {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
             }
+            self.top -= 1;
         }
-        best
+        None
     }
 
-    /// Debug-build invariant: [`SwitchPool::most_at_sigma`] and its count
-    /// equal a rescan of every untested switch's entries.
+    /// Debug-build invariants: each untested switch sits in exactly its
+    /// count's bucket and no tested one in any, and
+    /// [`SwitchPool::most_at_sigma`] and its count equal a rescan of every
+    /// untested switch's entries.
     #[cfg(debug_assertions)]
-    fn assert_counts(&self, inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64) {
+    fn assert_counts(&mut self, inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64) {
+        let mut members = 0;
+        for (b, bucket) in self.buckets.chunks_exact(self.words.max(1)).enumerate() {
+            for (w, &word) in bucket.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let ip = w * 64 + bits.trailing_zeros() as usize;
+                    let slot = self.slots.get(ip);
+                    assert_eq!(slot, Some(&(true, b as u32)), "switch {ip} in bucket {b}");
+                    members += 1;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        assert_eq!(
+            members, self.len,
+            "untested switches missing from the buckets"
+        );
         let mut rescan = None;
         for ip in self.iter() {
             let count = entries_at_sigma(inst, h, sigma, ip);
@@ -332,7 +384,7 @@ impl Pm {
 
         ws.x.clear();
         ws.x.resize(n, None);
-        ws.y.reset(n, l_count);
+        ws.y.reset(inst.entry_count());
         ws.a.clear();
         ws.a.extend(inst.residuals().iter().map(|&r| r as i64));
         ws.h.clear();
@@ -355,13 +407,16 @@ impl Pm {
                 ) else {
                     continue;
                 };
-                // p̄ = 0 exactly when β = 0: such a pair is no instance
-                // entry, so a seed's invalid selection is dropped.
-                let pbar = inst.programmability().pbar(l, s) as u64;
-                if x[ip] != Some(jp) || pbar == 0 || !y.insert(ip, lp) {
+                // A pair with β = 0 is no instance entry, so a seed's
+                // invalid selection is dropped.
+                let row = inst.switch_entries(ip);
+                let Ok(k) = row.binary_search_by_key(&lp, |&(f, _)| f) else {
+                    continue;
+                };
+                if x[ip] != Some(jp) || !y.insert(inst.switch_row_start(ip) + k) {
                     continue;
                 }
-                h[lp] += pbar;
+                h[lp] += row[k].1 as u64;
                 a[jp] -= 1;
             }
         }
@@ -372,9 +427,10 @@ impl Pm {
         let total_iterations = inst.total_iterations().max(1);
 
         let min_h = |h: &[u64]| -> u64 {
-            (0..l_count)
-                .filter(|&lp| self.config.faithful_sigma || !inst.flow_entries(lp).is_empty())
-                .map(|lp| h[lp])
+            h.iter()
+                .zip(inst.recoverable_flows())
+                .filter(|&(_, recoverable)| self.config.faithful_sigma || recoverable)
+                .map(|(&v, _)| v)
                 .min()
                 .unwrap_or(0)
         };
@@ -422,8 +478,6 @@ impl Pm {
                     let by_rule = match self.config.mapping {
                         MappingRule::NearestWithCapacity => inst
                             .controllers_by_delay(i0)
-                            .iter()
-                            .copied()
                             .find(|&j| a[j] >= inst.gamma(i0) as i64),
                         MappingRule::MaxCapacity => None,
                     };
@@ -444,11 +498,12 @@ impl Pm {
 
             // Lines 31–36: SDN mode for least-programmable flows at s_{i0}.
             let mode_t0 = obs.then(std::time::Instant::now);
-            for &(lp, pbar) in inst.switch_entries(i0) {
-                if h[lp] <= sigma && !y.contains(i0, lp) && a[j0] > 0 {
+            let start = inst.switch_row_start(i0);
+            for (e, &(lp, pbar)) in (start..).zip(inst.switch_entries(i0)) {
+                if h[lp] <= sigma && !y.contains(e) && a[j0] > 0 {
                     a[j0] -= 1;
                     h[lp] += pbar as u64;
-                    y.insert(i0, lp);
+                    y.insert(e);
                     s_star.flow_left_sigma(inst, lp);
                 }
             }
@@ -476,11 +531,12 @@ impl Pm {
             let _phase2_span = pm_obs::span("pm.phase2");
             for (ip, ctrl) in x.iter().enumerate() {
                 if let Some(j0) = *ctrl {
-                    for &(lp, pbar) in inst.switch_entries(ip) {
-                        if a[j0] > 0 && !y.contains(ip, lp) {
+                    let start = inst.switch_row_start(ip);
+                    for (e, &(lp, pbar)) in (start..).zip(inst.switch_entries(ip)) {
+                        if a[j0] > 0 && !y.contains(e) {
                             a[j0] -= 1;
                             h[lp] += pbar as u64;
-                            y.insert(ip, lp);
+                            y.insert(e);
                         }
                     }
                 }
@@ -497,8 +553,7 @@ impl Pm {
             pm_obs::count("pm.phase1.sdn_mode_picks", phase1_picks as u64);
             pm_obs::count("pm.phase2.sdn_mode_picks", (y.count - phase1_picks) as u64);
             // β = 1 entries left in legacy mode vs. put into SDN mode.
-            let total_entries: usize = (0..n).map(|ip| inst.switch_entries(ip).len()).sum();
-            pm_obs::count("pm.legacy_mode_left", (total_entries - y.count) as u64);
+            pm_obs::count("pm.legacy_mode_left", (inst.entry_count() - y.count) as u64);
             pm_obs::count(
                 "pm.flows_touched",
                 h.iter().filter(|&&v| v > 0).count() as u64,
@@ -517,10 +572,10 @@ impl Pm {
             let Some(j) = *ctrl else { continue };
             let (s, c) = (inst.switches()[ip], inst.controllers()[j]);
             mapping.push((s, c));
-            let row = inst.switch_entries(ip).iter();
+            let row = (inst.switch_row_start(ip)..).zip(inst.switch_entries(ip));
             sdn.extend(
-                row.filter(|&&(lp, _)| y.contains(ip, lp))
-                    .map(|&(lp, _)| (s, inst.flows()[lp], c)),
+                row.filter(|&(e, _)| y.contains(e))
+                    .map(|(_, &(lp, _))| (s, inst.flows()[lp], c)),
             );
         }
         Ok(RecoveryPlan::from_parts(mapping, Vec::new(), sdn))

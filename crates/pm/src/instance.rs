@@ -4,6 +4,9 @@
 //! [`Programmability`] table into dense index spaces — offline switches
 //! `0..N`, active controllers `0..M`, offline flows `0..L` — exactly the
 //! index sets of the formulation, so algorithms work on compact vectors.
+//! Building one costs what the case contains: its `E` offline `β = 1`
+//! entries, read once from the table's switch rows. Delays and delay
+//! orders are read from the network, so no per-case `N × M` table exists.
 
 use pm_sdwan::metrics::ControllerUsage;
 use pm_sdwan::{
@@ -28,7 +31,8 @@ pub struct FmssmInstance<'a, 'net> {
     switch_pos: Vec<Option<usize>>,
     /// Active controllers (the paper's `C`), sorted by id.
     controllers: Vec<ControllerId>,
-    /// Per controller id: its dense position, `None` when failed.
+    /// Per controller id: its dense position, `None` when failed. Delay
+    /// orders are the network's per-switch order filtered through it.
     ctrl_pos: Vec<Option<usize>>,
     /// Residual capacity per active controller (aligned with
     /// `controllers`) — the paper's `A_j^rest`.
@@ -39,51 +43,28 @@ pub struct FmssmInstance<'a, 'net> {
     flow_pos: Vec<Option<usize>>,
     /// Per offline flow: its `(switch position, p̄)` entries at offline
     /// switches with `β = 1`, in path order — row `lp` is
-    /// `entries_by_flow[flow_offsets[lp]..flow_offsets[lp + 1]]`.
+    /// `entries_by_flow[flow_offsets[lp]..flow_offsets[lp + 1]]`. The
+    /// transpose of the switch rows, put back in path order.
     entries_by_flow: Vec<(usize, u32)>,
     /// `L + 1` row starts into `entries_by_flow`.
     flow_offsets: Vec<usize>,
     /// Per offline switch: its `(flow position, p̄)` entries, ascending by
     /// flow — row `ip` is
     /// `entries_by_switch[switch_offsets[ip]..switch_offsets[ip + 1]]`.
+    /// Every entry of an offline switch's row in the table, in its order:
+    /// a flow through an offline switch is offline.
     entries_by_switch: Vec<(usize, u32)>,
     /// `N + 1` row starts into `entries_by_switch`.
     switch_offsets: Vec<usize>,
     /// `γ_i` per offline switch.
     gamma: Vec<u32>,
-    /// `delay[i * M + j]` = `D_ij` between offline switch `i` and active
-    /// controller `j` (dense positions), row-major.
-    delay: Vec<f64>,
-    /// Controllers sorted by ascending delay per switch (the paper's
-    /// `C(i)`), one row of `M` positions per switch, row-major.
-    ctrl_by_delay: Vec<usize>,
+    /// The most entries on any flow row, taken from the counting pass.
+    longest_flow_row: usize,
 }
 
 impl<'a, 'net> FmssmInstance<'a, 'net> {
     /// Builds the dense instance for a scenario.
     pub fn new(scenario: &'a FailureScenario<'net>, prog: &'a Programmability) -> Self {
-        Self::build(scenario, prog, None)
-    }
-
-    /// Like [`FmssmInstance::new`], reusing the per-network sorted
-    /// controller orders of `cache` instead of re-sorting per scenario.
-    /// The instance is identical to the uncached construction: the cached
-    /// global order is a stable sort by delay with ties toward the lower
-    /// controller id, so filtering it to the scenario's active set gives
-    /// exactly the per-scenario stable sort.
-    pub fn with_cache(
-        scenario: &'a FailureScenario<'net>,
-        prog: &'a Programmability,
-        cache: &NetCache,
-    ) -> Self {
-        Self::build(scenario, prog, Some(cache))
-    }
-
-    fn build(
-        scenario: &'a FailureScenario<'net>,
-        prog: &'a Programmability,
-        cache: Option<&NetCache>,
-    ) -> Self {
         let net = scenario.network();
         let space = IndexSpace::of(net);
         let switches: Vec<SwitchId> = scenario.offline_switches().to_vec();
@@ -106,71 +87,58 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             flow_pos[l.index()] = Some(i);
         }
 
-        // Compressed rows: the flow rows are filled in flow order, then a
-        // counting pass sizes the switch rows and a second walk over the
-        // flow rows scatters into them, so each switch row lists its flows
-        // in ascending position.
-        let mut entries_by_flow = Vec::new();
-        let mut flow_offsets = Vec::with_capacity(flows.len() + 1);
-        flow_offsets.push(0);
-        let mut switch_offsets = vec![0usize; switches.len() + 1];
-        for &l in &flows {
-            for &(s, p) in prog.flow_entries(l) {
-                if let Some(ip) = switch_pos[s.index()] {
-                    entries_by_flow.push((ip, p));
-                    switch_offsets[ip + 1] += 1;
-                }
-            }
-            flow_offsets.push(entries_by_flow.len());
-        }
-        for ip in 0..switches.len() {
-            switch_offsets[ip + 1] += switch_offsets[ip];
-        }
-        let mut fill = switch_offsets.clone();
-        let mut entries_by_switch = vec![(0, 0); entries_by_flow.len()];
-        for (lp, row) in flow_offsets.windows(2).enumerate() {
-            for &(ip, p) in &entries_by_flow[row[0]..row[1]] {
-                entries_by_switch[fill[ip]] = (lp, p);
-                fill[ip] += 1;
-            }
-        }
-
-        let m = controllers.len();
-        let gamma: Vec<u32> = switches.iter().map(|&s| net.gamma(s)).collect();
-        let mut delay = Vec::with_capacity(switches.len() * m);
+        // The switch rows are the table's rows of the offline switches,
+        // with flow ids mapped to positions (which keeps them ascending).
+        // Each entry's index in its flow's table row is kept in `path_at`
+        // for the flow rows below, and the flow rows are counted.
+        let entries: usize = switches.iter().map(|&s| prog.switch_entries(s).len()).sum();
+        let mut entries_by_switch = Vec::with_capacity(entries);
+        let mut path_at = Vec::with_capacity(entries);
+        let mut switch_offsets = Vec::with_capacity(switches.len() + 1);
+        switch_offsets.push(0);
+        let mut flow_offsets = vec![0usize; flows.len() + 1];
         for &s in &switches {
-            delay.extend(controllers.iter().map(|&c| net.ctrl_delay(s, c)));
-        }
-        let mut ctrl_by_delay = Vec::with_capacity(switches.len() * m);
-        match cache {
-            // Dense positions ascend with controller id, so mapping the
-            // cached id-ordered-by-delay list through `ctrl_pos` preserves
-            // both the delay order and the lower-id tie-break of the sort
-            // in the uncached arm below.
-            Some(cache) => {
-                for &s in &switches {
-                    ctrl_by_delay.extend(
-                        cache
-                            .controllers_by_delay(s)
-                            .iter()
-                            .filter_map(|c| ctrl_pos[c.index()]),
-                    );
-                }
+            for &(l, p, k) in prog.switch_entries(s) {
+                let lp = flow_pos[l.index()].expect("a flow through an offline switch is offline");
+                entries_by_switch.push((lp, p));
+                path_at.push(k);
+                flow_offsets[lp + 1] += 1;
             }
-            None => {
-                for row in delay.chunks_exact(m.max(1)) {
-                    let start = ctrl_by_delay.len();
-                    ctrl_by_delay.extend(0..m);
-                    ctrl_by_delay[start..].sort_by(|&a, &b| {
-                        row[a]
-                            .partial_cmp(&row[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                }
-            }
+            switch_offsets.push(entries_by_switch.len());
         }
-        debug_assert_eq!(ctrl_by_delay.len(), switches.len() * m);
 
+        // The flow rows: a counting transpose of the switch rows, which
+        // leaves each row in switch order; sorting it by the table index
+        // restores path order. Rows are a flow's offline β = 1 switches,
+        // a handful, so an insertion sort.
+        let mut longest_flow_row = 0;
+        for lp in 0..flows.len() {
+            longest_flow_row = longest_flow_row.max(flow_offsets[lp + 1]);
+            flow_offsets[lp + 1] += flow_offsets[lp];
+        }
+        let mut fill = flow_offsets[..flows.len()].to_vec();
+        let mut entries_by_flow = vec![(0, 0); entries];
+        let mut order = vec![0u32; entries];
+        for (ip, row) in switch_offsets.windows(2).enumerate() {
+            for e in row[0]..row[1] {
+                let (lp, p) = entries_by_switch[e];
+                entries_by_flow[fill[lp]] = (ip, p);
+                order[fill[lp]] = path_at[e];
+                fill[lp] += 1;
+            }
+        }
+        for row in flow_offsets.windows(2) {
+            for i in row[0] + 1..row[1] {
+                let mut j = i;
+                while j > row[0] && order[j - 1] > order[j] {
+                    order.swap(j - 1, j);
+                    entries_by_flow.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+        }
+
+        let gamma: Vec<u32> = switches.iter().map(|&s| net.gamma(s)).collect();
         FmssmInstance {
             scenario,
             prog,
@@ -186,9 +154,19 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             entries_by_switch,
             switch_offsets,
             gamma,
-            delay,
-            ctrl_by_delay,
+            longest_flow_row,
         }
+    }
+
+    /// [`FmssmInstance::new`]; `cache` is not read. Kept for callers that
+    /// hold a [`NetCache`]: the delay orders it once cached now live on
+    /// the network.
+    pub fn with_cache(
+        scenario: &'a FailureScenario<'net>,
+        prog: &'a Programmability,
+        _cache: &NetCache,
+    ) -> Self {
+        Self::new(scenario, prog)
     }
 
     /// The underlying scenario.
@@ -246,23 +224,38 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
         &self.entries_by_switch[self.switch_offsets[ip]..self.switch_offsets[ip + 1]]
     }
 
+    /// The number `E` of entries (offline `β = 1` pairs).
+    pub fn entry_count(&self) -> usize {
+        self.entries_by_switch.len()
+    }
+
+    /// The number of switch `ip`'s first entry when all entries are
+    /// numbered `0..E` switch-major: entry `k` of
+    /// [`FmssmInstance::switch_entries`]`(ip)` is `switch_row_start(ip) + k`.
+    pub fn switch_row_start(&self, ip: usize) -> usize {
+        self.switch_offsets[ip]
+    }
+
     /// `γ` of switch position `ip`.
     pub fn gamma(&self, ip: usize) -> u32 {
         self.gamma[ip]
     }
 
-    /// `D_ij` for dense positions.
+    /// `D_ij` for dense positions, read from the network.
     pub fn delay(&self, ip: usize, jp: usize) -> f64 {
-        let m = self.controllers.len();
-        assert!(jp < m, "controller position {jp} out of range");
-        self.delay[ip * m + jp]
+        let net = self.scenario.network();
+        net.ctrl_delay(self.switches[ip], self.controllers[jp])
     }
 
-    /// Controller positions sorted by ascending delay from switch `ip`
-    /// (the paper's `C(i)`).
-    pub fn controllers_by_delay(&self, ip: usize) -> &[usize] {
-        let m = self.controllers.len();
-        &self.ctrl_by_delay[ip * m..(ip + 1) * m]
+    /// Controller positions by ascending delay from switch `ip`, ties
+    /// toward the lower position (the paper's `C(i)`): the network's
+    /// order of all controllers with the failed ones skipped.
+    pub fn controllers_by_delay(&self, ip: usize) -> impl Iterator<Item = usize> + '_ {
+        let order = self
+            .scenario
+            .network()
+            .controllers_by_delay(self.switches[ip]);
+        order.iter().filter_map(|c| self.ctrl_pos[c.index()])
     }
 
     /// The ideal-recovery delay bound `G` (Eq. (6)).
@@ -273,11 +266,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     /// The paper's `TOTAL_ITERATIONS`: the maximum number of (recoverable)
     /// offline switches on any offline flow's original path.
     pub fn total_iterations(&self) -> usize {
-        self.flow_offsets
-            .windows(2)
-            .map(|row| row[1] - row[0])
-            .max()
-            .unwrap_or(0)
+        self.longest_flow_row
     }
 
     /// Upper bound on the total programmability `Σ_l pro^l`: every `β = 1`
@@ -295,12 +284,18 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
         1.0 / (1.0 + self.total_programmability_ub() as f64)
     }
 
+    /// Per offline flow, aligned with [`FmssmInstance::flows`]: whether
+    /// it has at least one recoverable entry.
+    pub fn recoverable_flows(&self) -> impl Iterator<Item = bool> + '_ {
+        let ends = &self.flow_offsets[1..];
+        ends.iter()
+            .zip(&self.flow_offsets)
+            .map(|(end, start)| end > start)
+    }
+
     /// Number of offline flows that have at least one recoverable entry.
     pub fn recoverable_flow_count(&self) -> usize {
-        self.flow_offsets
-            .windows(2)
-            .filter(|row| row[1] > row[0])
-            .count()
+        self.recoverable_flows().filter(|&r| r).count()
     }
 
     /// Evaluates the FMSSM objective `r + λ·Σ pro` for a per-flow
@@ -327,8 +322,8 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     /// [`RecoveryPlan::total_control_delay`] bit for bit, which stay the
     /// reference. One merge walk of the plan's selections against the
     /// instance's switch rows replaces their reads of the network-wide
-    /// tables: p̄ and `β` come from the row entry, delays from the dense
-    /// delay row, and the recoverable mask from the flow rows.
+    /// tables: p̄ and `β` come from the row entry and the recoverable mask
+    /// from the flow rows.
     ///
     /// # Errors
     ///
@@ -340,6 +335,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
         middle_layer_ms: f64,
     ) -> Result<(PlanMetrics, f64), SdwanError> {
         let invalid = |what: String| Err(SdwanError::InvalidPlan(what));
+        let net = self.scenario.network();
         let m = self.controllers.len();
         let mut used = vec![0u32; m];
         // The overhead sums the whole-switch terms first, then the
@@ -359,7 +355,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             // together.
             if full.next_if_eq(&s).is_some() {
                 used[jp] += self.gamma[ip];
-                overhead += self.gamma[ip] as f64 * (self.delay[ip * m + jp] + middle_layer_ms);
+                overhead += self.gamma[ip] as f64 * (net.ctrl_delay(s, c) + middle_layer_ms);
             }
         }
 
@@ -384,9 +380,9 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
                 is_full = full.peek() == Some(&s);
                 recovered_switches += usize::from(mc.is_none());
             }
-            let Some(ip) = ip else {
+            if ip.is_none() {
                 return invalid(format!("SDN pair at online switch {s}"));
-            };
+            }
             let Some(jp) = self.controller_position(c) else {
                 return invalid(format!(
                     "SDN pair ({s}, {l}) assigned to failed controller {c}"
@@ -421,7 +417,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
                 _ => {}
             }
             per_flow[lp] += pbar as u64;
-            let delay = self.delay[ip * m + jp];
+            let delay = net.ctrl_delay(s, c);
             total_delay += delay;
             if !is_full {
                 used[jp] += 1;
@@ -436,8 +432,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             }
         }
 
-        let recoverable_mask: Vec<bool> =
-            self.flow_offsets.windows(2).map(|w| w[1] > w[0]).collect();
+        let recoverable_mask: Vec<bool> = self.recoverable_flows().collect();
         let metrics = PlanMetrics {
             total_programmability: per_flow.iter().sum(),
             min_programmability: per_flow.iter().copied().min().unwrap_or(0),
@@ -528,9 +523,9 @@ mod tests {
         assert_eq!(inst.switches().len(), reference.entries_by_switch.len());
         for (ip, row) in reference.entries_by_switch.iter().enumerate() {
             assert_eq!(inst.switch_entries(ip), row.as_slice(), "switch row {ip}");
-            assert_eq!(
-                inst.controllers_by_delay(ip),
-                reference.ctrl_by_delay[ip].as_slice(),
+            assert!(
+                inst.controllers_by_delay(ip)
+                    .eq(reference.ctrl_by_delay[ip].iter().copied()),
                 "delay order of switch row {ip}"
             );
             for (jp, &d) in reference.delay[ip].iter().enumerate() {
@@ -572,11 +567,9 @@ mod tests {
             assert_eq!(plain.switch_pos, cached.switch_pos);
             assert_eq!(plain.flow_pos, cached.flow_pos);
             assert_eq!(plain.ctrl_pos, cached.ctrl_pos);
-            assert_eq!(plain.ctrl_by_delay, cached.ctrl_by_delay);
             assert_eq!(plain.entries_by_flow, cached.entries_by_flow);
             assert_eq!(plain.entries_by_switch, cached.entries_by_switch);
             assert_eq!(plain.gamma, cached.gamma);
-            assert_eq!(plain.delay, cached.delay);
             assert_eq!(plain.flow_offsets, cached.flow_offsets);
             assert_eq!(plain.switch_offsets, cached.switch_offsets);
             let reference = nested_reference(&sc, &prog);
@@ -648,7 +641,8 @@ mod tests {
         let sc = net.fail(&[ControllerId(3)]).unwrap();
         let inst = FmssmInstance::new(&sc, &prog);
         for ip in 0..inst.switches().len() {
-            let order = inst.controllers_by_delay(ip);
+            let order: Vec<usize> = inst.controllers_by_delay(ip).collect();
+            assert_eq!(order.len(), inst.controllers().len());
             for w in order.windows(2) {
                 assert!(inst.delay(ip, w[0]) <= inst.delay(ip, w[1]) + 1e-12);
             }

@@ -529,7 +529,9 @@ impl PolishData {
             delay: (0..n)
                 .map(|ip| (0..m).map(|jp| inst.delay(ip, jp)).collect())
                 .collect(),
-            nearest: (0..n).map(|ip| inst.controllers_by_delay(ip)[0]).collect(),
+            nearest: (0..n)
+                .map(|ip| inst.controllers_by_delay(ip).next().expect("m > 0"))
+                .collect(),
             flow_entries: (0..inst.flows().len())
                 .map(|lp| inst.flow_entries(lp).to_vec())
                 .collect(),

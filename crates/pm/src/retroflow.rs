@@ -50,11 +50,7 @@ impl RecoveryAlgorithm for RetroFlow {
         for ip in order {
             let cost = inst.gamma(ip) as i64;
             // Nearest active controller that can absorb the whole switch.
-            let Some(&j) = inst
-                .controllers_by_delay(ip)
-                .iter()
-                .find(|&&j| a[j] >= cost)
-            else {
+            let Some(j) = inst.controllers_by_delay(ip).find(|&j| a[j] >= cost) else {
                 legacy += 1;
                 continue; // stays in legacy mode, not recovered
             };

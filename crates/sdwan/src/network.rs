@@ -109,9 +109,13 @@ pub struct SdWan {
     pub(crate) flows: Vec<Flow>,
     /// Per switch: flows traversing it (defines `γ_i`).
     pub(crate) flows_at: Vec<Vec<FlowId>>,
-    /// `delay[i][j]` = shortest-path propagation delay (ms) between switch
-    /// `i` and controller `j`'s node — the paper's `D_ij`.
-    pub(crate) ctrl_delay: Vec<Vec<f64>>,
+    /// Row-major switch × controller delays: `ctrl_delay[i * K + j]` is the
+    /// shortest-path propagation delay (ms) between switch `i` and
+    /// controller `j`'s node, the paper's `D_ij`, for `K` controllers.
+    pub(crate) ctrl_delay: Vec<f64>,
+    /// Row-major switch × controller order: row `i` lists every controller
+    /// by ascending delay from switch `i`, ties toward the lower id.
+    pub(crate) ctrl_order: Vec<ControllerId>,
 }
 
 impl SdWan {
@@ -212,7 +216,21 @@ impl SdWan {
     ///
     /// Panics if either id is out of range.
     pub fn ctrl_delay(&self, s: SwitchId, c: ControllerId) -> f64 {
-        self.ctrl_delay[s.0][c.0]
+        let k = self.controllers.len();
+        self.ctrl_delay[s.0 * k..(s.0 + 1) * k][c.0]
+    }
+
+    /// Every controller by ascending [`SdWan::ctrl_delay`] from switch
+    /// `s`, ties toward the lower id (the paper's `C(i)` over all
+    /// controllers). Filtering this row to a scenario's active set gives
+    /// that scenario's order, so it is sorted once, at build time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range.
+    pub fn controllers_by_delay(&self, s: SwitchId) -> &[ControllerId] {
+        let k = self.controllers.len();
+        &self.ctrl_order[s.0 * k..(s.0 + 1) * k]
     }
 
     /// Validates that `c` exists.

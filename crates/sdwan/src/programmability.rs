@@ -13,14 +13,22 @@ use crate::network::{ControllerId, FlowId, SdWan, SwitchId};
 use crate::scenario::FailureScenario;
 use pm_topo::PathCounts;
 
-/// Precomputed programmability data for every flow of a network.
+/// Precomputed programmability data for every flow of a network, as two
+/// compressed (CSR) views of the same `β = 1` entries: one flat entries
+/// array plus an offsets array per view.
 #[derive(Debug, Clone)]
 pub struct Programmability {
-    /// Per flow: the `(switch, p̄)` entries with `β = 1`, in path order.
-    entries: Vec<Vec<(SwitchId, u32)>>,
-    /// Dense row-major lookup `(flow, switch) → p̄`. Cells are 0 for
-    /// `β = 0` pairs (a `β = 1` entry always has `p̄ ≥ 2`).
-    lookup: FlowSwitchTable<u32>,
+    /// Flow rows: flow `l`'s `(switch, p̄)` entries with `β = 1`, in path
+    /// order, are `by_flow[flow_offsets[l]..flow_offsets[l + 1]]`.
+    by_flow: Vec<(SwitchId, u32)>,
+    /// `flows + 1` row starts into `by_flow`.
+    flow_offsets: Vec<usize>,
+    /// Switch rows, the transpose of the flow rows: switch `s`'s
+    /// `(flow, p̄, index in the flow's row)` entries, ascending by flow,
+    /// are `by_switch[switch_offsets[s]..switch_offsets[s + 1]]`.
+    by_switch: Vec<(FlowId, u32, u32)>,
+    /// `switches + 1` row starts into `by_switch`.
+    switch_offsets: Vec<usize>,
 }
 
 impl Programmability {
@@ -43,11 +51,12 @@ impl Programmability {
     /// ```
     pub fn compute(net: &SdWan) -> Self {
         let flows = net.flows();
-        // Destination by destination, so one `PathCounts` is alive at a time.
+        // Destination by destination, so one `PathCounts` is alive at a
+        // time; `spans` then lays the rows out in flow order.
         let mut by_dst: Vec<usize> = (0..flows.len()).collect();
         by_dst.sort_by_key(|&l| flows[l].dst);
-        let mut entries = vec![Vec::new(); flows.len()];
-        let mut lookup = IndexSpace::of(net).flow_switch_table(0u32);
+        let mut grouped = Vec::new();
+        let mut spans = vec![0..0; flows.len()];
         let mut rest = by_dst.as_slice();
         while let Some(&first) = rest.first() {
             let dst = flows[first].dst;
@@ -55,20 +64,51 @@ impl Programmability {
             rest = tail;
             let pc = PathCounts::toward(net.topology(), dst.node());
             for &l in group {
+                let start = grouped.len();
                 for &s in &flows[l].path {
                     if s == dst {
                         continue; // the destination cannot reroute the flow
                     }
                     let count = pc.count_from(s.node());
                     if count >= 2 {
-                        let pbar = count.min(u32::MAX as u64) as u32;
-                        entries[l].push((s, pbar));
-                        lookup.set(FlowId(l), s, pbar);
+                        grouped.push((s, count.min(u32::MAX as u64) as u32));
                     }
                 }
+                spans[l] = start..grouped.len();
             }
         }
-        Programmability { entries, lookup }
+        let mut by_flow = Vec::with_capacity(grouped.len());
+        let mut flow_offsets = Vec::with_capacity(flows.len() + 1);
+        flow_offsets.push(0);
+        for span in spans {
+            by_flow.extend_from_slice(&grouped[span]);
+            flow_offsets.push(by_flow.len());
+        }
+
+        // The switch rows: a counting pass sizes them, and a scatter in
+        // flow order fills them, so each row ascends by flow.
+        let n = net.switch_count();
+        let mut switch_offsets = vec![0usize; n + 1];
+        for &(s, _) in &by_flow {
+            switch_offsets[s.0 + 1] += 1;
+        }
+        for s in 0..n {
+            switch_offsets[s + 1] += switch_offsets[s];
+        }
+        let mut fill = switch_offsets[..n].to_vec();
+        let mut by_switch = vec![(FlowId(0), 0, 0); by_flow.len()];
+        for (l, row) in flow_offsets.windows(2).enumerate() {
+            for (k, &(s, pbar)) in by_flow[row[0]..row[1]].iter().enumerate() {
+                by_switch[fill[s.0]] = (FlowId(l), pbar, k as u32);
+                fill[s.0] += 1;
+            }
+        }
+        Programmability {
+            by_flow,
+            flow_offsets,
+            by_switch,
+            switch_offsets,
+        }
     }
 
     /// `β_i^l`: can switch `s` reroute flow `l`? (`s` must be on the path
@@ -78,10 +118,15 @@ impl Programmability {
     }
 
     /// `p̄_i^l = β_i^l · p_i^l`: the programmability flow `l` gains when
-    /// switch `s` routes it in SDN mode, or 0 when `β_i^l = 0`. O(1): one
-    /// dense row-major table read.
+    /// switch `s` routes it in SDN mode, or 0 when `β_i^l = 0` (and for
+    /// ids outside the network). A binary search of `s`'s switch row.
     pub fn pbar(&self, l: FlowId, s: SwitchId) -> u32 {
-        self.lookup.get(l, s).copied().unwrap_or(0)
+        if s.0 + 1 >= self.switch_offsets.len() {
+            return 0;
+        }
+        let row = self.switch_entries(s);
+        row.binary_search_by_key(&l, |&(f, _, _)| f)
+            .map_or(0, |k| row[k].1)
     }
 
     /// The `(switch, p̄)` pairs with `β = 1` for flow `l`, in path order.
@@ -90,18 +135,29 @@ impl Programmability {
     ///
     /// Panics if `l` is out of range.
     pub fn flow_entries(&self, l: FlowId) -> &[(SwitchId, u32)] {
-        &self.entries[l.0]
+        &self.by_flow[self.flow_offsets[l.0]..self.flow_offsets[l.0 + 1]]
+    }
+
+    /// The `(flow, p̄, k)` entries with `β = 1` at switch `s`, ascending by
+    /// flow, where `k` is the entry's index in
+    /// [`Programmability::flow_entries`] of that flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range.
+    pub fn switch_entries(&self, s: SwitchId) -> &[(FlowId, u32, u32)] {
+        &self.by_switch[self.switch_offsets[s.0]..self.switch_offsets[s.0 + 1]]
     }
 
     /// Upper bound on flow `l`'s programmability: every `β = 1` switch on
     /// its path in SDN mode.
     pub fn max_programmability(&self, l: FlowId) -> u64 {
-        self.entries[l.0].iter().map(|&(_, p)| p as u64).sum()
+        self.flow_entries(l).iter().map(|&(_, p)| p as u64).sum()
     }
 
     /// Number of flows known to this table.
     pub fn flow_count(&self) -> usize {
-        self.entries.len()
+        self.flow_offsets.len() - 1
     }
 
     /// Projects this network-wide table onto a failure scenario: the
@@ -115,13 +171,10 @@ impl Programmability {
         let mut flow_totals = vec![0u64; net.flows().len()];
         let mut total = 0u64;
         for &s in scenario.offline_switches() {
-            for &l in net.flows_at(s) {
-                let pbar = self.pbar(l, s);
-                if pbar != 0 {
-                    table.set(l, s, pbar);
-                    flow_totals[l.0] += pbar as u64;
-                    total += pbar as u64;
-                }
+            for &(l, pbar, _) in self.switch_entries(s) {
+                table.set(l, s, pbar);
+                flow_totals[l.0] += pbar as u64;
+                total += pbar as u64;
             }
         }
         ScenarioProgrammability {
@@ -183,22 +236,16 @@ impl ScenarioProgrammability {
         for s in net.switches() {
             let owner = net.domain_of(s);
             if owner == remove {
-                for &l in net.flows_at(s) {
-                    let pbar = self.pbar(l, s);
-                    if pbar != 0 {
-                        self.table.set(l, s, 0);
-                        self.flow_totals[l.0] -= pbar as u64;
-                        self.total -= pbar as u64;
-                    }
+                for &(l, pbar, _) in prog.switch_entries(s) {
+                    self.table.set(l, s, 0);
+                    self.flow_totals[l.0] -= pbar as u64;
+                    self.total -= pbar as u64;
                 }
             } else if owner == add {
-                for &l in net.flows_at(s) {
-                    let pbar = prog.pbar(l, s);
-                    if pbar != 0 {
-                        self.table.set(l, s, pbar);
-                        self.flow_totals[l.0] += pbar as u64;
-                        self.total += pbar as u64;
-                    }
+                for &(l, pbar, _) in prog.switch_entries(s) {
+                    self.table.set(l, s, pbar);
+                    self.flow_totals[l.0] += pbar as u64;
+                    self.total += pbar as u64;
                 }
             }
         }
@@ -258,6 +305,36 @@ mod tests {
                 assert_eq!(prog.pbar(FlowId(l), s), pbar, "flow {l} at {s}");
             }
         }
+    }
+
+    /// The switch rows are exactly the transpose of the flow rows: every
+    /// `(l, s, p̄)` once, each switch row ascending by flow, and each
+    /// stored index pointing back at the entry in `flow_entries(l)`.
+    #[test]
+    fn switch_rows_transpose_flow_rows() {
+        let net = SdWanBuilder::att_paper_setup().build().unwrap();
+        let prog = Programmability::compute(&net);
+        let mut from_flows = Vec::new();
+        for l in (0..net.flows().len()).map(FlowId) {
+            from_flows.extend(prog.flow_entries(l).iter().map(|&(s, p)| (l, s, p)));
+        }
+        let mut from_switches = Vec::new();
+        for s in net.switches() {
+            let row = prog.switch_entries(s);
+            assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0),
+                "row of {s} not ascending by flow"
+            );
+            for &(l, p, k) in row {
+                assert_eq!(prog.flow_entries(l)[k as usize], (s, p), "{l} at {s}");
+                from_switches.push((l, s, p));
+            }
+        }
+        assert!(!from_flows.is_empty());
+        from_flows.sort();
+        from_switches.sort();
+        assert!(from_flows.windows(2).all(|w| w[0] != w[1]));
+        assert_eq!(from_flows, from_switches);
     }
 
     #[test]

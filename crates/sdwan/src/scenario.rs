@@ -270,10 +270,22 @@ impl SdWanBuilder {
             }
         }
 
-        // Switch-to-controller delays.
-        let ctrl_delay: Vec<Vec<f64>> = (0..n)
-            .map(|s| ctrl_spts.iter().map(|spt| spt.distances()[s]).collect())
-            .collect();
+        // Switch-to-controller delays, and each switch's controllers by
+        // ascending delay: a stable sort, so ties keep the lower id first.
+        let k = ctrl_spts.len();
+        let mut ctrl_delay = Vec::with_capacity(n * k);
+        let mut ctrl_order = Vec::with_capacity(n * k);
+        for s in 0..n {
+            let row = ctrl_delay.len();
+            ctrl_delay.extend(ctrl_spts.iter().map(|spt| spt.distances()[s]));
+            let delays = &ctrl_delay[row..];
+            ctrl_order.extend((0..k).map(ControllerId));
+            ctrl_order[row..].sort_by(|a, b| {
+                delays[a.0]
+                    .partial_cmp(&delays[b.0])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
 
         let mut net = SdWan {
             topology: self.topology,
@@ -282,6 +294,7 @@ impl SdWanBuilder {
             flows,
             flows_at,
             ctrl_delay,
+            ctrl_order,
         };
 
         if let Some(headroom) = self.auto_capacity {
@@ -421,17 +434,9 @@ impl SdWan {
         let mut nearest_active = Vec::with_capacity(offline_switches.len());
         let mut ideal_delay_g = 0.0;
         for &s in &offline_switches {
-            let nearest = active
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    self.ctrl_delay[s.0][a.0]
-                        .partial_cmp(&self.ctrl_delay[s.0][b.0])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("at least one active controller");
+            let nearest = self.nearest_surviving(s, |c| is_failed[c.0]);
             nearest_active.push((s, nearest));
-            ideal_delay_g += self.gamma(s) as f64 * self.ctrl_delay[s.0][nearest.0];
+            ideal_delay_g += self.gamma(s) as f64 * self.ctrl_delay(s, nearest);
         }
 
         Ok(FailureScenario {
@@ -447,6 +452,20 @@ impl SdWan {
             nearest_active,
             ideal_delay_g,
         })
+    }
+
+    /// The first controller in `s`'s delay order that has not failed: the
+    /// nearest survivor, ties toward the lower id.
+    fn nearest_surviving(
+        &self,
+        s: SwitchId,
+        failed: impl Fn(ControllerId) -> bool,
+    ) -> ControllerId {
+        self.controllers_by_delay(s)
+            .iter()
+            .copied()
+            .find(|&c| !failed(c))
+            .expect("at least one active controller")
     }
 }
 
@@ -659,22 +678,11 @@ impl<'net> FailureScenario<'net> {
                 _ => None,
             };
             let nearest = match kept {
-                Some(c) if c != add && net.ctrl_delay[s.0][remove.0] > net.ctrl_delay[s.0][c.0] => {
-                    c
-                }
-                _ => self
-                    .active
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| {
-                        net.ctrl_delay[s.0][a.0]
-                            .partial_cmp(&net.ctrl_delay[s.0][b.0])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("at least one active controller"),
+                Some(c) if c != add && net.ctrl_delay(s, remove) > net.ctrl_delay(s, c) => c,
+                _ => net.nearest_surviving(s, |c| self.residual[c.0].is_none()),
             };
             self.nearest_active.push((s, nearest));
-            ideal_delay_g += net.gamma(s) as f64 * net.ctrl_delay[s.0][nearest.0];
+            ideal_delay_g += net.gamma(s) as f64 * net.ctrl_delay(s, nearest);
         }
         self.ideal_delay_g = ideal_delay_g;
         Ok(())
@@ -1003,6 +1011,19 @@ mod tests {
         let mut cur = net.fail(&[ControllerId(0)]).unwrap();
         assert!(cur.apply_delta(ControllerId(1), ControllerId(2)).is_err());
         assert_eq!(cur, prev);
+    }
+
+    #[test]
+    fn controller_order_sorted_with_id_tiebreak() {
+        let net = SdWanBuilder::att_paper_setup().build().unwrap();
+        for s in net.switches() {
+            let order = net.controllers_by_delay(s);
+            assert_eq!(order.len(), net.controllers().len());
+            for w in order.windows(2) {
+                let (da, db) = (net.ctrl_delay(s, w[0]), net.ctrl_delay(s, w[1]));
+                assert!(da < db || (da == db && w[0] < w[1]));
+            }
+        }
     }
 
     #[test]

@@ -650,7 +650,7 @@ impl Timeline {
 
             let solve_span = obs.then(|| pm_obs::span("sim.timeline.solve"));
             let scenario = net.fail_cached(&failed, cache).map_err(SimError::Sdwan)?;
-            let inst = FmssmInstance::with_cache(&scenario, prog, cache);
+            let inst = FmssmInstance::new(&scenario, prog);
             let retro_algo = RetroFlow::new();
             let pm_algo = Pm::new();
             let retro_plan = retro_algo

@@ -139,6 +139,36 @@ proptest! {
     }
 }
 
+/// One workspace carried across instances whose switch count grows and
+/// shrinks, past one and several 64-switch words of the phase-1 buckets,
+/// gives every plan a fresh workspace gives.
+#[test]
+fn pm_workspace_across_growing_and_shrinking_instances_equals_cold_runs() {
+    let mut ws = PmWorkspace::default();
+    let mut sizes = Vec::new();
+    for (nodes, f) in [
+        (40, 1),
+        (300, 5),
+        (60, 2),
+        (200, 4),
+        (30, 1),
+        (300, 3),
+        (90, 5),
+    ] {
+        let net = wan(nodes as u64, nodes, 6);
+        let prog = Programmability::compute(&net);
+        let failed: Vec<ControllerId> = (0..f).map(ControllerId).collect();
+        let scenario = net.fail(&failed).expect("valid case");
+        let inst = FmssmInstance::new(&scenario, &prog);
+        sizes.push(inst.switches().len());
+        let warm = Pm::new().recover_in(&inst, &mut ws).expect("PM recovers");
+        let cold = Pm::new().recover(&inst).expect("PM recovers");
+        assert_eq!(warm, cold, "{nodes} nodes, {f} failed");
+    }
+    assert!(sizes.iter().any(|&n| n > 128), "several words: {sizes:?}");
+    assert!(sizes.windows(2).any(|w| w[0] > w[1]), "shrinks: {sizes:?}");
+}
+
 /// All recorded result fields of a case — everything except wall-clock
 /// times — as a comparable string.
 fn fingerprint(case: &CaseResult) -> String {
