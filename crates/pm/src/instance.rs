@@ -158,9 +158,8 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
         }
     }
 
-    /// [`FmssmInstance::new`]; `cache` is not read. Kept for callers that
-    /// hold a [`NetCache`]: the delay orders it once cached now live on
-    /// the network.
+    /// [`FmssmInstance::new`]; `cache` is not read, since every input the
+    /// instance needs comes from the scenario, its network and `prog`.
     pub fn with_cache(
         scenario: &'a FailureScenario<'net>,
         prog: &'a Programmability,
