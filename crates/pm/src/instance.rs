@@ -48,6 +48,12 @@ pub struct FmssmInstance<'a, 'net> {
     entries_by_flow: Vec<(usize, u32)>,
     /// `L + 1` row starts into `entries_by_flow`.
     flow_offsets: Vec<usize>,
+    /// Per flow-row entry, aligned with `entries_by_flow`: the same
+    /// entry's switch-major number, its index into `entries_by_switch`.
+    /// Filled by the counting transpose and permuted with the path-order
+    /// sort, so entry `k` of flow `lp` is switch-major entry
+    /// `switch_major[flow_offsets[lp] + k]`.
+    switch_major: Vec<u32>,
     /// Per offline switch: its `(flow position, p̄)` entries, ascending by
     /// flow — row `ip` is
     /// `entries_by_switch[switch_offsets[ip]..switch_offsets[ip + 1]]`.
@@ -110,7 +116,8 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
         // The flow rows: a counting transpose of the switch rows, which
         // leaves each row in switch order; sorting it by the table index
         // restores path order. Rows are a flow's offline β = 1 switches,
-        // a handful, so an insertion sort.
+        // a handful, so an insertion sort. Each entry carries its
+        // switch-major number along.
         let mut longest_flow_row = 0;
         for lp in 0..flows.len() {
             longest_flow_row = longest_flow_row.max(flow_offsets[lp + 1]);
@@ -118,12 +125,15 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
         }
         let mut fill = flow_offsets[..flows.len()].to_vec();
         let mut entries_by_flow = vec![(0, 0); entries];
+        assert!(u32::try_from(entries).is_ok(), "entry numbers fit in u32");
         let mut order = vec![0u32; entries];
+        let mut switch_major = vec![0u32; entries];
         for (ip, row) in switch_offsets.windows(2).enumerate() {
             for e in row[0]..row[1] {
                 let (lp, p) = entries_by_switch[e];
                 entries_by_flow[fill[lp]] = (ip, p);
                 order[fill[lp]] = path_at[e];
+                switch_major[fill[lp]] = e as u32;
                 fill[lp] += 1;
             }
         }
@@ -133,6 +143,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
                 while j > row[0] && order[j - 1] > order[j] {
                     order.swap(j - 1, j);
                     entries_by_flow.swap(j - 1, j);
+                    switch_major.swap(j - 1, j);
                     j -= 1;
                 }
             }
@@ -151,6 +162,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             flow_pos,
             entries_by_flow,
             flow_offsets,
+            switch_major,
             entries_by_switch,
             switch_offsets,
             gamma,
@@ -216,6 +228,14 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     /// `(switch position, p̄)` entries of flow position `lp`, in path order.
     pub fn flow_entries(&self, lp: usize) -> &[(usize, u32)] {
         &self.entries_by_flow[self.flow_offsets[lp]..self.flow_offsets[lp + 1]]
+    }
+
+    /// Switch-major numbers of flow position `lp`'s entries, aligned with
+    /// [`FmssmInstance::flow_entries`]`(lp)`: entry `k` of that row is
+    /// entry `flow_entry_numbers(lp)[k]` in the numbering of
+    /// [`FmssmInstance::switch_row_start`].
+    pub fn flow_entry_numbers(&self, lp: usize) -> &[u32] {
+        &self.switch_major[self.flow_offsets[lp]..self.flow_offsets[lp + 1]]
     }
 
     /// `(flow position, p̄)` entries of switch position `ip`.
@@ -570,6 +590,7 @@ mod tests {
             assert_eq!(plain.entries_by_switch, cached.entries_by_switch);
             assert_eq!(plain.gamma, cached.gamma);
             assert_eq!(plain.flow_offsets, cached.flow_offsets);
+            assert_eq!(plain.switch_major, cached.switch_major);
             assert_eq!(plain.switch_offsets, cached.switch_offsets);
             let reference = nested_reference(&sc, &prog);
             assert_rows_match(&plain, &reference);

@@ -14,13 +14,29 @@
 //! The exact algorithm of \[9\] is not restated in this paper; we implement
 //! the flow-level balanced recovery it attributes to PG: rounds of
 //! least-programmable-flow-first assignment, each selection going to the
-//! active controller with the most remaining capacity, followed by a
-//! leftover-capacity fill.
+//! active controller with the most remaining capacity, until the entries or
+//! the capacity run out.
+//!
+//! A round at level σ gives every flow whose programmability `h` is σ its
+//! next entry, in ascending flow position. Every entry has `p̄ ≥ 1` (β is
+//! `p̄ ≠ 0`), so that flow's `h` then exceeds σ and the next round is at a
+//! higher level: the rounds are a k-way merge of the flow rows. Entry `k`
+//! of flow `lp` is therefore taken in the round at its `h_before`, the sum
+//! of `p̄` over the entries before it on its row, and the rounds take all
+//! entries in ascending `(h_before, lp)` order. PG builds that key per
+//! entry and sorts once; the first entry of every row has `h_before = 0`
+//! and those keys come in flow order, so only the others are sorted. The
+//! `t`-th key gets the `t`-th controller the capacity heap hands out, and
+//! the walk stops when capacity is spent, which cuts a round short exactly
+//! where the rounds would.
+//!
+//! No leftover-capacity pass follows. The rounds end when every row is
+//! used up or when capacity is spent (a round without a pick happens only
+//! once it is), and a fill after either picks nothing.
 
 use crate::instance::FmssmInstance;
 use crate::{PmError, RecoveryAlgorithm};
 use pm_sdwan::RecoveryPlan;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// FlowVisor's average per-request processing time, from reference \[10\] of
@@ -79,123 +95,80 @@ impl RecoveryAlgorithm for Pg {
         let _span = pm_obs::span("pg.recover");
         let l_count = inst.flows().len();
         let mut capacity = Capacity::new(inst.residuals());
-        let mut h: Vec<u64> = vec![0; l_count];
-        // Next unused entry index per flow.
-        let mut cursor: Vec<usize> = vec![0; l_count];
-        // The controller position picked for each flow entry, flat in flow
-        // order: entry `k` of flow `lp` is `picked[row_start[lp] + k]`.
-        let mut row_start = Vec::with_capacity(l_count);
-        let mut entries = 0;
-        for lp in 0..l_count {
-            row_start.push(entries);
-            entries += inst.flow_entries(lp).len();
-        }
-        let mut picked: Vec<Option<usize>> = vec![None; entries];
-        let mut rounds = 0u64;
+        // The controller position picked for each entry, by switch-major
+        // number.
+        let mut picked: Vec<Option<usize>> = vec![None; inst.entry_count()];
+        // One more than the levels picked at: the rounds' count, whose last
+        // round finds nothing left to pick.
+        let mut rounds = 1u64;
         let mut picks = 0u64;
 
-        // Phase 1: balanced rounds. In each round, every flow currently at
-        // the least programmability (among flows that still have unused
-        // entries) receives one more SDN-mode switch, assigned to the
-        // controller with the most remaining capacity. The flows with
-        // unused entries wait in a min-heap keyed `(h, position)`, so a
-        // round pops exactly its σ-flows, in ascending position, and pushes
-        // back the ones with entries left: O(picks · (log L + log M)) over
-        // all rounds instead of a rescan of every flow per round.
+        // Phase 1: the balanced rounds, as one walk of the entries in
+        // ascending `(h_before, lp)` order (see the module doc). The keys
+        // of the rows' first entries come first, already in flow order.
         let phase1_span = pm_obs::span("pg.phase1");
-        let mut waiting: BinaryHeap<Reverse<u128>> = (0..l_count)
-            .filter(|&lp| !inst.flow_entries(lp).is_empty())
-            .map(|lp| Reverse(flow_key(0, lp)))
-            .collect();
-        let mut at_sigma: Vec<usize> = Vec::new();
-        loop {
-            rounds += 1;
-            let Some(&Reverse(first)) = waiting.peek() else {
+        let mut keys: Vec<u128> = Vec::with_capacity(inst.entry_count());
+        keys.extend((0..l_count).filter_map(|lp| {
+            let &e = inst.flow_entry_numbers(lp).first()?;
+            Some(entry_key(0, lp, e))
+        }));
+        let first_entries = keys.len();
+        for lp in 0..l_count {
+            let row = inst
+                .flow_entries(lp)
+                .iter()
+                .zip(inst.flow_entry_numbers(lp));
+            let mut h = 0;
+            for (k, (&(_, pbar), &e)) in row.enumerate() {
+                if k > 0 {
+                    keys.push(entry_key(h, lp, e));
+                }
+                h += u64::from(pbar);
+            }
+        }
+        keys[first_entries..].sort_unstable();
+        let mut level = None;
+        for &key in &keys {
+            let Some(j) = capacity.take_most() else {
                 break;
             };
-            if capacity.exhausted() {
-                break;
-            }
-            let sigma = first >> 64;
-            at_sigma.clear();
-            while let Some(&Reverse(key)) = waiting.peek() {
-                if key >> 64 != sigma {
-                    break;
-                }
-                waiting.pop();
-                at_sigma.push(key as u64 as usize);
-            }
-            let mut progressed = false;
-            for &lp in &at_sigma {
-                let k = cursor[lp];
-                let (_, pbar) = inst.flow_entries(lp)[k];
-                cursor[lp] += 1;
-                let Some(j) = capacity.take_most() else {
-                    continue;
-                };
-                h[lp] += pbar as u64;
-                picked[row_start[lp] + k] = Some(j);
-                picks += 1;
-                progressed = true;
-            }
-            waiting.extend(
-                at_sigma
-                    .iter()
-                    .filter(|&&lp| cursor[lp] < inst.flow_entries(lp).len())
-                    .map(|&lp| Reverse(flow_key(h[lp], lp))),
-            );
-            if !progressed {
-                break;
+            picked[key as u32 as usize] = Some(j);
+            picks += 1;
+            let h = (key >> 64) as u64;
+            if level != Some(h) {
+                level = Some(h);
+                rounds += 1;
             }
         }
         drop(phase1_span);
-
-        // Phase 2: spend leftovers on any remaining entries.
-        let phase2_span = pm_obs::span("pg.phase2");
-        'outer: for lp in 0..l_count {
-            while cursor[lp] < inst.flow_entries(lp).len() {
-                let Some(j) = capacity.take_most() else {
-                    break 'outer;
-                };
-                picked[row_start[lp] + cursor[lp]] = Some(j);
-                cursor[lp] += 1;
-                picks += 1;
-            }
-        }
-        drop(phase2_span);
 
         // Emit the picks switch by switch, flows ascending within each:
         // the plan's own order, so `from_parts` keeps the list as it is.
         let mut sdn = Vec::with_capacity(picks as usize);
         for (ip, &s) in inst.switches().iter().enumerate() {
-            for &(lp, _) in inst.switch_entries(ip) {
-                let k = inst
-                    .flow_entries(lp)
-                    .iter()
-                    .position(|&(i, _)| i == ip)
-                    .expect("a switch entry is on its flow's row");
-                if let Some(j) = picked[row_start[lp] + k] {
-                    sdn.push((s, inst.flows()[lp], inst.controllers()[j]));
-                }
-            }
+            let row = (inst.switch_row_start(ip)..).zip(inst.switch_entries(ip));
+            sdn.extend(row.filter_map(|(e, &(lp, _))| {
+                picked[e].map(|j| (s, inst.flows()[lp], inst.controllers()[j]))
+            }));
         }
         if pm_obs::enabled() {
             pm_obs::count("pg.rounds", rounds);
             pm_obs::count("pg.sdn_mode_picks", picks);
-            pm_obs::count(
-                "pg.flows_touched",
-                h.iter().filter(|&&v| v > 0).count() as u64,
-            );
+            // A flow is touched once its first entry is picked, and the
+            // first entries are picked first.
+            pm_obs::count("pg.flows_touched", picks.min(first_entries as u64));
             pm_obs::count("pg.capacity_residual_left", capacity.left());
         }
         Ok(RecoveryPlan::from_parts(Vec::new(), Vec::new(), sdn))
     }
 }
 
-/// A waiting flow's heap key: `(h, position)` packed into one integer, so
-/// the heap orders it with a single compare.
-fn flow_key(h: u64, lp: usize) -> u128 {
-    (h as u128) << 64 | lp as u128
+/// An entry's sort key: `(h_before, flow position, switch-major number)`
+/// packed into one integer, so the sort orders it with a single compare.
+/// `(h_before, lp)` is unique per entry, since `h_before` grows along a
+/// row; the entry number rides along in the low bits.
+fn entry_key(h_before: u64, lp: usize, e: u32) -> u128 {
+    (h_before as u128) << 64 | (lp as u128) << 32 | e as u128
 }
 
 /// Remaining capacity per active controller, as a max-heap of
@@ -215,20 +188,11 @@ impl Capacity {
         )
     }
 
-    /// `true` when no controller has capacity left.
-    fn exhausted(&self) -> bool {
-        self.0.peek().map_or(true, |&key| key >> 32 == 0)
-    }
-
     /// Takes one unit from the controller with the most capacity and
     /// returns its position; `None`, taking nothing, when even that one is
-    /// spent.
-    ///
-    /// # Panics
-    ///
-    /// Panics when there is no controller at all.
+    /// spent or there is no controller.
     fn take_most(&mut self) -> Option<usize> {
-        let mut top = self.0.peek_mut().expect("m > 0");
+        let mut top = self.0.peek_mut()?;
         if *top >> 32 == 0 {
             return None;
         }
@@ -355,11 +319,62 @@ mod tests {
                 None
             ]
         );
-        assert!(capacity.exhausted());
         assert_eq!(capacity.left(), 0);
         let capacity = Capacity::new(&[0, 5, 7]);
-        assert!(!capacity.exhausted());
         assert_eq!(capacity.left(), 12);
+        assert_eq!(Capacity::new(&[]).take_most(), None);
+    }
+
+    #[test]
+    fn tied_flows_take_their_entries_in_ascending_position() {
+        // The (C13, C20) failure with every controller's capacity swept
+        // across the survivors' loads (436–468): capacity runs out in the
+        // first round on some sweeps and in later ones on others.
+        let mut cut_levels = std::collections::BTreeSet::new();
+        for capacity in 440..=500 {
+            let net = SdWanBuilder::att_paper_setup_with_capacity(capacity)
+                .allow_overload()
+                .build()
+                .unwrap();
+            let prog = Programmability::compute(&net);
+            let sc = net.fail(&[ControllerId(3), ControllerId(4)]).unwrap();
+            let inst = FmssmInstance::new(&sc, &prog);
+            let plan = Pg::new().recover(&inst).unwrap();
+            let picked: std::collections::BTreeSet<(usize, usize)> = plan
+                .sdn_selections()
+                .map(|(s, l, _)| {
+                    let lp = inst.flow_position(l).unwrap();
+                    (lp, inst.switch_position(s).unwrap())
+                })
+                .collect();
+            // Every entry by `(h_before, flow position)`, with whether PG
+            // picked it.
+            let mut entries = Vec::new();
+            for lp in 0..inst.flows().len() {
+                let mut h = 0;
+                for &(ip, pbar) in inst.flow_entries(lp) {
+                    entries.push((h, lp, picked.contains(&(lp, ip))));
+                    h += pbar as u64;
+                }
+            }
+            entries.sort_unstable();
+            let picks = picked.len();
+            assert!(
+                entries.iter().take(picks).all(|&(_, _, hit)| hit),
+                "capacity {capacity}: PG's picks are the first {picks} entries"
+            );
+            let residual: u32 = inst.residuals().iter().sum();
+            assert_eq!(picks, inst.entry_count().min(residual as usize));
+            if let (Some(&(last, ..)), Some(&(next, ..))) =
+                (entries[..picks].last(), entries.get(picks))
+            {
+                if last == next {
+                    cut_levels.insert(last);
+                }
+            }
+        }
+        assert!(cut_levels.contains(&0), "{cut_levels:?}");
+        assert!(cut_levels.iter().any(|&h| h > 0), "{cut_levels:?}");
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! one keyed plan insert per decision, a rescan of every untested switch's
 //! entries per PM pick), kept here as first written. The shipped versions
 //! must give the same plans and the same `pg.*` / `retroflow.*` / `pm.*`
-//! counters — PM under all 24 configurations, unseeded and seeded.
+//! counters — PM under all 24 configurations, unseeded and seeded. PG is
+//! also held to its oracle where capacity runs out mid-round: on the ATT
+//! cases and on Waxman networks whose controllers have a few units of
+//! capacity beyond their load.
 //!
 //! The flat `RecoveryPlan` (three sorted vectors) is checked against
 //! `RefPlan`, the ordered-map plan it replaced, kept here as the model:
@@ -500,19 +503,73 @@ fn recover_counted(
     (plan, counters)
 }
 
+/// PG equals its oracle on `inst`, plan and `pg.*` counters alike. Returns
+/// the level of the round that capacity cut short, as
+/// [`mid_round_cut`] reads it from PG's pick count.
+fn assert_pg_matches_oracle(inst: &FmssmInstance<'_, '_>, failed: &[ControllerId]) -> Option<u64> {
+    let (want, want_counters) = pg_oracle(inst);
+    let (got, got_counters) = recover_counted(|| Pg::new().recover(inst).expect("recovers"), "pg.");
+    assert_eq!(got, want, "PG plan differs from its oracle on {failed:?}");
+    assert_eq!(got_counters, want_counters, "PG counters on {failed:?}");
+    mid_round_cut(inst, got.sdn_selections().count())
+}
+
+/// Where capacity stopped PG after `picks` picks: the level `h` of the
+/// round it cut short, with some but not all of that round's flows
+/// served; `None` when PG picked every entry or stopped between two
+/// rounds. A round at level `h` serves the flows whose entries so far sum
+/// to `h` in `p̄`, so the rounds take the entries in ascending
+/// `(h_before, flow position)` order.
+fn mid_round_cut(inst: &FmssmInstance<'_, '_>, picks: usize) -> Option<u64> {
+    let mut keys = Vec::new();
+    for lp in 0..inst.flows().len() {
+        let mut h = 0;
+        for &(_, pbar) in inst.flow_entries(lp) {
+            keys.push((h, lp));
+            h += pbar as u64;
+        }
+    }
+    keys.sort_unstable();
+    match (picks.checked_sub(1).map(|t| keys[t]), keys.get(picks)) {
+        (Some((last, _)), Some(&(next, _))) if last == next => Some(next),
+        _ => None,
+    }
+}
+
+/// A Waxman network like [`waxman_net`] whose controllers have `slack[c]`
+/// capacity beyond their normal load, so failures leave PG a few units
+/// per survivor instead of the room to pick everything.
+fn tight_waxman_net(nodes: usize, slack: &[u32], seed: u64) -> SdWan {
+    let m = slack.len();
+    let loaded = waxman_net(nodes, m, 0, seed);
+    let graph = builders::waxman(&builders::WaxmanParams {
+        nodes,
+        seed,
+        ..Default::default()
+    })
+    .expect("valid waxman parameters");
+    let mut b = SdWanBuilder::new(graph);
+    for (c, &extra) in slack.iter().enumerate() {
+        let load = loaded.controller_load(ControllerId(c));
+        b = b.controller(NodeId(c * nodes / m), load + extra);
+    }
+    b.all_pairs_flows().build().expect("network builds")
+}
+
 /// PG, RetroFlow and PM equal their oracles on the failure of `failed`,
 /// plan and counters alike. PM runs under every configuration: unseeded,
 /// seeded with the plan of a neighbouring failure set, and seeded with
 /// [`hand_built_seed`], all through one workspace carried across runs.
-fn assert_matches_oracles(net: &SdWan, prog: &Programmability, failed: &[ControllerId]) {
+/// Returns PG's [`mid_round_cut`].
+fn assert_matches_oracles(
+    net: &SdWan,
+    prog: &Programmability,
+    failed: &[ControllerId],
+) -> Option<u64> {
     let _recorder = recorder_lock();
     let sc = net.fail(failed).expect("valid failure set");
     let inst = FmssmInstance::new(&sc, prog);
-    let (want, want_counters) = pg_oracle(&inst);
-    let (got, got_counters) =
-        recover_counted(|| Pg::new().recover(&inst).expect("recovers"), "pg.");
-    assert_eq!(got, want, "PG plan differs from its oracle on {failed:?}");
-    assert_eq!(got_counters, want_counters, "PG counters on {failed:?}");
+    let cut = assert_pg_matches_oracle(&inst, failed);
     let (want, want_counters) = retroflow_oracle(&inst);
     let (got, got_counters) = recover_counted(
         || RetroFlow::new().recover(&inst).expect("recovers"),
@@ -568,6 +625,7 @@ fn assert_matches_oracles(net: &SdWan, prog: &Programmability, failed: &[Control
             );
         }
     }
+    cut
 }
 
 proptest! {
@@ -651,13 +709,46 @@ fn att_heuristics_match_oracles_on_every_case() {
     let prog = Programmability::compute(&net);
     let m = net.controllers().len();
     let mut cases = 0;
+    let mut cut_levels = BTreeSet::new();
     for f in 1..m {
         for failed in pm_bench::combinations(m, f) {
-            assert_matches_oracles(&net, &prog, &failed);
+            cut_levels.extend(assert_matches_oracles(&net, &prog, &failed));
             cases += 1;
         }
     }
     assert_eq!(cases, (1 << m) - 2, "every proper non-empty failure set");
+    assert!(
+        !cut_levels.is_empty(),
+        "some ATT case must run out of capacity mid-round"
+    );
+}
+
+#[test]
+fn pg_matches_its_oracle_where_capacity_cuts_a_round() {
+    // Survivors get 1..=24 units beyond their load, so the capacity cut
+    // lands in the first round (every flow at h = 0) on some cases and in
+    // a later one on others.
+    let mut cut_levels = BTreeSet::new();
+    for seed in 0..12u64 {
+        let slack: Vec<u32> = (0..5).map(|c| (seed as u32 * 7 + c * 5) % 24 + 1).collect();
+        let net = tight_waxman_net(10 + seed as usize % 7, &slack, seed);
+        let prog = Programmability::compute(&net);
+        for f in 1..=4 {
+            for failed in pm_bench::combinations(5, f) {
+                let sc = net.fail(&failed).expect("valid failure set");
+                let inst = FmssmInstance::new(&sc, &prog);
+                cut_levels.extend(assert_pg_matches_oracle(&inst, &failed));
+            }
+        }
+    }
+    assert!(
+        cut_levels.contains(&0),
+        "a cut in the first round: {cut_levels:?}"
+    );
+    assert!(
+        cut_levels.iter().any(|&h| h > 0),
+        "a cut in a later round: {cut_levels:?}"
+    );
 }
 
 /// The recovery plan as it was before the flat layout: two ordered maps

@@ -6,7 +6,10 @@
 //! delay-order tables (a stable sort of controller positions by delay).
 //! Rows, orders and delays must be equal, every `f64` bit for bit, and each
 //! scenario's nearest active controller must be the one a scan of the
-//! active set picks (lowest delay, ties to the lower id).
+//! active set picks (lowest delay, ties to the lower id). Each flow-row
+//! entry's switch-major number must map the flow rows one to one onto
+//! `0..E`, each onto the switch-row entry with the same switch, flow and
+//! `p̄`.
 //!
 //! Cases: 32 seeded Waxman WANs × every failure set of size 1..4, every
 //! ATT case, and a ring whose switches sit at equal delay from two
@@ -116,6 +119,42 @@ fn assert_case(net: &SdWan, prog: &Programmability, failed: &[ControllerId]) {
     for &(s, c) in sc.nearest_active() {
         assert_eq!(c, nearest_by_scan(&sc, s), "{failed:?} nearest of {s}");
     }
+    assert_entry_numbers(&inst, failed);
+}
+
+/// [`FmssmInstance::flow_entry_numbers`] is a bijection from the flow rows'
+/// entries onto `0..E` that sends each entry to the switch-row entry of the
+/// same switch, flow and `p̄`.
+fn assert_entry_numbers(inst: &FmssmInstance<'_, '_>, failed: &[ControllerId]) {
+    // `(switch, flow, p̄)` by switch-major number.
+    let mut by_number = Vec::with_capacity(inst.entry_count());
+    for ip in 0..inst.switches().len() {
+        assert_eq!(inst.switch_row_start(ip), by_number.len(), "{failed:?}");
+        by_number.extend(inst.switch_entries(ip).iter().map(|&(lp, p)| (ip, lp, p)));
+    }
+    assert_eq!(by_number.len(), inst.entry_count(), "{failed:?}");
+    let mut seen = vec![false; inst.entry_count()];
+    for lp in 0..inst.flows().len() {
+        let numbers = inst.flow_entry_numbers(lp);
+        assert_eq!(numbers.len(), inst.flow_entries(lp).len(), "{failed:?}");
+        for (k, (&(ip, p), &e)) in inst.flow_entries(lp).iter().zip(numbers).enumerate() {
+            let e = e as usize;
+            assert!(
+                e < seen.len() && !seen[e],
+                "{failed:?} flow {lp} entry {k}: number {e} out of range or repeated"
+            );
+            seen[e] = true;
+            assert_eq!(
+                by_number[e],
+                (ip, lp, p),
+                "{failed:?} flow {lp} entry {k} -> {e}"
+            );
+        }
+    }
+    assert!(
+        seen.iter().all(|&hit| hit),
+        "{failed:?}: a number is missed"
+    );
 }
 
 /// Every `f`-subset of `0..m`, in colex order.
