@@ -384,7 +384,7 @@ pub struct SpaceInfo {
     pub shard: Option<(usize, usize)>,
     /// Items actually run (the shard's slice of the selection).
     pub run: usize,
-    /// Peak in-flight items (the pool's `live_peak` counter).
+    /// Peak in-flight items ([`crate::SweepEngine::live_peak`]).
     pub live_peak: u64,
     /// The contract bound on `live_peak`: `jobs × batch`.
     pub live_bound: u64,

@@ -218,11 +218,11 @@ observability:
                        milliseconds (default 250 when --serve is given)
   --flight FILE        arm the flight recorder: on panic, dump the last
                        spans and counter deltas per thread to FILE
-  --profile FILE       sample the live span stacks while the run is in
-                       flight and write a folded-stack flamegraph profile
-                       to FILE (render with pmctl obs flame, inferno,
-                       flamegraph.pl or speedscope); adds
-                       GET /profile.folded to --serve
+  --profile FILE       write the recorded spans as a folded-stack
+                       flamegraph profile to FILE, each stack weighted by
+                       its self time in ns (render with pmctl obs flame,
+                       inferno, flamegraph.pl or speedscope); --serve
+                       serves the same profile at GET /profile.folded
 ";
 
 /// The telemetry group: which artifacts to export and which parts of
@@ -244,7 +244,8 @@ pub struct Telemetry {
     sample_interval_ms: Option<u64>,
     /// `--flight FILE`: the flight recorder's dump on panic.
     flight: Option<PathBuf>,
-    /// `--profile FILE`: folded-stack profile written at exit.
+    /// `--profile FILE`: folded-stack profile of the recorded spans,
+    /// written at exit.
     profile: Option<PathBuf>,
 }
 
@@ -267,10 +268,10 @@ impl Telemetry {
     }
 
     /// Enables the recorder when an artifact is requested, arms the
-    /// flight recorder's panic hook, and starts the profiler, the
-    /// sampler and the HTTP listener that were asked for. With no flag
-    /// set this is free and the plane is inert. Everything the plane
-    /// runs only reads the recorder, so results never change.
+    /// flight recorder's panic hook, and starts the sampler and the
+    /// HTTP listener that were asked for. With no flag set this is free
+    /// and the plane is inert. Everything the plane runs only reads the
+    /// recorder, so results never change.
     ///
     /// # Errors
     ///
@@ -278,16 +279,16 @@ impl Telemetry {
     /// continuing without the endpoint the user asked to watch would be
     /// worse than failing fast.
     pub fn start(self) -> Result<TelemetryPlane, CliError> {
-        if self.trace.is_some() || self.metrics.is_some() || self.prom.is_some() {
+        if self.trace.is_some()
+            || self.metrics.is_some()
+            || self.prom.is_some()
+            || self.profile.is_some()
+        {
             pm_obs::enable();
         }
         if let Some(path) = &self.flight {
             pm_obs::flight::arm_panic_hook(path.clone());
         }
-        let profiler = self
-            .profile
-            .as_ref()
-            .map(|_| pm_obs::Profiler::start(pm_obs::ProfilerConfig::default()));
         let sampler = self
             .sample_interval_ms
             .or(self.serve.as_ref().map(|_| 250))
@@ -312,7 +313,6 @@ impl Telemetry {
         };
         Ok(TelemetryPlane {
             server,
-            profiler,
             sampler,
             config: self,
         })
@@ -323,20 +323,18 @@ impl Telemetry {
 /// and writes the artifacts; dropping it tears down without exporting.
 #[derive(Debug)]
 pub struct TelemetryPlane {
-    // Declaration order is drop order: stop serving before the profiler
-    // and sampler take their final snapshots, so the last scrape a
-    // client sees is never mid-teardown.
+    // Declaration order is drop order: stop serving before the sampler
+    // takes its final snapshot, so the last scrape a client sees is
+    // never mid-teardown.
     server: Option<pm_obs::MetricsServer>,
-    profiler: Option<pm_obs::Profiler>,
     sampler: Option<pm_obs::Sampler>,
     config: Telemetry,
 }
 
 impl TelemetryPlane {
-    /// Stops the server, then the profiler, then the sampler, so their
-    /// final snapshots are folded in, and only then writes the
-    /// `--trace`, `--metrics`, `--prom` and `--profile` artifacts,
-    /// noting each one on `out`.
+    /// Stops the server, then the sampler, so its final snapshot is
+    /// folded in, and only then writes the `--trace`, `--metrics`,
+    /// `--prom` and `--profile` artifacts, noting each one on `out`.
     ///
     /// # Errors
     ///
@@ -345,12 +343,10 @@ impl TelemetryPlane {
     pub fn finish(self, out: &mut dyn Write) -> Result<(), CliError> {
         let TelemetryPlane {
             server,
-            profiler,
             sampler,
             config,
         } = self;
         drop(server);
-        drop(profiler);
         drop(sampler);
         type Render = fn() -> String;
         let artifacts: [(&str, Option<PathBuf>, Render); 4] = [

@@ -10,11 +10,11 @@
 //! ascending colexicographic rank (see [`crate::ScenarioSpace`]).
 //! Scenarios are **streamed**: each worker materializes a failure set on
 //! demand with [`crate::ScenarioSpace::unrank`], so live scenario storage
-//! never exceeds `jobs × batch` entries however large `C(n, f)` grows (the
-//! `sweep.scenario.live_peak` counter records the observed high-water
-//! mark). `--shard i/m` restricts a run to one contiguous slice of the
-//! sequence and `--max-scenarios` subsamples it; both compose with any
-//! job count without changing a single result byte.
+//! never exceeds `jobs × batch` entries however large `C(n, f)` grows
+//! ([`SweepEngine::live_peak`] reports the observed high-water mark).
+//! `--shard i/m` restricts a run to one contiguous slice of the sequence
+//! and `--max-scenarios` subsamples it; both compose with any job count
+//! without changing a single result byte.
 //!
 //! Each case reuses the engine's [`NetCache`] (shortest-path trees,
 //! path counts, programmability, controller loads, delay orders), so a
@@ -79,10 +79,12 @@ pub const SWEEP_POOL: PoolNames = PoolNames {
 
 /// Streams the integer positions of `range` through a batch-claiming
 /// worker pool and returns `f(state, position)` results in **position
-/// order**, whatever the completion order. This is the crate's one work
+/// order**, whatever the completion order, with the most positions that
+/// were in flight at once during this call. This is the crate's one work
 /// pool: workers claim contiguous batches of `batch` positions through an
 /// atomic counter, so at most `jobs × batch` positions are in flight at
-/// once and output is independent of the job count.
+/// once and output is independent of the job count. With the recorder
+/// on, the peak is also raised into the `names.live_peak` counter.
 ///
 /// Each worker builds its own `state` with `init` and threads it through
 /// every position it runs, in ascending order within a batch and across
@@ -100,7 +102,7 @@ pub fn stream_indexed<S, R>(
     names: PoolNames,
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, u64) -> R + Sync,
-) -> Vec<R>
+) -> (Vec<R>, u64)
 where
     R: Send,
 {
@@ -110,18 +112,20 @@ where
     let jobs = jobs.clamp(1, total.max(1));
     let batch = batch.max(1);
     if jobs <= 1 {
+        let peak = u64::from(total > 0);
         if obs && total > 0 {
-            pm_obs::count_max(names.live_peak, 1);
+            pm_obs::count_max(names.live_peak, peak);
         }
         let mut state = init();
-        return range.map(|pos| f(&mut state, pos)).collect();
+        return (range.map(|pos| f(&mut state, pos)).collect(), peak);
     }
     let next = AtomicU64::new(0);
     let live = AtomicUsize::new(0);
+    let peak = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..total).map(|_| None).collect());
     std::thread::scope(|scope| {
         for w in 0..jobs {
-            let (next, live, slots, init, f) = (&next, &live, &slots, &init, &f);
+            let (next, live, peak, slots, init, f) = (&next, &live, &peak, &slots, &init, &f);
             let range = range.clone();
             scope.spawn(move || {
                 WORKER_ID.with(|id| id.set(w));
@@ -143,6 +147,7 @@ where
                 // previous batch. It bounds the merge/dispatch overhead
                 // the pool adds on top of the work itself.
                 let mut idle_since = obs.then(Instant::now);
+                let mut worker_peak = 0;
                 loop {
                     let claim = next.fetch_add(1, Ordering::Relaxed);
                     let start = range.start + claim * batch as u64;
@@ -151,8 +156,9 @@ where
                     }
                     let end = (start + batch as u64).min(range.end);
                     let claimed = (end - start) as usize;
+                    let now = live.fetch_add(claimed, Ordering::Relaxed) + claimed;
+                    worker_peak = worker_peak.max(now);
                     if obs {
-                        let now = live.fetch_add(claimed, Ordering::Relaxed) + claimed;
                         pm_obs::count_max(names.live_peak, now as u64);
                     }
                     if let Some(t0) = idle_since {
@@ -168,41 +174,20 @@ where
                         let slot = (pos - range.start) as usize;
                         slots.lock().expect("no poisoned worker")[slot] = Some(r);
                     }
-                    if obs {
-                        live.fetch_sub(claimed, Ordering::Relaxed);
-                    }
+                    live.fetch_sub(claimed, Ordering::Relaxed);
                     idle_since = obs.then(Instant::now);
                 }
+                peak.fetch_max(worker_peak, Ordering::Relaxed);
             });
         }
     });
-    slots
+    let results = slots
         .into_inner()
         .expect("workers joined")
         .into_iter()
         .map(|r| r.expect("every slot filled"))
-        .collect()
-}
-
-/// The in-flight high-water mark the recorder holds for a pool named
-/// `names`, and the streaming contract's bound on it, `jobs × batch`.
-///
-/// # Panics
-///
-/// Panics if the peak exceeds the bound: the dispatch broke its contract.
-pub fn live_peak(names: PoolNames, opts: &EvalOptions) -> (u64, u64) {
-    let peak = pm_obs::snapshot()
-        .counters
-        .iter()
-        .find(|(n, _)| n == names.live_peak)
-        .map_or(0, |&(_, v)| v);
-    let bound = (opts.jobs as u64).saturating_mul(opts.batch as u64);
-    assert!(
-        peak <= bound,
-        "{} = {peak} exceeds the contract bound jobs*batch = {bound}",
-        names.live_peak
-    );
-    (peak, bound)
+        .collect();
+    (results, peak.into_inner() as u64)
 }
 
 fn elapsed_ns(t0: Instant) -> u64 {
@@ -231,6 +216,8 @@ pub struct SweepEngine<'net> {
     net: &'net SdWan,
     cache: NetCache,
     opts: EvalOptions,
+    /// The most positions any of this engine's pool runs had in flight.
+    live_peak: AtomicU64,
 }
 
 /// State one sweep worker carries from case to case on the incremental
@@ -250,7 +237,12 @@ impl<'net> SweepEngine<'net> {
     /// calls).
     pub fn new(net: &'net SdWan, opts: EvalOptions) -> Self {
         let cache = NetCache::build(net);
-        SweepEngine { net, cache, opts }
+        SweepEngine {
+            net,
+            cache,
+            opts,
+            live_peak: AtomicU64::new(0),
+        }
     }
 
     /// The network under evaluation.
@@ -278,6 +270,39 @@ impl<'net> SweepEngine<'net> {
     /// The evaluation options this engine runs with.
     pub fn options(&self) -> &EvalOptions {
         &self.opts
+    }
+
+    /// The most scenarios (or timelines) this engine has had in flight
+    /// at once over all its sweeps, and the streaming contract's bound on
+    /// it, `jobs × batch`. Measured by the engine itself, so it does not
+    /// depend on the recorder or on other engines in the process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peak exceeds the bound: the dispatch broke its contract.
+    pub fn live_peak(&self) -> (u64, u64) {
+        let peak = self.live_peak.load(Ordering::Relaxed);
+        let bound = (self.opts.jobs as u64).saturating_mul(self.opts.batch as u64);
+        assert!(
+            peak <= bound,
+            "live peak {peak} exceeds the contract bound jobs*batch = {bound}"
+        );
+        (peak, bound)
+    }
+
+    /// [`stream_indexed`] with this engine's job count and batch size,
+    /// raising [`SweepEngine::live_peak`] to the call's peak.
+    pub(crate) fn stream_pool<S, R: Send>(
+        &self,
+        range: Range<u64>,
+        names: PoolNames,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, u64) -> R + Sync,
+    ) -> Vec<R> {
+        let (results, peak) =
+            stream_indexed(range, self.opts.jobs, self.opts.batch, names, init, f);
+        self.live_peak.fetch_max(peak, Ordering::Relaxed);
+        results
     }
 
     /// Builds the failure scenario for `failed` from cached state.
@@ -453,8 +478,8 @@ impl<'net> SweepEngine<'net> {
     /// The one streaming case path: the positions of `range` go through
     /// [`stream_indexed`] with [`EvalOptions::jobs`] workers claiming
     /// [`EvalOptions::batch`] positions at a time, so at most
-    /// `jobs × batch` scenarios are in flight (the
-    /// `sweep.scenario.live_peak` counter). Each worker unranks its
+    /// `jobs × batch` scenarios are in flight
+    /// ([`SweepEngine::live_peak`]). Each worker unranks its
     /// positions into one reused buffer and runs `case` on the position,
     /// its failure set and the worker's own [`DeltaState`].
     ///
@@ -472,10 +497,8 @@ impl<'net> SweepEngine<'net> {
             let total = usize::try_from(range.end - range.start).expect("result set fits memory");
             events.sweep_start(total, self.opts.jobs.clamp(1, total.max(1)));
         }
-        let out = stream_indexed(
+        let out = self.stream_pool(
             range,
-            self.opts.jobs,
-            self.opts.batch,
             SWEEP_POOL,
             || (DeltaState::default(), Vec::new()),
             |(state, failed), pos| {
@@ -610,19 +633,24 @@ mod tests {
             }
             pos * pos
         };
-        let serial = stream_indexed(3..40, 1, 4, SWEEP_POOL, || (), f);
-        let parallel = stream_indexed(3..40, 8, 4, SWEEP_POOL, || (), f);
+        let (serial, serial_peak) = stream_indexed(3..40, 1, 4, SWEEP_POOL, || (), f);
+        let (parallel, parallel_peak) = stream_indexed(3..40, 8, 4, SWEEP_POOL, || (), f);
         assert_eq!(serial, parallel);
         assert_eq!(serial[0], 9);
         assert_eq!(serial.len(), 37);
-        assert!(stream_indexed(5..5, 4, 4, SWEEP_POOL, || (), |_, p| p).is_empty());
+        assert_eq!(serial_peak, 1);
+        assert!((4..=8 * 4).contains(&parallel_peak), "{parallel_peak}");
+        assert_eq!(
+            stream_indexed(5..5, 4, 4, SWEEP_POOL, || (), |_, p| p),
+            (vec![], 0)
+        );
         assert_eq!(
             stream_indexed(5..6, 4, 1, SWEEP_POOL, || (), |_, p| p + 1),
-            vec![6]
+            (vec![6], 1)
         );
         // Each worker threads one state through the positions it runs,
         // in ascending order.
-        let runs = stream_indexed(0..64, 3, 4, SWEEP_POOL, Vec::new, |seen, pos| {
+        let (runs, _) = stream_indexed(0..64, 3, 4, SWEEP_POOL, Vec::new, |seen, pos| {
             seen.push(pos);
             seen.clone()
         });
@@ -775,17 +803,26 @@ mod tests {
             batch: 3,
             ..Default::default()
         };
-        SweepEngine::new(&net, opts.clone()).sweep(2);
+        let engine = SweepEngine::new(&net, opts);
+        assert_eq!(engine.live_peak(), (0, 2 * 3), "nothing streamed yet");
+        engine.sweep(2);
         // `live_peak` itself panics on a peak above the bound.
-        let (peak, bound) = live_peak(SWEEP_POOL, &opts);
+        let (peak, bound) = engine.live_peak();
         assert!(peak >= 1, "peak observed");
         assert_eq!(bound, 2 * 3);
-        let space = pm_obs::snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| n == "sweep.scenario.space_size")
-            .map(|&(_, v)| v);
-        assert_eq!(space, Some(15), "C(6,2) recorded");
+        let counter = |name: &str| {
+            pm_obs::snapshot()
+                .counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, v)| v)
+        };
+        assert_eq!(
+            counter("sweep.scenario.space_size"),
+            Some(15),
+            "C(6,2) recorded"
+        );
+        assert!(counter("sweep.scenario.live_peak") >= Some(peak));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::figures::SpaceInfo;
 use crate::harness::EvalOptions;
-use crate::par::{stream_indexed, PoolNames, SweepEngine};
+use crate::par::{PoolNames, SweepEngine};
 use crate::scenario_space::IndexSelection;
 use pm_simctl::{TimelineParams, TimelineReport, TimelineSpace};
 use std::fmt::Write as _;
@@ -66,7 +66,7 @@ impl SweepEngine<'_> {
     ///
     /// Reports merge in position order — byte-identical across job
     /// counts, and m shards concatenated in shard order byte-identical to
-    /// the unsharded run. The `sim.sweep.live_peak` counter records the
+    /// the unsharded run. [`SweepEngine::live_peak`] reports the
     /// in-flight high-water mark (bounded by `jobs × batch`).
     ///
     /// # Panics
@@ -87,10 +87,8 @@ impl SweepEngine<'_> {
         }
         let range = sel.shard_range(self.options().shard);
         let (net, cache) = (self.network(), self.cache());
-        stream_indexed(
+        self.stream_pool(
             range,
-            self.options().jobs,
-            self.options().batch,
             SIM_POOL,
             || (),
             |(), pos| {

@@ -35,9 +35,8 @@ use pm_bench::flags::{
     take_event_log, take_opt_secs, take_seed, take_timeline_count, take_timeline_params, Args,
     Telemetry,
 };
-use pm_bench::par::{live_peak, SWEEP_POOL};
 use pm_bench::report::{write_csv, write_jsonl};
-use pm_bench::timelines::{timeline_rows, write_bench_timeline_json, TimelineRunInfo, SIM_POOL};
+use pm_bench::timelines::{timeline_rows, write_bench_timeline_json, TimelineRunInfo};
 use pm_bench::{build_wan, EvalOptions, SweepEngine, WanSpec, TIMELINE_CASE_HEADERS};
 use pm_core::{FmssmInstance, Optimal, Pg, Pm, RecoveryAlgorithm, RetroFlow, TwoStage};
 use pm_sdwan::{
@@ -657,8 +656,6 @@ fn cmd_simulate_timelines(count: u64, mut args: Args, out: &mut dyn Write) -> Re
     let params = take_timeline_params(&mut args)?;
     opts.csv_dir = args.take_path("--csv")?;
     args.finish()?;
-    // The recorder backs the live-peak accounting.
-    pm_obs::enable();
     let net = build_network(&spec)?;
     if net.controllers().len() < 2 {
         return Err(CliError::usage(
@@ -685,7 +682,7 @@ fn cmd_simulate_timelines(count: u64, mut args: Args, out: &mut dyn Write) -> Re
     let t0 = Instant::now();
     let reports = engine.sweep_timelines(&space, &sel);
     let sweep_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (live_peak, live_bound) = live_peak(SIM_POOL, &opts);
+    let (live_peak, live_bound) = engine.live_peak();
 
     for r in &reports {
         let _ = writeln!(
@@ -897,8 +894,6 @@ fn cmd_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     opts.csv_dir = args.take_path("--csv")?;
     opts.events = take_event_log(&mut args)?;
     args.finish()?;
-    // The recorder backs the live-peak accounting.
-    pm_obs::enable();
     let net = build_network(&spec)?;
     let m = net.controllers().len();
     if failures == 0 || failures >= m {
@@ -923,7 +918,7 @@ fn cmd_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         opts.batch
     );
     let cases = engine.sweep_selection(&sel);
-    let (live_peak, live_bound) = live_peak(SWEEP_POOL, &opts);
+    let (live_peak, live_bound) = engine.live_peak();
 
     let _ = writeln!(
         out,
@@ -1153,10 +1148,10 @@ mod tests {
             &[("--profile", &folded)],
         ));
         assert!(text.contains("profile written to"), "{text}");
-        // A fast run may finish between pacer ticks, so the stack count
-        // is not asserted — but the artifact exists and every line obeys
-        // the folded grammar `frame(;frame)* COUNT`.
+        // The profile holds the run's recorded spans: it is not empty and
+        // every line obeys the folded grammar `frame(;frame)* SELF_NS`.
         let body = std::fs::read_to_string(&folded).unwrap();
+        assert!(!body.is_empty(), "the plan run recorded spans");
         for line in body.lines() {
             let (stack, count) = line.rsplit_once(' ').expect("stack and count");
             assert!(
@@ -1329,7 +1324,7 @@ mod tests {
     }
 
     /// Stdout without the live-peak line, whose peak depends on the
-    /// schedule (and, in-process, on the recorder other tests share).
+    /// schedule.
     fn without_live_peak(text: &str) -> Vec<&str> {
         text.lines().filter(|l| !l.contains("live peak")).collect()
     }
@@ -1488,6 +1483,27 @@ mod tests {
         for site in ["(2)", "(5)", "(6)", "(13)", "(20)", "(22)"] {
             assert!(text.contains(site), "missing case {site}: {text}");
         }
+    }
+
+    #[test]
+    fn each_sweep_reports_its_own_live_peak() {
+        // A narrower sweep after a wider one in the same process reports
+        // the peak of its own run, within its own jobs × batch.
+        let shape = [
+            "sweep",
+            "--nodes",
+            "120",
+            "--controllers",
+            "8",
+            "--flows",
+            "64",
+            "--failures",
+            "2",
+        ];
+        let wide = run_ok(&[&shape[..], &["--jobs", "2", "--batch", "8"]].concat());
+        assert!(wide.contains(" <= bound 16"), "{wide}");
+        let narrow = run_ok(&[&shape[..], &["--jobs", "1", "--batch", "1"]].concat());
+        assert!(narrow.contains("; live peak 1 <= bound 1"), "{narrow}");
     }
 
     #[test]

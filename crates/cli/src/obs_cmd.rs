@@ -54,7 +54,8 @@ source for its own usage.
 
 `flame` renders a folded-stack profile (a --profile artifact, or the live
 /profile.folded endpoint of a --serve run) as a hot-path table sorted by
-self samples; `critical` reconstructs the span tree of a --trace artifact
+self weight. A --profile stack's weight is its self time in ns; any other
+folded file works too, its counts read as the weights. `critical` reconstructs the span tree of a --trace artifact
 and reports exclusive self-time per span plus the critical path (the
 longest chain of child spans, with per-worker thread attribution).
 ";
@@ -110,7 +111,7 @@ fn parse_diff_options(args: &mut Args) -> Result<DiffOptions, CliError> {
 }
 
 /// Takes the next positional argument as a path. Shared with the
-/// profiler subcommands in `obs_prof`.
+/// profile analysis subcommands in `obs_prof`.
 pub(crate) fn take_operand(args: &mut Args, what: &str) -> Result<PathBuf, CliError> {
     args.take_first()
         .map(PathBuf::from)

@@ -364,7 +364,7 @@ const CAPACITIES: [u32; 8] = [450, 475, 500, 525, 550, 600, 700, 800];
 fn capacity_sweep(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
     let points = 0..CAPACITIES.len() as u64;
     let point = |(): &mut (), i: u64| capacity_point(CAPACITIES[i as usize]);
-    let results = stream_indexed(points, opts.jobs, 1, SWEEP_POOL, || (), point);
+    let (results, _) = stream_indexed(points, opts.jobs, 1, SWEEP_POOL, || (), point);
 
     let paper_point_recoverable = results
         .iter()
@@ -562,7 +562,8 @@ fn successive_drill(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
         let (first, second) = pairs[i as usize];
         sequence(&engine, first, second)
     };
-    let sequences = stream_indexed(0..pairs.len() as u64, opts.jobs, 1, SWEEP_POOL, || (), run);
+    let (sequences, _) =
+        stream_indexed(0..pairs.len() as u64, opts.jobs, 1, SWEEP_POOL, || (), run);
 
     let mut sums = [0u64; 4];
     let mut rows = Vec::new();

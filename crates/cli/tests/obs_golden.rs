@@ -205,9 +205,32 @@ fn flame_markdown_and_top_are_pinned() {
 
 #[test]
 fn flame_serves_a_live_profile_over_url() {
-    // An ephemeral server with no profiler attached serves an empty
-    // profile; the command reports that rather than failing.
-    let server = pm_obs::MetricsServer::serve("127.0.0.1:0").expect("ephemeral bind");
+    // `obs flame --url` renders whatever the endpoint serves, exactly as
+    // it renders the same text from a file. The server serves fixed
+    // bodies, so the recorder's state in this process does not matter.
+    let serve = |body: String| {
+        let mut router = pm_obs::Router::new();
+        router.get("/profile.folded", move |_| {
+            pm_obs::Response::text(200, body.clone())
+        });
+        pm_obs::MetricsServer::serve_routed("127.0.0.1:0", router, Default::default())
+            .expect("ephemeral bind")
+    };
+    let path = fixture("profile.folded");
+    let server = serve(std::fs::read_to_string(&path).unwrap());
+    let host = server.local_addr().to_string();
+    let (out, result) = run_obs(&["obs", "flame", "--url", &host]);
+    result.expect("live profile renders");
+    let (from_file, result) = run_obs(&["obs", "flame", &path]);
+    result.expect("fixture profile renders");
+    assert_eq!(
+        out,
+        from_file.replace(&path, &format!("http://{host}/profile.folded")),
+    );
+    drop(server);
+
+    // An empty profile is reported, not an error.
+    let server = serve(String::new());
     let host = server.local_addr().to_string();
     let (out, result) = run_obs(&["obs", "flame", "--url", &host]);
     result.expect("empty live profile is not an error");

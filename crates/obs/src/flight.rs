@@ -1,13 +1,17 @@
-//! Flight recorder: a bounded per-thread ring of the most recent completed
-//! spans and counter events, dumped to a named artifact when something goes
-//! wrong — a panic (via [`arm_panic_hook`]) or a `pmctl obs gate` breach.
+//! Flight recorder: the most recent completed spans of each thread and
+//! the last counter events, dumped to a named artifact when something
+//! goes wrong — a panic (via [`arm_panic_hook`]) or a `pmctl obs gate`
+//! breach.
 //!
-//! The full Chrome trace answers "what happened" but costs memory
-//! proportional to the run; the flight recorder answers "what happened
-//! *just before the crash*" at a fixed cost: the last K spans per thread
-//! and the last N counter deltas process-wide. Like the rest of `pm_obs`
-//! it is off until armed, and arming only adds one relaxed atomic load to
-//! the instrumentation paths.
+//! The full Chrome trace answers "what happened"; the flight dump answers
+//! "what happened *just before the crash*" in a bounded artifact: the
+//! last K spans per thread and the last N counter deltas process-wide.
+//! The spans are read at dump time from the recorder's own span store,
+//! which arming turns on, so an armed run costs what the recorder costs
+//! and its memory grows with the spans recorded. The counter events are
+//! the one thing this module keeps itself (the recorder holds only
+//! counter totals), in a ring of fixed size. Unarmed, the counter paths
+//! pay one relaxed atomic load.
 //!
 //! The dump is a deterministic plain-text artifact (stable ordering, no
 //! wall-clock except the recorder-epoch offsets already in the events):
@@ -22,6 +26,7 @@
 //! count t=1200000ns tid=3 sweep.cases +1 = 17
 //! ```
 
+use crate::SpanRecord;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -33,7 +38,7 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 /// Sizing for [`arm`].
 #[derive(Debug, Clone)]
 pub struct FlightConfig {
-    /// Completed spans retained per recording thread.
+    /// Most recent completed spans dumped per recording thread.
     pub spans_per_thread: usize,
     /// Counter events retained process-wide.
     pub counter_events: usize,
@@ -46,15 +51,6 @@ impl Default for FlightConfig {
             counter_events: 256,
         }
     }
-}
-
-/// One retained completed span.
-#[derive(Debug, Clone)]
-struct SpanEvent {
-    name: &'static str,
-    label: Option<String>,
-    start_ns: u64,
-    dur_ns: u64,
 }
 
 /// One retained counter movement.
@@ -70,7 +66,6 @@ struct CountEvent {
 #[derive(Debug, Default)]
 struct FlightState {
     config: Option<FlightConfig>,
-    spans: BTreeMap<u64, VecDeque<SpanEvent>>,
     counts: VecDeque<CountEvent>,
 }
 
@@ -85,20 +80,20 @@ fn lock() -> std::sync::MutexGuard<'static, FlightState> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Is the flight recorder armed? One relaxed load — the gate every hook
-/// in the hot instrumentation paths takes first.
+/// Is the flight recorder armed? One relaxed load — the gate the counter
+/// paths take first.
 #[inline]
 pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// Arms the flight recorder (and [`crate::enable`]s the recorder, which
-/// feeds it). Re-arming replaces the configuration and clears the rings.
+/// Arms the flight recorder (and [`crate::enable`]s the recorder, whose
+/// spans the dump reads). Re-arming replaces the configuration and
+/// clears the counter ring.
 pub fn arm(config: FlightConfig) {
     crate::enable();
     {
         let mut st = lock();
-        st.spans.clear();
         st.counts.clear();
         st.config = Some(FlightConfig {
             spans_per_thread: config.spans_per_thread.max(1),
@@ -108,33 +103,7 @@ pub fn arm(config: FlightConfig) {
     ARMED.store(true, Ordering::SeqCst);
 }
 
-/// Called from [`crate::SpanGuard`]'s drop when armed.
-pub(crate) fn record_span(
-    name: &'static str,
-    label: &Option<String>,
-    tid: u64,
-    start_ns: u64,
-    dur_ns: u64,
-) {
-    let mut st = lock();
-    let cap = match &st.config {
-        Some(c) => c.spans_per_thread,
-        None => return,
-    };
-    let ring = st.spans.entry(tid).or_default();
-    ring.push_back(SpanEvent {
-        name,
-        label: label.clone(),
-        start_ns,
-        dur_ns,
-    });
-    while ring.len() > cap {
-        ring.pop_front();
-    }
-}
-
-/// Called from [`crate::count`] / [`crate::count_max`] / [`crate::observe`]
-/// when armed.
+/// Called from [`crate::count`] when armed.
 pub(crate) fn record_count(t_ns: u64, tid: u64, name: &str, delta: u64, total: u64) {
     let mut st = lock();
     let cap = match &st.config {
@@ -153,11 +122,10 @@ pub(crate) fn record_count(t_ns: u64, tid: u64, name: &str, delta: u64, total: u
     }
 }
 
-/// Renders the current rings as the plain-text dump artifact. Valid (and
-/// mostly empty) even when never armed.
+/// Renders the dump artifact: the recorder's last spans per thread and
+/// the counter ring. Valid (and mostly empty) even when never armed.
 pub fn dump() -> String {
     let st = lock();
-    let labels = crate::thread_labels();
     let mut out = String::new();
     out.push_str("pm flight recorder dump (schema 1)\n");
     match &st.config {
@@ -167,24 +135,9 @@ pub fn dump() -> String {
                 "spans_per_thread={} counter_events={}",
                 c.spans_per_thread, c.counter_events
             );
+            push_recent_spans(&mut out, c.spans_per_thread);
         }
         None => out.push_str("unarmed\n"),
-    }
-    for (tid, ring) in &st.spans {
-        let who = labels
-            .get(tid)
-            .map(|l| format!("thread {tid} ({l})"))
-            .unwrap_or_else(|| format!("thread {tid}"));
-        let _ = writeln!(out, "== {who}: {} spans ==", ring.len());
-        for s in ring {
-            let _ = write!(out, "span {} t={}ns dur={}ns", s.name, s.start_ns, s.dur_ns);
-            match &s.label {
-                Some(l) => {
-                    let _ = writeln!(out, " label={}", l.replace('\n', "\\n"));
-                }
-                None => out.push('\n'),
-            }
-        }
     }
     let _ = writeln!(out, "== counter events: {} ==", st.counts.len());
     for c in &st.counts {
@@ -195,6 +148,36 @@ pub fn dump() -> String {
         );
     }
     out
+}
+
+/// One section per thread, in thread-id order, holding the last
+/// `per_thread` spans the recorder closed on that thread, oldest first.
+fn push_recent_spans(out: &mut String, per_thread: usize) {
+    let inner = crate::recorder().lock();
+    let mut newest_first: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
+    for s in inner.spans.iter().rev() {
+        let recent = newest_first.entry(s.tid).or_default();
+        if recent.len() < per_thread {
+            recent.push(s);
+        }
+    }
+    for (tid, recent) in &newest_first {
+        let who = inner
+            .thread_labels
+            .get(tid)
+            .map(|l| format!("thread {tid} ({l})"))
+            .unwrap_or_else(|| format!("thread {tid}"));
+        let _ = writeln!(out, "== {who}: {} spans ==", recent.len());
+        for s in recent.iter().rev() {
+            let _ = write!(out, "span {} t={}ns dur={}ns", s.name, s.start_ns, s.dur_ns);
+            match &s.label {
+                Some(l) => {
+                    let _ = writeln!(out, " label={}", l.replace('\n', "\\n"));
+                }
+                None => out.push('\n'),
+            }
+        }
+    }
 }
 
 /// Writes [`dump`] to `path` through the shared artifact helper.
@@ -330,7 +313,6 @@ mod tests {
         ARMED.store(false, Ordering::SeqCst);
         let mut st = lock();
         st.config = None;
-        st.spans.clear();
         st.counts.clear();
     }
 }

@@ -59,7 +59,6 @@ pub use export::{
     artifact_error, chrome_trace_json, escape_label_value, metrics_json, prometheus_from_snapshot,
     prometheus_text, write_artifact,
 };
-pub use prof::{Profiler, ProfilerConfig};
 pub use serve::{MetricsServer, Request, Response, Router, ServeConfig};
 pub use timeseries::{Sampler, SamplerConfig};
 
@@ -297,24 +296,13 @@ struct SpanData {
     label: Option<String>,
     tid: u64,
     start_ns: u64,
-    /// Whether this span pushed its name onto the live profiler stack —
-    /// remembered here so the pop stays balanced even if the profiler
-    /// disarms (or a new one arms) while the span is open.
-    pushed: bool,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(data) = self.data.take() {
             let rec = recorder();
-            let end = rec.now_ns();
-            if data.pushed {
-                prof::pop_frame(data.name);
-            }
-            let dur_ns = end.saturating_sub(data.start_ns);
-            if flight::armed() {
-                flight::record_span(data.name, &data.label, data.tid, data.start_ns, dur_ns);
-            }
+            let dur_ns = rec.now_ns().saturating_sub(data.start_ns);
             rec.lock().spans.push(SpanRecord {
                 name: data.name,
                 label: data.label,
@@ -346,17 +334,12 @@ pub fn span_labeled(name: &'static str, label: impl Into<String>) -> SpanGuard {
 }
 
 fn span_slow(name: &'static str, label: Option<String>) -> SpanGuard {
-    let rec = recorder();
-    // While no profiler runs this is one relaxed load, matching the
-    // recorder's own off-by-default cost contract.
-    let pushed = prof::profiling() && prof::push_frame(name);
     SpanGuard {
         data: Some(SpanData {
             name,
             label,
             tid: thread_id(),
-            start_ns: rec.now_ns(),
-            pushed,
+            start_ns: recorder().now_ns(),
         }),
     }
 }
@@ -485,11 +468,6 @@ pub fn snapshot() -> Snapshot {
 pub(crate) fn raw_state() -> (Vec<SpanRecord>, BTreeMap<u64, String>) {
     let inner = recorder().lock();
     (inner.spans.clone(), inner.thread_labels.clone())
-}
-
-/// Internal: the thread-label table (for the flight-recorder dump).
-pub(crate) fn thread_labels() -> BTreeMap<u64, String> {
-    recorder().lock().thread_labels.clone()
 }
 
 #[cfg(test)]

@@ -1,312 +1,36 @@
-//! In-process span-stack profiler: folded-stack sampling plus offline
-//! self-time / critical-path analysis over completed span trees.
+//! Span-tree analysis over the recorder's completed spans: exact
+//! folded-stack profiles, exclusive self-time and the critical path.
 //!
-//! The sampling half keeps a live per-thread stack of the *active* spans:
-//! [`crate::SpanGuard`] pushes its name on creation and pops it on drop,
-//! but only while a [`Profiler`] is running — when none is, the span path
-//! pays exactly one relaxed atomic load ([`profiling`]), mirroring the
-//! recorder's own off-by-default contract. A pacer thread snapshots every
-//! thread's stack on a fixed interval and accumulates each non-empty
-//! stack as one folded-stack sample:
+//! Every function here reads completed spans, either from the live
+//! recorder ([`recorded_spans`]) or re-parsed from a Chrome trace
+//! artifact ([`spans_from_trace`]). Span nesting is rebuilt per thread
+//! from interval containment: a span's parent is its innermost enclosing
+//! span on the same thread. On that tree:
 //!
-//! ```text
-//! sweep.case;pm.recover;pm.select 42
-//! ```
+//! * [`folded`] writes one Brendan Gregg folded-stack line per distinct
+//!   name path, weighted by the summed self time in nanoseconds:
 //!
-//! i.e. Brendan Gregg's folded format — `;`-joined frames, a space, and a
-//! sample count — which `inferno-flamegraph`, `flamegraph.pl` and
-//! speedscope all consume directly. The accumulated profile is rendered
-//! by [`folded_text`], which the `--profile FILE` flag writes at exit and
-//! [`crate::serve`] serves live at `GET /profile.folded`.
+//!   ```text
+//!   sweep.case;pm.recover;pm.phase1 4200
+//!   ```
 //!
-//! The analysis half works on *completed* spans instead of samples: span
-//! nesting is reconstructed per thread from interval containment, giving
-//! exclusive **self-time** per span name ([`self_times`]: inclusive total
-//! minus direct children) and the **critical path** of a run
-//! ([`critical_path`]: the longest root span, then repeatedly its longest
-//! direct child, with per-worker attribution from the recorded thread
-//! ids). Both accept spans from the live recorder ([`recorded_spans`]) or
-//! re-parsed from a Chrome trace artifact ([`spans_from_trace`]), which
-//! is how `pmctl obs critical` analyzes a finished run.
+//!   `inferno-flamegraph`, `flamegraph.pl` and speedscope all consume it
+//!   directly. [`folded_text`] renders the live recorder's spans; the
+//!   `--profile FILE` flag writes it at exit and [`crate::serve`] serves
+//!   it at `GET /profile.folded`.
+//! * [`self_times`] aggregates exclusive time per span name (inclusive
+//!   total minus direct children). For every name, the weights of the
+//!   folded lines ending in it sum to its `self_ns`.
+//! * [`critical_path`] follows the longest root span, then repeatedly its
+//!   longest direct child, with per-worker attribution from the recorded
+//!   thread ids. `pmctl obs critical` runs it on a `--trace` artifact.
 //!
-//! Sampling is strictly observational — the pacer only ever *reads* the
-//! stacks — so a profiled run produces byte-identical results to an
-//! unprofiled one (pinned by `tests-integration/tests/profiler.rs`).
+//! Nothing here writes to the recorder, so a profiled run produces
+//! byte-identical results to an unprofiled one (pinned by
+//! `tests-integration/tests/profiler.rs`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
-use std::time::Duration;
-
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Is a [`Profiler`] currently running? One relaxed load — the only cost
-/// the span instrumentation path pays while no profiler is attached.
-#[inline]
-pub fn profiling() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-/// One thread's live stack of active span names. The owning thread pushes
-/// and pops; the pacer thread reads under the same lock, so every sample
-/// sees a consistent stack (never a torn mid-push state).
-#[derive(Debug, Default)]
-struct ThreadStack {
-    frames: Mutex<Vec<&'static str>>,
-}
-
-impl ThreadStack {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<&'static str>> {
-        self.frames
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Every thread that ever pushed a frame, as weak refs so finished
-/// threads unregister themselves (the pacer prunes dead entries).
-fn registry() -> &'static Mutex<Vec<Weak<ThreadStack>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Weak<ThreadStack>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn lock_registry() -> std::sync::MutexGuard<'static, Vec<Weak<ThreadStack>>> {
-    registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-thread_local! {
-    static MY_STACK: Arc<ThreadStack> = {
-        let stack = Arc::new(ThreadStack::default());
-        let mut reg = lock_registry();
-        reg.retain(|w| w.strong_count() > 0);
-        reg.push(Arc::downgrade(&stack));
-        stack
-    };
-}
-
-/// Pushes `name` onto the calling thread's live stack. Returns whether
-/// the push happened — `false` only during thread teardown, when the
-/// thread-local is already destroyed; the caller must then skip the
-/// matching pop.
-pub(crate) fn push_frame(name: &'static str) -> bool {
-    MY_STACK.try_with(|s| s.lock().push(name)).is_ok()
-}
-
-/// Pops `name` from the calling thread's live stack. Guards usually drop
-/// in LIFO order so the top matches; a guard dropped out of order removes
-/// the deepest occurrence of its name instead, keeping the rest of the
-/// stack intact.
-pub(crate) fn pop_frame(name: &'static str) {
-    let _ = MY_STACK.try_with(|s| {
-        let mut frames = s.lock();
-        if frames.last() == Some(&name) {
-            frames.pop();
-        } else if let Some(i) = frames.iter().rposition(|&n| n == name) {
-            frames.remove(i);
-        }
-    });
-}
-
-/// Configuration for [`Profiler::start`].
-#[derive(Debug, Clone)]
-pub struct ProfilerConfig {
-    /// Gap between stack snapshots. The default (1 ms, i.e. 1 kHz) still
-    /// catches a handful of stacks on the sub-second paper sweeps while
-    /// keeping the pacer's share of any core well under a percent — a
-    /// snapshot is a few mutex locks and string joins.
-    pub interval: Duration,
-}
-
-impl Default for ProfilerConfig {
-    fn default() -> Self {
-        ProfilerConfig {
-            interval: Duration::from_millis(1),
-        }
-    }
-}
-
-/// The accumulated profile shared between the pacer thread and the
-/// exporters: folded stack → sample count.
-#[derive(Debug)]
-struct ProfShared {
-    samples: Mutex<BTreeMap<String, u64>>,
-}
-
-impl ProfShared {
-    fn lock_samples(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, u64>> {
-        self.samples
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// The registry the exporters read: the most recently started profiler's
-/// sample map (it stays registered after the profiler drops, so post-run
-/// exports still see the profile).
-fn active() -> &'static Mutex<Option<Arc<ProfShared>>> {
-    static ACTIVE: OnceLock<Mutex<Option<Arc<ProfShared>>>> = OnceLock::new();
-    ACTIVE.get_or_init(|| Mutex::new(None))
-}
-
-fn active_shared() -> Option<Arc<ProfShared>> {
-    active()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone()
-}
-
-/// A running sampling profiler. Dropping it takes one final snapshot,
-/// stops the pacer and disarms the span push/pop hooks; the accumulated
-/// profile stays readable ([`folded_text`]) until a new profiler starts.
-#[derive(Debug)]
-pub struct Profiler {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Profiler {
-    /// Enables the recorder, arms the span-stack hooks and spawns the
-    /// pacer thread. The new profiler becomes the one [`folded_text`]
-    /// (and `GET /profile.folded`) reads.
-    pub fn start(config: ProfilerConfig) -> Profiler {
-        crate::enable();
-        let interval = config.interval.max(Duration::from_millis(1));
-        let shared = Arc::new(ProfShared {
-            samples: Mutex::new(BTreeMap::new()),
-        });
-        *active()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Arc::clone(&shared));
-        PROFILING.store(true, Ordering::SeqCst);
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("pm-obs-profiler".into())
-                .spawn(move || profiler_loop(&shared, &stop, interval))
-                .expect("profiler thread spawns")
-        };
-        Profiler {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Number of distinct folded stacks accumulated so far.
-    pub fn len(&self) -> usize {
-        active_shared().map_or(0, |s| s.lock_samples().len())
-    }
-
-    /// Whether no sample has been taken yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Drop for Profiler {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.stop;
-        *lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        cvar.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        // Spans opened while profiling still carry their "pushed" flag and
-        // pop themselves on drop, so the stacks drain even after disarm.
-        PROFILING.store(false, Ordering::SeqCst);
-        // The sample map stays registered for post-run exports.
-    }
-}
-
-fn profiler_loop(shared: &ProfShared, stop: &(Mutex<bool>, Condvar), interval: Duration) {
-    let (lock, cvar) = stop;
-    loop {
-        let stopped = {
-            let guard = lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let (guard, _timeout) = cvar
-                .wait_timeout_while(guard, interval, |s| !*s)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            *guard
-        };
-        // One final snapshot on shutdown, so even a run shorter than the
-        // interval leaves whatever was on the stacks behind.
-        sample_pass(shared);
-        if stopped {
-            return;
-        }
-    }
-}
-
-/// One sampling pass: snapshot every live thread's non-empty stack into
-/// the sample map. Lock order is registry → one thread stack at a time →
-/// samples; the instrumented threads only ever take their own stack lock.
-fn sample_pass(shared: &ProfShared) {
-    let mut stacks: Vec<String> = Vec::new();
-    {
-        let mut reg = lock_registry();
-        reg.retain(|w| w.strong_count() > 0);
-        for weak in reg.iter() {
-            if let Some(stack) = weak.upgrade() {
-                let frames = stack.lock();
-                if !frames.is_empty() {
-                    stacks.push(frames.join(";"));
-                }
-            }
-        }
-    }
-    if stacks.is_empty() {
-        return;
-    }
-    let mut samples = shared.lock_samples();
-    for s in stacks {
-        *samples.entry(s).or_insert(0) += 1;
-    }
-}
-
-/// Takes one sampling pass right now, against the active profiler's
-/// sample map. A no-op when no profiler was ever started. Tests (and
-/// anything needing a deterministic sample) call this instead of racing
-/// the pacer's clock.
-pub fn sample_now() {
-    if let Some(shared) = active_shared() {
-        sample_pass(&shared);
-    }
-}
-
-/// Renders the accumulated profile in Brendan Gregg's folded format: one
-/// `frame;frame;frame COUNT` line per distinct stack, sorted by stack
-/// (deterministic for a given sample map). Empty when no profiler has
-/// ever run or nothing was sampled.
-pub fn folded_text() -> String {
-    let Some(shared) = active_shared() else {
-        return String::new();
-    };
-    let samples = shared.lock_samples();
-    let mut out = String::new();
-    for (stack, count) in samples.iter() {
-        let _ = writeln!(out, "{stack} {count}");
-    }
-    out
-}
-
-/// Unregisters the active sample map (test isolation).
-#[cfg(test)]
-pub(crate) fn clear_active() {
-    *active()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-}
-
-// ---------------------------------------------------------------------------
-// Offline analysis over completed span trees.
-// ---------------------------------------------------------------------------
 
 /// One completed span, the unit the analyzers work on. Obtained from the
 /// live recorder via [`recorded_spans`] or from a Chrome trace artifact
@@ -380,6 +104,59 @@ fn assign_parents(spans: &[SpanInfo]) -> Vec<Option<usize>> {
     parents
 }
 
+/// Each span's exclusive time under `parents`: its duration minus the
+/// summed durations of its direct children.
+fn exclusive_ns(spans: &[SpanInfo], parents: &[Option<usize>]) -> Vec<u64> {
+    let mut child_ns = vec![0u64; spans.len()];
+    for (i, parent) in parents.iter().enumerate() {
+        if let Some(p) = parent {
+            child_ns[*p] = child_ns[*p].saturating_add(spans[i].dur_ns);
+        }
+    }
+    spans
+        .iter()
+        .zip(child_ns)
+        .map(|(s, c)| s.dur_ns.saturating_sub(c))
+        .collect()
+}
+
+/// Renders `spans` as exact folded stacks: one `frame;frame;… WEIGHT`
+/// line per distinct name path from a root span down, sorted by stack,
+/// where `WEIGHT` is the summed self time in nanoseconds of the spans at
+/// the end of that path. Paths whose weight is 0 are left out, so the
+/// weights sum to the root spans' total duration.
+pub fn folded(spans: &[SpanInfo]) -> String {
+    let parents = assign_parents(spans);
+    let self_ns = exclusive_ns(spans, &parents);
+    let mut by_stack: BTreeMap<String, u64> = BTreeMap::new();
+    let mut frames: Vec<&str> = Vec::new();
+    for (i, &weight) in self_ns.iter().enumerate() {
+        if weight == 0 {
+            continue;
+        }
+        frames.clear();
+        let mut cur = Some(i);
+        while let Some(j) = cur {
+            frames.push(&spans[j].name);
+            cur = parents[j];
+        }
+        frames.reverse();
+        *by_stack.entry(frames.join(";")).or_insert(0) += weight;
+    }
+    let mut out = String::new();
+    for (stack, weight) in &by_stack {
+        let _ = writeln!(out, "{stack} {weight}");
+    }
+    out
+}
+
+/// [`folded`] over every span the live recorder holds: the `--profile`
+/// artifact and the `GET /profile.folded` body. Empty while nothing has
+/// been recorded.
+pub fn folded_text() -> String {
+    folded(&recorded_spans())
+}
+
 /// Per-name exclusive-time aggregate, from [`self_times`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelfTime {
@@ -399,13 +176,7 @@ pub struct SelfTime {
 /// sorted by name. `total_ns` sums the plain durations, so it reconciles
 /// exactly with the span totals in [`crate::metrics_json`].
 pub fn self_times(spans: &[SpanInfo]) -> Vec<SelfTime> {
-    let parents = assign_parents(spans);
-    let mut child_ns = vec![0u64; spans.len()];
-    for (i, parent) in parents.iter().enumerate() {
-        if let Some(p) = parent {
-            child_ns[*p] = child_ns[*p].saturating_add(spans[i].dur_ns);
-        }
-    }
+    let self_ns = exclusive_ns(spans, &assign_parents(spans));
     let mut by_name: BTreeMap<&str, SelfTime> = BTreeMap::new();
     for (i, s) in spans.iter().enumerate() {
         let agg = by_name.entry(s.name.as_str()).or_insert_with(|| SelfTime {
@@ -416,9 +187,7 @@ pub fn self_times(spans: &[SpanInfo]) -> Vec<SelfTime> {
         });
         agg.count += 1;
         agg.total_ns = agg.total_ns.saturating_add(s.dur_ns);
-        agg.self_ns = agg
-            .self_ns
-            .saturating_add(s.dur_ns.saturating_sub(child_ns[i]));
+        agg.self_ns = agg.self_ns.saturating_add(self_ns[i]);
     }
     by_name.into_values().collect()
 }
@@ -562,75 +331,45 @@ mod tests {
     }
 
     #[test]
-    fn sampling_captures_nested_stacks_deterministically() {
-        let _g = crate::tests::guard();
-        enable();
-        reset();
-        assert!(!profiling());
-        // Interval far beyond the test: the only samples are the explicit
-        // sample_now calls plus the final one on drop (empty stack there).
-        let profiler = Profiler::start(ProfilerConfig {
-            interval: Duration::from_secs(3600),
-        });
-        assert!(profiling());
-        assert!(profiler.is_empty());
-        {
-            let _outer = span("prof.outer");
-            sample_now();
-            {
-                let _inner = span_labeled("prof.inner", "case");
-                sample_now();
-                sample_now();
-            }
-            sample_now();
+    fn folded_weights_paths_by_exact_self_time() {
+        let spans = vec![
+            // Thread 1: `a` recurses into itself, which holds `b`; `c`
+            // sits directly under the outer `a`.
+            s("a", 1, 0, 100),
+            s("a", 1, 10, 50),
+            s("b", 1, 20, 20),
+            s("c", 1, 70, 10),
+            // Thread 2: `w` is covered by its children (self 0), then a
+            // root `b` that must not nest under thread 1's spans.
+            s("w", 2, 0, 30),
+            s("c", 2, 0, 10),
+            s("d", 2, 10, 10),
+            s("c", 2, 20, 10),
+            s("b", 2, 40, 20),
+        ];
+        let text = folded(&spans);
+        assert_eq!(
+            text, "a 40\na;a 30\na;a;b 20\na;c 10\nb 20\nw;c 20\nw;d 10\n",
+            "recursion, two threads, zero-self `w` left out"
+        );
+        let weights: Vec<(&str, u64)> = text
+            .lines()
+            .map(|l| {
+                let (stack, w) = l.rsplit_once(' ').unwrap();
+                (stack, w.parse().unwrap())
+            })
+            .collect();
+        let total: u64 = weights.iter().map(|&(_, w)| w).sum();
+        assert_eq!(total, 100 + 30 + 20, "weights sum to the root durations");
+        for st in self_times(&spans).iter().filter(|t| t.self_ns > 0) {
+            let ending: u64 = weights
+                .iter()
+                .filter(|(stack, _)| stack.rsplit(';').next() == Some(st.name.as_str()))
+                .map(|&(_, w)| w)
+                .sum();
+            assert_eq!(ending, st.self_ns, "{}", st.name);
         }
-        sample_now(); // empty stack: not a sample
-        drop(profiler);
-        assert!(!profiling());
-        let folded = folded_text();
-        assert_eq!(folded, "prof.outer 2\nprof.outer;prof.inner 2\n");
-        clear_active();
-    }
-
-    #[test]
-    fn spans_outside_a_profiler_never_touch_the_stack() {
-        let _g = crate::tests::guard();
-        enable();
-        reset();
-        // A span opened before the profiler starts was never pushed; it
-        // must not appear in samples, and its drop must not unbalance a
-        // stack it is absent from.
-        let stale = span("prof.stale");
-        let profiler = Profiler::start(ProfilerConfig {
-            interval: Duration::from_secs(3600),
-        });
-        let live = span("prof.live");
-        drop(stale);
-        sample_now();
-        drop(profiler); // final snapshot on drop sees the open span too
-        drop(live); // popped even after disarm: the guard remembers
-        assert_eq!(folded_text(), "prof.live 2\n");
-        assert!(MY_STACK.with(|s| s.lock().is_empty()));
-        clear_active();
-    }
-
-    #[test]
-    fn out_of_order_drops_keep_the_stack_consistent() {
-        let _g = crate::tests::guard();
-        enable();
-        reset();
-        let profiler = Profiler::start(ProfilerConfig {
-            interval: Duration::from_secs(3600),
-        });
-        let a = span("prof.a");
-        let b = span("prof.b");
-        drop(a); // dropped before b: removes the deep a, not the top b
-        sample_now();
-        drop(b);
-        drop(profiler);
-        assert_eq!(folded_text(), "prof.b 1\n");
-        assert!(MY_STACK.with(|s| s.lock().is_empty()));
-        clear_active();
+        assert_eq!(folded(&[]), "");
     }
 
     #[test]

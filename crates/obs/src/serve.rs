@@ -825,20 +825,15 @@ mod tests {
         let _g = crate::tests::guard();
         crate::enable();
         crate::reset();
-        let profiler = crate::prof::Profiler::start(crate::prof::ProfilerConfig {
-            interval: Duration::from_secs(3600),
-        });
         {
             let _s = crate::span("serve.profiled");
-            crate::prof::sample_now();
+            std::thread::sleep(Duration::from_millis(1));
         }
+        let dur_ns = crate::prof::recorded_spans()[0].dur_ns;
         let server = MetricsServer::serve("127.0.0.1:0").expect("bind");
         let (status, body) = http_get(server.local_addr(), "/profile.folded");
         assert_eq!(status, "HTTP/1.1 200 OK");
-        assert_eq!(body, "serve.profiled 1\n");
-        drop(server);
-        drop(profiler);
-        crate::prof::clear_active();
+        assert_eq!(body, format!("serve.profiled {dur_ns}\n"));
     }
 
     #[test]

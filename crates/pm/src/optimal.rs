@@ -668,9 +668,11 @@ impl BuiltModel {
 
     /// Balanced, capacity- and delay-feasible greedy selection under a
     /// fixed switch → controller mapping, encoded as a full variable
-    /// assignment. Phase 1 raises the least-programmable flows level by
-    /// level (each taking its cheapest-delay remaining entry); phase 2
-    /// spends leftovers.
+    /// assignment. In balanced rounds, every flow at the least
+    /// programmability σ takes its cheapest-delay remaining entry that
+    /// still fits the capacity and delay budgets; an entry that does not
+    /// fit is skipped for good. The rounds end only when every flow has
+    /// tried all of its entries, so no leftover pass follows them.
     fn greedy_values(&self, d: &PolishData, mapping: &[usize]) -> Vec<f64> {
         let mut values = vec![0.0; self.model.var_count()];
         for ip in 0..d.n {
@@ -716,7 +718,7 @@ impl BuiltModel {
             true
         };
 
-        // Phase 1: balanced rounds.
+        // Balanced rounds.
         loop {
             let active: Vec<usize> = (0..l_count)
                 .filter(|&lp| cursor[lp] < sorted[lp].len())
@@ -738,10 +740,6 @@ impl BuiltModel {
                 }
             }
         }
-        // Phase 2: leftovers (cursors are exhausted per flow above, so this
-        // re-walks skipped entries only when capacity freed — it cannot
-        // here, but keep the structure for clarity and future extensions).
-
         let r = (0..l_count)
             .filter(|&lp| !d.flow_entries[lp].is_empty())
             .map(|lp| h[lp])

@@ -1,21 +1,23 @@
-//! The span-stack profiler's core guarantees: sampling is observational
-//! only (recorded sweep outputs are byte-identical profiler-on versus
+//! The folded profile's core guarantees: recording is observational
+//! only (recorded sweep outputs are byte-identical recorder-on versus
 //! disabled, serial and parallel), the folded profile obeys the
-//! Brendan-Gregg grammar with frames drawn from real recorded span
-//! names, and the offline self-time analysis reconciles exactly with
-//! the span totals the metrics JSON reports.
+//! Brendan-Gregg grammar, weighs each stack by exact self time (a held
+//! root span's line carries its recorded duration, and the lines ending
+//! in a name sum to that name's self time), and the offline self-time
+//! analysis reconciles exactly with the span totals the metrics JSON
+//! reports.
 //!
-//! Enabling the [`pm_obs`] recorder is process-global and one-way
-//! (`Profiler::start` enables it), so the disabled-then-enabled
-//! comparison lives in one test function and the disabled half runs
-//! first. The `/profile.folded` endpoint plus the HEAD / 405 method
-//! grammar are exercised against the same live process.
+//! Enabling the [`pm_obs`] recorder is process-global and one-way (it is
+//! what `--profile` turns on), so the disabled-then-enabled comparison
+//! lives in one test function and the disabled half runs first. The
+//! `/profile.folded` endpoint plus the HEAD / 405 method grammar are
+//! exercised against the same live process.
 
 use pm_bench::figures::bench_sweep_json;
 use pm_bench::{CaseResult, EvalOptions, SweepEngine};
 use pm_sdwan::{SdWan, SdWanBuilder};
 use pm_topo::{builders, NodeId};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -41,7 +43,7 @@ fn options(jobs: usize) -> EvalOptions {
 
 /// The `BENCH_sweep.json` body for k = 1..=3 at `jobs`, with the
 /// wall-clock lines and the worker count blanked — everything else is a
-/// recorded result and must not move when the profiler samples.
+/// recorded result and must not move when the recorder is on.
 fn sweep_rows(net: &SdWan, jobs: usize) -> String {
     let opts = options(jobs);
     let engine = SweepEngine::new(net, opts);
@@ -77,21 +79,21 @@ fn raw_request(addr: SocketAddr, request: &str) -> (String, String) {
     (head.to_string(), body.to_string())
 }
 
-/// Brendan-Gregg folded grammar: every line is `frame(;frame)* COUNT`
-/// with non-empty frames and a positive integer count.
+/// Brendan-Gregg folded grammar: every line is `frame(;frame)* WEIGHT`
+/// with non-empty frames and a positive integer weight (self time, ns).
 fn assert_folded_grammar(text: &str) {
     for line in text.lines() {
         let (stack, count) = line
             .rsplit_once(' ')
-            .unwrap_or_else(|| panic!("folded line has no count: {line:?}"));
+            .unwrap_or_else(|| panic!("folded line has no weight: {line:?}"));
         assert!(
             !stack.is_empty() && stack.split(';').all(|f| !f.is_empty()),
             "empty frame in folded line: {line:?}"
         );
         let n: u64 = count
             .parse()
-            .unwrap_or_else(|_| panic!("folded count not an integer: {line:?}"));
-        assert!(n > 0, "zero-count folded line: {line:?}");
+            .unwrap_or_else(|_| panic!("folded weight not an integer: {line:?}"));
+        assert!(n > 0, "zero-weight folded line: {line:?}");
     }
 }
 
@@ -100,64 +102,70 @@ fn profiler_is_observational_and_profiles_reconcile_with_metrics() {
     let net = small_net();
 
     // Phase 1: fully disabled — nothing in this binary has enabled the
-    // recorder yet, and no profiler has ever run.
+    // recorder yet, so there is no profile either.
     assert!(!pm_obs::enabled(), "recorder must start disabled");
-    assert!(!pm_obs::prof::profiling(), "profiler must start disabled");
     assert_eq!(pm_obs::prof::folded_text(), "", "no profile before a run");
     let off_serial = sweep_rows(&net, 1);
     let off_parallel = sweep_rows(&net, 8);
     assert_eq!(off_serial, off_parallel);
 
-    // Phase 2: a fast pacer plus the live HTTP server.
-    let profiler = pm_obs::Profiler::start(pm_obs::ProfilerConfig {
-        interval: Duration::from_millis(2),
-    });
+    // Phase 2: the recorder (all `--profile` turns on) plus the live
+    // HTTP server.
+    pm_obs::enable();
     let server = pm_obs::MetricsServer::serve("127.0.0.1:0").expect("ephemeral bind");
     let addr = server.local_addr();
-    assert!(pm_obs::enabled(), "profiler enables the recorder");
-    assert!(pm_obs::prof::profiling());
 
     let on_serial = sweep_rows(&net, 1);
     let on_parallel = sweep_rows(&net, 8);
     assert_eq!(
         off_serial, on_serial,
-        "jobs=1: the profiler changed results"
+        "jobs=1: the recorder changed results"
     );
     assert_eq!(
         off_parallel, on_parallel,
-        "jobs=8: the profiler changed results"
+        "jobs=8: the recorder changed results"
     );
 
-    // A deterministic sample: taken explicitly while a named span is
-    // held open, so the profile is non-empty regardless of pacer timing.
+    // A root span held here, with nothing nested in it: its stack's
+    // weight is exactly its recorded duration.
     {
         let _held = pm_obs::span("itest.profiled");
-        pm_obs::prof::sample_now();
+        std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(!profiler.is_empty(), "explicit sample landed");
-
-    // The live endpoint serves the folded profile; its frames are real
-    // recorded span names (every sampled span has completed by now).
-    let (status, folded) = http_get(addr, "/profile.folded");
-    assert!(status.contains(" 200 "), "{status}");
+    let spans = pm_obs::prof::recorded_spans();
+    let held = spans
+        .iter()
+        .find(|s| s.name == "itest.profiled")
+        .expect("held span recorded");
+    let folded = pm_obs::prof::folded_text();
     assert_folded_grammar(&folded);
     assert!(
-        folded.lines().any(|l| l.starts_with("itest.profiled ")),
-        "held span sampled as a root frame:\n{folded}"
+        folded
+            .lines()
+            .any(|l| l == format!("itest.profiled {}", held.dur_ns)),
+        "held root span weighs its duration:\n{folded}"
     );
-    let names: BTreeSet<String> = pm_obs::prof::recorded_spans()
-        .into_iter()
-        .map(|s| s.name)
-        .collect();
+
+    // Every span has closed, so the live endpoint serves exactly the
+    // profile just rendered.
+    let (status, body) = http_get(addr, "/profile.folded");
+    assert!(status.contains(" 200 "), "{status}");
+    assert_eq!(body, folded);
+
+    // The lines ending in a name sum to that name's exclusive time.
+    let mut ending: BTreeMap<&str, u64> = BTreeMap::new();
     for line in folded.lines() {
-        let (stack, _) = line.rsplit_once(' ').expect("grammar checked above");
-        for frame in stack.split(';') {
-            assert!(
-                names.contains(frame),
-                "sampled frame {frame:?} is not a recorded span name:\n{folded}"
-            );
-        }
+        let (stack, weight) = line.rsplit_once(' ').expect("grammar checked above");
+        let leaf = stack.rsplit(';').next().expect("non-empty stack");
+        *ending.entry(leaf).or_default() += weight.parse::<u64>().expect("integer weight");
     }
+    let selfs = pm_obs::prof::self_times(&spans);
+    let nonzero: BTreeMap<&str, u64> = selfs
+        .iter()
+        .filter(|st| st.self_ns > 0)
+        .map(|st| (st.name.as_str(), st.self_ns))
+        .collect();
+    assert_eq!(ending, nonzero, "folded weights reconcile with self_times");
 
     // Method grammar on the same endpoint: HEAD answers like GET with
     // the body suppressed, anything else is 405 with an Allow header.
@@ -177,19 +185,11 @@ fn profiler_is_observational_and_profiles_reconcile_with_metrics() {
     );
     assert!(head.contains(" 405 "), "{head}");
     assert!(head.contains("Allow: GET"), "{head}");
-
-    // Teardown: server first, then the profiler folds its final sample.
     drop(server);
-    drop(profiler);
-    assert!(!pm_obs::prof::profiling(), "drop disarms the pacer");
-    let final_folded = pm_obs::prof::folded_text();
-    assert_folded_grammar(&final_folded);
 
     // Offline self-time analysis reconciles exactly with the span
     // aggregates the metrics JSON reports: same names, same counts, same
     // inclusive totals; exclusive time never exceeds inclusive.
-    let spans = pm_obs::prof::recorded_spans();
-    let selfs = pm_obs::prof::self_times(&spans);
     let doc =
         pm_obs::baseline::parse_metrics(&pm_obs::metrics_json()).expect("metrics.json parses");
     assert_eq!(
