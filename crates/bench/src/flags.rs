@@ -5,7 +5,7 @@
 //!
 //! | Group | Flags | Parser |
 //! |---|---|---|
-//! | telemetry | `--trace --metrics --prom --serve --sample-interval --flight --profile` | [`Telemetry::take`] |
+//! | telemetry | `--trace --metrics --prom --serve --flight --profile` | [`Telemetry::take`] |
 //! | dispatch | `--jobs --shard --max-scenarios --seed --batch` | [`EvalOptions::take_dispatch`] |
 //! | event log | `--events --progress` | [`take_event_log`] |
 //! | evaluation | dispatch, event log, `--opt-secs --skip-optimal --csv` | [`EvalOptions::take`] |
@@ -212,10 +212,8 @@ observability:
                        exposition format (text/plain; version 0.0.4)
   --serve ADDR         serve live telemetry over HTTP while the run is in
                        flight: GET /metrics (Prometheus), /metrics.json,
-                       /timeseries.json, /healthz; use 127.0.0.1:0 for
-                       an ephemeral port (printed to stderr)
-  --sample-interval MS capture interval time-series snapshots every MS
-                       milliseconds (default 250 when --serve is given)
+                       /healthz; use 127.0.0.1:0 for an ephemeral port
+                       (printed to stderr); pmctl obs top --url watches it
   --flight FILE        arm the flight recorder: on panic, dump the last
                        spans and counter deltas per thread to FILE
   --profile FILE       write the recorded spans as a folded-stack
@@ -225,8 +223,8 @@ observability:
                        serves the same profile at GET /profile.folded
 ";
 
-/// The telemetry group: which artifacts to export and which parts of
-/// the live plane to run. Parsed by [`Telemetry::take`], run by
+/// The telemetry group: which artifacts to export and whether to serve
+/// the recorder live. Parsed by [`Telemetry::take`], run by
 /// [`Telemetry::start`]; the [`TelemetryPlane`] it returns owns
 /// teardown and export.
 #[derive(Debug)]
@@ -238,10 +236,8 @@ pub struct Telemetry {
     /// `--prom FILE`: the metrics in Prometheus text format.
     prom: Option<PathBuf>,
     /// `--serve ADDR`: live telemetry over HTTP while the run is in
-    /// flight. Implies a sampler at 250 ms.
+    /// flight.
     serve: Option<String>,
-    /// `--sample-interval MS`: interval snapshots of the recorder.
-    sample_interval_ms: Option<u64>,
     /// `--flight FILE`: the flight recorder's dump on panic.
     flight: Option<PathBuf>,
     /// `--profile FILE`: folded-stack profile of the recorded spans,
@@ -257,21 +253,16 @@ impl Telemetry {
             metrics: args.take_path("--metrics")?,
             prom: args.take_path("--prom")?,
             serve: args.take_str_flag("--serve")?,
-            sample_interval_ms: args.take_parsed(
-                "--sample-interval",
-                "milliseconds > 0",
-                |&ms: &u64| ms > 0,
-            )?,
             flight: args.take_path("--flight")?,
             profile: args.take_path("--profile")?,
         })
     }
 
-    /// Enables the recorder when an artifact is requested, arms the
-    /// flight recorder's panic hook, and starts the sampler and the
-    /// HTTP listener that were asked for. With no flag set this is free
-    /// and the plane is inert. Everything the plane runs only reads the
-    /// recorder, so results never change.
+    /// Enables the recorder when an artifact or `--serve` is requested,
+    /// arms the flight recorder's panic hook, and starts the HTTP
+    /// listener if asked for. With no flag set this is free and the plane
+    /// is inert. Everything the plane runs only reads the recorder, so
+    /// results never change.
     ///
     /// # Errors
     ///
@@ -282,6 +273,7 @@ impl Telemetry {
         if self.trace.is_some()
             || self.metrics.is_some()
             || self.prom.is_some()
+            || self.serve.is_some()
             || self.profile.is_some()
         {
             pm_obs::enable();
@@ -289,15 +281,6 @@ impl Telemetry {
         if let Some(path) = &self.flight {
             pm_obs::flight::arm_panic_hook(path.clone());
         }
-        let sampler = self
-            .sample_interval_ms
-            .or(self.serve.as_ref().map(|_| 250))
-            .map(|ms| {
-                pm_obs::Sampler::start(pm_obs::SamplerConfig {
-                    interval: Duration::from_millis(ms),
-                    ..Default::default()
-                })
-            });
         let server = match &self.serve {
             Some(addr) => {
                 let server = pm_obs::MetricsServer::serve(addr.as_str()).map_err(|e| {
@@ -313,7 +296,6 @@ impl Telemetry {
         };
         Ok(TelemetryPlane {
             server,
-            sampler,
             config: self,
         })
     }
@@ -323,31 +305,21 @@ impl Telemetry {
 /// and writes the artifacts; dropping it tears down without exporting.
 #[derive(Debug)]
 pub struct TelemetryPlane {
-    // Declaration order is drop order: stop serving before the sampler
-    // takes its final snapshot, so the last scrape a client sees is
-    // never mid-teardown.
     server: Option<pm_obs::MetricsServer>,
-    sampler: Option<pm_obs::Sampler>,
     config: Telemetry,
 }
 
 impl TelemetryPlane {
-    /// Stops the server, then the sampler, so its final snapshot is
-    /// folded in, and only then writes the `--trace`, `--metrics`,
-    /// `--prom` and `--profile` artifacts, noting each one on `out`.
+    /// Stops the server, then writes the `--trace`, `--metrics`, `--prom`
+    /// and `--profile` artifacts, noting each one on `out`.
     ///
     /// # Errors
     ///
     /// A runtime error naming the path of the first artifact that could
     /// not be written; the others are still written.
     pub fn finish(self, out: &mut dyn Write) -> Result<(), CliError> {
-        let TelemetryPlane {
-            server,
-            sampler,
-            config,
-        } = self;
+        let TelemetryPlane { server, config } = self;
         drop(server);
-        drop(sampler);
         type Render = fn() -> String;
         let artifacts: [(&str, Option<PathBuf>, Render); 4] = [
             ("trace", config.trace, pm_obs::chrome_trace_json),
@@ -608,7 +580,6 @@ mod tests {
         type Group = fn(&mut Args) -> Result<(), CliError>;
         let dispatch: Group = |a| EvalOptions::take_dispatch(a).map(drop);
         let eval: Group = |a| EvalOptions::take(a).map(drop);
-        let telemetry: Group = |a| Telemetry::take(a).map(drop);
         let wan: Group = |a| WanSpec::take(a, 42).map(drop);
         let timeline: Group = |a| take_timeline_params(a).map(drop);
         let pmd: Group = |a| PmdConfig::take(a, Some(6)).map(drop);
@@ -618,7 +589,6 @@ mod tests {
             (dispatch, "--max-scenarios", "2"),
             (dispatch, "--shard", "1/2"),
             (eval, "--opt-secs", "2"),
-            (telemetry, "--sample-interval", "2"),
             (wan, "--flows", "2"),
             (wan, "--headroom", "2"),
             (timeline, "--horizon-ms", "2"),

@@ -1110,31 +1110,20 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_sample_interval_run_the_live_plane() {
+    fn serve_runs_the_live_plane() {
         let dir = std::env::temp_dir().join("pmctl_serve_test");
         let _ = std::fs::create_dir_all(&dir);
         let metrics = dir.join("m.json");
-        // An ephemeral-port server plus a fast sampler around a real
-        // command; the sampler's final interval must reach the export.
+        // An ephemeral-port server around a real command; --serve turns
+        // the recorder on, and the export is written once it is torn down.
         let text = run_ok_os(&argv(
-            &[
-                "plan",
-                "--fail",
-                "13,20",
-                "--serve",
-                "127.0.0.1:0",
-                "--sample-interval",
-                "25",
-            ],
+            &["plan", "--fail", "13,20", "--serve", "127.0.0.1:0"],
             &[("--metrics", &metrics)],
         ));
         assert!(text.contains("recovered flows"), "{text}");
         let m = std::fs::read_to_string(&metrics).unwrap();
-        pm_obs::json::validate(&m).expect("metrics is valid JSON");
-        assert!(
-            m.contains("\"timeseries\""),
-            "sampled run must export the timeseries member:\n{m}"
-        );
+        let doc = pm_obs::baseline::parse_metrics(&m).expect("metrics parse");
+        assert!(doc.counters.contains_key("pm.sdn_mode_picks"), "{m}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1165,9 +1154,9 @@ mod tests {
 
     #[test]
     fn telemetry_plane_flags_reject_bad_values() {
-        let e = run_err(&["topology", "--sample-interval", "0"]);
+        let e = run_err(&["topology", "--serve"]);
         assert_eq!(e.code, 2);
-        assert!(e.message.contains("--sample-interval"), "{}", e.message);
+        assert!(e.message.contains("--serve"), "{}", e.message);
         let e = run_err(&["topology", "--serve", "256.0.0.1:bogus"]);
         assert_eq!(e.code, 1, "bind failure is a runtime error");
         assert!(
@@ -1264,6 +1253,10 @@ mod tests {
         assert_eq!(e.code, 1, "unreachable endpoint is a runtime error");
         let e = run_err(&["obs", "top", "--events", "x", "--ansi", "--plain"]);
         assert_eq!(e.code, 2);
+        // Below the documented floor is rejected by name, not clamped.
+        let e = run_err(&["obs", "top", "--events", "x", "--interval-ms", "50"]);
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("--interval-ms"), "{}", e.message);
     }
 
     #[test]

@@ -1,19 +1,26 @@
 //! `pmctl obs top` — a live terminal view of a running sweep.
 //!
-//! Consumes either the `/timeseries.json` endpoint a `--serve` run
-//! exposes (plus `/metrics.json` for the running p95) or the `--events`
-//! JSONL stream a sweep writes, and renders per-worker busy%, cases/sec,
-//! running p95, live-peak scenario-slot usage and an ETA derived from the
-//! scenario-space size. On a terminal it redraws an ANSI screen at a
-//! rate-limited cadence; piped anywhere else it falls back to one status
-//! line per frame (`--ansi` / `--plain` override the detection).
+//! Consumes either the `/metrics.json` endpoint a `--serve` run exposes
+//! or the `--events` JSONL stream a sweep writes, and renders per-worker
+//! busy%, cases/sec, running p95, live-peak scenario-slot usage and an
+//! ETA derived from the scenario-space size. On a terminal it redraws an
+//! ANSI screen at a rate-limited cadence; piped anywhere else it falls
+//! back to one status line per frame (`--ansi` / `--plain` override the
+//! detection).
+//!
+//! The process only exposes counters; rates are the reader's job, as with
+//! a Prometheus `rate()`. Each `--url` frame keeps the counters of the
+//! previous poll and the instant it was read, and divides the differences
+//! by the elapsed wall time.
 //!
 //! Reading is strictly observational — both sources are produced without
 //! the viewer's involvement, so watching a sweep can never change it.
 
 use crate::CliError;
 use pm_bench::flags::Args;
+use pm_obs::baseline::MetricsDoc;
 use pm_obs::json::Value;
+use std::collections::BTreeMap;
 use std::io::{IsTerminal, Read, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -35,6 +42,9 @@ options:
 /// Socket timeout for one telemetry fetch.
 const FETCH_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// The most [`http_get`] reads of one response, head included.
+const RESPONSE_CAP: u64 = 64 << 20;
+
 struct TopOptions {
     source: Source,
     interval: Duration,
@@ -42,9 +52,18 @@ struct TopOptions {
     ansi: Option<bool>,
 }
 
+/// Where frames come from, with what the previous frame read of it.
 enum Source {
-    Url(String),
-    Events(PathBuf),
+    /// A `--serve` endpoint and the counters of its previous poll.
+    Url {
+        host: String,
+        prev: Option<(Instant, BTreeMap<String, u64>)>,
+    },
+    /// A `--events` stream and the case count of its previous read.
+    Events {
+        path: PathBuf,
+        prev: Option<(Instant, u64)>,
+    },
 }
 
 /// One frame's worth of derived sweep state, whichever source fed it.
@@ -55,25 +74,18 @@ struct FrameStats {
     cases_per_sec: f64,
     p95_ms: Option<f64>,
     live_peak: u64,
-    /// `(worker key, busy %, items this interval)`, sorted by key.
+    /// `(worker key, busy % or NaN when unknown, items)`, sorted by key.
     workers: Vec<(String, f64, u64)>,
     finished: bool,
 }
 
 pub(crate) fn cmd_obs_top(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let opts = parse_top_options(args)?;
+    let mut opts = parse_top_options(args)?;
     let ansi = opts.ansi.unwrap_or_else(|| std::io::stdout().is_terminal());
     let started = Instant::now();
     let mut frame: u64 = 0;
-    let mut prev: Option<(Instant, u64)> = None;
     loop {
-        let fetched = match &opts.source {
-            Source::Url(host) => fetch_url_stats(host),
-            Source::Events(path) => std::fs::read_to_string(path)
-                .map(|text| stats_from_events(&text))
-                .map_err(|e| format!("cannot read {}: {e}", path.display())),
-        };
-        let mut stats = match fetched {
+        let stats = match opts.source.next_frame() {
             Ok(s) => s,
             Err(e) if frame == 0 => return Err(CliError::runtime(e)),
             Err(_) => {
@@ -83,15 +95,6 @@ pub(crate) fn cmd_obs_top(args: &mut Args, out: &mut dyn Write) -> Result<(), Cl
                 return Ok(());
             }
         };
-        // The events stream only gives an average rate; sharpen both
-        // sources with a frame-to-frame delta once we have two frames.
-        if let Some((t0, done0)) = prev {
-            let dt = t0.elapsed().as_secs_f64();
-            if dt > 0.0 && stats.done >= done0 {
-                stats.cases_per_sec = (stats.done - done0) as f64 / dt;
-            }
-        }
-        prev = Some((Instant::now(), stats.done));
         let _ = out.write_all(render(&stats, started.elapsed(), ansi).as_bytes());
         let _ = out.flush();
         frame += 1;
@@ -102,11 +105,49 @@ pub(crate) fn cmd_obs_top(args: &mut Args, out: &mut dyn Write) -> Result<(), Cl
     }
 }
 
+impl Source {
+    /// Reads the source once and derives a frame, rates measured against
+    /// the previous read.
+    fn next_frame(&mut self) -> Result<FrameStats, String> {
+        match self {
+            Source::Url { host, prev } => {
+                let body = http_get(host, "/metrics.json")?;
+                let now = Instant::now();
+                let doc = pm_obs::baseline::parse_metrics(&body)
+                    .map_err(|e| format!("bad metrics.json from {host}: {e}"))?;
+                let before = prev.as_ref().map(|(t, c)| (c, now - *t));
+                let stats = stats_from_metrics(&doc, before);
+                *prev = Some((now, doc.counters));
+                Ok(stats)
+            }
+            Source::Events { path, prev } => {
+                let text = std::fs::read_to_string(&*path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                let now = Instant::now();
+                let mut stats = stats_from_events(&text);
+                // The stream only gives an average rate; sharpen it with
+                // a frame-to-frame delta once there are two frames.
+                if let Some((t0, done0)) = *prev {
+                    let dt = (now - t0).as_secs_f64();
+                    if dt > 0.0 && stats.done >= done0 {
+                        stats.cases_per_sec = (stats.done - done0) as f64 / dt;
+                    }
+                }
+                *prev = Some((now, stats.done));
+                Ok(stats)
+            }
+        }
+    }
+}
+
 fn parse_top_options(args: &mut Args) -> Result<TopOptions, CliError> {
     let url = args.take_str_flag("--url")?;
     let events = args.take_path("--events")?;
+    // The floor keeps a typo'd cadence from hammering the endpoint.
     let interval_ms = args
-        .take_parsed("--interval-ms", "milliseconds > 0", |&ms: &u64| ms > 0)?
+        .take_parsed("--interval-ms", "milliseconds >= 100", |&ms: &u64| {
+            ms >= 100
+        })?
         .unwrap_or(1000);
     let frames = args
         .take_parsed("--frames", "a frame count", |_: &u64| true)?
@@ -118,8 +159,11 @@ fn parse_top_options(args: &mut Args) -> Result<TopOptions, CliError> {
         return Err(CliError::usage("--ansi and --plain are mutually exclusive"));
     }
     let source = match (url, events) {
-        (Some(u), None) => Source::Url(normalize_host(&u)),
-        (None, Some(p)) => Source::Events(p),
+        (Some(u), None) => Source::Url {
+            host: normalize_host(&u),
+            prev: None,
+        },
+        (None, Some(path)) => Source::Events { path, prev: None },
         _ => {
             return Err(CliError::usage(format!(
                 "exactly one of --url or --events is required\n\n{TOP_USAGE}"
@@ -128,8 +172,7 @@ fn parse_top_options(args: &mut Args) -> Result<TopOptions, CliError> {
     };
     Ok(TopOptions {
         source,
-        // The floor keeps a typo'd cadence from hammering the endpoint.
-        interval: Duration::from_millis(interval_ms.max(100)),
+        interval: Duration::from_millis(interval_ms),
         frames,
         ansi: match (force_ansi, force_plain) {
             (true, _) => Some(true),
@@ -150,6 +193,12 @@ pub(crate) fn normalize_host(url: &str) -> String {
 /// A minimal blocking HTTP GET against `host:port`; returns the body.
 /// Shared with `obs flame --url`.
 pub(crate) fn http_get(host: &str, path: &str) -> Result<String, String> {
+    http_get_capped(host, path, RESPONSE_CAP)
+}
+
+/// [`http_get`], reading at most `cap` bytes: a longer response is an
+/// error naming the host and the cap, never an unbounded allocation.
+fn http_get_capped(host: &str, path: &str, cap: u64) -> Result<String, String> {
     let mut addrs = std::net::ToSocketAddrs::to_socket_addrs(host)
         .map_err(|e| format!("cannot resolve {host}: {e}"))?;
     let addr = addrs
@@ -164,10 +213,16 @@ pub(crate) fn http_get(host: &str, path: &str) -> Result<String, String> {
         "GET {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n"
     )
     .map_err(|e| format!("cannot send request to {host}: {e}"))?;
-    let mut raw = String::new();
+    let mut raw = Vec::new();
     stream
-        .read_to_string(&mut raw)
+        .take(cap + 1)
+        .read_to_end(&mut raw)
         .map_err(|e| format!("cannot read response from {host}: {e}"))?;
+    if raw.len() as u64 > cap {
+        return Err(format!("response from {host} exceeds the {cap}-byte cap"));
+    }
+    let raw =
+        String::from_utf8(raw).map_err(|e| format!("cannot read response from {host}: {e}"))?;
     let (head, body) = raw
         .split_once("\r\n\r\n")
         .ok_or_else(|| format!("malformed response from {host}"))?;
@@ -178,67 +233,47 @@ pub(crate) fn http_get(host: &str, path: &str) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-fn fetch_url_stats(host: &str) -> Result<FrameStats, String> {
-    let ts_body = http_get(host, "/timeseries.json")?;
-    let doc = pm_obs::json::parse(&ts_body).map_err(|e| format!("bad timeseries.json: {e}"))?;
-    // The p95 rides on the metrics document; a failure here degrades the
-    // display (no p95) rather than killing the viewer.
-    let p95_ms = http_get(host, "/metrics.json")
-        .ok()
-        .and_then(|body| pm_obs::baseline::parse_metrics(&body).ok())
-        .and_then(|m| {
-            m.histograms
-                .get("sweep.case_ns")
-                .map(|h| h.p95() as f64 / 1e6)
-        });
-    let mut stats = stats_from_timeseries(&doc);
-    stats.p95_ms = p95_ms;
-    Ok(stats)
-}
-
-/// Derives frame state from a parsed `/timeseries.json` document.
-fn stats_from_timeseries(doc: &Value) -> FrameStats {
-    let mut stats = FrameStats::default();
-    let total_of = |name: &str| -> u64 {
-        doc.get("totals")
-            .and_then(|t| t.get(name))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
+/// Derives frame state from a parsed `/metrics.json` poll. Totals, the
+/// live peak and the p95 are read off `doc`; cases/s, per-worker busy %
+/// and items are differences against `prev`, the previous poll's
+/// counters and the wall time since it. Without a previous poll the
+/// rates are unknown (NaN), and items count from the start.
+fn stats_from_metrics(
+    doc: &MetricsDoc,
+    prev: Option<(&BTreeMap<String, u64>, Duration)>,
+) -> FrameStats {
+    let total_of = |name: &str| doc.counters.get(name).copied().unwrap_or(0);
+    let delta_of = |name: &str| {
+        let before = prev.and_then(|(c, _)| c.get(name)).copied();
+        total_of(name).saturating_sub(before.unwrap_or(0))
     };
-    stats.done = total_of("sweep.cases");
-    stats.total = total_of("sweep.scenario.selected");
-    stats.live_peak = total_of("sweep.scenario.live_peak");
-    let intervals = doc
-        .get("intervals")
-        .and_then(Value::items)
-        .unwrap_or_default();
-    // The most recent interval with movement carries the current rates
-    // (the final drop-interval of a finished run is usually quiet).
-    if let Some(iv) = intervals.iter().rev().find(|iv| {
-        iv.get("counters")
-            .and_then(Value::members)
-            .is_some_and(|m| !m.is_empty())
-    }) {
-        if let Some(Value::Num(rate)) = iv
-            .get("counters")
-            .and_then(|c| c.get("sweep.cases"))
-            .and_then(|c| c.get("rate_per_sec"))
-        {
-            stats.cases_per_sec = *rate;
-        }
-        if let Some(workers) = iv.get("workers").and_then(Value::members) {
-            for (name, w) in workers {
-                let busy = match w.get("busy_pct") {
-                    Some(Value::Num(p)) => *p,
-                    _ => 0.0,
-                };
-                let items = w.get("items").and_then(Value::as_u64).unwrap_or(0);
-                stats.workers.push((name.clone(), busy, items));
-            }
-        }
+    let per_sec = |delta: u64| prev.map_or(f64::NAN, |(_, dt)| delta as f64 / dt.as_secs_f64());
+    let done = total_of("sweep.cases");
+    let total = total_of("sweep.scenario.selected");
+    let workers = doc
+        .counters
+        .keys()
+        .filter_map(|name| name.strip_suffix(".busy_ns"))
+        .filter(|key| key.starts_with("sweep.worker."))
+        .map(|key| {
+            // ns busy per s of wall time, as a percentage; NaN stays NaN.
+            let busy = per_sec(delta_of(&format!("{key}.busy_ns"))) / 1e7;
+            let items = delta_of(&format!("{key}.cases"));
+            (key.to_string(), busy.clamp(0.0, 100.0), items)
+        })
+        .collect();
+    FrameStats {
+        done,
+        total,
+        cases_per_sec: per_sec(delta_of("sweep.cases")),
+        p95_ms: doc
+            .histograms
+            .get("sweep.case_ns")
+            .map(|h| h.p95() as f64 / 1e6),
+        live_peak: total_of("sweep.scenario.live_peak"),
+        workers,
+        finished: total > 0 && done >= total,
     }
-    stats.finished = stats.total > 0 && stats.done >= stats.total;
-    stats
 }
 
 /// Derives frame state by replaying a `--events` JSONL stream. Tolerates
@@ -292,9 +327,9 @@ fn stats_from_events(text: &str) -> FrameStats {
 /// Formats one frame. ANSI mode paints a full screen (cursor home +
 /// clear); plain mode emits a single status line.
 fn render(stats: &FrameStats, elapsed: Duration, ansi: bool) -> String {
-    // A stalled interval (rate 0), a rate poisoned by a zero-length
-    // interval (NaN/inf) or an unknown scenario space all have no ETA:
-    // render "--" rather than leaking NaN or inf into the frame.
+    // A stalled sweep (rate 0), an unknown rate (NaN before a second
+    // poll, inf after a zero-length one) or an unknown scenario space
+    // all have no ETA: render "--" rather than leaking NaN or inf.
     let rate = if stats.cases_per_sec.is_finite() {
         stats.cases_per_sec
     } else {
@@ -320,7 +355,19 @@ fn render(stats: &FrameStats, elapsed: Duration, ansi: bool) -> String {
         stats.live_peak,
         elapsed.as_secs_f64()
     );
+    // An unknown busy % (no previous poll, or an events stream) is "-".
+    let busy_text = |busy: f64| {
+        if busy.is_nan() {
+            "-".to_string()
+        } else {
+            format!("{busy:.1}")
+        }
+    };
     if !ansi {
+        if !stats.workers.is_empty() {
+            let busy: Vec<String> = stats.workers.iter().map(|w| busy_text(w.1)).collect();
+            line.push_str(&format!("  busy% {}", busy.join(",")));
+        }
         line.push('\n');
         return line;
     }
@@ -333,12 +380,8 @@ fn render(stats: &FrameStats, elapsed: Duration, ansi: bool) -> String {
     } else {
         out.push_str("worker            busy%   items\n");
         for (name, busy, items) in &stats.workers {
-            let busy = if busy.is_nan() {
-                "    -".to_string()
-            } else {
-                format!("{busy:>5.1}")
-            };
-            out.push_str(&format!("{name:<16}  {busy}  {items:>6}\n"));
+            let busy = busy_text(*busy);
+            out.push_str(&format!("{name:<16}  {busy:>5}  {items:>6}\n"));
         }
     }
     out
@@ -358,33 +401,86 @@ mod tests {
         );
     }
 
+    /// A `/metrics.json` document with the sweep counters a frame reads.
+    fn metrics_doc(cases: u64, busy_ns: [u64; 2], worker_cases: [u64; 2]) -> MetricsDoc {
+        pm_obs::baseline::parse_metrics(&format!(
+            r#"{{"schema_version": 1,
+              "counters": {{"sweep.cases": {cases}, "sweep.scenario.live_peak": 12,
+                "sweep.scenario.selected": 41,
+                "sweep.worker.0.busy_ns": {}, "sweep.worker.0.cases": {},
+                "sweep.worker.1.busy_ns": {}, "sweep.worker.1.cases": {}}},
+              "histograms": {{"sweep.case_ns": {{"count": 1, "sum": 3000000,
+                "min": 3000000, "max": 3000000,
+                "buckets": [{{"le": 4194303, "count": 1}}]}}}},
+              "spans": {{}}}}"#,
+            busy_ns[0], worker_cases[0], busy_ns[1], worker_cases[1]
+        ))
+        .expect("metrics document parses")
+    }
+
     #[test]
-    fn timeseries_stats_extract_rates_workers_and_completion() {
-        let doc = pm_obs::json::parse(
-            r#"{
-              "schema_version": 1, "interval_ms": 250, "start_unix_ms": 0,
-              "totals": {"sweep.cases": 30, "sweep.scenario.selected": 41,
-                         "sweep.scenario.live_peak": 12},
-              "intervals": [
-                {"index": 0, "end_ms": 250, "dur_ms": 250, "unix_ms": 0,
-                 "counters": {"sweep.cases": {"total": 30, "delta": 10, "rate_per_sec": 40.0}},
-                 "histograms": {},
-                 "workers": {"sweep.worker.0": {"busy_pct": 93.5, "items": 10}}},
-                {"index": 1, "end_ms": 500, "dur_ms": 250, "unix_ms": 0,
-                 "counters": {}, "histograms": {}, "workers": {}}
-              ]
-            }"#,
-        )
-        .unwrap();
-        let stats = stats_from_timeseries(&doc);
+    fn metrics_polls_diff_into_rates_busy_and_items() {
+        let first = metrics_doc(10, [100_000_000, 0], [6, 4]);
+        let stats = stats_from_metrics(&first, None);
+        assert_eq!((stats.done, stats.total, stats.live_peak), (10, 41, 12));
+        assert!(stats.cases_per_sec.is_nan(), "no rate before a second poll");
+        let items: Vec<(&str, u64)> = stats.workers.iter().map(|w| (w.0.as_str(), w.2)).collect();
+        assert_eq!(items, [("sweep.worker.0", 6), ("sweep.worker.1", 4)]);
+        assert!(
+            stats.workers.iter().all(|w| w.1.is_nan()),
+            "busy is unknown"
+        );
+        let ansi = render(&stats, Duration::from_secs(1), true);
+        assert!(ansi.contains("sweep.worker.0        -       6"), "{ansi}");
+        let plain = render(&stats, Duration::from_secs(1), false);
+        assert!(
+            plain.contains("rate 0.0/s") && plain.contains("busy% -,-"),
+            "{plain}"
+        );
+
+        // Half a second later: 20 more cases, worker 0 busy 250 ms of it
+        // (50 %), worker 1 busy the whole time.
+        let second = metrics_doc(30, [350_000_000, 500_000_000], [18, 12]);
+        let stats =
+            stats_from_metrics(&second, Some((&first.counters, Duration::from_millis(500))));
         assert_eq!(stats.done, 30);
-        assert_eq!(stats.total, 41);
-        assert_eq!(stats.live_peak, 12);
-        assert!((stats.cases_per_sec - 40.0).abs() < 1e-9);
-        assert_eq!(stats.workers.len(), 1);
-        assert_eq!(stats.workers[0].0, "sweep.worker.0");
-        assert_eq!(stats.workers[0].2, 10);
+        assert!(
+            (stats.cases_per_sec - 40.0).abs() < 1e-9,
+            "{}",
+            stats.cases_per_sec
+        );
+        let busy: Vec<(f64, u64)> = stats.workers.iter().map(|w| (w.1, w.2)).collect();
+        assert_eq!(busy, [(50.0, 12), (100.0, 8)]);
         assert!(!stats.finished, "30 of 41 still running");
+        assert_eq!(stats.p95_ms.map(|ms| ms.round()), Some(4.0));
+        let plain = render(&stats, Duration::from_secs(2), false);
+        assert!(
+            plain.contains("rate 40.0/s") && plain.contains("busy% 50.0,100.0"),
+            "{plain}"
+        );
+    }
+
+    #[test]
+    fn oversized_responses_stop_at_the_cap() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+        let host = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("one client");
+            let mut request = [0u8; 1024];
+            let _ = conn.read(&mut request);
+            let _ = conn.write_all(b"HTTP/1.1 200 OK\r\n\r\n");
+            // Far more than the cap; the client hangs up once it has read
+            // past it, so a failed write is expected.
+            let chunk = [b'x'; 4096];
+            for _ in 0..64 {
+                if conn.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let e = http_get_capped(&host, "/metrics.json", 16 << 10).expect_err("over the cap");
+        assert!(e.contains(&host) && e.contains("16384-byte cap"), "{e}");
+        server.join().unwrap();
     }
 
     #[test]
@@ -449,6 +545,7 @@ mod tests {
         assert!(plain.contains("rate 20.0/s"), "{plain}");
         assert!(plain.contains("p95<= 1.5ms"), "{plain}");
         assert!(plain.contains("eta 2s"), "{plain}");
+        assert!(plain.trim_end().ends_with("busy% 97.2"), "{plain}");
         let ansi = render(&stats, Duration::from_secs(2), true);
         assert!(ansi.starts_with("\x1b[H\x1b[2J"), "clears the screen");
         assert!(ansi.contains("sweep.worker.0"), "{ansi}");

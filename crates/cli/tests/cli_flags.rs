@@ -195,37 +195,6 @@ fn an_unknown_or_missing_output_lists_every_name() {
 }
 
 #[test]
-fn fig7_metrics_carry_the_tail_sample_interval() {
-    // A 60 s interval never completes during the sweep: only the final
-    // interval, taken at teardown, can fill the time series.
-    let dir = scratch_dir("fig7");
-    let args = [
-        "repro",
-        "fig7",
-        "--skip-optimal",
-        "--jobs",
-        "1",
-        "--sample-interval",
-        "60000",
-        "--metrics",
-        "m.json",
-        "--csv",
-        ".",
-    ];
-    let out = pmctl(&dir, &args);
-    assert!(out.status.success(), "{out:?}");
-    let text = std::fs::read_to_string(dir.join("m.json")).expect("metrics written");
-    let doc = pm_obs::json::parse(&text).expect("metrics JSON parses");
-    let intervals = doc
-        .get("timeseries")
-        .and_then(|ts| ts.get("intervals"))
-        .and_then(pm_obs::json::Value::items)
-        .map_or(0, |iv| iv.len());
-    assert!(intervals >= 1, "no tail interval in:\n{text}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn no_command_ignores_a_flag_it_accepts() {
     // Each flag is one the command or its network source does not honour:
     // rejected by name, never accepted and dropped.

@@ -143,14 +143,6 @@ pub fn metrics_json() -> String {
         );
     }
     out.push_str(if snap.spans.is_empty() { "}" } else { "\n  }" });
-    // Additive: present only while a live sampler has captured intervals,
-    // so sampler-less runs stay byte-identical to earlier schema-v1 docs
-    // (same contract as the phase_breakdown precedent — readers that
-    // ignore unknown members keep working, the version does not bump).
-    if let Some(member) = crate::timeseries::metrics_json_member() {
-        out.push_str(",\n");
-        out.push_str(&member);
-    }
     out.push('\n');
     out.push_str("}\n");
     out
@@ -173,14 +165,7 @@ pub fn metrics_json() -> String {
 ///   `pm_span_count{span="..."}`, `pm_span_total_ns{span="..."}` and
 ///   `pm_span_max_ns{span="..."}`.
 pub fn prometheus_text() -> String {
-    let mut out = prometheus_from_snapshot(&snapshot());
-    // While a sampler is live, append the latest interval's rates as
-    // timestamped gauges (the exposition format's optional timestamp
-    // field) — the live half of a `/metrics` scrape.
-    if let Some(member) = crate::timeseries::prometheus_member() {
-        out.push_str(&member);
-    }
-    out
+    prometheus_from_snapshot(&snapshot())
 }
 
 /// [`prometheus_text`] over an explicit [`Snapshot`] (testable without the
@@ -369,10 +354,9 @@ mod tests {
                 }
                 continue;
             }
-            // Sample line: name[{labels}] value [timestamp_ms]. Label
-            // values may contain spaces (and escaped quotes), so the
-            // name/labels part ends at the closing brace when one exists,
-            // not at the first space.
+            // Sample line: name[{labels}] value. Label values may contain
+            // spaces (and escaped quotes), so the name/labels part ends at
+            // the closing brace when one exists, not at the first space.
             let (name_part, tail) = match line.rfind('}') {
                 Some(close) => line.split_at(close + 1),
                 None => line.split_once(' ').expect("sample has a value"),
@@ -384,10 +368,6 @@ mod tests {
             value
                 .parse::<f64>()
                 .unwrap_or_else(|_| panic!("bad value: {line}"));
-            if let Some(ts) = tail_parts.next() {
-                ts.parse::<i64>()
-                    .unwrap_or_else(|_| panic!("bad timestamp: {line}"));
-            }
             assert!(tail_parts.next().is_none(), "trailing tokens: {line}");
             if let Some(labels) = name_part
                 .strip_prefix(name)
@@ -520,15 +500,6 @@ mod tests {
         // newline.
         assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_label_value("plain"), "plain");
-    }
-
-    #[test]
-    fn format_checker_accepts_optional_timestamps() {
-        assert_prometheus_format(
-            "# HELP pm_ts_counter_rate latest-interval counter rate\n\
-             # TYPE pm_ts_counter_rate gauge\n\
-             pm_ts_counter_rate{counter=\"sweep.cases\"} 41.5 1700000000000\n",
-        );
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod flight;
 pub mod json;
 pub mod prof;
 pub mod serve;
-pub mod timeseries;
 
 mod export;
 
@@ -60,7 +59,6 @@ pub use export::{
     prometheus_text, write_artifact,
 };
 pub use serve::{MetricsServer, Request, Response, Router, ServeConfig};
-pub use timeseries::{Sampler, SamplerConfig};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -223,7 +223,6 @@ impl Router {
     /// | `GET /healthz`         | `ok\n`                                   |
     /// | `GET /metrics`         | [`crate::prometheus_text`] (0.0.4)       |
     /// | `GET /metrics.json`    | [`crate::metrics_json`] (schema v1)      |
-    /// | `GET /timeseries.json` | [`crate::timeseries::timeseries_json`]   |
     /// | `GET /profile.folded`  | [`crate::prof::folded_text`]             |
     pub fn with_metrics_routes() -> Router {
         let mut r = Router::new();
@@ -236,9 +235,6 @@ impl Router {
         });
         r.get("/metrics.json", |_| {
             Response::json(200, crate::metrics_json())
-        });
-        r.get("/timeseries.json", |_| {
-            Response::json(200, crate::timeseries::timeseries_json())
         });
         r.get("/profile.folded", |_| {
             Response::text(200, crate::prof::folded_text())
@@ -725,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_health_metrics_and_timeseries() {
+    fn serves_health_and_metrics() {
         let _g = crate::tests::guard();
         crate::enable();
         crate::reset();
@@ -748,10 +744,6 @@ mod tests {
         assert_eq!(status, "HTTP/1.1 200 OK");
         crate::json::validate(&body).expect("metrics.json parses");
         assert!(body.contains("\"serve.test.counter\": 11"));
-
-        let (status, body) = http_get(addr, "/timeseries.json?probe=1");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        crate::json::validate(&body).expect("timeseries.json parses");
 
         let (status, _) = http_get(addr, "/nope");
         assert_eq!(status, "HTTP/1.1 404 Not Found");

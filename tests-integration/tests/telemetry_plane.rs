@@ -1,12 +1,12 @@
-//! The live telemetry plane's core guarantee: serving, sampling and
-//! flight-recording are observational only — recorded sweep outputs are
-//! byte-identical with the plane fully on versus fully disabled.
+//! The live telemetry plane's core guarantee: recording and serving are
+//! observational only — recorded sweep outputs are byte-identical with
+//! the plane fully on versus fully disabled.
 //!
-//! Enabling the [`pm_obs`] recorder is process-global and one-way
-//! (`Sampler::start` enables it), so the whole disabled-then-enabled
-//! comparison lives in one test function and the disabled half runs
-//! first. The HTTP endpoints are exercised in the enabled phase, against
-//! the same process whose sweeps feed the ring.
+//! Enabling the [`pm_obs`] recorder is process-global and one-way, so the
+//! whole disabled-then-enabled comparison lives in one test function and
+//! the disabled half runs first. The HTTP endpoints are exercised in the
+//! enabled phase, against the same process whose sweeps feed the
+//! recorder.
 
 use pm_bench::figures::bench_sweep_json;
 use pm_bench::{CaseResult, EvalOptions, SweepEngine};
@@ -73,7 +73,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 }
 
 /// A light but real check of the Prometheus 0.0.4 exposition grammar:
-/// every line is a comment or `name[{labels}] value [timestamp_ms]`.
+/// every line is a comment or `name[{labels}] value`.
 fn assert_prometheus_exposition(text: &str) {
     assert!(!text.is_empty(), "exposition must not be empty");
     for line in text.lines() {
@@ -101,11 +101,24 @@ fn assert_prometheus_exposition(text: &str) {
             value.parse::<f64>().is_ok() || value == "+Inf" || value == "-Inf" || value == "NaN",
             "bad sample value in {line:?}"
         );
-        if let Some(ts) = tokens.next() {
-            assert!(ts.parse::<i64>().is_ok(), "bad timestamp in {line:?}");
-        }
         assert!(tokens.next().is_none(), "trailing tokens in {line:?}");
     }
+}
+
+/// The `sweep.cases` total a live `/metrics.json` poll reports.
+fn polled_cases(addr: SocketAddr) -> u64 {
+    let (status, body) = http_get(addr, "/metrics.json");
+    assert!(status.contains(" 200 "), "{status}");
+    let doc = pm_obs::json::parse(&body).expect("metrics.json parses");
+    assert_eq!(
+        doc.get("schema_version").and_then(Value::as_u64),
+        Some(1),
+        "schema stays v1"
+    );
+    doc.get("counters")
+        .and_then(|c| c.get("sweep.cases"))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no sweep.cases counter in:\n{body}"))
 }
 
 #[test]
@@ -113,39 +126,35 @@ fn live_plane_is_observational_only_and_the_endpoints_serve_it() {
     let net = small_net();
 
     // Phase 1: fully disabled — nothing in this binary has enabled the
-    // recorder yet, let alone started a sampler or server.
+    // recorder yet, let alone started a server.
     assert!(!pm_obs::enabled(), "recorder must start disabled");
     let off_serial = sweep_rows(&net, 1);
     let off_parallel = sweep_rows(&net, 8);
     assert_eq!(off_serial, off_parallel);
 
-    // Phase 2: the full plane — a fast sampler and a live HTTP server.
-    let sampler = pm_obs::Sampler::start(pm_obs::SamplerConfig {
-        interval: Duration::from_millis(20),
-        ..Default::default()
-    });
+    // Phase 2: the full plane, as `--serve` runs it — the recorder on and
+    // a live HTTP server. A reader computes rates from two polls, so
+    // poll once after each sweep burst.
+    pm_obs::enable();
     let server = pm_obs::MetricsServer::serve("127.0.0.1:0").expect("ephemeral bind");
     let addr = server.local_addr();
-    assert!(pm_obs::enabled(), "sampler enables the recorder");
-
-    // Let the sampler thread take its baseline snapshot and cross a
-    // boundary before the first burst — otherwise a fast burst can be
-    // absorbed into the baseline and never appear as a delta.
-    std::thread::sleep(Duration::from_millis(45));
-    // Drive sweeps in separate sampling windows so the ring accumulates
-    // at least two intervals with movement.
     let on_serial = sweep_rows(&net, 1);
-    std::thread::sleep(Duration::from_millis(50));
+    let after_serial = polled_cases(addr);
     let on_parallel = sweep_rows(&net, 8);
-    std::thread::sleep(Duration::from_millis(50));
+    let after_parallel = polled_cases(addr);
 
     assert_eq!(off_serial, on_serial, "jobs=1: the plane changed results");
     assert_eq!(
         off_parallel, on_parallel,
         "jobs=8: the plane changed results"
     );
+    assert!(after_serial > 0, "the first burst is counted");
+    assert!(
+        after_parallel > after_serial,
+        "sweep.cases must advance between polls: {after_serial} -> {after_parallel}"
+    );
 
-    // The endpoints answer while the plane is live.
+    // The other endpoints answer while the plane is live.
     let (status, body) = http_get(addr, "/healthz");
     assert!(status.contains(" 200 "), "{status}");
     assert_eq!(body, "ok\n");
@@ -154,64 +163,12 @@ fn live_plane_is_observational_only_and_the_endpoints_serve_it() {
     assert!(status.contains(" 200 "), "{status}");
     assert_prometheus_exposition(&prom);
     assert!(
-        prom.contains("pm_sweep_cases_total"),
+        prom.contains(&format!("pm_sweep_cases_total {after_parallel}")),
         "sweep counters exported:\n{prom}"
-    );
-    assert!(
-        prom.contains("pm_ts_counter_rate"),
-        "timestamped interval rates exported:\n{prom}"
-    );
-
-    let (status, mjson) = http_get(addr, "/metrics.json");
-    assert!(status.contains(" 200 "), "{status}");
-    let doc = pm_obs::json::parse(&mjson).expect("metrics.json parses");
-    assert_eq!(
-        doc.get("schema_version").and_then(Value::as_u64),
-        Some(1),
-        "schema stays v1"
-    );
-    assert!(
-        doc.get("timeseries").is_some(),
-        "additive timeseries member present once sampled"
-    );
-
-    let (status, tsjson) = http_get(addr, "/timeseries.json");
-    assert!(status.contains(" 200 "), "{status}");
-    let ts = pm_obs::json::parse(&tsjson).expect("timeseries.json parses");
-    let intervals = ts
-        .get("intervals")
-        .and_then(Value::items)
-        .expect("intervals array");
-    assert!(
-        intervals.len() >= 2,
-        "expected >= 2 intervals, got {}",
-        intervals.len()
-    );
-    // Counter rates advance: the sweep.cases totals across moving
-    // intervals are strictly increasing, and at least two intervals saw
-    // movement (the two sweep bursts above landed in different windows).
-    let case_totals: Vec<u64> = intervals
-        .iter()
-        .filter_map(|iv| {
-            iv.get("counters")
-                .and_then(|c| c.get("sweep.cases"))
-                .and_then(|c| c.get("total"))
-                .and_then(Value::as_u64)
-        })
-        .collect();
-    assert!(
-        case_totals.len() >= 2,
-        "expected >= 2 intervals with advancing sweep.cases, got {case_totals:?}\n{tsjson}"
-    );
-    assert!(
-        case_totals.windows(2).all(|w| w[0] < w[1]),
-        "totals must advance: {case_totals:?}"
     );
 
     let (status, _) = http_get(addr, "/nope");
     assert!(status.contains(" 404 "), "{status}");
 
-    // Teardown is clean: server first, then the sampler's final interval.
     drop(server);
-    drop(sampler);
 }
