@@ -5,8 +5,6 @@
 //!
 //! * `scenario_delta` — a single-swap `apply_delta_cached` against the
 //!   cold cached rebuild `fail_cached`;
-//! * `programmability_delta` — patching the scenario-projected
-//!   programmability table against re-projecting it;
 //! * `pm_warm_select` — PM in a carried workspace (`recover_in`) against
 //!   the cold run that allocates its buffers from scratch.
 //!
@@ -116,24 +114,6 @@ fn scenario_delta(net: &SdWan) {
     assert_delta_wins("kernel/scenario_delta", fresh_ns, delta_ns);
 }
 
-fn programmability_delta(net: &SdWan) {
-    let prog = Programmability::compute(net);
-    let scenario_b = net.fail(&B).expect("valid case");
-    let mut table = prog.scenario_table(&net.fail(&A).expect("valid case"));
-    let mut at_a = true;
-    let (fresh_ns, delta_ns) = interleaved_medians_ns(
-        SAMPLES,
-        || {
-            black_box(prog.scenario_table(black_box(&scenario_b)));
-        },
-        || {
-            let (remove, add) = toggle(&mut at_a);
-            table.apply_delta(net, &prog, remove, add);
-        },
-    );
-    assert_delta_wins("kernel/programmability_delta", fresh_ns, delta_ns);
-}
-
 fn pm_warm_select(net: &SdWan) {
     let prog = Programmability::compute(net);
     let scenario = net.fail(&A).expect("valid case");
@@ -158,6 +138,5 @@ fn pm_warm_select(net: &SdWan) {
 fn main() {
     let net = delta_wan();
     scenario_delta(&net);
-    programmability_delta(&net);
     pm_warm_select(&net);
 }

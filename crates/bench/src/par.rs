@@ -222,7 +222,7 @@ pub struct SweepEngine<'net> {
 
 /// State one sweep worker carries from case to case on the incremental
 /// path: the previous scenario (patched in place by
-/// [`pm_sdwan::FailureScenario::apply_delta`] chains) and PM's
+/// [`pm_sdwan::FailureScenario::apply_delta_cached`] chains) and PM's
 /// reusable buffers. Dropping it between cases reproduces the cold path
 /// bit for bit — it holds no decisions, only already-computed state.
 #[derive(Debug, Default)]

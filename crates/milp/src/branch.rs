@@ -86,10 +86,8 @@ pub struct MilpSolver {
     gap: f64,
     int_tol: f64,
     warm_start: Option<Vec<f64>>,
-    simplex: SimplexOptions,
     branch_priority_cutoff: Option<usize>,
     polisher: Option<Polisher>,
-    use_presolve: bool,
 }
 
 impl std::fmt::Debug for MilpSolver {
@@ -121,22 +119,9 @@ impl MilpSolver {
             gap: 1e-9,
             int_tol: 1e-6,
             warm_start: None,
-            simplex: SimplexOptions::default(),
             branch_priority_cutoff: None,
             polisher: None,
-            use_presolve: false,
         }
-    }
-
-    /// Runs [`crate::presolve::presolve`] before branch and bound: fixed variables are
-    /// substituted out and singleton rows become bounds; the returned
-    /// solution is lifted back to the original variable space (objectives
-    /// are always reported in original space). The polisher and warm start,
-    /// if any, still operate on the *original* space and are translated
-    /// automatically.
-    pub fn with_presolve(mut self) -> Self {
-        self.use_presolve = true;
-        self
     }
 
     /// Prefers branching on fractional integer variables with index below
@@ -181,92 +166,12 @@ impl MilpSolver {
         self
     }
 
-    /// Overrides the LP sub-solver options.
-    pub fn simplex_options(mut self, opts: SimplexOptions) -> Self {
-        self.simplex = opts;
-        self
-    }
-
     /// Solves `model` to optimality or until a limit is reached.
     ///
     /// # Panics
     ///
     /// Panics if the model has no objective.
     pub fn solve(&self, model: &Model) -> MilpResult {
-        if self.use_presolve {
-            return self.solve_with_presolve(model);
-        }
-        self.solve_direct(model)
-    }
-
-    fn solve_with_presolve(&self, model: &Model) -> MilpResult {
-        let start = Instant::now();
-        let presolved = {
-            let _span = pm_obs::span("milp.presolve");
-            crate::presolve::presolve(model)
-        };
-        if pm_obs::enabled() {
-            if let crate::presolve::Presolved::Reduced(r) = &presolved {
-                pm_obs::count("milp.presolve.eliminated_vars", r.eliminated_vars() as u64);
-                pm_obs::count(
-                    "milp.presolve.eliminated_rows",
-                    (model.constraint_count() - r.model.constraint_count()) as u64,
-                );
-            }
-        }
-        match presolved {
-            crate::presolve::Presolved::Infeasible => MilpResult {
-                status: MilpStatus::Infeasible,
-                solution: None,
-                best_bound: f64::NEG_INFINITY,
-                nodes_explored: 0,
-                elapsed: start.elapsed(),
-            },
-            crate::presolve::Presolved::Reduced(r) => {
-                // Translate the warm start into the reduced space (drop it
-                // if it disagrees with a presolve fixing).
-                let mut inner = self.clone();
-                inner.use_presolve = false;
-                if let Some(ws) = &self.warm_start {
-                    let mut reduced_ws = vec![0.0; r.model.var_count()];
-                    let lifted_template = r.lift(&reduced_ws);
-                    let mut ok = ws.len() == lifted_template.len();
-                    if ok {
-                        for (i, &v) in ws.iter().enumerate() {
-                            match r.variable_mapping(i) {
-                                Ok(j) => reduced_ws[j] = v,
-                                Err(fixed) => ok &= (v - fixed).abs() < 1e-6,
-                            }
-                        }
-                    }
-                    inner.warm_start = ok.then_some(reduced_ws);
-                }
-                // The polisher works in original space; wrap it.
-                if let Some(polish) = &self.polisher {
-                    let polish = polish.clone();
-                    let lifter = r.clone();
-                    inner.polisher = Some(std::sync::Arc::new(move |reduced_vals: &[f64]| {
-                        let original = lifter.lift(reduced_vals);
-                        let candidate = polish(&original)?;
-                        lifter.project(&candidate)
-                    }));
-                }
-                let mut result = inner.solve_direct(&r.model);
-                if let Some(sol) = result.solution.take() {
-                    let values = r.lift(&sol.values);
-                    let objective = model.objective_value(&values);
-                    // Shift the bound by the same fixed-variable offset.
-                    let offset = objective - r.model.objective_value(&sol.values);
-                    result.best_bound += offset;
-                    result.solution = Some(Solution { objective, values });
-                }
-                result.elapsed = start.elapsed();
-                result
-            }
-        }
-    }
-
-    fn solve_direct(&self, model: &Model) -> MilpResult {
         let _bnb_span = pm_obs::span("milp.bnb");
         let start = Instant::now();
         let n = model.var_count();
@@ -287,6 +192,7 @@ impl MilpSolver {
         // pool). The context screens such bases out in O(m²) instead of
         // refactorizing them.
         let mut lp_ctx = LpContext::new(model);
+        let simplex = SimplexOptions::default();
         let mut lb = base_lb.clone();
         let mut ub = base_ub.clone();
 
@@ -345,7 +251,7 @@ impl MilpSolver {
 
             nodes_explored += 1;
             let lp_start = pm_obs::enabled().then(Instant::now);
-            let outcome = lp_ctx.solve_with_bounds(&lb, &ub, &self.simplex);
+            let outcome = lp_ctx.solve_with_bounds(&lb, &ub, &simplex);
             if let Some(t0) = lp_start {
                 pm_obs::observe(
                     "milp.node_lp_ns",

@@ -35,11 +35,9 @@
 pub mod branch;
 pub mod lp_format;
 pub mod model;
-pub mod presolve;
 pub mod simplex;
 
 pub use branch::{MilpResult, MilpSolver, MilpStatus, Polisher};
 pub use lp_format::to_lp_string;
 pub use model::{Model, ModelError, Sense, Solution, Var, VarKind};
-pub use presolve::{presolve, Presolved, Reduction};
 pub use simplex::{LpContext, LpOutcome, LpSolution, SimplexOptions};

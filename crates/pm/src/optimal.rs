@@ -72,7 +72,6 @@ impl DelayBound {
 pub struct Optimal {
     time_limit: Duration,
     linking: LinkingStyle,
-    warm_start_with_pm: bool,
     delay_bound: DelayBound,
     lambda_override: Option<f64>,
 }
@@ -82,7 +81,6 @@ impl Default for Optimal {
         Optimal {
             time_limit: Duration::from_secs(30),
             linking: LinkingStyle::default(),
-            warm_start_with_pm: true,
             delay_bound: DelayBound::Scaled(3.0),
             lambda_override: None,
         }
@@ -148,13 +146,6 @@ impl Optimal {
         self
     }
 
-    /// Disables the PM warm start (for ablation; the solver then starts
-    /// from the LP-rounding heuristic alone).
-    pub fn without_warm_start(mut self) -> Self {
-        self.warm_start_with_pm = false;
-        self
-    }
-
     /// Renders the FMSSM program P′ for this instance in CPLEX LP format,
     /// for cross-checking with an external solver (GUROBI/CPLEX/HiGHS/SCIP
     /// — the role GUROBI plays in the paper).
@@ -171,8 +162,8 @@ impl Optimal {
     /// # Errors
     ///
     /// Returns [`PmError::NoSolution`] if the solver stops with no feasible
-    /// incumbent (cannot happen with the PM warm start enabled, mirroring
-    /// the fact that PM "always has a result").
+    /// incumbent (cannot happen: PM's plan seeds the search, mirroring the
+    /// fact that PM "always has a result").
     pub fn solve_detailed(&self, inst: &FmssmInstance<'_, '_>) -> Result<OptimalOutcome, PmError> {
         self.solve_detailed_with_hint(inst, None)
     }
@@ -227,10 +218,8 @@ impl Optimal {
                     }
                 }
             };
-            if self.warm_start_with_pm {
-                let pm_plan = Pm::new().recover(inst)?;
-                offer(built.warm_start_values(inst, &pm_plan, budget));
-            }
+            let pm_plan = Pm::new().recover(inst)?;
+            offer(built.warm_start_values(inst, &pm_plan, budget));
             if let Some(hint) = hint {
                 offer(built.warm_start_values(inst, hint, budget));
             }

@@ -38,36 +38,16 @@ use pm_sdwan::{ControllerId, Programmability, RecoveryPlan, SdWan};
 /// assert!(delta1.sdn_count() + delta2.sdn_count() >= rec.plan().sdn_count());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SuccessiveRecovery {
-    pm: Pm,
     failed: Vec<ControllerId>,
     plan: RecoveryPlan,
-}
-
-impl Default for SuccessiveRecovery {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SuccessiveRecovery {
     /// Starts with no failures and an empty plan.
     pub fn new() -> Self {
-        SuccessiveRecovery {
-            pm: Pm::new(),
-            failed: Vec::new(),
-            plan: RecoveryPlan::new(),
-        }
-    }
-
-    /// Uses a configured PM variant for every recovery step.
-    pub fn with_pm(pm: Pm) -> Self {
-        SuccessiveRecovery {
-            pm,
-            failed: Vec::new(),
-            plan: RecoveryPlan::new(),
-        }
+        Self::default()
     }
 
     /// All controllers failed so far, in id order.
@@ -100,7 +80,7 @@ impl SuccessiveRecovery {
         failed.extend_from_slice(newly_failed);
         let scenario = net.fail(&failed)?;
         let inst = FmssmInstance::new(&scenario, prog);
-        let new_plan = self.pm.recover_with_seed(&inst, &self.plan)?;
+        let new_plan = Pm::new().recover_with_seed(&inst, &self.plan)?;
         let delta = new_plan.difference(&self.plan);
         self.failed = failed;
         self.failed.sort();

@@ -130,11 +130,6 @@ impl HybridTable {
         self.flow_entries.clear();
     }
 
-    /// Number of installed flow entries.
-    pub fn flow_entry_count(&self) -> usize {
-        self.flow_entries.len()
-    }
-
     /// Forwards a packet of `flow` addressed to `dst` through the two-table
     /// pipeline. Returns `None` if no table matches (packet punted/dropped).
     pub fn lookup(&self, flow: FlowId, dst: SwitchId) -> Option<Forwarding> {

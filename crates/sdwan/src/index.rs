@@ -5,9 +5,7 @@
 //! build time: switch `i` sits at node `i`, and flows and controllers are
 //! numbered densely in creation order. [`IndexSpace`] records the three
 //! universe sizes of one network so every layer can allocate exact-size
-//! dense tables instead of keyed maps, and [`FlowSwitchTable`] is the
-//! shared row-major `flow × switch` layout used by the programmability
-//! lookup and plan validation.
+//! dense tables instead of keyed maps.
 
 use crate::network::{ControllerId, FlowId, SdWan, SwitchId};
 
@@ -94,52 +92,6 @@ impl IndexSpace {
     pub fn controller_table<T: Clone>(&self, fill: T) -> Vec<T> {
         vec![fill; self.controllers]
     }
-
-    /// A dense row-major `flow × switch` table filled with `fill`.
-    pub fn flow_switch_table<T: Clone>(&self, fill: T) -> FlowSwitchTable<T> {
-        FlowSwitchTable {
-            switches: self.switches,
-            cells: vec![fill; self.flows * self.switches],
-        }
-    }
-}
-
-/// A dense row-major `flow × switch` table: cell `(l, s)` lives at
-/// `l.index() * switch_count + s.index()`, so a flow's row is one
-/// contiguous slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowSwitchTable<T> {
-    switches: usize,
-    cells: Vec<T>,
-}
-
-impl<T> FlowSwitchTable<T> {
-    /// The cell for `(l, s)`, or `None` when either id is outside the table.
-    pub fn get(&self, l: FlowId, s: SwitchId) -> Option<&T> {
-        if s.index() >= self.switches {
-            return None;
-        }
-        self.cells.get(l.index() * self.switches + s.index())
-    }
-
-    /// Overwrites the cell for `(l, s)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is outside the table.
-    pub fn set(&mut self, l: FlowId, s: SwitchId, value: T) {
-        assert!(s.index() < self.switches, "switch {s} outside table");
-        self.cells[l.index() * self.switches + s.index()] = value;
-    }
-
-    /// Flow `l`'s row as a contiguous per-switch slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is outside the table.
-    pub fn row(&self, l: FlowId) -> &[T] {
-        &self.cells[l.index() * self.switches..(l.index() + 1) * self.switches]
-    }
 }
 
 #[cfg(test)]
@@ -173,18 +125,5 @@ mod tests {
         assert_eq!(space.switch_table(0u8).len(), space.switch_count());
         assert_eq!(space.flow_table(false).len(), space.flow_count());
         assert_eq!(space.controller_table(0u32).len(), space.controller_count());
-    }
-
-    #[test]
-    fn flow_switch_table_is_row_major() {
-        let space = IndexSpace::of(&net());
-        let mut t = space.flow_switch_table(0u32);
-        t.set(FlowId(2), SwitchId(5), 7);
-        assert_eq!(t.get(FlowId(2), SwitchId(5)), Some(&7));
-        assert_eq!(t.get(FlowId(2), SwitchId(4)), Some(&0));
-        assert_eq!(t.row(FlowId(2))[5], 7);
-        // Out-of-range ids read as absent instead of panicking.
-        assert_eq!(t.get(FlowId(2), SwitchId(1000)), None);
-        assert_eq!(t.get(FlowId(100_000), SwitchId(0)), None);
     }
 }

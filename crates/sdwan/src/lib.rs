@@ -56,12 +56,12 @@ mod error;
 
 pub use cache::NetCache;
 pub use error::SdwanError;
-pub use index::{FlowSwitchTable, IndexSpace};
+pub use index::IndexSpace;
 pub use metrics::{BoxStats, PlanMetrics};
 pub use network::{Controller, ControllerId, Flow, FlowId, SdWan, SwitchId};
 pub use partition::{nearest_controller_partition, spread_controllers};
 pub use placement::{place_controllers, PlacementStrategy};
 pub use plan::{PlanBuilder, RecoveryPlan};
-pub use programmability::{Programmability, ScenarioProgrammability};
+pub use programmability::Programmability;
 pub use scenario::{FailureScenario, SdWanBuilder};
 pub use traffic::{LinkKey, LinkLoads, TrafficMatrix};

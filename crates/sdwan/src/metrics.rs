@@ -236,20 +236,11 @@ impl PlanMetrics {
         }
     }
 
-    /// Box-plot summary of the per-flow programmability distribution
-    /// (Figs. 4(a), 5(a), 6(a)). `None` when there are no offline flows.
-    pub fn programmability_box(&self) -> Option<BoxStats> {
-        let values: Vec<f64> = self
-            .per_flow_programmability
-            .iter()
-            .map(|&p| p as f64)
-            .collect();
-        BoxStats::from_values(&values)
-    }
-
-    /// Box-plot summary over *recoverable* flows only — unrecovered ones
-    /// still contribute zeros (that is RetroFlow's signature in the
-    /// paper's Figs. 5(a)/6(a)), but structurally hopeless flows do not.
+    /// Box-plot summary of the per-flow programmability (Figs. 4(a), 5(a),
+    /// 6(a)) over *recoverable* flows only — unrecovered ones still
+    /// contribute zeros (that is RetroFlow's signature in the paper's
+    /// Figs. 5(a)/6(a)), but structurally hopeless flows do not. `None`
+    /// when there are none.
     pub fn programmability_box_recoverable(&self) -> Option<BoxStats> {
         let values: Vec<f64> = self
             .per_flow_programmability

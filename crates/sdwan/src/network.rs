@@ -245,17 +245,4 @@ impl SdWan {
             Err(SdwanError::UnknownController(c))
         }
     }
-
-    /// Validates that `s` exists.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SdwanError::UnknownSwitch`] otherwise.
-    pub fn check_switch(&self, s: SwitchId) -> Result<(), SdwanError> {
-        if s.0 < self.switch_count() {
-            Ok(())
-        } else {
-            Err(SdwanError::UnknownSwitch(s))
-        }
-    }
 }

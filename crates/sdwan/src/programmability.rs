@@ -8,9 +8,7 @@
 //! path count from `s_i`, and `β_i^l = 1` iff that count is at least two.
 //! `p̄_i^l = β_i^l · p_i^l` is the quantity the objective sums.
 
-use crate::index::{FlowSwitchTable, IndexSpace};
-use crate::network::{ControllerId, FlowId, SdWan, SwitchId};
-use crate::scenario::FailureScenario;
+use crate::network::{FlowId, SdWan, SwitchId};
 use pm_topo::PathCounts;
 
 /// Precomputed programmability data for every flow of a network, as two
@@ -158,97 +156,6 @@ impl Programmability {
     /// Number of flows known to this table.
     pub fn flow_count(&self) -> usize {
         self.flow_offsets.len() - 1
-    }
-
-    /// Projects this network-wide table onto a failure scenario: the
-    /// resulting [`ScenarioProgrammability`] holds `p̄` for exactly the
-    /// `(flow, offline switch)` pairs with `β = 1`, and maintains itself
-    /// under the same controller swaps as
-    /// [`FailureScenario::apply_delta`](crate::FailureScenario::apply_delta).
-    pub fn scenario_table(&self, scenario: &FailureScenario<'_>) -> ScenarioProgrammability {
-        let net = scenario.network();
-        let mut table = IndexSpace::of(net).flow_switch_table(0u32);
-        let mut flow_totals = vec![0u64; net.flows().len()];
-        let mut total = 0u64;
-        for &s in scenario.offline_switches() {
-            for &(l, pbar, _) in self.switch_entries(s) {
-                table.set(l, s, pbar);
-                flow_totals[l.0] += pbar as u64;
-                total += pbar as u64;
-            }
-        }
-        ScenarioProgrammability {
-            table,
-            flow_totals,
-            total,
-        }
-    }
-}
-
-/// The flat flow×switch programmability view of one failure scenario:
-/// `p̄_i^l` where switch `s_i` is offline and `β_i^l = 1`, zero elsewhere.
-/// Unlike [`Programmability`] (a per-network constant), this table changes
-/// with the failed set — and it changes *incrementally*: under a controller
-/// swap only the two affected domains' columns are touched, mirroring
-/// [`FailureScenario::apply_delta`](crate::FailureScenario::apply_delta).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioProgrammability {
-    /// Dense row-major `(flow, switch) → p̄` restricted to offline switches.
-    table: FlowSwitchTable<u32>,
-    /// Per-flow sum of the offline `p̄` values — the flow's programmability
-    /// upper bound in this scenario.
-    flow_totals: Vec<u64>,
-    /// Sum over all flows of `flow_totals`.
-    total: u64,
-}
-
-impl ScenarioProgrammability {
-    /// `p̄_i^l` if switch `s` is offline in the underlying scenario and has
-    /// `β_i^l = 1` for flow `l`; zero otherwise.
-    pub fn pbar(&self, l: FlowId, s: SwitchId) -> u32 {
-        self.table.get(l, s).copied().unwrap_or(0)
-    }
-
-    /// Upper bound on flow `l`'s programmability in this scenario.
-    pub fn flow_total(&self, l: FlowId) -> u64 {
-        self.flow_totals.get(l.0).copied().unwrap_or(0)
-    }
-
-    /// Scenario-wide programmability upper bound (the denominator of the
-    /// paper's λ weight, minus one).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Patches the table for the swap that revives controller `remove` and
-    /// fails controller `add`, touching only the two domains' switch
-    /// columns. `prog` must be the table this view was projected from, and
-    /// the swap must mirror the one applied to the paired
-    /// [`FailureScenario`]; the result is identical
-    /// to re-projecting the swapped scenario from scratch.
-    pub fn apply_delta(
-        &mut self,
-        net: &SdWan,
-        prog: &Programmability,
-        remove: ControllerId,
-        add: ControllerId,
-    ) {
-        for s in net.switches() {
-            let owner = net.domain_of(s);
-            if owner == remove {
-                for &(l, pbar, _) in prog.switch_entries(s) {
-                    self.table.set(l, s, 0);
-                    self.flow_totals[l.0] -= pbar as u64;
-                    self.total -= pbar as u64;
-                }
-            } else if owner == add {
-                for &(l, pbar, _) in prog.switch_entries(s) {
-                    self.table.set(l, s, pbar);
-                    self.flow_totals[l.0] += pbar as u64;
-                    self.total += pbar as u64;
-                }
-            }
-        }
     }
 }
 
@@ -404,61 +311,6 @@ mod tests {
         let f0 = &net.flows()[0];
         assert!(!f0.traverses(SwitchId(3)));
         assert!(!prog.beta(FlowId(0), SwitchId(3)));
-    }
-
-    #[test]
-    fn scenario_table_projects_offline_entries() {
-        let net = SdWanBuilder::att_paper_setup().build().unwrap();
-        let prog = Programmability::compute(&net);
-        let scn = net.fail(&[crate::ControllerId(3)]).unwrap();
-        let sp = prog.scenario_table(&scn);
-        let mut total = 0u64;
-        for (l, flow) in net.flows().iter().enumerate() {
-            let l = FlowId(l);
-            let mut flow_total = 0u64;
-            for &s in &flow.path {
-                let expect = if scn.is_offline(s) {
-                    prog.pbar(l, s)
-                } else {
-                    0
-                };
-                assert_eq!(sp.pbar(l, s), expect, "flow {l:?} switch {s:?}");
-                flow_total += expect as u64;
-            }
-            assert_eq!(sp.flow_total(l), flow_total);
-            total += flow_total;
-        }
-        assert_eq!(sp.total(), total);
-        assert!(sp.total() > 0, "an ATT domain failure must expose entries");
-    }
-
-    #[test]
-    fn scenario_table_delta_matches_reprojection() {
-        let net = SdWanBuilder::att_paper_setup().build().unwrap();
-        let prog = Programmability::compute(&net);
-        let m = net.controllers().len();
-        let mut scn = net
-            .fail(&[crate::ControllerId(0), crate::ControllerId(1)])
-            .unwrap();
-        let mut sp = prog.scenario_table(&scn);
-        // Walk a few swaps, checking the patched table against a fresh
-        // projection at each step.
-        for (out, into) in [(0, 2), (1, 4), (2, 5), (4, 0)] {
-            assert!(out < m && into < m);
-            scn.apply_delta(crate::ControllerId(out), crate::ControllerId(into))
-                .unwrap();
-            sp.apply_delta(
-                &net,
-                &prog,
-                crate::ControllerId(out),
-                crate::ControllerId(into),
-            );
-            assert_eq!(
-                sp,
-                prog.scenario_table(&scn),
-                "swap C{out}->C{into} diverged"
-            );
-        }
     }
 
     #[test]

@@ -340,7 +340,7 @@ pub struct FailureScenario<'net> {
     offline_flow_mask: Vec<bool>,
     /// Per-flow count of offline switches on the flow's path, indexed by
     /// `FlowId`. A flow is offline iff its count is positive; the count (not
-    /// the boolean) is what makes [`FailureScenario::apply_delta`] exact —
+    /// the boolean) is what makes [`FailureScenario::apply_delta_cached`] exact —
     /// reviving one controller only clears a flow when no other failed
     /// controller still touches its path.
     offline_path_hits: Vec<u32>,
@@ -531,74 +531,26 @@ impl<'net> FailureScenario<'net> {
         self.ideal_delay_g
     }
 
-    /// Offline switches on flow `l`'s path, in path order.
-    pub fn offline_switches_on_path(&self, l: FlowId) -> Vec<SwitchId> {
-        self.net.flows[l.0]
-            .path
-            .iter()
-            .copied()
-            .filter(|&s| self.is_offline(s))
-            .collect()
-    }
-
-    /// Builds the scenario whose failed set is `prev`'s with `remove`
-    /// revived and `add` newly failed, by patching `prev`'s derived state
-    /// instead of rebuilding it. Colex-adjacent scenario ranks share f−1
-    /// failed controllers, so sweeping in rank order makes every transition
-    /// a short chain of such swaps; the result is field-for-field identical
-    /// (including the bit pattern of [`FailureScenario::ideal_delay_g`]) to
-    /// `net.fail(&new_failed)`.
+    /// Patches this scenario in place so its failed set has `remove`
+    /// revived and `add` newly failed, reading the revived controller's
+    /// residual capacity from `cache`. Colex-adjacent scenario ranks share
+    /// f−1 failed controllers, so sweeping in rank order makes every
+    /// transition a short chain of such swaps; the result is field-for-field
+    /// identical (including the bit pattern of
+    /// [`FailureScenario::ideal_delay_g`]) to `net.fail_cached(&new_failed,
+    /// cache)`.
     ///
     /// # Errors
     ///
     /// Returns [`SdwanError::InvalidScenario`] if `remove` is not currently
     /// failed or `add` already is (this also rejects `remove == add`), and
-    /// [`SdwanError::UnknownController`] for out-of-range ids.
-    pub fn delta_from(
-        prev: &FailureScenario<'net>,
-        remove: ControllerId,
-        add: ControllerId,
-    ) -> Result<FailureScenario<'net>, SdwanError> {
-        let mut next = prev.clone();
-        next.apply_delta(remove, add)?;
-        Ok(next)
-    }
-
-    /// In-place form of [`FailureScenario::delta_from`], recomputing the
-    /// revived controller's residual capacity from the network.
-    ///
-    /// # Errors
-    ///
-    /// As for [`FailureScenario::delta_from`].
-    pub fn apply_delta(
-        &mut self,
-        remove: ControllerId,
-        add: ControllerId,
-    ) -> Result<(), SdwanError> {
-        let net = self.net;
-        self.apply_delta_impl(remove, add, |c| net.residual_capacity(c))
-    }
-
-    /// Like [`FailureScenario::apply_delta`], reading the revived
-    /// controller's residual capacity from a precomputed [`NetCache`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`FailureScenario::delta_from`].
+    /// [`SdwanError::UnknownController`] for out-of-range ids. The scenario
+    /// is left untouched on error.
     pub fn apply_delta_cached(
         &mut self,
         remove: ControllerId,
         add: ControllerId,
         cache: &NetCache,
-    ) -> Result<(), SdwanError> {
-        self.apply_delta_impl(remove, add, |c| cache.residual_capacity(c))
-    }
-
-    fn apply_delta_impl(
-        &mut self,
-        remove: ControllerId,
-        add: ControllerId,
-        residual_of: impl Fn(ControllerId) -> u32,
     ) -> Result<(), SdwanError> {
         let net = self.net;
         net.check_controller(remove)?;
@@ -621,7 +573,7 @@ impl<'net> FailureScenario<'net> {
         let pos = self.active.binary_search(&remove).unwrap_err();
         self.active.insert(pos, remove);
 
-        self.residual[remove.0] = Some(residual_of(remove));
+        self.residual[remove.0] = Some(cache.residual_capacity(remove));
         self.residual[add.0] = None;
 
         // Patch the switch mask and per-flow path-hit counts only where the
@@ -692,8 +644,8 @@ impl<'net> FailureScenario<'net> {
 /// Two scenarios are equal when they describe the same failed set over the
 /// same network object and every derived field — including the exact bit
 /// pattern of `ideal_delay_g` — matches. This is the byte-identity contract
-/// of the incremental delta path: `delta_from` results compare equal to
-/// fresh `fail` builds.
+/// of the incremental delta path: `apply_delta_cached` results compare
+/// equal to fresh `fail` builds.
 impl PartialEq for FailureScenario<'_> {
     fn eq(&self, other: &Self) -> bool {
         std::ptr::eq(self.net, other.net)
@@ -926,20 +878,32 @@ mod tests {
         }
     }
 
+    /// `cur` equals both fresh builds of `failed`, with and without the
+    /// cache.
+    fn assert_fresh(cur: &FailureScenario<'_>, failed: &[ControllerId], cache: &NetCache) {
+        let net = cur.network();
+        assert_eq!(cur, &net.fail(failed).unwrap(), "fail({failed:?})");
+        assert_eq!(
+            cur,
+            &net.fail_cached(failed, cache).unwrap(),
+            "fail_cached({failed:?})"
+        );
+    }
+
     #[test]
     fn delta_matches_fresh_over_all_single_swaps() {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
+        let cache = NetCache::build(&net);
         let m = net.controllers().len();
         for a in 0..m {
             for b in 0..m {
                 if a == b {
                     continue;
                 }
-                let prev = net.fail(&[ControllerId(a)]).unwrap();
-                let next =
-                    FailureScenario::delta_from(&prev, ControllerId(a), ControllerId(b)).unwrap();
-                let fresh = net.fail(&[ControllerId(b)]).unwrap();
-                assert_eq!(next, fresh, "swap C{a}->C{b}");
+                let mut cur = net.fail_cached(&[ControllerId(a)], &cache).unwrap();
+                cur.apply_delta_cached(ControllerId(a), ControllerId(b), &cache)
+                    .unwrap();
+                assert_fresh(&cur, &[ControllerId(b)], &cache);
             }
         }
     }
@@ -947,10 +911,13 @@ mod tests {
     #[test]
     fn delta_chain_matches_fresh_at_f2() {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
+        let cache = NetCache::build(&net);
         let m = net.controllers().len();
         // Walk every 2-subset in colex order via single swaps, checking the
-        // running scenario against a fresh build at each step.
-        let mut cur = net.fail(&[ControllerId(0), ControllerId(1)]).unwrap();
+        // running scenario against fresh builds at each step.
+        let mut cur = net
+            .fail_cached(&[ControllerId(0), ControllerId(1)], &cache)
+            .unwrap();
         let mut prev_set = [0usize, 1];
         for hi in 1..m {
             for lo in 0..hi {
@@ -971,12 +938,11 @@ mod tests {
                     .collect();
                 assert_eq!(outs.len(), ins.len());
                 for (&out, &into) in outs.iter().zip(&ins) {
-                    cur.apply_delta(ControllerId(out), ControllerId(into))
+                    cur.apply_delta_cached(ControllerId(out), ControllerId(into), &cache)
                         .unwrap();
                 }
                 prev_set = target;
-                let fresh = net.fail(&[ControllerId(lo), ControllerId(hi)]).unwrap();
-                assert_eq!(cur, fresh, "chain to {{C{lo}, C{hi}}}");
+                assert_fresh(&cur, &[ControllerId(lo), ControllerId(hi)], &cache);
             }
         }
     }
@@ -990,27 +956,30 @@ mod tests {
             .unwrap();
         cur.apply_delta_cached(ControllerId(0), ControllerId(4), &cache)
             .unwrap();
-        let fresh = net
-            .fail_cached(&[ControllerId(2), ControllerId(4)], &cache)
-            .unwrap();
-        assert_eq!(cur, fresh);
+        assert_fresh(&cur, &[ControllerId(2), ControllerId(4)], &cache);
     }
 
     #[test]
     fn delta_rejects_bad_swaps() {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
+        let cache = NetCache::build(&net);
         let prev = net.fail(&[ControllerId(0)]).unwrap();
-        // `remove` not failed.
-        assert!(FailureScenario::delta_from(&prev, ControllerId(1), ControllerId(2)).is_err());
-        // `add` already failed (also covers remove == add).
-        assert!(FailureScenario::delta_from(&prev, ControllerId(0), ControllerId(0)).is_err());
-        // Unknown ids.
-        assert!(FailureScenario::delta_from(&prev, ControllerId(0), ControllerId(9)).is_err());
-        assert!(FailureScenario::delta_from(&prev, ControllerId(9), ControllerId(1)).is_err());
-        // Errors leave the scenario untouched.
-        let mut cur = net.fail(&[ControllerId(0)]).unwrap();
-        assert!(cur.apply_delta(ControllerId(1), ControllerId(2)).is_err());
-        assert_eq!(cur, prev);
+        let mut cur = prev.clone();
+        for (remove, add) in [
+            // `remove` not failed.
+            (1, 2),
+            // `add` already failed (also covers remove == add).
+            (0, 0),
+            // Unknown ids.
+            (0, 9),
+            (9, 1),
+        ] {
+            assert!(cur
+                .apply_delta_cached(ControllerId(remove), ControllerId(add), &cache)
+                .is_err());
+            // Errors leave the scenario untouched.
+            assert_eq!(cur, prev, "swap C{remove}->C{add}");
+        }
     }
 
     #[test]

@@ -287,15 +287,6 @@ impl Graph {
         &self.nodes[n.0]
     }
 
-    /// Mutable metadata of node `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range.
-    pub fn node_mut(&mut self, n: NodeId) -> &mut NodeMeta {
-        &mut self.nodes[n.0]
-    }
-
     /// The edge with id `e`.
     ///
     /// # Panics
@@ -380,30 +371,6 @@ impl Graph {
             return Err(TopoError::InvalidWeight { weight });
         }
         self.edges[e.0].weight = weight;
-        Ok(())
-    }
-
-    /// Recomputes every edge weight as the geographic propagation delay (in
-    /// milliseconds) between its endpoints.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any node on an edge lacks a position.
-    pub fn reweigh_from_geo(&mut self) -> Result<(), TopoError> {
-        for i in 0..self.edges.len() {
-            let Edge { a, b, .. } = self.edges[i];
-            let pa = self.nodes[a.0].position.ok_or(TopoError::InvalidEdge {
-                a: a.0,
-                b: b.0,
-                reason: "endpoint has no geographic position",
-            })?;
-            let pb = self.nodes[b.0].position.ok_or(TopoError::InvalidEdge {
-                a: a.0,
-                b: b.0,
-                reason: "endpoint has no geographic position",
-            })?;
-            self.edges[i].weight = pa.propagation_delay_ms(&pb);
-        }
         Ok(())
     }
 

@@ -11,7 +11,6 @@
 //! * [`paths`] — Dijkstra shortest paths, all-pairs shortest paths,
 //!   destination-rooted shortest-path DAGs and loop-free path counting (the
 //!   `p_i^l` quantity of the paper).
-//! * [`ksp`] — Yen's k-shortest simple paths.
 //! * [`builders`] — deterministic topology generators (ring, grid, star,
 //!   Waxman random geometric graphs).
 //! * [`att`] — the embedded 25-node / 112-directed-link ATT-like United
@@ -43,7 +42,6 @@ pub mod att;
 pub mod builders;
 pub mod geo;
 pub mod graph;
-pub mod ksp;
 pub mod metrics;
 pub mod paths;
 pub mod rng;

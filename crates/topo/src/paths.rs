@@ -143,15 +143,6 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
     }
 }
 
-/// Shortest path between two nodes, or `None` if disconnected.
-///
-/// # Panics
-///
-/// Panics if either node is out of range.
-pub fn shortest_path(g: &Graph, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
-    dijkstra(g, s).path_to(t)
-}
-
 /// All-pairs shortest path trees, one Dijkstra per node.
 pub fn all_pairs(g: &Graph) -> Vec<ShortestPathTree> {
     g.nodes().map(|v| dijkstra(g, v)).collect()

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use pm_topo::paths::{self, PathCounts};
-use pm_topo::{ksp, Graph, NodeId};
+use pm_topo::{Graph, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph with `3..=14` nodes and random positive
@@ -104,35 +104,6 @@ proptest! {
             if v == dest { continue; }
             let exhaustive = paths::count_simple_paths(&g, v, dest, g.node_count());
             prop_assert!(pc.count_from(v) <= exhaustive);
-        }
-    }
-
-    /// Yen's k-shortest paths: simple, unique, sorted by weight, and the
-    /// first one matches Dijkstra.
-    #[test]
-    fn ksp_invariants(g in arb_graph(), k in 1usize..5) {
-        let (s, t) = (NodeId(0), NodeId(1));
-        let ps = ksp::k_shortest_paths(&g, s, t, k);
-        let spt = paths::dijkstra(&g, s);
-        match spt.dist_to(t) {
-            None => prop_assert!(ps.is_empty()),
-            Some(d) => {
-                prop_assert!(!ps.is_empty());
-                let w0 = paths::path_weight(&g, &ps[0]).unwrap();
-                prop_assert!((w0 - d).abs() < 1e-6, "first ksp path not shortest");
-                let mut prev = 0.0f64;
-                let mut seen = std::collections::HashSet::new();
-                for p in &ps {
-                    prop_assert_eq!(*p.first().unwrap(), s);
-                    prop_assert_eq!(*p.last().unwrap(), t);
-                    let mut nodes = std::collections::HashSet::new();
-                    prop_assert!(p.iter().all(|v| nodes.insert(*v)), "non-simple path");
-                    let w = paths::path_weight(&g, p).unwrap();
-                    prop_assert!(w + 1e-6 >= prev, "paths not sorted by weight");
-                    prev = w;
-                    prop_assert!(seen.insert(p.clone()), "duplicate path");
-                }
-            }
         }
     }
 

@@ -728,6 +728,7 @@ fn pg_matches_its_oracle_where_capacity_cuts_a_round() {
     // Survivors get 1..=24 units beyond their load, so the capacity cut
     // lands in the first round (every flow at h = 0) on some cases and in
     // a later one on others.
+    let _recorder = recorder_lock();
     let mut cut_levels = BTreeSet::new();
     for seed in 0..12u64 {
         let slack: Vec<u32> = (0..5).map(|c| (seed as u32 * 7 + c * 5) % 24 + 1).collect();

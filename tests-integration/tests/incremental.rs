@@ -2,14 +2,14 @@
 //! is indistinguishable from a fresh build.
 //!
 //! Property-tested over seeded Waxman WANs (the scale drills' topology
-//! family): scenario deltas, scenario-programmability deltas and
-//! workspace-reusing PM runs must equal their cold counterparts exactly,
+//! family): scenario deltas and workspace-reusing PM runs must equal their
+//! cold counterparts exactly,
 //! and the sweep engine's delta path must reproduce the recompute path
 //! byte for byte at every `--jobs` × `--shard` combination.
 
 use pm_bench::{build_wan, CaseResult, EvalOptions, SweepEngine, WanSpec};
 use pm_core::{FmssmInstance, Pm, PmWorkspace, RecoveryAlgorithm};
-use pm_sdwan::{ControllerId, FailureScenario, Programmability, SdWan};
+use pm_sdwan::{ControllerId, FailureScenario, NetCache, Programmability, SdWan};
 use pm_topo::rng::DetRng;
 use proptest::prelude::*;
 
@@ -43,8 +43,9 @@ fn failure_sets(rng: &mut DetRng, m: usize, f: usize, count: usize) -> Vec<Vec<C
 }
 
 /// Advances `scenario` from its current failure set to `next` by a chain
-/// of single (revived, failed) swaps — the sweep engine's delta walk.
-fn walk_delta(scenario: &mut FailureScenario<'_>, next: &[ControllerId]) {
+/// of single (revived, failed) swaps — the walk `SweepEngine::with_case`
+/// makes.
+fn walk_delta(scenario: &mut FailureScenario<'_>, next: &[ControllerId], cache: &NetCache) {
     let outs: Vec<ControllerId> = scenario
         .failed_controllers()
         .iter()
@@ -59,7 +60,7 @@ fn walk_delta(scenario: &mut FailureScenario<'_>, next: &[ControllerId]) {
     assert_eq!(outs.len(), ins.len(), "same failure count either side");
     for (&remove, &add) in outs.iter().zip(&ins) {
         scenario
-            .apply_delta(remove, add)
+            .apply_delta_cached(remove, add, cache)
             .expect("symmetric-difference swaps are valid");
     }
 }
@@ -67,9 +68,10 @@ fn walk_delta(scenario: &mut FailureScenario<'_>, next: &[ControllerId]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Delta-walked scenarios equal fresh builds field for field
-    /// (including the bit pattern of the ideal-delay bound) over random
-    /// failure-set chains on seeded Waxman WANs.
+    /// Delta-walked scenarios equal fresh builds, with and without the
+    /// cache, field for field (including the bit pattern of the
+    /// ideal-delay bound) over random failure-set chains on seeded Waxman
+    /// WANs.
     #[test]
     fn scenario_delta_chain_equals_fresh_builds(
         seed in 0u64..1_000,
@@ -77,41 +79,16 @@ proptest! {
         f in 1usize..=3,
     ) {
         let net = wan(seed, nodes, 6);
+        let cache = NetCache::build(&net);
         let mut rng = DetRng::seed_from_u64(seed ^ 0x5eed);
         let sets = failure_sets(&mut rng, 6, f, 6);
-        let mut rolling = net.fail(&sets[0]).expect("valid case");
+        let mut rolling = net.fail_cached(&sets[0], &cache).expect("valid case");
         for failed in &sets {
-            walk_delta(&mut rolling, failed);
+            walk_delta(&mut rolling, failed, &cache);
             let fresh = net.fail(failed).expect("valid case");
-            prop_assert!(rolling == fresh, "delta diverged at {failed:?}");
-        }
-    }
-
-    /// The scenario-projected programmability table stays equal to a fresh
-    /// projection under the same delta chain.
-    #[test]
-    fn scenario_programmability_delta_equals_fresh_projection(
-        seed in 0u64..1_000,
-        nodes in 40usize..100,
-        f in 1usize..=3,
-    ) {
-        let net = wan(seed, nodes, 6);
-        let prog = Programmability::compute(&net);
-        let mut rng = DetRng::seed_from_u64(seed ^ 0xab1e);
-        let sets = failure_sets(&mut rng, 6, f, 6);
-        let mut rolling = net.fail(&sets[0]).expect("valid case");
-        let mut table = prog.scenario_table(&rolling);
-        for failed in &sets {
-            let before: Vec<ControllerId> = rolling.failed_controllers().to_vec();
-            walk_delta(&mut rolling, failed);
-            let outs: Vec<ControllerId> =
-                before.iter().copied().filter(|c| !failed.contains(c)).collect();
-            let ins: Vec<ControllerId> =
-                failed.iter().copied().filter(|c| !before.contains(c)).collect();
-            for (&remove, &add) in outs.iter().zip(&ins) {
-                table.apply_delta(&net, &prog, remove, add);
-            }
-            prop_assert_eq!(&table, &prog.scenario_table(&rolling));
+            prop_assert!(rolling == fresh, "delta diverged from fail at {failed:?}");
+            let cached = net.fail_cached(failed, &cache).expect("valid case");
+            prop_assert!(rolling == cached, "delta diverged from fail_cached at {failed:?}");
         }
     }
 
