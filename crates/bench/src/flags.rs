@@ -7,8 +7,7 @@
 //! |---|---|---|
 //! | telemetry | `--trace --metrics --prom --serve --flight --profile` | [`Telemetry::take`] |
 //! | dispatch | `--jobs --shard --max-scenarios --seed --batch` | [`EvalOptions::take_dispatch`] |
-//! | event log | `--events --progress` | [`take_event_log`] |
-//! | evaluation | dispatch, event log, `--opt-secs --skip-optimal --csv` | [`EvalOptions::take`] |
+//! | evaluation | dispatch, `--opt-secs --skip-optimal --csv` | [`EvalOptions::take`] |
 //! | generated WAN | `--nodes --controllers --flows --headroom` | [`WanSpec::take`] |
 //! | timeline | `--horizon-ms --mean-gap-ms --max-failed --no-drain` | [`take_timeline_params`] |
 //! | `pmd` | `--horizon --jobs --workers` | [`PmdConfig::take`] |
@@ -21,7 +20,6 @@
 //! [`CliError`] to the exit code: 2 for a usage error, 1 for a runtime
 //! error.
 
-use crate::events::EventLog;
 use crate::harness::EvalOptions;
 use crate::pmd::PmdConfig;
 use crate::wan::WanSpec;
@@ -31,7 +29,6 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A command-line failure: exit code plus message.
@@ -190,8 +187,6 @@ evaluation options:
   --opt-secs N         wall-clock budget per Optimal solve (default 20)
   --skip-optimal       skip the exact Optimal baseline
   --csv DIR            write CSV files (and BENCH_*.json) into DIR
-  --events FILE        stream per-case progress as JSON lines
-  --progress           print a rate-limited progress line to stderr
   --jobs N             worker threads (default: all cores); results are
                        identical for every N
   --shard i/m          run only the i-th of m contiguous slices of each
@@ -375,12 +370,12 @@ impl EvalOptions {
         Ok(opts)
     }
 
-    /// Takes the evaluation group off `args`: the dispatch group, the
-    /// event log and `--opt-secs --skip-optimal --csv`.
+    /// Takes the evaluation group off `args`: the dispatch group and
+    /// `--opt-secs --skip-optimal --csv`.
     ///
     /// # Errors
     ///
-    /// As [`take_dispatch`](Self::take_dispatch) and [`take_event_log`].
+    /// As [`take_dispatch`](Self::take_dispatch).
     pub fn take(args: &mut Args) -> Result<EvalOptions, CliError> {
         let mut opts = Self::take_dispatch(args)?;
         if let Some(secs) = take_opt_secs(args)? {
@@ -388,7 +383,6 @@ impl EvalOptions {
         }
         opts.skip_optimal = args.take_switch("--skip-optimal")?;
         opts.csv_dir = args.take_path("--csv")?;
-        opts.events = take_event_log(args)?;
         Ok(opts)
     }
 }
@@ -397,23 +391,6 @@ impl EvalOptions {
 /// a generated WAN.
 pub fn take_seed(args: &mut Args) -> Result<Option<u64>, CliError> {
     args.take_parsed("--seed", "an integer", |_: &u64| true)
-}
-
-/// Takes the event-log group (`--events FILE --progress`); either flag
-/// opens the sweep's [`EventLog`].
-///
-/// # Errors
-///
-/// A usage error as for any flag, and a runtime error naming the path
-/// when the event log cannot be created.
-pub fn take_event_log(args: &mut Args) -> Result<Option<Arc<EventLog>>, CliError> {
-    let events = args.take_path("--events")?;
-    let progress = args.take_switch("--progress")?;
-    if events.is_none() && !progress {
-        return Ok(None);
-    }
-    let log = EventLog::create(events.as_deref(), progress).map_err(CliError::runtime)?;
-    Ok(Some(Arc::new(log)))
 }
 
 /// Takes `--opt-secs N`, the wall-clock budget in seconds of each exact
@@ -627,9 +604,9 @@ mod tests {
 
     #[test]
     fn switches_and_timeline_floats_reject_bad_input() {
-        let e = EvalOptions::take(&mut args(&["--progress", "--progress"])).unwrap_err();
+        let e = EvalOptions::take(&mut args(&["--skip-optimal", "--skip-optimal"])).unwrap_err();
         assert_eq!(e.code, 2);
-        assert!(e.message.contains("--progress"), "{}", e.message);
+        assert!(e.message.contains("--skip-optimal"), "{}", e.message);
         for v in ["nan", "inf", "-5"] {
             let e = take_timeline_params(&mut args(&["--horizon-ms", v])).unwrap_err();
             assert!(e.message.contains("--horizon-ms"), "{v}: {}", e.message);

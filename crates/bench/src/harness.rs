@@ -1,9 +1,7 @@
 //! Runs the four algorithms on failure cases and collects metrics.
 
-use crate::events::EventLog;
 use pm_core::{FmssmInstance, Optimal, Pg, Pm, PmError, PmWorkspace, RecoveryAlgorithm, RetroFlow};
 use pm_sdwan::{ControllerId, PlanMetrics, RecoveryPlan, SdWan};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Evaluation options shared by the sweeps and figures, parsed from the
@@ -21,11 +19,6 @@ pub struct EvalOptions {
     /// cores). Metric output is identical for every value; per-case
     /// wall-clock measurements contend for cores at higher counts.
     pub jobs: usize,
-    /// Stream structured per-case progress events while sweeping
-    /// (`--events FILE` for a JSONL file, `--progress` for a rate-limited
-    /// stderr line; either one activates the log). Does not require the
-    /// recorder and never changes sweep results.
-    pub events: Option<Arc<EventLog>>,
     /// Run only shard `i` of `m` of each sweep's scenario sequence
     /// (`--shard i/m`, 1-based). Shards partition the rank space
     /// contiguously, so the m shard outputs concatenated in shard order
@@ -56,7 +49,6 @@ impl Default for EvalOptions {
             skip_optimal: false,
             csv_dir: None,
             jobs: crate::par::default_jobs(),
-            events: None,
             shard: None,
             max_scenarios: None,
             seed: 42,

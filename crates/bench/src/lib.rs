@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod figures;
 pub mod flags;
 pub mod harness;
@@ -31,11 +30,9 @@ pub mod sweep;
 pub mod timelines;
 pub mod wan;
 
-pub use events::EventLog;
 pub use harness::{AlgoRun, CaseResult, EvalOptions};
 pub use par::{
-    current_worker, stream_indexed, timing_stats, PoolNames, SolvedPlan, SweepEngine, TimingStats,
-    SWEEP_POOL,
+    stream_indexed, timing_stats, PoolNames, SolvedPlan, SweepEngine, TimingStats, SWEEP_POOL,
 };
 pub use plan_store::{PlanStore, StoredPlan};
 pub use pmd::{Generation, PmdConfig, PmdService};

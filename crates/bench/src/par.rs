@@ -29,7 +29,6 @@ use pm_sdwan::{
     ControllerId, FailureScenario, NetCache, PlanMetrics, Programmability, RecoveryPlan, SdWan,
     SdwanError,
 };
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -40,18 +39,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-thread_local! {
-    static WORKER_ID: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The zero-based id of the [`stream_indexed`] worker running on this
-/// thread — 0 on the calling thread (serial path) and any thread outside
-/// a pool. The event log ([`crate::events`]) stamps it on `case_start` /
-/// `case_finish` lines.
-pub fn current_worker() -> usize {
-    WORKER_ID.with(Cell::get)
 }
 
 /// The telemetry names a [`stream_indexed`] pool reports under when the
@@ -128,7 +115,6 @@ where
             let (next, live, peak, slots, init, f) = (&next, &live, &peak, &slots, &init, &f);
             let range = range.clone();
             scope.spawn(move || {
-                WORKER_ID.with(|id| id.set(w));
                 // Names are formatted once per worker, never per item.
                 let (busy_name, item_name, wait_name) = if obs {
                     let p = names.prefix;
@@ -447,14 +433,18 @@ impl<'net> SweepEngine<'net> {
     /// in position order. The m shards of a selection concatenated in
     /// shard order are byte-identical to the unsharded run.
     pub fn sweep_selection(&self, sel: &ScenarioSelection) -> Vec<CaseResult> {
+        let range = sel.shard_range(self.opts.shard);
         if pm_obs::enabled() {
             pm_obs::count_max("sweep.scenario.space_size", sel.space().count());
             pm_obs::count_max("sweep.scenario.selected", sel.len());
+            // What `sweep.cases` reaches when every sweep of the run is
+            // done: the cases this shard runs, summed over the sweeps.
+            pm_obs::count("sweep.scenario.planned", range.end - range.start);
             if sel.is_sampled() {
                 pm_obs::count("sweep.scenario.sampled_sweeps", 1);
             }
         }
-        self.stream(sel, sel.shard_range(self.opts.shard), |_, failed, state| {
+        self.stream(sel, range, |_, failed, state| {
             self.run_case_in(failed, state)
         })
     }
@@ -482,41 +472,21 @@ impl<'net> SweepEngine<'net> {
     /// ([`SweepEngine::live_peak`]). Each worker unranks its
     /// positions into one reused buffer and runs `case` on the position,
     /// its failure set and the worker's own [`DeltaState`].
-    ///
-    /// When [`EvalOptions::events`] is set, per-case progress events wrap
-    /// `case`; emission never reads or writes a result, so results are
-    /// byte-identical with the log on or off.
     fn stream<R: Send>(
         &self,
         sel: &ScenarioSelection,
         range: Range<u64>,
         case: impl Fn(u64, &[ControllerId], &mut DeltaState<'net>) -> R + Sync,
     ) -> Vec<R> {
-        let events = self.opts.events.as_deref();
-        if let Some(events) = events {
-            let total = usize::try_from(range.end - range.start).expect("result set fits memory");
-            events.sweep_start(total, self.opts.jobs.clamp(1, total.max(1)));
-        }
-        let out = self.stream_pool(
+        self.stream_pool(
             range,
             SWEEP_POOL,
             || (DeltaState::default(), Vec::new()),
             |(state, failed), pos| {
                 sel.scenario_at_into(pos, failed);
-                let Some(events) = events else {
-                    return case(pos, failed, state);
-                };
-                let label = case_label(self.net, failed);
-                let token = events.case_start(&label);
-                let result = case(pos, failed, state);
-                events.case_finish(token, &label);
-                result
+                case(pos, failed, state)
             },
-        );
-        if let Some(events) = events {
-            events.sweep_finish();
-        }
-        out
+        )
     }
 }
 

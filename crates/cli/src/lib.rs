@@ -32,8 +32,7 @@ use pm_bench::figures::{
     SCALE_CASE_HEADERS,
 };
 use pm_bench::flags::{
-    take_event_log, take_opt_secs, take_seed, take_timeline_count, take_timeline_params, Args,
-    Telemetry,
+    take_opt_secs, take_seed, take_timeline_count, take_timeline_params, Args, Telemetry,
 };
 use pm_bench::report::{write_csv, write_jsonl};
 use pm_bench::timelines::{timeline_rows, write_bench_timeline_json, TimelineRunInfo};
@@ -70,11 +69,10 @@ USAGE:
   pmctl relieve  --fail N[,N..] [--algo ...] [--moves M] [network options]
   pmctl inspect  --fail N[,N..] [network options]
   pmctl sweep    [--failures K] [dispatch options] [--csv DIR]
-                 [--events FILE] [--progress] [network options]
+                 [network options]
                  RetroFlow, PM and PG on every K-failure case (default 1);
                  --csv DIR writes scale_cases.csv, scale_cases.jsonl,
-                 BENCH_scale.json; --events streams JSON lines per case,
-                 --progress prints a progress line to stderr
+                 BENCH_scale.json
   pmctl serve    [--addr HOST:PORT] [--horizon K] [--jobs N] [--workers W]
                  [--port-file PATH] [network options]
                  run pmd: precompute all f <= K plans, serve POST /plan,
@@ -892,7 +890,6 @@ fn cmd_sweep(mut args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         .take_parsed("--failures", "a failure count", |_: &usize| true)?
         .unwrap_or(1);
     opts.csv_dir = args.take_path("--csv")?;
-    opts.events = take_event_log(&mut args)?;
     args.finish()?;
     let net = build_network(&spec)?;
     let m = net.controllers().len();
@@ -1214,47 +1211,16 @@ mod tests {
     }
 
     #[test]
-    fn obs_top_replays_an_events_stream() {
-        let dir = std::env::temp_dir().join("pmctl_top_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let events = dir.join("sweep.events.jsonl");
-        std::fs::write(
-            &events,
-            "{\"event\": \"sweep_start\", \"t_ms\": 0, \"cases\": 2, \"jobs\": 1}\n\
-             {\"event\": \"case_finish\", \"t_ms\": 400, \"seq\": 0, \"case\": \"(2)\", \
-              \"worker\": 0, \"elapsed_ms\": 400.0, \"done\": 1, \"total\": 2, \"p95_ms\": 400.0}\n\
-             {\"event\": \"case_finish\", \"t_ms\": 800, \"seq\": 1, \"case\": \"(5)\", \
-              \"worker\": 0, \"elapsed_ms\": 390.0, \"done\": 2, \"total\": 2, \"p95_ms\": 400.0}\n\
-             {\"event\": \"sweep_finish\", \"t_ms\": 810, \"cases\": 2, \"elapsed_ms\": 810.0}\n",
-        )
-        .unwrap();
-        // The finished stream stops the viewer after its first frame even
-        // without --frames; --plain keeps the output one line per frame.
-        let text = run_ok_os(&argv(
-            &["obs", "top", "--plain", "--interval-ms", "100"],
-            &[("--events", &events)],
-        ));
-        assert_eq!(text.lines().count(), 1, "{text}");
-        assert!(text.contains("cases 2/2"), "{text}");
-        assert!(text.contains("p95<= 400.0ms"), "{text}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn obs_top_rejects_bad_sources() {
         let e = run_err(&["obs", "top"]);
         assert_eq!(e.code, 2);
-        assert!(e.message.contains("exactly one of"), "{}", e.message);
-        let e = run_err(&["obs", "top", "--url", "x", "--events", "y"]);
-        assert_eq!(e.code, 2);
-        let e = run_err(&["obs", "top", "--events", "/nonexistent/stream.jsonl"]);
-        assert_eq!(e.code, 1, "missing stream is a runtime error");
+        assert!(e.message.contains("--url"), "{}", e.message);
         let e = run_err(&["obs", "top", "--url", "127.0.0.1:1", "--frames", "1"]);
         assert_eq!(e.code, 1, "unreachable endpoint is a runtime error");
-        let e = run_err(&["obs", "top", "--events", "x", "--ansi", "--plain"]);
+        let e = run_err(&["obs", "top", "--url", "x", "--ansi", "--plain"]);
         assert_eq!(e.code, 2);
         // Below the documented floor is rejected by name, not clamped.
-        let e = run_err(&["obs", "top", "--events", "x", "--interval-ms", "50"]);
+        let e = run_err(&["obs", "top", "--url", "x", "--interval-ms", "50"]);
         assert_eq!(e.code, 2);
         assert!(e.message.contains("--interval-ms"), "{}", e.message);
     }

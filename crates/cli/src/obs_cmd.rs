@@ -33,7 +33,7 @@ USAGE:
   pmctl obs diff BASELINE.json CURRENT.json [diff options] [--md]
   pmctl obs gate [CURRENT.json] --baseline FILE [diff options]
                  [--md-out FILE] [--flight FILE]
-  pmctl obs top  (--url ADDR | --events FILE) [--interval-ms N]
+  pmctl obs top  --url ADDR [--interval-ms N]
                  [--frames N] [--ansi|--plain]
   pmctl obs flame    (PROFILE.folded | --url ADDR) [--top N] [--md]
   pmctl obs critical TRACE.json [--md]

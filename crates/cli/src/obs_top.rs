@@ -1,28 +1,26 @@
 //! `pmctl obs top` — a live terminal view of a running sweep.
 //!
-//! Consumes either the `/metrics.json` endpoint a `--serve` run exposes
-//! or the `--events` JSONL stream a sweep writes, and renders per-worker
-//! busy%, cases/sec, running p95, live-peak scenario-slot usage and an
-//! ETA derived from the scenario-space size. On a terminal it redraws an
-//! ANSI screen at a rate-limited cadence; piped anywhere else it falls
-//! back to one status line per frame (`--ansi` / `--plain` override the
-//! detection).
+//! Polls the `/metrics.json` endpoint a `--serve` run exposes and renders
+//! per-worker busy%, cases/sec, running p95, live-peak scenario-slot
+//! usage and an ETA derived from the cases the run plans. On a terminal
+//! it redraws an ANSI screen at a rate-limited cadence; piped anywhere
+//! else it falls back to one status line per frame (`--ansi` / `--plain`
+//! override the detection). It stops after `--frames N`, or when the
+//! server goes away with the finished run.
 //!
 //! The process only exposes counters; rates are the reader's job, as with
-//! a Prometheus `rate()`. Each `--url` frame keeps the counters of the
+//! a Prometheus `rate()`. Each frame keeps the counters of the
 //! previous poll and the instant it was read, and divides the differences
 //! by the elapsed wall time.
 //!
-//! Reading is strictly observational — both sources are produced without
-//! the viewer's involvement, so watching a sweep can never change it.
+//! Reading is strictly observational — the endpoint serves counters the
+//! run records anyway, so watching a sweep can never change it.
 
 use crate::CliError;
 use pm_bench::flags::Args;
 use pm_obs::baseline::MetricsDoc;
-use pm_obs::json::Value;
 use std::collections::BTreeMap;
 use std::io::{IsTerminal, Read, Write};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 pub(crate) const TOP_USAGE: &str = "\
@@ -30,11 +28,11 @@ pmctl obs top — live sweep viewer
 
 USAGE:
   pmctl obs top --url ADDR[:PORT]    watch a --serve telemetry endpoint
-  pmctl obs top --events FILE        watch a --events JSONL stream
 
 options:
   --interval-ms N   redraw cadence (default 1000, min 100)
-  --frames N        stop after N frames (default: until the source ends)
+  --frames N        stop after N frames (default: until the server goes
+                    away)
   --ansi | --plain  force full-screen or line output (default: ANSI on a
                     terminal, line mode when piped)
 ";
@@ -46,27 +44,19 @@ const FETCH_TIMEOUT: Duration = Duration::from_secs(2);
 const RESPONSE_CAP: u64 = 64 << 20;
 
 struct TopOptions {
-    source: Source,
+    poller: Poller,
     interval: Duration,
     frames: u64,
     ansi: Option<bool>,
 }
 
-/// Where frames come from, with what the previous frame read of it.
-enum Source {
-    /// A `--serve` endpoint and the counters of its previous poll.
-    Url {
-        host: String,
-        prev: Option<(Instant, BTreeMap<String, u64>)>,
-    },
-    /// A `--events` stream and the case count of its previous read.
-    Events {
-        path: PathBuf,
-        prev: Option<(Instant, u64)>,
-    },
+/// A `--serve` endpoint and the counters of its previous poll.
+struct Poller {
+    host: String,
+    prev: Option<(Instant, BTreeMap<String, u64>)>,
 }
 
-/// One frame's worth of derived sweep state, whichever source fed it.
+/// One frame's worth of derived sweep state.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct FrameStats {
     done: u64,
@@ -76,7 +66,6 @@ struct FrameStats {
     live_peak: u64,
     /// `(worker key, busy % or NaN when unknown, items)`, sorted by key.
     workers: Vec<(String, f64, u64)>,
-    finished: bool,
 }
 
 pub(crate) fn cmd_obs_top(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -85,7 +74,7 @@ pub(crate) fn cmd_obs_top(args: &mut Args, out: &mut dyn Write) -> Result<(), Cl
     let started = Instant::now();
     let mut frame: u64 = 0;
     loop {
-        let stats = match opts.source.next_frame() {
+        let stats = match opts.poller.next_frame() {
             Ok(s) => s,
             Err(e) if frame == 0 => return Err(CliError::runtime(e)),
             Err(_) => {
@@ -98,51 +87,31 @@ pub(crate) fn cmd_obs_top(args: &mut Args, out: &mut dyn Write) -> Result<(), Cl
         let _ = out.write_all(render(&stats, started.elapsed(), ansi).as_bytes());
         let _ = out.flush();
         frame += 1;
-        if (opts.frames > 0 && frame >= opts.frames) || stats.finished {
+        if opts.frames > 0 && frame >= opts.frames {
             return Ok(());
         }
         std::thread::sleep(opts.interval);
     }
 }
 
-impl Source {
-    /// Reads the source once and derives a frame, rates measured against
-    /// the previous read.
+impl Poller {
+    /// Polls the endpoint once and derives a frame, rates measured against
+    /// the previous poll.
     fn next_frame(&mut self) -> Result<FrameStats, String> {
-        match self {
-            Source::Url { host, prev } => {
-                let body = http_get(host, "/metrics.json")?;
-                let now = Instant::now();
-                let doc = pm_obs::baseline::parse_metrics(&body)
-                    .map_err(|e| format!("bad metrics.json from {host}: {e}"))?;
-                let before = prev.as_ref().map(|(t, c)| (c, now - *t));
-                let stats = stats_from_metrics(&doc, before);
-                *prev = Some((now, doc.counters));
-                Ok(stats)
-            }
-            Source::Events { path, prev } => {
-                let text = std::fs::read_to_string(&*path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let now = Instant::now();
-                let mut stats = stats_from_events(&text);
-                // The stream only gives an average rate; sharpen it with
-                // a frame-to-frame delta once there are two frames.
-                if let Some((t0, done0)) = *prev {
-                    let dt = (now - t0).as_secs_f64();
-                    if dt > 0.0 && stats.done >= done0 {
-                        stats.cases_per_sec = (stats.done - done0) as f64 / dt;
-                    }
-                }
-                *prev = Some((now, stats.done));
-                Ok(stats)
-            }
-        }
+        let host = &self.host;
+        let body = http_get(host, "/metrics.json")?;
+        let now = Instant::now();
+        let doc = pm_obs::baseline::parse_metrics(&body)
+            .map_err(|e| format!("bad metrics.json from {host}: {e}"))?;
+        let before = self.prev.as_ref().map(|(t, c)| (c, now - *t));
+        let stats = stats_from_metrics(&doc, before);
+        self.prev = Some((now, doc.counters));
+        Ok(stats)
     }
 }
 
 fn parse_top_options(args: &mut Args) -> Result<TopOptions, CliError> {
     let url = args.take_str_flag("--url")?;
-    let events = args.take_path("--events")?;
     // The floor keeps a typo'd cadence from hammering the endpoint.
     let interval_ms = args
         .take_parsed("--interval-ms", "milliseconds >= 100", |&ms: &u64| {
@@ -158,20 +127,14 @@ fn parse_top_options(args: &mut Args) -> Result<TopOptions, CliError> {
     if force_ansi && force_plain {
         return Err(CliError::usage("--ansi and --plain are mutually exclusive"));
     }
-    let source = match (url, events) {
-        (Some(u), None) => Source::Url {
-            host: normalize_host(&u),
-            prev: None,
-        },
-        (None, Some(path)) => Source::Events { path, prev: None },
-        _ => {
-            return Err(CliError::usage(format!(
-                "exactly one of --url or --events is required\n\n{TOP_USAGE}"
-            )))
-        }
+    let Some(url) = url else {
+        return Err(CliError::usage(format!("--url is required\n\n{TOP_USAGE}")));
     };
     Ok(TopOptions {
-        source,
+        poller: Poller {
+            host: normalize_host(&url),
+            prev: None,
+        },
         interval: Duration::from_millis(interval_ms),
         frames,
         ansi: match (force_ansi, force_plain) {
@@ -233,8 +196,10 @@ fn http_get_capped(host: &str, path: &str, cap: u64) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-/// Derives frame state from a parsed `/metrics.json` poll. Totals, the
-/// live peak and the p95 are read off `doc`; cases/s, per-worker busy %
+/// Derives frame state from a parsed `/metrics.json` poll. Cases done
+/// (`sweep.cases`), the run's planned total (`sweep.scenario.planned`,
+/// summed over every sweep of the run, as `sweep.cases` is), the live
+/// peak and the p95 are read off `doc`; cases/s, per-worker busy %
 /// and items are differences against `prev`, the previous poll's
 /// counters and the wall time since it. Without a previous poll the
 /// rates are unknown (NaN), and items count from the start.
@@ -249,7 +214,7 @@ fn stats_from_metrics(
     };
     let per_sec = |delta: u64| prev.map_or(f64::NAN, |(_, dt)| delta as f64 / dt.as_secs_f64());
     let done = total_of("sweep.cases");
-    let total = total_of("sweep.scenario.selected");
+    let total = total_of("sweep.scenario.planned");
     let workers = doc
         .counters
         .keys()
@@ -272,56 +237,7 @@ fn stats_from_metrics(
             .map(|h| h.p95() as f64 / 1e6),
         live_peak: total_of("sweep.scenario.live_peak"),
         workers,
-        finished: total > 0 && done >= total,
     }
-}
-
-/// Derives frame state by replaying a `--events` JSONL stream. Tolerates
-/// a truncated final line (the stream may be mid-write); `cases_per_sec`
-/// is the stream-lifetime average until the caller sharpens it with a
-/// frame-to-frame delta.
-fn stats_from_events(text: &str) -> FrameStats {
-    let mut stats = FrameStats::default();
-    let mut last_t_ms = 0u64;
-    let mut worker_cases: std::collections::BTreeMap<u64, u64> = Default::default();
-    for line in text.lines() {
-        let Ok(v) = pm_obs::json::parse(line) else {
-            continue; // torn tail of an in-flight write
-        };
-        let event = match v.get("event") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => continue,
-        };
-        match event.as_str() {
-            "sweep_start" => {
-                stats.total = v.get("cases").and_then(Value::as_u64).unwrap_or(0);
-                stats.done = 0;
-                worker_cases.clear();
-            }
-            "case_finish" => {
-                stats.done = v.get("done").and_then(Value::as_u64).unwrap_or(stats.done);
-                if let Some(Value::Num(p95)) = v.get("p95_ms") {
-                    stats.p95_ms = Some(*p95);
-                }
-                if let Some(w) = v.get("worker").and_then(Value::as_u64) {
-                    *worker_cases.entry(w).or_insert(0) += 1;
-                }
-                if let Some(t) = v.get("t_ms").and_then(Value::as_u64) {
-                    last_t_ms = t;
-                }
-            }
-            "sweep_finish" => stats.finished = true,
-            _ => {}
-        }
-    }
-    if last_t_ms > 0 {
-        stats.cases_per_sec = stats.done as f64 / (last_t_ms as f64 / 1000.0);
-    }
-    stats.workers = worker_cases
-        .into_iter()
-        .map(|(w, cases)| (format!("worker.{w}"), f64::NAN, cases))
-        .collect();
-    stats
 }
 
 /// Formats one frame. ANSI mode paints a full screen (cursor home +
@@ -355,7 +271,7 @@ fn render(stats: &FrameStats, elapsed: Duration, ansi: bool) -> String {
         stats.live_peak,
         elapsed.as_secs_f64()
     );
-    // An unknown busy % (no previous poll, or an events stream) is "-".
+    // An unknown busy % (no previous poll) is "-".
     let busy_text = |busy: f64| {
         if busy.is_nan() {
             "-".to_string()
@@ -401,12 +317,15 @@ mod tests {
         );
     }
 
-    /// A `/metrics.json` document with the sweep counters a frame reads.
+    /// A `/metrics.json` document with the sweep counters a frame reads,
+    /// shaped as `repro fig7 --skip-optimal` leaves them: three sweeps of
+    /// 6, 15 and 20 cases, so 41 planned while the largest selection is
+    /// 20.
     fn metrics_doc(cases: u64, busy_ns: [u64; 2], worker_cases: [u64; 2]) -> MetricsDoc {
         pm_obs::baseline::parse_metrics(&format!(
             r#"{{"schema_version": 1,
               "counters": {{"sweep.cases": {cases}, "sweep.scenario.live_peak": 12,
-                "sweep.scenario.selected": 41,
+                "sweep.scenario.planned": 41, "sweep.scenario.selected": 20,
                 "sweep.worker.0.busy_ns": {}, "sweep.worker.0.cases": {},
                 "sweep.worker.1.busy_ns": {}, "sweep.worker.1.cases": {}}},
               "histograms": {{"sweep.case_ns": {{"count": 1, "sum": 3000000,
@@ -451,11 +370,27 @@ mod tests {
         );
         let busy: Vec<(f64, u64)> = stats.workers.iter().map(|w| (w.1, w.2)).collect();
         assert_eq!(busy, [(50.0, 12), (100.0, 8)]);
-        assert!(!stats.finished, "30 of 41 still running");
         assert_eq!(stats.p95_ms.map(|ms| ms.round()), Some(4.0));
         let plain = render(&stats, Duration::from_secs(2), false);
         assert!(
             plain.contains("rate 40.0/s") && plain.contains("busy% 50.0,100.0"),
+            "{plain}"
+        );
+    }
+
+    #[test]
+    fn the_total_is_every_case_the_run_plans() {
+        // Past the largest single selection (20) but not done: the
+        // third sweep still runs.
+        let stats = stats_from_metrics(&metrics_doc(21, [0, 0], [11, 10]), None);
+        assert_eq!((stats.done, stats.total), (21, 41));
+        let plain = render(&stats, Duration::from_secs(1), false);
+        assert!(plain.contains("cases 21/41"), "{plain}");
+        assert!(!plain.contains("done"), "{plain}");
+        let stats = stats_from_metrics(&metrics_doc(41, [0, 0], [21, 20]), None);
+        let plain = render(&stats, Duration::from_secs(2), false);
+        assert!(
+            plain.contains("cases 41/41") && plain.contains("eta done"),
             "{plain}"
         );
     }
@@ -481,33 +416,6 @@ mod tests {
         let e = http_get_capped(&host, "/metrics.json", 16 << 10).expect_err("over the cap");
         assert!(e.contains(&host) && e.contains("16384-byte cap"), "{e}");
         server.join().unwrap();
-    }
-
-    #[test]
-    fn events_stats_replay_and_tolerate_truncation() {
-        let text = "\
-{\"event\": \"sweep_start\", \"t_ms\": 0, \"cases\": 3, \"jobs\": 2}\n\
-{\"event\": \"case_start\", \"t_ms\": 1, \"seq\": 0, \"case\": \"(2)\", \"worker\": 0}\n\
-{\"event\": \"case_finish\", \"t_ms\": 500, \"seq\": 0, \"case\": \"(2)\", \"worker\": 0, \
-\"elapsed_ms\": 499.0, \"done\": 1, \"total\": 3, \"p95_ms\": 499.0}\n\
-{\"event\": \"case_finish\", \"t_ms\": 1000, \"seq\": 1, \"case\": \"(5)\", \"worker\": 1, \
-\"elapsed_ms\": 400.0, \"done\": 2, \"total\": 3, \"p95_ms\": 499.0}\n\
-{\"event\": \"case_finish\", \"t_ms\": 1200, \"se";
-        let stats = stats_from_events(text);
-        assert_eq!(stats.done, 2, "truncated tail is skipped");
-        assert_eq!(stats.total, 3);
-        assert_eq!(stats.p95_ms, Some(499.0));
-        assert!(!stats.finished);
-        // Average rate: 2 cases over the 1.0 s the stream covers.
-        assert!((stats.cases_per_sec - 2.0).abs() < 1e-9);
-        assert_eq!(stats.workers.len(), 2);
-
-        let finished = format!(
-            "{text}\"}}\n{}",
-            "{\"event\": \"sweep_finish\", \"t_ms\": 1300, \"cases\": 3, \"elapsed_ms\": 1300}"
-        );
-        let stats = stats_from_events(&finished);
-        assert!(stats.finished);
     }
 
     #[test]
@@ -537,7 +445,6 @@ mod tests {
             p95_ms: Some(1.5),
             live_peak: 8,
             workers: vec![("sweep.worker.0".into(), 97.25, 10)],
-            finished: false,
         };
         let plain = render(&stats, Duration::from_secs(2), false);
         assert_eq!(plain.lines().count(), 1);

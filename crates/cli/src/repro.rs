@@ -33,12 +33,10 @@ struct Repro {
 
 /// The evaluation group's flags; the failure sweeps (Figs. 4–7) read
 /// them all.
-const EVAL_FLAGS: [&str; 10] = [
+const EVAL_FLAGS: [&str; 8] = [
     "--opt-secs",
     "--skip-optimal",
     "--csv",
-    "--events",
-    "--progress",
     "--jobs",
     "--shard",
     "--max-scenarios",

@@ -96,12 +96,10 @@ fn repro_rejects_a_sweep_flag_its_output_ignores() {
 
 #[test]
 fn repro_rejects_every_evaluation_flag_its_output_ignores() {
-    let flags: [&[&str]; 10] = [
+    let flags: [&[&str]; 8] = [
         &["--opt-secs", "5"],
         &["--skip-optimal"],
         &["--csv", "d"],
-        &["--events", "e.jsonl"],
-        &["--progress"],
         &["--jobs", "1"],
         &["--shard", "1/2"],
         &["--max-scenarios", "3"],
@@ -199,10 +197,6 @@ fn no_command_ignores_a_flag_it_accepts() {
     // Each flag is one the command or its network source does not honour:
     // rejected by name, never accepted and dropped.
     for (args, flag) in [
-        (
-            &["simulate", "--timelines", "2", "--events", "f"][..],
-            "--events",
-        ),
         (
             &["simulate", "--timelines", "2", "--opt-secs", "3"][..],
             "--opt-secs",

@@ -258,7 +258,7 @@ pub fn artifact_error(kind: &str, path: &Path, err: &std::io::Error) -> String {
 
 /// Writes `contents` to `path`, reporting failures through
 /// [`artifact_error`]. Every telemetry export flag (`--trace`,
-/// `--metrics`, `--prom`, `--events`) funnels its file I/O through this
+/// `--metrics`, `--prom`, `--profile`) funnels its file I/O through this
 /// helper so an unwritable path always surfaces the path itself —
 /// never a silent success or a panic.
 ///

@@ -1,13 +1,14 @@
 //! The dense index space: contiguous `usize` indices for switches, flows
 //! and controllers, plus flat tables addressed by them.
 //!
-//! [`SwitchId`], [`FlowId`] and [`ControllerId`] are interned at network
+//! [`SwitchId`](crate::SwitchId), [`FlowId`](crate::FlowId) and
+//! [`ControllerId`](crate::ControllerId) are interned at network
 //! build time: switch `i` sits at node `i`, and flows and controllers are
 //! numbered densely in creation order. [`IndexSpace`] records the three
 //! universe sizes of one network so every layer can allocate exact-size
 //! dense tables instead of keyed maps.
 
-use crate::network::{ControllerId, FlowId, SdWan, SwitchId};
+use crate::network::SdWan;
 
 /// The sizes of one network's three id universes.
 ///
@@ -60,21 +61,6 @@ impl IndexSpace {
         self.controllers
     }
 
-    /// `true` if `s` belongs to this index space.
-    pub fn has_switch(&self, s: SwitchId) -> bool {
-        s.index() < self.switches
-    }
-
-    /// `true` if `l` belongs to this index space.
-    pub fn has_flow(&self, l: FlowId) -> bool {
-        l.index() < self.flows
-    }
-
-    /// `true` if `c` belongs to this index space.
-    pub fn has_controller(&self, c: ControllerId) -> bool {
-        c.index() < self.controllers
-    }
-
     /// A dense per-switch table filled with `fill`, addressed by
     /// `SwitchId::index`.
     pub fn switch_table<T: Clone>(&self, fill: T) -> Vec<T> {
@@ -114,9 +100,6 @@ mod tests {
         assert_eq!(space.switch_count(), net.switch_count());
         assert_eq!(space.flow_count(), net.flows().len());
         assert_eq!(space.controller_count(), net.controllers().len());
-        assert!(space.has_switch(SwitchId(8)) && !space.has_switch(SwitchId(9)));
-        assert!(space.has_flow(FlowId(0)) && !space.has_flow(FlowId(net.flows().len())));
-        assert!(space.has_controller(ControllerId(0)) && !space.has_controller(ControllerId(1)));
     }
 
     #[test]

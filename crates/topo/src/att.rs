@@ -274,7 +274,7 @@ mod tests {
         let mut reroutable = 0;
         for dest in g.nodes() {
             let pc = PathCounts::toward(&g, dest);
-            if g.nodes().any(|v| v != dest && pc.can_reroute(v)) {
+            if g.nodes().any(|v| v != dest && pc.count_from(v) >= 2) {
                 reroutable += 1;
             }
         }

@@ -357,23 +357,6 @@ impl Graph {
         self.find_edge(a, b).map(|e| self.edges[e.0].weight)
     }
 
-    /// Overwrites the weight of edge `e`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the weight is negative or not finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn set_edge_weight(&mut self, e: EdgeId, weight: f64) -> Result<(), TopoError> {
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(TopoError::InvalidWeight { weight });
-        }
-        self.edges[e.0].weight = weight;
-        Ok(())
-    }
-
     /// Returns `true` if every node is reachable from node 0 (or the graph is
     /// empty).
     pub fn is_connected(&self) -> bool {
@@ -410,11 +393,6 @@ impl Graph {
                 node_count: self.nodes.len(),
             })
         }
-    }
-
-    /// Total weight of all undirected edges.
-    pub fn total_weight(&self) -> f64 {
-        self.edges.iter().map(|e| e.weight).sum()
     }
 
     /// A copy of the graph with the edge between `a` and `b` removed
@@ -549,19 +527,6 @@ mod tests {
     fn edge_other_panics_for_non_endpoint() {
         let g = triangle();
         let _ = g.edge(EdgeId(0)).other(NodeId(2));
-    }
-
-    #[test]
-    fn set_edge_weight_validates() {
-        let mut g = triangle();
-        assert!(g.set_edge_weight(EdgeId(0), 10.0).is_ok());
-        assert_eq!(g.edge(EdgeId(0)).weight, 10.0);
-        assert!(g.set_edge_weight(EdgeId(0), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn total_weight_sums_edges() {
-        assert_eq!(triangle().total_weight(), 7.0);
     }
 
     /// Checks the CSR invariants: monotone offsets bracketing `arcs`, row

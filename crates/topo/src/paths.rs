@@ -254,16 +254,6 @@ impl PathCounts {
             .map(|&(u, _)| u)
             .filter(move |u| self.dist[u.0] + EPS < dv)
     }
-
-    /// `true` if `v` can reroute: it has at least two loop-free paths to the
-    /// destination. This is the paper's condition for `β_i^l = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn can_reroute(&self, v: NodeId) -> bool {
-        self.counts[v.0] >= 2
-    }
 }
 
 /// Exhaustively counts simple paths from `s` to `t` with at most `max_hops`
@@ -383,7 +373,6 @@ mod tests {
         let pc = PathCounts::toward(&g, NodeId(3));
         assert_eq!(pc.count_from(NodeId(0)), 1);
         assert_eq!(pc.count_from(NodeId(3)), 1);
-        assert!(!pc.can_reroute(NodeId(0)));
     }
 
     #[test]
@@ -392,8 +381,7 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]).unwrap();
         let pc = PathCounts::toward(&g, NodeId(3));
         assert_eq!(pc.count_from(NodeId(0)), 2);
-        assert!(pc.can_reroute(NodeId(0)));
-        assert!(!pc.can_reroute(NodeId(1)));
+        assert_eq!(pc.count_from(NodeId(1)), 1);
     }
 
     #[test]
@@ -420,7 +408,6 @@ mod tests {
         let lonely = g.add_node("x", None);
         let pc = PathCounts::toward(&g, NodeId(0));
         assert_eq!(pc.count_from(lonely), 0);
-        assert!(!pc.can_reroute(lonely));
     }
 
     #[test]
