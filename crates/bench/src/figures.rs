@@ -241,22 +241,7 @@ pub fn timing_rows(cases: &[CaseResult]) -> Vec<Vec<String>> {
 /// JSON is hand-formatted here — field order and layout are part of the
 /// schema and pinned by the determinism tests.
 pub fn bench_sweep_json(figure: &str, jobs: usize, sweeps: &[(usize, &[CaseResult])]) -> String {
-    bench_sweep_json_with_phases(figure, jobs, sweeps, None)
-}
-
-/// [`bench_sweep_json`] with an optional `phase_breakdown` section built
-/// from a [`pm_obs`] snapshot: per-span aggregate count / total / max
-/// nanoseconds. The section is present only when a snapshot with recorded
-/// spans is supplied, so default (recorder-off) runs keep the exact layout
-/// of schema version 1.
-pub fn bench_sweep_json_with_phases(
-    figure: &str,
-    jobs: usize,
-    sweeps: &[(usize, &[CaseResult])],
-    phases: Option<&pm_obs::Snapshot>,
-) -> String {
     let mut out = bench_json_head(figure, jobs);
-    push_phase_breakdown(&mut out, phases);
     out.push_str("  \"sweeps\": [\n");
     for (si, (k, cases)) in sweeps.iter().enumerate() {
         out.push_str("    {\n");
@@ -273,54 +258,24 @@ pub fn bench_sweep_json_with_phases(
     out
 }
 
-/// Writes [`bench_sweep_json`] to `BENCH_sweep.json` in the CSV directory,
-/// with the recorder's span aggregates when it is on.
+/// Writes [`bench_sweep_json`] to `BENCH_sweep.json` in the CSV directory.
 pub fn write_bench_sweep_json(opts: &EvalOptions, figure: &str, sweeps: &[(usize, &[CaseResult])]) {
-    write_bench_json(opts, "BENCH_sweep.json", |snap| {
-        bench_sweep_json_with_phases(figure, opts.jobs, sweeps, snap)
-    });
+    let body = bench_sweep_json(figure, opts.jobs, sweeps);
+    write_bench_json(opts, "BENCH_sweep.json", &body);
 }
 
 /// Writes a `BENCH_*.json` artifact into the CSV directory; without
 /// `--csv` nothing is written. Errors are reported to stderr but not
-/// fatal. With the recorder on, `render` gets its snapshot to fold the
-/// span aggregates in; recorder-off runs emit the plain schema-1 layout.
-pub(crate) fn write_bench_json(
-    opts: &EvalOptions,
-    name: &str,
-    render: impl FnOnce(Option<&pm_obs::Snapshot>) -> String,
-) {
-    let Some(dir) = &opts.csv_dir else { return };
-    let snap = pm_obs::enabled().then(pm_obs::snapshot);
-    write_file(dir, name, &render(snap.as_ref()));
+/// fatal.
+pub(crate) fn write_bench_json(opts: &EvalOptions, name: &str, body: &str) {
+    if let Some(dir) = &opts.csv_dir {
+        write_file(dir, name, body);
+    }
 }
 
 /// The opening members every `BENCH_*.json` (schema version 1) shares.
 pub(crate) fn bench_json_head(figure: &str, jobs: usize) -> String {
     format!("{{\n  \"schema_version\": 1,\n  \"figure\": \"{figure}\",\n  \"jobs\": {jobs},\n")
-}
-
-/// Appends the `phase_breakdown` member — per-span aggregate count /
-/// total / max nanoseconds — when `phases` holds recorded spans.
-pub(crate) fn push_phase_breakdown(out: &mut String, phases: Option<&pm_obs::Snapshot>) {
-    let Some(snap) = phases.filter(|s| !s.spans.is_empty()) else {
-        return;
-    };
-    let members: Vec<String> = snap
-        .spans
-        .iter()
-        .map(|s| {
-            format!(
-                "    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                s.name, s.count, s.total_ns, s.max_ns
-            )
-        })
-        .collect();
-    let _ = write!(
-        out,
-        "  \"phase_breakdown\": {{\n{}\n  }},\n",
-        members.join(",\n")
-    );
 }
 
 /// Appends the `algorithms` member at `indent`: per-algorithm
@@ -407,15 +362,8 @@ impl SpaceInfo {
 }
 
 /// Renders `BENCH_scale.json` (schema version 1): the [`ScaleRunInfo`]
-/// header, the per-algorithm timing table of [`bench_sweep_json`], and —
-/// when a [`pm_obs`] snapshot with spans is supplied — the same
-/// `phase_breakdown` section `BENCH_sweep.json` carries.
-pub fn bench_scale_json(
-    info: &ScaleRunInfo,
-    jobs: usize,
-    cases: &[CaseResult],
-    phases: Option<&pm_obs::Snapshot>,
-) -> String {
+/// header and the per-algorithm timing table of [`bench_sweep_json`].
+pub fn bench_scale_json(info: &ScaleRunInfo, jobs: usize, cases: &[CaseResult]) -> String {
     let mut out = bench_json_head("scale_sweep", jobs);
     out.push_str("  \"topology\": {");
     let _ = write!(
@@ -427,7 +375,6 @@ pub fn bench_scale_json(
     out.push_str("},\n");
     info.space
         .push_json(&mut out, "scenario_space", "cases_run");
-    push_phase_breakdown(&mut out, phases);
     push_algorithms(&mut out, cases, "  ");
     out.push_str("}\n");
     out
@@ -436,9 +383,8 @@ pub fn bench_scale_json(
 /// Writes [`bench_scale_json`] to `BENCH_scale.json`, like
 /// [`write_bench_sweep_json`].
 pub fn write_bench_scale_json(opts: &EvalOptions, info: &ScaleRunInfo, cases: &[CaseResult]) {
-    write_bench_json(opts, "BENCH_scale.json", |snap| {
-        bench_scale_json(info, opts.jobs, cases, snap)
-    });
+    let body = bench_scale_json(info, opts.jobs, cases);
+    write_bench_json(opts, "BENCH_scale.json", &body);
 }
 
 /// Columns of `scale_cases.csv`: plan metrics only, no wall-clock
@@ -615,38 +561,5 @@ mod tests {
         assert!(timing_rows(&[]).is_empty());
         let json = bench_sweep_json("figX", 1, &[(7, &[])]);
         pm_obs::json::validate(&json).expect("valid JSON for an empty sweep");
-    }
-
-    #[test]
-    fn bench_sweep_json_phase_breakdown_is_valid_json() {
-        let cases = quick_cases(1);
-        let snap = pm_obs::Snapshot {
-            spans: vec![
-                pm_obs::SpanAgg {
-                    name: "pm.recover",
-                    count: 6,
-                    total_ns: 120,
-                    max_ns: 40,
-                },
-                pm_obs::SpanAgg {
-                    name: "sweep.case",
-                    count: 6,
-                    total_ns: 600,
-                    max_ns: 150,
-                },
-            ],
-            ..Default::default()
-        };
-        let json = bench_sweep_json_with_phases("fig4", 2, &[(1, &cases)], Some(&snap));
-        pm_obs::json::validate(&json).expect("valid JSON with phase_breakdown");
-        assert!(json.contains("\"phase_breakdown\""));
-        assert!(json.contains("\"pm.recover\": {\"count\": 6"));
-        // The empty snapshot adds nothing: layout stays schema-1.
-        let plain = bench_sweep_json("fig4", 2, &[(1, &cases)]);
-        let empty = pm_obs::Snapshot::default();
-        assert_eq!(
-            bench_sweep_json_with_phases("fig4", 2, &[(1, &cases)], Some(&empty)),
-            plain
-        );
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! | Group | Flags | Parser |
 //! |---|---|---|
-//! | telemetry | `--trace --metrics --prom --serve --flight --profile` | [`Telemetry::take`] |
+//! | telemetry | `--telemetry --serve --flight` | [`Telemetry::take`] |
 //! | dispatch | `--jobs --shard --max-scenarios --seed --batch` | [`EvalOptions::take_dispatch`] |
 //! | evaluation | dispatch, `--opt-secs --skip-optimal --csv` | [`EvalOptions::take`] |
 //! | generated WAN | `--nodes --controllers --flows --headroom` | [`WanSpec::take`] |
@@ -200,60 +200,65 @@ evaluation options:
 /// Help text of the telemetry group ([`Telemetry::take`]).
 pub const TELEMETRY_HELP: &str = "\
 observability:
-  --trace FILE         write a Chrome trace_event JSON of the run
-                       (open in chrome://tracing or Perfetto)
-  --metrics FILE       write aggregated counters/histograms/spans as JSON
-  --prom FILE          write the same metrics in Prometheus text
-                       exposition format (text/plain; version 0.0.4)
+  --telemetry DIR      at exit, write the run's telemetry into DIR (created
+                       if needed): trace.json (Chrome trace_event, open in
+                       Perfetto), metrics.json (counters, histograms and
+                       span totals), metrics.prom (the same metrics in
+                       Prometheus text format 0.0.4) and profile.folded
+                       (folded stacks weighted by self time in ns, for
+                       pmctl obs flame, inferno or speedscope)
   --serve ADDR         serve live telemetry over HTTP while the run is in
                        flight: GET /metrics (Prometheus), /metrics.json,
-                       /healthz; use 127.0.0.1:0 for an ephemeral port
-                       (printed to stderr); pmctl obs top --url watches it
+                       /profile.folded, /healthz; use 127.0.0.1:0 for an
+                       ephemeral port (printed to stderr); pmctl obs top
+                       --url watches it
   --flight FILE        arm the flight recorder: on panic, dump the last
                        spans and counter deltas per thread to FILE
-  --profile FILE       write the recorded spans as a folded-stack
-                       flamegraph profile to FILE, each stack weighted by
-                       its self time in ns (render with pmctl obs flame,
-                       inferno, flamegraph.pl or speedscope); --serve
-                       serves the same profile at GET /profile.folded
 ";
 
-/// The telemetry group: which artifacts to export and whether to serve
-/// the recorder live. Parsed by [`Telemetry::take`], run by
-/// [`Telemetry::start`]; the [`TelemetryPlane`] it returns owns
-/// teardown and export.
+/// Renders one artifact from the recorder's state.
+type Render = fn() -> String;
+
+/// The artifacts `--telemetry DIR` writes at exit: kind, file name in
+/// `DIR`, and renderer.
+const ARTIFACTS: [(&str, &str, Render); 4] = [
+    ("trace", "trace.json", pm_obs::chrome_trace_json),
+    ("metrics", "metrics.json", pm_obs::metrics_json),
+    (
+        "prometheus metrics",
+        "metrics.prom",
+        pm_obs::prometheus_text,
+    ),
+    ("profile", "profile.folded", pm_obs::prof::folded_text),
+];
+
+/// The telemetry group: where to write the exit-time artifacts, whether
+/// to serve the recorder live, and where the flight recorder dumps on
+/// panic. Parsed by [`Telemetry::take`], run by [`Telemetry::start`]; the
+/// [`TelemetryPlane`] it returns owns teardown and export.
 #[derive(Debug)]
 pub struct Telemetry {
-    /// `--trace FILE`: Chrome `trace_event` JSON written at exit.
-    trace: Option<PathBuf>,
-    /// `--metrics FILE`: aggregated metrics JSON written at exit.
-    metrics: Option<PathBuf>,
-    /// `--prom FILE`: the metrics in Prometheus text format.
-    prom: Option<PathBuf>,
+    /// `--telemetry DIR`: the directory the artifacts are written into at
+    /// exit.
+    dir: Option<PathBuf>,
     /// `--serve ADDR`: live telemetry over HTTP while the run is in
     /// flight.
     serve: Option<String>,
     /// `--flight FILE`: the flight recorder's dump on panic.
     flight: Option<PathBuf>,
-    /// `--profile FILE`: folded-stack profile of the recorded spans,
-    /// written at exit.
-    profile: Option<PathBuf>,
 }
 
 impl Telemetry {
     /// Takes the telemetry group off `args`.
     pub fn take(args: &mut Args) -> Result<Telemetry, CliError> {
         Ok(Telemetry {
-            trace: args.take_path("--trace")?,
-            metrics: args.take_path("--metrics")?,
-            prom: args.take_path("--prom")?,
+            dir: args.take_path("--telemetry")?,
             serve: args.take_str_flag("--serve")?,
             flight: args.take_path("--flight")?,
-            profile: args.take_path("--profile")?,
         })
     }
 
-    /// Enables the recorder when an artifact or `--serve` is requested,
+    /// Enables the recorder when `--telemetry` or `--serve` is given,
     /// arms the flight recorder's panic hook, and starts the HTTP
     /// listener if asked for. With no flag set this is free and the plane
     /// is inert. Everything the plane runs only reads the recorder, so
@@ -265,12 +270,7 @@ impl Telemetry {
     /// continuing without the endpoint the user asked to watch would be
     /// worse than failing fast.
     pub fn start(self) -> Result<TelemetryPlane, CliError> {
-        if self.trace.is_some()
-            || self.metrics.is_some()
-            || self.prom.is_some()
-            || self.serve.is_some()
-            || self.profile.is_some()
-        {
+        if self.dir.is_some() || self.serve.is_some() {
             pm_obs::enable();
         }
         if let Some(path) = &self.flight {
@@ -291,7 +291,7 @@ impl Telemetry {
         };
         Ok(TelemetryPlane {
             server,
-            config: self,
+            dir: self.dir,
         })
     }
 }
@@ -301,30 +301,27 @@ impl Telemetry {
 #[derive(Debug)]
 pub struct TelemetryPlane {
     server: Option<pm_obs::MetricsServer>,
-    config: Telemetry,
+    dir: Option<PathBuf>,
 }
 
 impl TelemetryPlane {
-    /// Stops the server, then writes the `--trace`, `--metrics`, `--prom`
-    /// and `--profile` artifacts, noting each one on `out`.
+    /// Stops the server, then writes every artifact into the
+    /// `--telemetry` directory, creating it if needed, and notes each one
+    /// on `out`.
     ///
     /// # Errors
     ///
     /// A runtime error naming the path of the first artifact that could
     /// not be written; the others are still written.
     pub fn finish(self, out: &mut dyn Write) -> Result<(), CliError> {
-        let TelemetryPlane { server, config } = self;
-        drop(server);
-        type Render = fn() -> String;
-        let artifacts: [(&str, Option<PathBuf>, Render); 4] = [
-            ("trace", config.trace, pm_obs::chrome_trace_json),
-            ("metrics", config.metrics, pm_obs::metrics_json),
-            ("prometheus metrics", config.prom, pm_obs::prometheus_text),
-            ("profile", config.profile, pm_obs::prof::folded_text),
-        ];
+        drop(self.server);
+        let Some(dir) = self.dir else { return Ok(()) };
+        // A directory that cannot be made fails each write below, which
+        // names the artifact's path.
+        let _ = std::fs::create_dir_all(&dir);
         let mut first_error = None;
-        for (kind, path, render) in artifacts {
-            let Some(path) = path else { continue };
+        for (kind, name, render) in ARTIFACTS {
+            let path = dir.join(name);
             match pm_obs::write_artifact(kind, &path, &render()) {
                 Ok(()) => {
                     let _ = writeln!(out, "{kind} written to {}", path.display());
@@ -633,8 +630,11 @@ mod tests {
     fn non_utf8_values_pass_as_paths_and_fail_as_numbers() {
         use std::os::unix::ffi::OsStrExt;
         let bad = std::ffi::OsStr::from_bytes(b"m\xFF.json").to_os_string();
-        let mut a = Args::new(vec!["--metrics".into(), bad.clone()]);
-        assert_eq!(a.take_path("--metrics").unwrap(), Some(PathBuf::from(&bad)));
+        let mut a = Args::new(vec!["--telemetry".into(), bad.clone()]);
+        assert_eq!(
+            a.take_path("--telemetry").unwrap(),
+            Some(PathBuf::from(&bad))
+        );
         let mut a = Args::new(vec!["--jobs".into(), bad]);
         let e = EvalOptions::take_dispatch(&mut a).unwrap_err();
         assert_eq!(e.code, 2);

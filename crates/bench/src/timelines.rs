@@ -78,14 +78,17 @@ impl SweepEngine<'_> {
         space: &TimelineSpace,
         sel: &TimelineSelection,
     ) -> Vec<TimelineReport> {
+        let range = sel.shard_range(self.options().shard);
         if pm_obs::enabled() {
             pm_obs::count_max("sim.sweep.space_size", space.count());
             pm_obs::count_max("sim.sweep.selected", sel.len());
+            // What `sim.timeline.replays` reaches when the run is done:
+            // the timelines this shard replays, summed over the sweeps.
+            pm_obs::count("sim.sweep.planned", range.end - range.start);
             if sel.is_sampled() {
                 pm_obs::count("sim.sweep.sampled_sweeps", 1);
             }
         }
-        let range = sel.shard_range(self.options().shard);
         let (net, cache) = (self.network(), self.cache());
         self.stream_pool(
             range,
@@ -166,15 +169,12 @@ pub struct TimelineRunInfo {
 
 /// Renders `BENCH_timeline.json` (schema version 1): the
 /// [`TimelineRunInfo`] header, aggregate event-kind totals over the
-/// replayed timelines, the wall-clock of the whole sweep, and — when a
-/// [`pm_obs`] snapshot with spans is supplied — the `phase_breakdown`
-/// section the other BENCH artifacts carry.
+/// replayed timelines and the wall-clock of the whole sweep.
 pub fn bench_timeline_json(
     info: &TimelineRunInfo,
     jobs: usize,
     sweep_ms: f64,
     reports: &[TimelineReport],
-    phases: Option<&pm_obs::Snapshot>,
 ) -> String {
     let mut out = crate::figures::bench_json_head("timeline_sweep", jobs);
     out.push_str("  \"topology\": {");
@@ -218,7 +218,6 @@ pub fn bench_timeline_json(
          \"pm_worst_recovered_ppm\": {worst_ppm}"
     );
     out.push_str("},\n");
-    crate::figures::push_phase_breakdown(&mut out, phases);
     let _ = writeln!(out, "  \"sweep_ms\": {sweep_ms:.3}");
     out.push_str("}\n");
     out
@@ -232,9 +231,8 @@ pub fn write_bench_timeline_json(
     sweep_ms: f64,
     reports: &[TimelineReport],
 ) {
-    crate::figures::write_bench_json(opts, "BENCH_timeline.json", |snap| {
-        bench_timeline_json(info, opts.jobs, sweep_ms, reports, snap)
-    });
+    let body = bench_timeline_json(info, opts.jobs, sweep_ms, reports);
+    crate::figures::write_bench_json(opts, "BENCH_timeline.json", &body);
 }
 
 #[cfg(test)]
@@ -348,7 +346,7 @@ mod tests {
                 live_bound: 32,
             },
         };
-        let json = bench_timeline_json(&info, 1, 12.5, &reports, None);
+        let json = bench_timeline_json(&info, 1, 12.5, &reports);
         assert!(json.starts_with("{\n  \"schema_version\": 1,\n"));
         assert!(json.contains("  \"figure\": \"timeline_sweep\",\n"));
         assert!(json.contains("\"timelines_run\": 2"));

@@ -1086,20 +1086,18 @@ mod tests {
     #[test]
     fn trace_and_metrics_flags_write_valid_json() {
         let dir = std::env::temp_dir().join("pmctl_obs_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let trace = dir.join("t.json");
-        let metrics = dir.join("m.json");
+        let _ = std::fs::remove_dir_all(&dir);
         let text = run_ok_os(&argv(
             &["plan", "--fail", "13,20"],
-            &[("--trace", &trace), ("--metrics", &metrics)],
+            &[("--telemetry", &dir)],
         ));
         assert!(text.contains("trace written to"));
         assert!(text.contains("metrics written to"));
-        let t = std::fs::read_to_string(&trace).unwrap();
+        let t = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         pm_obs::json::validate(&t).expect("trace is valid JSON");
         assert!(t.contains("\"traceEvents\""));
         assert!(t.contains("pm.recover"), "PM spans present in the trace");
-        let m = std::fs::read_to_string(&metrics).unwrap();
+        let m = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         pm_obs::json::validate(&m).expect("metrics is valid JSON");
         assert!(m.contains("\"schema_version\""));
         assert!(m.contains("pm.sdn_mode_picks"));
@@ -1107,18 +1105,55 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_dir_holds_exactly_the_four_artifacts() {
+        // The directory does not exist yet: --telemetry creates it, as
+        // --csv does.
+        let dir = std::env::temp_dir().join("pmctl_telemetry_dir_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.join("nested");
+        run_ok_os(&argv(&["topology"], &[("--telemetry", &out)]));
+        let mut names: Vec<String> = std::fs::read_dir(&out)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "metrics.json",
+                "metrics.prom",
+                "profile.folded",
+                "trace.json"
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_per_file_export_flags_are_gone() {
+        for flag in ["--trace", "--metrics", "--prom", "--profile"] {
+            let e = run_err(&["topology", flag, "x"]);
+            assert_eq!(e.code, 2, "{flag}: {}", e.message);
+            assert!(
+                e.message.contains("unrecognized arguments") && e.message.contains(flag),
+                "{flag}: {}",
+                e.message
+            );
+        }
+    }
+
+    #[test]
     fn serve_runs_the_live_plane() {
         let dir = std::env::temp_dir().join("pmctl_serve_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let metrics = dir.join("m.json");
+        let _ = std::fs::remove_dir_all(&dir);
         // An ephemeral-port server around a real command; --serve turns
         // the recorder on, and the export is written once it is torn down.
         let text = run_ok_os(&argv(
             &["plan", "--fail", "13,20", "--serve", "127.0.0.1:0"],
-            &[("--metrics", &metrics)],
+            &[("--telemetry", &dir)],
         ));
         assert!(text.contains("recovered flows"), "{text}");
-        let m = std::fs::read_to_string(&metrics).unwrap();
+        let m = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         let doc = pm_obs::baseline::parse_metrics(&m).expect("metrics parse");
         assert!(doc.counters.contains_key("pm.sdn_mode_picks"), "{m}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1127,16 +1162,15 @@ mod tests {
     #[test]
     fn profile_flag_writes_a_folded_profile() {
         let dir = std::env::temp_dir().join("pmctl_profile_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let folded = dir.join("plan.folded");
+        let _ = std::fs::remove_dir_all(&dir);
         let text = run_ok_os(&argv(
             &["plan", "--fail", "13,20"],
-            &[("--profile", &folded)],
+            &[("--telemetry", &dir)],
         ));
         assert!(text.contains("profile written to"), "{text}");
         // The profile holds the run's recorded spans: it is not empty and
         // every line obeys the folded grammar `frame(;frame)* SELF_NS`.
-        let body = std::fs::read_to_string(&folded).unwrap();
+        let body = std::fs::read_to_string(dir.join("profile.folded")).unwrap();
         assert!(!body.is_empty(), "the plan run recorded spans");
         for line in body.lines() {
             let (stack, count) = line.rsplit_once(' ').expect("stack and count");
@@ -1166,17 +1200,17 @@ mod tests {
     #[test]
     fn export_failure_names_the_path_after_writing_the_rest() {
         let dir = std::env::temp_dir().join("pmctl_export_failure_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let bad = dir.join("missing-dir").join("t.json");
-        let metrics = dir.join("m.json");
-        let _ = std::fs::remove_file(&metrics);
-        let e = run_err_os(&argv(
-            &["topology"],
-            &[("--trace", &bad), ("--metrics", &metrics)],
-        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory where trace.json should go makes that one write
+        // fail; the artifacts after it are still written.
+        std::fs::create_dir_all(dir.join("trace.json")).unwrap();
+        let e = run_err_os(&argv(&["topology"], &[("--telemetry", &dir)]));
         assert_eq!(e.code, 1, "{}", e.message);
-        assert!(e.message.contains("t.json"), "{}", e.message);
-        assert!(metrics.exists(), "later artifacts are still written");
+        assert!(e.message.contains("trace.json"), "{}", e.message);
+        assert!(
+            dir.join("metrics.json").exists(),
+            "later artifacts are still written"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,22 +1,19 @@
 //! `pmctl obs` — the telemetry analysis subcommands.
 //!
-//! These read the metrics JSON `pmctl --metrics` exports (schema
-//! version 1) and turn it into human-readable reports,
+//! These read the `metrics.json` that `pmctl --telemetry DIR` writes
+//! (schema version 1) and turn it into human-readable reports,
 //! baseline diffs, and a CI regression gate:
 //!
 //! ```console
 //! pmctl obs report METRICS.json          # summarize one run
 //! pmctl obs diff BASE.json CURRENT.json  # compare two runs
-//! pmctl obs gate --baseline results/baselines/fig7.metrics.json
+//! pmctl obs gate D/metrics.json --baseline results/baselines/fig7.metrics.json
 //! ```
 //!
 //! `gate` compares against a committed baseline and exits with code 3
 //! when a gated (deterministic) quantity moved beyond the thresholds —
 //! time-valued metrics are reported but never gate by default, so the
-//! check is stable across machines. With no CURRENT file, `gate` re-runs
-//! the baseline workload in-process: the fig7 `--skip-optimal --jobs 1`
-//! sweep (all 41 one/two/three-controller failure cases of the paper
-//! setup) under a fresh recorder.
+//! check is stable across machines.
 
 use crate::CliError;
 use pm_bench::flags::Args;
@@ -31,8 +28,8 @@ pmctl obs — telemetry analysis
 USAGE:
   pmctl obs report METRICS.json
   pmctl obs diff BASELINE.json CURRENT.json [diff options] [--md]
-  pmctl obs gate [CURRENT.json] --baseline FILE [diff options]
-                 [--md-out FILE] [--flight FILE]
+  pmctl obs gate CURRENT.json --baseline FILE [diff options]
+                 [--md-out FILE]
   pmctl obs top  --url ADDR [--interval-ms N]
                  [--frames N] [--ansi|--plain]
   pmctl obs flame    (PROFILE.folded | --url ADDR) [--top N] [--md]
@@ -44,20 +41,20 @@ diff options:
   --gate-time          gate wall-clock metrics too (off by default)
 
 `diff` reports differences (exit 0 either way); `gate` exits 3 when a
-gated quantity breaches. Without CURRENT.json, `gate` runs the baseline
-workload itself: the fig7 --skip-optimal --jobs 1 failure sweep; with
---flight FILE a breach of that self-measured run also dumps the flight
-recorder (the last spans and counter deltas) to FILE.
+gated quantity breaches. The fig7 baseline's CURRENT.json comes from
+`pmctl repro fig7 --skip-optimal --jobs 1 --telemetry D`: gate D/metrics.json.
 
 `top` is a live viewer for a running sweep — see `pmctl obs top` with no
 source for its own usage.
 
-`flame` renders a folded-stack profile (a --profile artifact, or the live
-/profile.folded endpoint of a --serve run) as a hot-path table sorted by
-self weight. A --profile stack's weight is its self time in ns; any other
-folded file works too, its counts read as the weights. `critical` reconstructs the span tree of a --trace artifact
-and reports exclusive self-time per span plus the critical path (the
-longest chain of child spans, with per-worker thread attribution).
+`flame` renders a folded-stack profile (the profile.folded a --telemetry
+run writes, or the live /profile.folded endpoint of a --serve run) as a
+hot-path table sorted by self weight. Its stacks are weighted by self
+time in ns; any other folded file works too, its counts read as the
+weights. `critical` reconstructs the span tree of a --telemetry run's
+trace.json and reports exclusive self-time per span plus the critical
+path (the longest chain of child spans, with per-worker thread
+attribution).
 ";
 
 /// Exit code for a breached gate: distinct from runtime errors (1) and
@@ -208,20 +205,9 @@ fn obs_gate(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
         )));
     };
     let md_out = args.take_path("--md-out")?;
-    let flight_out = args.take_path("--flight")?;
-    let current = match args.take_first() {
-        None => {
-            // Arm before the workload so a breach has recent spans to dump.
-            if flight_out.is_some() {
-                pm_obs::flight::arm(pm_obs::flight::FlightConfig::default());
-            }
-            self_measured_baseline_workload()?
-        }
-        Some(path) => {
-            args.finish()?;
-            load_metrics(&PathBuf::from(path))?
-        }
-    };
+    let current_path = take_operand(args, "CURRENT.json")?;
+    args.finish()?;
+    let current = load_metrics(&current_path)?;
     let base = load_metrics(&baseline_path)?;
     let report = diff(&base, &current, &opts);
     let _ = write!(out, "{}", report.text());
@@ -231,10 +217,6 @@ fn obs_gate(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
         let _ = writeln!(out, "gate report written to {}", path.display());
     }
     if report.breached() {
-        if let Some(path) = &flight_out {
-            pm_obs::flight::write_dump(path).map_err(CliError::runtime)?;
-            let _ = writeln!(out, "flight recorder dump written to {}", path.display());
-        }
         Err(CliError {
             code: GATE_EXIT,
             message: format!(
@@ -247,20 +229,4 @@ fn obs_gate(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         Ok(())
     }
-}
-
-/// Runs the baseline workload in-process and snapshots its telemetry:
-/// `pmctl repro fig7 --skip-optimal --jobs 1`, the sweep over every
-/// 1/2/3-controller failure case of the paper's ATT setup, on a freshly
-/// reset recorder.
-fn self_measured_baseline_workload() -> Result<MetricsDoc, CliError> {
-    pm_obs::enable();
-    pm_obs::reset();
-    let opts = pm_bench::EvalOptions {
-        skip_optimal: true,
-        jobs: 1,
-        ..Default::default()
-    };
-    crate::repro::fig7(opts, &mut std::io::sink()).map_err(|e| CliError::runtime(e.to_string()))?;
-    Ok(MetricsDoc::from_snapshot(&pm_obs::snapshot()))
 }

@@ -1,13 +1,14 @@
 //! `pmctl obs flame` and `pmctl obs critical` — the profile analysis
 //! subcommands.
 //!
-//! `flame` renders a folded-stack profile (the `--profile` artifact, or
-//! the live `/profile.folded` endpoint of a `--serve` run) as a sorted
+//! `flame` renders a folded-stack profile (the `profile.folded` of
+//! `--telemetry DIR`, or the live `/profile.folded` endpoint of a
+//! `--serve` run) as a sorted
 //! hot-path table: per-frame *self* weight (the frame was on top of the
 //! stack) and *total* weight (the frame was anywhere on the stack). A
-//! `--profile` line's weight is self time in ns; any folded file's counts
+//! `profile.folded` line's weight is self time in ns; any folded file's counts
 //! are read the same way, and the table calls them samples.
-//! `critical` reconstructs the span tree of a `--trace` Chrome-trace
+//! `critical` reconstructs the span tree of a `trace.json` Chrome-trace
 //! artifact and reports exclusive self-time per span name plus the
 //! critical path — the longest root span, then repeatedly its longest
 //! direct child — with per-worker attribution from the thread names.

@@ -1,11 +1,11 @@
 //! `pmctl obs top` — a live terminal view of a running sweep.
 //!
-//! Polls the `/metrics.json` endpoint a `--serve` run exposes and renders
-//! per-worker busy%, cases/sec, running p95, live-peak scenario-slot
-//! usage and an ETA derived from the cases the run plans. On a terminal
-//! it redraws an ANSI screen at a rate-limited cadence; piped anywhere
-//! else it falls back to one status line per frame (`--ansi` / `--plain`
-//! override the detection). It stops after `--frames N`, or when the
+//! Polls the `/metrics.json` endpoint a `--serve` run exposes (a failure
+//! sweep or a `simulate --timelines` sweep) and renders per-worker busy%,
+//! items/sec, running p95, live-peak slot usage and an ETA derived from
+//! the items the run plans. On a terminal it redraws an ANSI screen at a
+//! rate-limited cadence; piped anywhere else it falls back to one status
+//! line per frame (`--ansi` / `--plain` override the detection). It stops after `--frames N`, or when the
 //! server goes away with the finished run.
 //!
 //! The process only exposes counters; rates are the reader's job, as with
@@ -18,6 +18,8 @@
 
 use crate::CliError;
 use pm_bench::flags::Args;
+use pm_bench::timelines::SIM_POOL;
+use pm_bench::{PoolNames, SWEEP_POOL};
 use pm_obs::baseline::MetricsDoc;
 use std::collections::BTreeMap;
 use std::io::{IsTerminal, Read, Write};
@@ -196,46 +198,80 @@ fn http_get_capped(host: &str, path: &str, cap: u64) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-/// Derives frame state from a parsed `/metrics.json` poll. Cases done
-/// (`sweep.cases`), the run's planned total (`sweep.scenario.planned`,
-/// summed over every sweep of the run, as `sweep.cases` is), the live
-/// peak and the p95 are read off `doc`; cases/s, per-worker busy %
-/// and items are differences against `prev`, the previous poll's
-/// counters and the wall time since it. Without a previous poll the
-/// rates are unknown (NaN), and items count from the start.
+/// What `obs top` reads for one worker pool: the names the pool records
+/// under, the counters of items done and of the run's planned total, and
+/// the per-item wall-time histogram, if the pool records one.
+struct PoolView {
+    names: PoolNames,
+    done: &'static str,
+    planned: &'static str,
+    item_ns: Option<&'static str>,
+}
+
+/// The failure-case pool of `pmctl sweep` and `pmctl repro`, then the
+/// timeline pool of `pmctl simulate --timelines`. Each planned counter
+/// sums the shard ranges of every sweep of the run, so it is what the
+/// done counter reaches at the end. A replayed timeline is counted by the
+/// simulator, not the pool, because a one-job pool records no per-worker
+/// counters.
+const POOLS: [PoolView; 2] = [
+    PoolView {
+        names: SWEEP_POOL,
+        done: "sweep.cases",
+        planned: "sweep.scenario.planned",
+        item_ns: Some("sweep.case_ns"),
+    },
+    PoolView {
+        names: SIM_POOL,
+        done: "sim.timeline.replays",
+        planned: "sim.sweep.planned",
+        item_ns: None,
+    },
+];
+
+/// Derives frame state from a parsed `/metrics.json` poll of the pool
+/// whose planned counter `doc` holds (the failure-case pool when neither
+/// is there yet). Items done, the planned total, the live peak and the
+/// p95 are read off `doc`; items/s, per-worker busy % and items are
+/// differences against `prev`, the previous poll's counters and the wall
+/// time since it. Without a previous poll the rates are unknown (NaN),
+/// and items count from the start.
 fn stats_from_metrics(
     doc: &MetricsDoc,
     prev: Option<(&BTreeMap<String, u64>, Duration)>,
 ) -> FrameStats {
+    let pool = POOLS
+        .iter()
+        .find(|p| doc.counters.contains_key(p.planned))
+        .unwrap_or(&POOLS[0]);
     let total_of = |name: &str| doc.counters.get(name).copied().unwrap_or(0);
     let delta_of = |name: &str| {
         let before = prev.and_then(|(c, _)| c.get(name)).copied();
         total_of(name).saturating_sub(before.unwrap_or(0))
     };
     let per_sec = |delta: u64| prev.map_or(f64::NAN, |(_, dt)| delta as f64 / dt.as_secs_f64());
-    let done = total_of("sweep.cases");
-    let total = total_of("sweep.scenario.planned");
+    let worker_prefix = format!("{}.worker.", pool.names.prefix);
     let workers = doc
         .counters
         .keys()
         .filter_map(|name| name.strip_suffix(".busy_ns"))
-        .filter(|key| key.starts_with("sweep.worker."))
+        .filter(|key| key.starts_with(&worker_prefix))
         .map(|key| {
             // ns busy per s of wall time, as a percentage; NaN stays NaN.
             let busy = per_sec(delta_of(&format!("{key}.busy_ns"))) / 1e7;
-            let items = delta_of(&format!("{key}.cases"));
+            let items = delta_of(&format!("{key}.{}", pool.names.item));
             (key.to_string(), busy.clamp(0.0, 100.0), items)
         })
         .collect();
     FrameStats {
-        done,
-        total,
-        cases_per_sec: per_sec(delta_of("sweep.cases")),
-        p95_ms: doc
-            .histograms
-            .get("sweep.case_ns")
+        done: total_of(pool.done),
+        total: total_of(pool.planned),
+        cases_per_sec: per_sec(delta_of(pool.done)),
+        p95_ms: pool
+            .item_ns
+            .and_then(|name| doc.histograms.get(name))
             .map(|h| h.p95() as f64 / 1e6),
-        live_peak: total_of("sweep.scenario.live_peak"),
+        live_peak: total_of(pool.names.live_peak),
         workers,
     }
 }
@@ -391,6 +427,48 @@ mod tests {
         let plain = render(&stats, Duration::from_secs(2), false);
         assert!(
             plain.contains("cases 41/41") && plain.contains("eta done"),
+            "{plain}"
+        );
+    }
+
+    #[test]
+    fn a_timeline_sweep_renders_its_own_pool() {
+        // `simulate --timelines 60 --jobs 2`, 20 timelines in: the
+        // timeline pool's counters, and none of the failure-case pool's.
+        let doc = |replays: u64, busy_ns: [u64; 2], items: [u64; 2]| {
+            pm_obs::baseline::parse_metrics(&format!(
+                r#"{{"schema_version": 1,
+                  "counters": {{"sim.timeline.replays": {replays},
+                    "sim.sweep.planned": 60, "sim.sweep.selected": 60,
+                    "sim.sweep.live_peak": 64,
+                    "sim.sweep.worker.0.busy_ns": {}, "sim.sweep.worker.0.items": {},
+                    "sim.sweep.worker.1.busy_ns": {}, "sim.sweep.worker.1.items": {}}}}}"#,
+                busy_ns[0], items[0], busy_ns[1], items[1]
+            ))
+            .expect("metrics document parses")
+        };
+        let first = doc(20, [100_000_000, 100_000_000], [11, 9]);
+        let second = doc(30, [350_000_000, 600_000_000], [16, 14]);
+        let stats =
+            stats_from_metrics(&second, Some((&first.counters, Duration::from_millis(500))));
+        assert_eq!((stats.done, stats.total, stats.live_peak), (30, 60, 64));
+        let busy: Vec<(&str, f64, u64)> = stats
+            .workers
+            .iter()
+            .map(|w| (w.0.as_str(), w.1, w.2))
+            .collect();
+        assert_eq!(
+            busy,
+            [
+                ("sim.sweep.worker.0", 50.0, 5),
+                ("sim.sweep.worker.1", 100.0, 5)
+            ]
+        );
+        let plain = render(&stats, Duration::from_secs(2), false);
+        assert!(
+            plain.contains("cases 30/60")
+                && plain.contains("rate 20.0/s")
+                && plain.contains("busy% 50.0,100.0"),
             "{plain}"
         );
     }

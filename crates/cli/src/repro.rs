@@ -229,7 +229,7 @@ fn table3(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
 /// one/two/three controller failures. With `--skip-optimal` there is no
 /// Optimal to normalize against, so it reports absolute per-case
 /// heuristic timing (mean / p95 / max per algorithm and failure count).
-pub(crate) fn fig7(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
+fn fig7(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
     let net = paper_net();
     let engine = SweepEngine::new(&net, opts.clone());
 

@@ -220,7 +220,7 @@ fn no_command_ignores_a_flag_it_accepts() {
 fn scale_sweep_takes_non_utf8_paths_and_rejects_non_utf8_numbers() {
     use std::os::unix::ffi::OsStrExt;
     let dir = scratch_dir("non_utf8");
-    let metrics = OsStr::from_bytes(b"m\xFF.json");
+    let telemetry = OsStr::from_bytes(b"t\xFF");
     let small = [
         "sweep",
         "--nodes",
@@ -237,12 +237,12 @@ fn scale_sweep_takes_non_utf8_paths_and_rejects_non_utf8_numbers() {
         ".",
     ];
     let mut args: Vec<&OsStr> = small.iter().map(OsStr::new).collect();
-    args.extend([OsStr::new("--metrics"), metrics]);
+    args.extend([OsStr::new("--telemetry"), telemetry]);
     let out = pmctl(&dir, &args);
     assert!(out.status.success(), "{out:?}");
     assert!(
-        dir.join(metrics).exists(),
-        "metrics file at the non-UTF-8 path"
+        dir.join(telemetry).join("metrics.json").exists(),
+        "metrics file under the non-UTF-8 directory"
     );
     assert!(dir.join("scale_cases.csv").exists(), "{out:?}");
     let out = pmctl(

@@ -374,3 +374,22 @@ fn usage_errors_exit_2() {
     result.expect("obs help prints usage");
     assert!(out.contains("pmctl obs gate"), "{out}");
 }
+
+#[test]
+fn gate_without_a_current_document_is_a_usage_error() {
+    let base = fixture("base.metrics.json");
+    let (out, result) = run_obs(&["obs", "gate", "--baseline", &base]);
+    let err = result.expect_err("CURRENT.json is required");
+    assert_eq!(err.code, 2, "{}", err.message);
+    assert!(
+        err.message.contains("CURRENT.json is required"),
+        "{}",
+        err.message
+    );
+    assert!(
+        err.message.contains("pmctl obs gate CURRENT.json"),
+        "{}",
+        err.message
+    );
+    assert!(out.is_empty(), "no workload ran: {out}");
+}

@@ -2,13 +2,14 @@
 //!
 //! [`metrics_json`](crate::metrics_json) documents (schema version 1) are
 //! the workspace's telemetry interchange format: every `pmctl` command
-//! writes them with `--metrics`, CI commits one per tracked workload under
-//! `results/baselines/`, and this module parses them back — via the
-//! in-tree [`crate::json`] parser, no external dependency — so
-//! [`crate::diff`] can compare a fresh run against a committed baseline.
+//! writes one into its `--telemetry` directory, CI commits one per
+//! tracked workload under `results/baselines/`, and this module parses
+//! them back — via the in-tree [`crate::json`] parser, no external
+//! dependency — so [`crate::diff`] can compare a fresh run against a
+//! committed baseline.
 
 use crate::json::{self, Value};
-use crate::{percentile_from_buckets, Snapshot, METRICS_SCHEMA_VERSION};
+use crate::{percentile_from_buckets, METRICS_SCHEMA_VERSION};
 use std::collections::BTreeMap;
 
 /// One parsed metrics document: the analyzable mirror of
@@ -73,48 +74,6 @@ pub struct SpanTotals {
     pub total_ns: u64,
     /// Longest single interval, in nanoseconds.
     pub max_ns: u64,
-}
-
-impl MetricsDoc {
-    /// Builds a document directly from a recorder [`Snapshot`] — the
-    /// in-process equivalent of exporting [`crate::metrics_json`] and
-    /// parsing it back.
-    pub fn from_snapshot(snap: &Snapshot) -> MetricsDoc {
-        MetricsDoc {
-            schema_version: u64::from(METRICS_SCHEMA_VERSION),
-            counters: snap.counters.iter().cloned().collect(),
-            histograms: snap
-                .histograms
-                .iter()
-                .map(|(name, h)| {
-                    (
-                        name.clone(),
-                        HistSummary {
-                            count: h.count(),
-                            sum: h.sum(),
-                            min: h.min(),
-                            max: h.max(),
-                            buckets: h.nonzero_buckets(),
-                        },
-                    )
-                })
-                .collect(),
-            spans: snap
-                .spans
-                .iter()
-                .map(|s| {
-                    (
-                        s.name.to_string(),
-                        SpanTotals {
-                            count: s.count,
-                            total_ns: s.total_ns,
-                            max_ns: s.max_ns,
-                        },
-                    )
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Parses a [`crate::metrics_json`] document.
@@ -252,8 +211,6 @@ mod tests {
         let s = &doc.spans["base.span"];
         assert_eq!(s.count, 1);
         assert!(s.total_ns >= s.max_ns);
-        // The snapshot-built document agrees with the parsed one.
-        assert_eq!(doc, MetricsDoc::from_snapshot(&crate::snapshot()));
     }
 
     #[test]

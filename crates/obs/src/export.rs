@@ -257,10 +257,10 @@ pub fn artifact_error(kind: &str, path: &Path, err: &std::io::Error) -> String {
 }
 
 /// Writes `contents` to `path`, reporting failures through
-/// [`artifact_error`]. Every telemetry export flag (`--trace`,
-/// `--metrics`, `--prom`, `--profile`) funnels its file I/O through this
-/// helper so an unwritable path always surfaces the path itself —
-/// never a silent success or a panic.
+/// [`artifact_error`]. Every exit-time telemetry artifact (the four files
+/// of `--telemetry DIR`), the flight dump and the gate report funnel
+/// their file I/O through this helper, so an unwritable path always
+/// surfaces the path itself — never a silent success or a panic.
 ///
 /// # Errors
 ///

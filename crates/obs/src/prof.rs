@@ -15,15 +15,15 @@
 //!   ```
 //!
 //!   `inferno-flamegraph`, `flamegraph.pl` and speedscope all consume it
-//!   directly. [`folded_text`] renders the live recorder's spans; the
-//!   `--profile FILE` flag writes it at exit and [`crate::serve`] serves
-//!   it at `GET /profile.folded`.
+//!   directly. [`folded_text`] renders the live recorder's spans;
+//!   `--telemetry DIR` writes it to `DIR/profile.folded` at exit and
+//!   [`crate::serve`] serves it at `GET /profile.folded`.
 //! * [`self_times`] aggregates exclusive time per span name (inclusive
 //!   total minus direct children). For every name, the weights of the
 //!   folded lines ending in it sum to its `self_ns`.
 //! * [`critical_path`] follows the longest root span, then repeatedly its
 //!   longest direct child, with per-worker attribution from the recorded
-//!   thread ids. `pmctl obs critical` runs it on a `--trace` artifact.
+//!   thread ids. `pmctl obs critical` runs it on a `trace.json`.
 //!
 //! Nothing here writes to the recorder, so a profiled run produces
 //! byte-identical results to an unprofiled one (pinned by
@@ -150,8 +150,8 @@ pub fn folded(spans: &[SpanInfo]) -> String {
     out
 }
 
-/// [`folded`] over every span the live recorder holds: the `--profile`
-/// artifact and the `GET /profile.folded` body. Empty while nothing has
+/// [`folded`] over every span the live recorder holds: the
+/// `profile.folded` artifact and the `GET /profile.folded` body. Empty while nothing has
 /// been recorded.
 pub fn folded_text() -> String {
     folded(&recorded_spans())
@@ -249,7 +249,7 @@ pub fn critical_path(spans: &[SpanInfo]) -> Vec<CriticalStep> {
 }
 
 /// Re-parses spans and thread labels out of a Chrome trace document (the
-/// `--trace` artifact): complete (`"ph": "X"`) events become [`SpanInfo`]s
+/// `trace.json` artifact): complete (`"ph": "X"`) events become [`SpanInfo`]s
 /// (µs timestamps scaled back to ns), `thread_name` metadata becomes the
 /// label map. This is how `pmctl obs critical` analyzes a finished run.
 ///

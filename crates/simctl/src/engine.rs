@@ -20,9 +20,6 @@ pub struct RecoveryTiming {
     /// Extra one-way latency per message through a middle layer (0 for
     /// direct OpenFlow; the FlowVisor figure for PG-style solutions).
     pub middle_layer_ms: f64,
-    /// Whether offline switches flush their OpenFlow entries and fall back
-    /// to the legacy table while uncontrolled (hybrid fail-standalone).
-    pub flush_offline_entries: bool,
 }
 
 impl Default for RecoveryTiming {
@@ -30,7 +27,6 @@ impl Default for RecoveryTiming {
         RecoveryTiming {
             msg_service_ms: 0.05,
             middle_layer_ms: 0.0,
-            flush_offline_entries: true,
         }
     }
 }
@@ -328,15 +324,10 @@ impl<'net> Simulation<'net> {
                 }
                 // Offline switches flush their OpenFlow entries (hybrid
                 // fail-standalone: the legacy table takes over) — flushed
-                // lazily here for every currently-masterless switch when
-                // any pending plan requests it.
-                if self.plans.iter().all(|p| p.timing.flush_offline_entries)
-                    || self.plans.is_empty()
-                {
-                    for s in self.net.switches() {
-                        if self.master[s.index()].is_none() {
-                            self.tables[s.index()].clear_flow_entries();
-                        }
+                // here for every currently-masterless switch.
+                for s in self.net.switches() {
+                    if self.master[s.index()].is_none() {
+                        self.tables[s.index()].clear_flow_entries();
                     }
                 }
             }
@@ -447,10 +438,6 @@ impl<'net> Simulation<'net> {
                     }
                 }
                 let _ = (a, b);
-            }
-            Event::ServiceComplete { .. } => {
-                // Service completions are folded into `next_free`; the
-                // variant exists for API users building custom schedules.
             }
         }
     }

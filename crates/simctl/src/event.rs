@@ -74,12 +74,6 @@ pub enum Event {
         /// The message.
         message: ControlMessage,
     },
-    /// A controller finishes processing one queued message and may start
-    /// the next (service completion in the FIFO queue).
-    ServiceComplete {
-        /// The controller whose head-of-line message completed.
-        controller: ControllerId,
-    },
     /// A flow's entries hard-expire at every switch on its path; switches
     /// with a live master send `PacketIn`s, masterless (offline) switches
     /// silently fall back to the legacy table.
@@ -181,21 +175,15 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(
             SimTime::from_ms(3.0),
-            Event::ServiceComplete {
-                controller: ControllerId(0),
-            },
+            Event::StartRecovery { plan_index: 0 },
         );
         q.push(
             SimTime::from_ms(1.0),
-            Event::ServiceComplete {
-                controller: ControllerId(1),
-            },
+            Event::StartRecovery { plan_index: 1 },
         );
         q.push(
             SimTime::from_ms(2.0),
-            Event::ServiceComplete {
-                controller: ControllerId(2),
-            },
+            Event::StartRecovery { plan_index: 2 },
         );
         let order: Vec<f64> = std::iter::from_fn(|| q.pop())
             .map(|(t, _)| t.as_ms())
@@ -209,14 +197,12 @@ mod tests {
         for c in 0..5 {
             q.push(
                 SimTime::from_ms(1.0),
-                Event::ServiceComplete {
-                    controller: ControllerId(c),
-                },
+                Event::StartRecovery { plan_index: c },
             );
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
-                Event::ServiceComplete { controller } => controller.index(),
+                Event::StartRecovery { plan_index } => plan_index,
                 _ => unreachable!(),
             })
             .collect();
@@ -230,22 +216,21 @@ mod tests {
     #[test]
     fn fifo_among_ties_survives_interleaved_pops() {
         let t = SimTime::from_ms(5.0);
-        let ev = |c: usize| Event::ServiceComplete {
-            controller: ControllerId(c),
-        };
+        let ev = |c: usize| Event::StartRecovery { plan_index: c };
         let mut q = EventQueue::new();
         q.push(t, ev(0));
         q.push(t, ev(1));
         // Pop the head, then push more ties and an earlier event.
-        assert!(
-            matches!(q.pop(), Some((_, Event::ServiceComplete { controller })) if controller == ControllerId(0))
-        );
+        assert!(matches!(
+            q.pop(),
+            Some((_, Event::StartRecovery { plan_index: 0 }))
+        ));
         q.push(t, ev(2));
         q.push(SimTime::from_ms(1.0), ev(9));
         q.push(t, ev(3));
         let order: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
-                Event::ServiceComplete { controller } => controller.index(),
+                Event::StartRecovery { plan_index } => plan_index,
                 _ => unreachable!(),
             })
             .collect();

@@ -38,7 +38,7 @@ fn recorded_outputs(net: &SdWan, jobs: usize) -> String {
     for (k, cases) in &sweeps {
         out.push_str(&metrics_report(cases, *k, "obs", true, &opts));
     }
-    // The pure JSON builder (no phase breakdown): its body is part of the
+    // The pure JSON builder: its body is part of the
     // recorded output and must not move when the recorder is on.
     let refs: Vec<(usize, &[CaseResult])> =
         sweeps.iter().map(|(k, c)| (*k, c.as_slice())).collect();

@@ -8,7 +8,7 @@
 //! reports.
 //!
 //! Enabling the [`pm_obs`] recorder is process-global and one-way (it is
-//! what `--profile` turns on), so the disabled-then-enabled comparison
+//! what `--telemetry` turns on), so the disabled-then-enabled comparison
 //! lives in one test function and the disabled half runs first. The
 //! `/profile.folded` endpoint plus the HEAD / 405 method grammar are
 //! exercised against the same live process.
@@ -109,7 +109,7 @@ fn profiler_is_observational_and_profiles_reconcile_with_metrics() {
     let off_parallel = sweep_rows(&net, 8);
     assert_eq!(off_serial, off_parallel);
 
-    // Phase 2: the recorder (all `--profile` turns on) plus the live
+    // Phase 2: the recorder (all `--telemetry` turns on) plus the live
     // HTTP server.
     pm_obs::enable();
     let server = pm_obs::MetricsServer::serve("127.0.0.1:0").expect("ephemeral bind");
