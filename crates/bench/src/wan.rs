@@ -4,12 +4,14 @@
 //! (and the benchmark) exercise the engine on the same topology family:
 //! a connected Waxman graph whose β shrinks with the node count so the
 //! average degree stays in the high single digits, farthest-point
-//! controller placement, nearest-controller domains, and a bounded
-//! random flow population over small endpoint pools — no all-pairs
-//! computation anywhere, so memory and time scale with the controller
-//! count and flow pool, not the switch count squared.
+//! controller placement, the builder's nearest-controller domains, and a
+//! bounded random flow population over a small endpoint pool. Only the
+//! Waxman draw visits every node pair; the builder settles one
+//! shortest-path tree per controller and per flow endpoint, so routing and
+//! the programmability table scale with the controller count and the
+//! pool, not the switch count squared.
 
-use pm_sdwan::{nearest_controller_partition, spread_controllers, SdWan, SdWanBuilder, SwitchId};
+use pm_sdwan::{spread_controllers, SdWan, SdWanBuilder, SwitchId};
 use pm_topo::builders::{waxman, WaxmanParams};
 use pm_topo::rng::DetRng;
 use std::collections::HashSet;
@@ -56,9 +58,9 @@ fn sample_pool(rng: &mut DetRng, n: usize, size: usize) -> Vec<usize> {
     all
 }
 
-/// Up to `want` distinct `(src, dst)` pairs over bounded endpoint pools,
-/// so the per-source and per-destination shortest-path caches stay small
-/// no matter how large the topology is. The pool of `p = min(n, 192)`
+/// Up to `want` distinct `(src, dst)` pairs over one bounded endpoint
+/// pool, so the builder settles at most one shortest-path tree per pool
+/// node no matter how large the topology is. The pool of `p = min(n, 192)`
 /// endpoints holds `p·(p−1)` distinct pairs, so sampling stops there
 /// however large `want` is.
 pub fn sample_flows(rng: &mut DetRng, n: usize, want: usize) -> Vec<(SwitchId, SwitchId)> {
@@ -101,13 +103,12 @@ pub fn build_wan(spec: &WanSpec) -> BuiltWan {
         let _span = pm_obs::span("scale.topology");
         waxman(&params).expect("waxman parameters are valid")
     };
-    let (sites, domains, flows) = {
+    let (sites, flows) = {
         let _span = pm_obs::span("scale.placement");
         let sites = spread_controllers(&g, spec.controllers).expect("connected by construction");
-        let domains = nearest_controller_partition(&g, &sites).expect("sites are valid");
         let mut rng = DetRng::seed_from_u64(spec.seed ^ 0x5ca1e5eed);
         let flows = sample_flows(&mut rng, spec.nodes, spec.flows);
-        (sites, domains, flows)
+        (sites, flows)
     };
     let net = {
         let _span = pm_obs::span("scale.build");
@@ -115,8 +116,7 @@ pub fn build_wan(spec: &WanSpec) -> BuiltWan {
         for &s in &sites {
             b = b.controller(s, 0);
         }
-        b.domains(domains)
-            .explicit_flows(flows)
+        b.explicit_flows(flows)
             .auto_capacity(spec.headroom)
             .build()
             .expect("generated network is valid")

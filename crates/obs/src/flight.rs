@@ -1,7 +1,6 @@
 //! Flight recorder: the most recent completed spans of each thread and
-//! the last counter events, dumped to a named artifact when something
-//! goes wrong — a panic (via [`arm_panic_hook`]) or a `pmctl obs gate`
-//! breach.
+//! the last counter events, dumped to a named artifact when the process
+//! panics ([`arm_panic_hook`], the module's one entry point).
 //!
 //! The full Chrome trace answers "what happened"; the flight dump answers
 //! "what happened *just before the crash*" in a bounded artifact: the
@@ -37,11 +36,11 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 
 /// Sizing for [`arm`].
 #[derive(Debug, Clone)]
-pub struct FlightConfig {
+pub(crate) struct FlightConfig {
     /// Most recent completed spans dumped per recording thread.
-    pub spans_per_thread: usize,
+    pub(crate) spans_per_thread: usize,
     /// Counter events retained process-wide.
-    pub counter_events: usize,
+    pub(crate) counter_events: usize,
 }
 
 impl Default for FlightConfig {
@@ -83,14 +82,14 @@ fn lock() -> std::sync::MutexGuard<'static, FlightState> {
 /// Is the flight recorder armed? One relaxed load — the gate the counter
 /// paths take first.
 #[inline]
-pub fn armed() -> bool {
+pub(crate) fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
 /// Arms the flight recorder (and [`crate::enable`]s the recorder, whose
 /// spans the dump reads). Re-arming replaces the configuration and
 /// clears the counter ring.
-pub fn arm(config: FlightConfig) {
+pub(crate) fn arm(config: FlightConfig) {
     crate::enable();
     {
         let mut st = lock();
@@ -124,7 +123,7 @@ pub(crate) fn record_count(t_ns: u64, tid: u64, name: &str, delta: u64, total: u
 
 /// Renders the dump artifact: the recorder's last spans per thread and
 /// the counter ring. Valid (and mostly empty) even when never armed.
-pub fn dump() -> String {
+pub(crate) fn dump() -> String {
     let st = lock();
     let mut out = String::new();
     out.push_str("pm flight recorder dump (schema 1)\n");
@@ -185,7 +184,7 @@ fn push_recent_spans(out: &mut String, per_thread: usize) {
 /// # Errors
 ///
 /// Returns the formatted [`crate::artifact_error`] message.
-pub fn write_dump(path: &Path) -> Result<(), String> {
+pub(crate) fn write_dump(path: &Path) -> Result<(), String> {
     crate::write_artifact("flight dump", path, &dump())
 }
 

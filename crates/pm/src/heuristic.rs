@@ -587,7 +587,7 @@ mod tests {
     use super::*;
     use pm_sdwan::{ControllerId, PlanMetrics, Programmability, SdWanBuilder};
 
-    fn setup() -> (pm_sdwan::SdWan, Programmability) {
+    fn setup() -> (pm_sdwan::SdWan, std::sync::Arc<Programmability>) {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
         let prog = Programmability::compute(&net);
         (net, prog)

@@ -481,7 +481,7 @@ mod tests {
     use super::*;
     use pm_sdwan::SdWanBuilder;
 
-    fn instance_data() -> (pm_sdwan::SdWan, Programmability) {
+    fn instance_data() -> (pm_sdwan::SdWan, std::sync::Arc<Programmability>) {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
         let prog = Programmability::compute(&net);
         (net, prog)

@@ -772,7 +772,7 @@ mod tests {
     use pm_topo::{builders, NodeId};
 
     /// A small network where the exact solver finishes quickly.
-    fn small() -> (pm_sdwan::SdWan, Programmability) {
+    fn small() -> (pm_sdwan::SdWan, std::sync::Arc<Programmability>) {
         let net = SdWanBuilder::new(builders::grid(3, 3))
             .controller(NodeId(0), 200)
             .controller(NodeId(8), 200)

@@ -212,7 +212,11 @@ mod tests {
     use crate::{FmssmInstance, Pm, RecoveryAlgorithm};
     use pm_sdwan::{ControllerId, SdWanBuilder};
 
-    fn recovered_world() -> (pm_sdwan::SdWan, Programmability, RecoveryPlan) {
+    fn recovered_world() -> (
+        pm_sdwan::SdWan,
+        std::sync::Arc<Programmability>,
+        RecoveryPlan,
+    ) {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
         let prog = Programmability::compute(&net);
         let scenario = net.fail(&[ControllerId(3), ControllerId(4)]).unwrap();

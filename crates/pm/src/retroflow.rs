@@ -95,7 +95,7 @@ mod tests {
     use super::*;
     use pm_sdwan::{ControllerId, PlanMetrics, Programmability, SdWanBuilder, SwitchId};
 
-    fn setup() -> (pm_sdwan::SdWan, Programmability) {
+    fn setup() -> (pm_sdwan::SdWan, std::sync::Arc<Programmability>) {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
         let prog = Programmability::compute(&net);
         (net, prog)

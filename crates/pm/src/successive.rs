@@ -95,7 +95,7 @@ mod tests {
     use crate::RecoveryAlgorithm;
     use pm_sdwan::{PlanMetrics, SdWanBuilder, SwitchId};
 
-    fn setup() -> (pm_sdwan::SdWan, Programmability) {
+    fn setup() -> (pm_sdwan::SdWan, std::sync::Arc<Programmability>) {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
         let prog = Programmability::compute(&net);
         (net, prog)

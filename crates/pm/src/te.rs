@@ -169,7 +169,7 @@ mod tests {
     use crate::{FmssmInstance, Pm, RecoveryAlgorithm, RetroFlow};
     use pm_sdwan::{ControllerId, SdWanBuilder};
 
-    fn world() -> (pm_sdwan::SdWan, Programmability) {
+    fn world() -> (pm_sdwan::SdWan, std::sync::Arc<Programmability>) {
         let net = SdWanBuilder::att_paper_setup().build().unwrap();
         let prog = Programmability::compute(&net);
         (net, prog)

@@ -146,7 +146,7 @@ mod tests {
     use pm_sdwan::{ControllerId, PlanMetrics, Programmability, SdWanBuilder};
     use pm_topo::{builders, NodeId};
 
-    fn small() -> (pm_sdwan::SdWan, Programmability) {
+    fn small() -> (pm_sdwan::SdWan, std::sync::Arc<Programmability>) {
         let net = SdWanBuilder::new(builders::grid(3, 3))
             .controller(NodeId(0), 200)
             .controller(NodeId(8), 200)

@@ -3,12 +3,15 @@
 //! A failure sweep evaluates every k-subset of controllers against the same
 //! [`SdWan`]. Part of the per-scenario setup cost is state that does not
 //! depend on *which* controllers failed: the programmability table and each
-//! controller's normal load. [`NetCache`] computes both once (the path
-//! counts behind the table are dropped as soon as it is built);
-//! [`SdWan::fail_cached`] then builds per-scenario views from cached parts
-//! without repeating the work — with results identical to the uncached
-//! paths. Each switch's controllers-by-delay order is not cached here: the
-//! network itself sorts it once ([`SdWan::controllers_by_delay`]).
+//! controller's normal load. The table is built with the network
+//! ([`SdWanBuilder::build`] derives it from the shortest-path trees it
+//! settles per flow endpoint), and [`NetCache`] shares it and computes the
+//! loads once; [`SdWan::fail_cached`] then builds per-scenario views from
+//! cached parts without repeating the work — with results identical to the
+//! uncached paths. Each switch's controllers-by-delay order is not cached
+//! here: the network itself sorts it once ([`SdWan::controllers_by_delay`]).
+//!
+//! [`SdWanBuilder::build`]: crate::SdWanBuilder::build
 
 use crate::network::{ControllerId, SdWan};
 use crate::programmability::Programmability;
@@ -39,10 +42,10 @@ pub struct NetCache {
 }
 
 impl NetCache {
-    /// Computes every cacheable quantity of `net`.
+    /// Shares `net`'s programmability table and computes its loads.
     pub fn build(net: &SdWan) -> Self {
         let _span = pm_obs::span("sdwan.netcache.build");
-        let prog = Arc::new(Programmability::compute(net));
+        let prog = Programmability::compute(net);
         let loads: Vec<u32> = (0..net.controllers().len())
             .map(|c| net.controller_load(ControllerId(c)))
             .collect();
@@ -59,7 +62,7 @@ impl NetCache {
         }
     }
 
-    /// The programmability table, identical to
+    /// The programmability table, shared with
     /// [`Programmability::compute`] on the same network.
     pub fn programmability(&self) -> &Arc<Programmability> {
         &self.prog

@@ -1,8 +1,10 @@
 //! The SD-WAN network: switches, controllers, domains and flows.
 
+use crate::programmability::Programmability;
 use crate::SdwanError;
 use pm_topo::{Graph, NodeId};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an SDN switch. Switches correspond one-to-one with
 /// topology nodes: switch `i` sits at [`NodeId`] `i`.
@@ -116,6 +118,9 @@ pub struct SdWan {
     /// Row-major switch × controller order: row `i` lists every controller
     /// by ascending delay from switch `i`, ties toward the lower id.
     pub(crate) ctrl_order: Vec<ControllerId>,
+    /// The `β`/`p̄` table of the flows, built with the network and shared
+    /// by [`Programmability::compute`] and [`crate::NetCache`].
+    pub(crate) prog: Arc<Programmability>,
 }
 
 impl SdWan {

@@ -12,7 +12,10 @@
 //! * [`nearest_controller_partition`] — the nearest-controller domain rule
 //!   [`SdWanBuilder::build`](crate::SdWanBuilder::build) applies (ties to
 //!   the lower controller index), materialized as an explicit partition,
-//!   one Dijkstra per controller.
+//!   one Dijkstra per controller. A network built without explicit domains
+//!   already has this partition, so it is for code that needs the domains
+//!   apart from a build: the benchmark's placement layer times it on its
+//!   own, and the tests below check it against the builder's default.
 
 use crate::SdwanError;
 use pm_topo::{paths, Graph, NodeId};
@@ -73,8 +76,8 @@ pub fn spread_controllers(g: &Graph, k: usize) -> Result<Vec<NodeId>, SdwanError
 /// Assigns every node to its nearest controller, ties to the lower
 /// controller index — the same rule [`SdWanBuilder::build`] uses when no
 /// explicit domains are given, so feeding the result to
-/// [`SdWanBuilder::domains`] reproduces the default partition without the
-/// builder running any all-pairs computation.
+/// [`SdWanBuilder::domains`] reproduces the default partition (and
+/// building without domains gives it for free).
 ///
 /// Returns `domains[c]` = the ascending switch indices owned by controller
 /// `c` (the `controllers[c]` site). Runs one Dijkstra per controller.

@@ -7,9 +7,15 @@
 //! alternate DAG (see [`pm_topo::paths::PathCounts`]): `p_i^l` is the DAG
 //! path count from `s_i`, and `β_i^l = 1` iff that count is at least two.
 //! `p̄_i^l = β_i^l · p_i^l` is the quantity the objective sums.
+//!
+//! The DAG toward a destination comes from the shortest-path tree rooted
+//! there. [`SdWanBuilder::build`](crate::SdWanBuilder::build) settles one
+//! tree per flow endpoint anyway, to route the flows, so it builds the table
+//! from its destinations' trees; this module only lays out the rows.
 
-use crate::network::{FlowId, SdWan, SwitchId};
+use crate::network::{Flow, FlowId, SdWan, SwitchId};
 use pm_topo::PathCounts;
+use std::sync::Arc;
 
 /// Precomputed programmability data for every flow of a network, as two
 /// compressed (CSR) views of the same `β = 1` entries: one flat entries
@@ -30,10 +36,9 @@ pub struct Programmability {
 }
 
 impl Programmability {
-    /// Computes `β` and `p̄` for every flow in `net`.
-    ///
-    /// One loop-free path-count pass is run per distinct destination, so
-    /// this is `O(#destinations · E)` plus the per-flow path scans.
+    /// The table of `net`: [`SdWanBuilder::build`] computes it once, from
+    /// the shortest-path trees it settles for routing, and every caller
+    /// shares it.
     ///
     /// # Example
     ///
@@ -47,10 +52,21 @@ impl Programmability {
     /// }
     /// # Ok::<(), pm_sdwan::SdwanError>(())
     /// ```
-    pub fn compute(net: &SdWan) -> Self {
-        let flows = net.flows();
-        // Destination by destination, so one `PathCounts` is alive at a
-        // time; `spans` then lays the rows out in flow order.
+    ///
+    /// [`SdWanBuilder::build`]: crate::SdWanBuilder::build
+    pub fn compute(net: &SdWan) -> Arc<Programmability> {
+        Arc::clone(&net.prog)
+    }
+
+    /// Computes `β` and `p̄` for `flows` over `switches` switches, with
+    /// `toward(d)` giving the loop-free path counts toward destination `d`.
+    /// It is called once per distinct destination, in ascending order, and
+    /// only one result is alive at a time.
+    pub(crate) fn from_path_counts(
+        flows: &[Flow],
+        switches: usize,
+        mut toward: impl FnMut(SwitchId) -> PathCounts,
+    ) -> Self {
         let mut by_dst: Vec<usize> = (0..flows.len()).collect();
         by_dst.sort_by_key(|&l| flows[l].dst);
         let mut grouped = Vec::new();
@@ -60,7 +76,7 @@ impl Programmability {
             let dst = flows[first].dst;
             let (group, tail) = rest.split_at(rest.partition_point(|&l| flows[l].dst == dst));
             rest = tail;
-            let pc = PathCounts::toward(net.topology(), dst.node());
+            let pc = toward(dst);
             for &l in group {
                 let start = grouped.len();
                 for &s in &flows[l].path {
@@ -85,7 +101,7 @@ impl Programmability {
 
         // The switch rows: a counting pass sizes them, and a scatter in
         // flow order fills them, so each row ascends by flow.
-        let n = net.switch_count();
+        let n = switches;
         let mut switch_offsets = vec![0usize; n + 1];
         for &(s, _) in &by_flow {
             switch_offsets[s.0 + 1] += 1;
@@ -187,18 +203,28 @@ mod tests {
         }
     }
 
-    /// The per-destination pass equals the flow-by-flow definition: each
-    /// flow's entries from its own destination's path counts, in path order.
-    #[test]
-    fn grouped_by_destination_matches_per_flow_counts() {
-        let net = SdWanBuilder::new(builders::grid(3, 4))
-            .controller(NodeId(0), 500)
-            .controller(NodeId(11), 500)
-            .build()
-            .unwrap();
-        let prog = Programmability::compute(&net);
+    /// The table `SdWanBuilder::build` derives from its endpoint trees
+    /// equals one computed from scratch, destination by destination: a
+    /// fresh `PathCounts::toward` per destination, each flow's entries in
+    /// path order, `pbar` everywhere; and each flow's path is the one a
+    /// fresh Dijkstra from its source gives.
+    fn assert_table_matches_per_destination_reference(net: &SdWan) {
+        use std::collections::BTreeMap;
+        let prog = Programmability::compute(net);
+        assert_eq!(prog.flow_count(), net.flows().len());
+        let mut counts = BTreeMap::new();
         for (l, flow) in net.flows().iter().enumerate() {
-            let pc = PathCounts::toward(net.topology(), flow.dst.node());
+            let spt = pm_topo::paths::dijkstra(net.topology(), flow.src.node());
+            let path: Vec<SwitchId> = spt
+                .path_to(flow.dst.node())
+                .unwrap()
+                .into_iter()
+                .map(|v| SwitchId(v.0))
+                .collect();
+            assert_eq!(flow.path, path, "flow {l}");
+            let pc = counts
+                .entry(flow.dst)
+                .or_insert_with(|| PathCounts::toward(net.topology(), flow.dst.node()));
             let want: Vec<(SwitchId, u32)> = flow
                 .path
                 .iter()
@@ -212,6 +238,50 @@ mod tests {
                 assert_eq!(prog.pbar(FlowId(l), s), pbar, "flow {l} at {s}");
             }
         }
+    }
+
+    #[test]
+    fn built_table_matches_per_destination_reference_on_att() {
+        let net = SdWanBuilder::att_paper_setup().build().unwrap();
+        assert_table_matches_per_destination_reference(&net);
+    }
+
+    #[test]
+    fn grouped_by_destination_matches_per_flow_counts() {
+        let net = SdWanBuilder::new(builders::grid(3, 4))
+            .controller(NodeId(0), 500)
+            .controller(NodeId(11), 500)
+            .build()
+            .unwrap();
+        assert_eq!(net.flows().len(), 12 * 11);
+        assert_table_matches_per_destination_reference(&net);
+    }
+
+    /// Explicit flows over a Waxman graph where switches 7 and 12 are only
+    /// destinations and switch 3 only a source: a destination's tree must
+    /// be settled even when no flow starts there.
+    #[test]
+    fn built_table_matches_per_destination_reference_on_explicit_flows() {
+        let g = builders::waxman(&builders::WaxmanParams {
+            nodes: 40,
+            seed: 5,
+            ..Default::default()
+        })
+        .unwrap();
+        let pairs = [(0, 7), (3, 12), (0, 12), (20, 0), (3, 20), (20, 7)]
+            .map(|(a, b)| (SwitchId(a), SwitchId(b)));
+        let net = SdWanBuilder::new(g)
+            .controller(NodeId(0), 500)
+            .controller(NodeId(30), 500)
+            .explicit_flows(pairs.to_vec())
+            .build()
+            .unwrap();
+        let srcs: Vec<_> = net.flows().iter().map(|f| f.src).collect();
+        assert!(!srcs.contains(&SwitchId(7)) && !srcs.contains(&SwitchId(12)));
+        assert!(net.flows().iter().all(|f| f.dst != SwitchId(3)));
+        assert_table_matches_per_destination_reference(&net);
+        let prog = Programmability::compute(&net);
+        assert!((0..pairs.len()).any(|l| !prog.flow_entries(FlowId(l)).is_empty()));
     }
 
     /// The switch rows are exactly the transpose of the flow rows: every

@@ -2,9 +2,10 @@
 
 use crate::cache::NetCache;
 use crate::network::{Controller, ControllerId, Flow, FlowId, SdWan, SwitchId};
+use crate::programmability::Programmability;
 use crate::SdwanError;
-use pm_topo::{att, paths, Graph, NodeId};
-use std::collections::HashMap;
+use pm_topo::{att, paths, Graph, NodeId, PathCounts, SettledDistances};
+use std::sync::Arc;
 
 /// Builder for an [`SdWan`].
 ///
@@ -158,10 +159,8 @@ impl SdWanBuilder {
             ));
         }
         // One Dijkstra per controller covers domains and control delays;
-        // flow routing runs one Dijkstra per distinct flow source, computed
-        // lazily below. On all-pairs traffic this matches the former
-        // all-pairs precomputation; on explicit flows the cost scales with
-        // the source pool instead of the node count.
+        // one per flow endpoint routes the flows and counts the loop-free
+        // paths behind the programmability table (below).
         let ctrl_spts: Vec<paths::ShortestPathTree> = self
             .controllers
             .iter()
@@ -236,9 +235,9 @@ impl SdWanBuilder {
             }
             FlowSpec::Explicit(p) => p.clone(),
         };
-        let mut flows = Vec::with_capacity(pairs.len());
-        let mut src_spts: HashMap<usize, paths::ShortestPathTree> = HashMap::new();
-        for (src, dst) in pairs {
+        let mut from_src = vec![Vec::new(); n];
+        let mut is_dst = vec![false; n];
+        for (l, &(src, dst)) in pairs.iter().enumerate() {
             if src.0 >= n {
                 return Err(SdwanError::UnknownSwitch(src));
             }
@@ -250,17 +249,46 @@ impl SdWanBuilder {
                     "flow {src}->{dst} is a loop"
                 )));
             }
-            let path = src_spts
-                .entry(src.0)
-                .or_insert_with(|| paths::dijkstra(&self.topology, src.node()))
-                .path_to(dst.node())
-                .ok_or_else(|| SdwanError::InvalidNetwork(format!("{src} cannot reach {dst}")))?;
-            flows.push(Flow {
-                src,
-                dst,
-                path: path.into_iter().map(|v| SwitchId(v.0)).collect(),
-            });
+            from_src[src.0].push(l);
+            is_dst[dst.0] = true;
         }
+        // One tree per endpoint: a source's flows are routed from it, in
+        // pair order, and then its predecessor links go; a destination
+        // keeps its distances and settle order until its path counts are
+        // taken (the graph is undirected, so the tree rooted at a
+        // destination is its tree of distances to it).
+        let mut routed: Vec<Option<Flow>> = vec![None; pairs.len()];
+        let mut dst_trees: Vec<Option<SettledDistances>> = vec![None; n];
+        for v in 0..n {
+            if from_src[v].is_empty() && !is_dst[v] {
+                continue;
+            }
+            let tree = paths::dijkstra(&self.topology, NodeId(v));
+            for &l in &from_src[v] {
+                let (src, dst) = pairs[l];
+                let path = tree.path_to(dst.node()).ok_or_else(|| {
+                    SdwanError::InvalidNetwork(format!("{src} cannot reach {dst}"))
+                })?;
+                routed[l] = Some(Flow {
+                    src,
+                    dst,
+                    path: path.into_iter().map(|v| SwitchId(v.0)).collect(),
+                });
+            }
+            if is_dst[v] {
+                dst_trees[v] = Some(tree.into_settled());
+            }
+        }
+        let flows: Vec<Flow> = routed
+            .into_iter()
+            .map(|f| f.expect("every pair's source was settled"))
+            .collect();
+        let prog = Programmability::from_path_counts(&flows, n, |dst| {
+            let tree = dst_trees[dst.0]
+                .take()
+                .expect("every destination was settled once");
+            PathCounts::from_settled(&self.topology, tree)
+        });
 
         // Per-switch flow lists.
         let mut flows_at: Vec<Vec<FlowId>> = vec![Vec::new(); n];
@@ -295,6 +323,7 @@ impl SdWanBuilder {
             flows_at,
             ctrl_delay,
             ctrl_order,
+            prog: Arc::new(prog),
         };
 
         if let Some(headroom) = self.auto_capacity {

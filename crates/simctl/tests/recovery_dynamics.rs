@@ -6,7 +6,7 @@ use pm_sdwan::hybrid::TableHit;
 use pm_sdwan::{ControllerId, FlowId, Programmability, SdWanBuilder};
 use pm_simctl::{RecoveryTiming, SimTime, Simulation};
 
-fn paper_net() -> (pm_sdwan::SdWan, Programmability) {
+fn paper_net() -> (pm_sdwan::SdWan, std::sync::Arc<Programmability>) {
     let net = SdWanBuilder::att_paper_setup().build().unwrap();
     let prog = Programmability::compute(&net);
     (net, prog)

@@ -121,6 +121,9 @@ pub struct Graph {
     /// CSR payload: `(neighbor, edge id)` pairs, per-node in edge insertion
     /// order.
     arcs: Vec<(NodeId, EdgeId)>,
+    /// `arc_weights[k]` is the weight of `arcs[k]`'s edge, so a traversal
+    /// reads a row's weights as one slice instead of looking each edge up.
+    arc_weights: Vec<f64>,
 }
 
 impl Default for Graph {
@@ -130,6 +133,7 @@ impl Default for Graph {
             edges: Vec::new(),
             offsets: vec![0],
             arcs: Vec::new(),
+            arc_weights: Vec::new(),
         }
     }
 }
@@ -149,6 +153,7 @@ impl Graph {
             edges: Vec::new(),
             offsets,
             arcs: Vec::new(),
+            arc_weights: Vec::new(),
         }
     }
 
@@ -173,6 +178,45 @@ impl Graph {
         Ok(g)
     }
 
+    /// A graph over `nodes` whose CSR rows are laid out in one counting
+    /// pass over `edges`, equal (edge ids, row order, weights) to adding
+    /// the edges one by one with [`Graph::add_edge`]. The caller guarantees
+    /// what `add_edge` would check: endpoints in range, no self-loops, no
+    /// duplicates, finite non-negative weights.
+    pub(crate) fn from_valid_edges(nodes: Vec<NodeMeta>, edges: Vec<Edge>) -> Graph {
+        let n = nodes.len();
+        let mut offsets = vec![0usize; n + 1];
+        for e in &edges {
+            debug_assert!(e.a.0 < n && e.b.0 < n && e.a != e.b);
+            debug_assert!(e.weight.is_finite() && e.weight >= 0.0);
+            offsets[e.a.0 + 1] += 1;
+            offsets[e.b.0 + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Scattering in edge-id order appends each edge to the end of both
+        // endpoint rows, as `add_edge` does.
+        let mut fill = offsets[..n].to_vec();
+        let mut arcs = vec![(NodeId(0), EdgeId(0)); 2 * edges.len()];
+        let mut arc_weights = vec![0.0; 2 * edges.len()];
+        for (i, e) in edges.iter().enumerate() {
+            for (from, to) in [(e.a, e.b), (e.b, e.a)] {
+                let k = fill[from.0];
+                arcs[k] = (to, EdgeId(i));
+                arc_weights[k] = e.weight;
+                fill[from.0] += 1;
+            }
+        }
+        Graph {
+            nodes,
+            edges,
+            offsets,
+            arcs,
+            arc_weights,
+        }
+    }
+
     /// Adds a node and returns its id.
     pub fn add_node(&mut self, name: impl Into<String>, position: Option<GeoPoint>) -> NodeId {
         let id = NodeId(self.nodes.len());
@@ -190,6 +234,7 @@ impl Graph {
     fn insert_arc(&mut self, from: NodeId, to: NodeId, e: EdgeId) {
         let pos = self.offsets[from.0 + 1];
         self.arcs.insert(pos, (to, e));
+        self.arc_weights.insert(pos, self.edges[e.0].weight);
         for off in &mut self.offsets[from.0 + 1..] {
             *off += 1;
         }
@@ -306,6 +351,16 @@ impl Graph {
     /// Panics if `n` is out of range.
     pub fn adjacency(&self, n: NodeId) -> &[(NodeId, EdgeId)] {
         &self.arcs[self.offsets[n.0]..self.offsets[n.0 + 1]]
+    }
+
+    /// The weights of [`Graph::adjacency`]`(n)`'s arcs, in the same order:
+    /// `arc_weights(n)[k]` is the weight of `adjacency(n)[k]`'s edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    pub(crate) fn arc_weights(&self, n: NodeId) -> &[f64] {
+        &self.arc_weights[self.offsets[n.0]..self.offsets[n.0 + 1]]
     }
 
     /// Iterator over the neighbors of `n`, in edge insertion order.
@@ -530,17 +585,21 @@ mod tests {
     }
 
     /// Checks the CSR invariants: monotone offsets bracketing `arcs`, row
-    /// lengths matching degrees, and every arc mirroring a real edge.
+    /// lengths matching degrees, every arc mirroring a real edge, and each
+    /// arc weight equal to its edge's weight, bit for bit.
     fn assert_csr_consistent(g: &Graph) {
         assert_eq!(g.offsets.len(), g.node_count() + 1);
         assert_eq!(g.offsets[0], 0);
         assert_eq!(*g.offsets.last().unwrap(), g.arcs.len());
         assert!(g.offsets.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(g.arcs.len(), 2 * g.edge_count());
+        assert_eq!(g.arc_weights.len(), g.arcs.len());
         for v in g.nodes() {
-            for &(u, e) in g.adjacency(v) {
+            assert_eq!(g.arc_weights(v).len(), g.degree(v));
+            for (&(u, e), &w) in g.adjacency(v).iter().zip(g.arc_weights(v)) {
                 let edge = g.edge(e);
                 assert_eq!(edge.other(v), u);
+                assert_eq!(w.to_bits(), edge.weight.to_bits(), "arc {v}->{u}");
             }
         }
         for (i, e) in g.edges().enumerate() {
@@ -567,6 +626,32 @@ mod tests {
         // Rows keep edge insertion order.
         let row0: Vec<NodeId> = g.neighbors(NodeId(0)).collect();
         assert_eq!(row0, vec![NodeId(5), NodeId(1), NodeId(3)]);
+    }
+
+    /// Random `add_edge` sequences (rejected duplicates and self-loops
+    /// included) keep every invariant after each call, and laying the same
+    /// edges out in one pass gives the identical graph.
+    #[test]
+    fn arc_weights_track_every_add_edge_sequence() {
+        let mut rng = crate::rng::DetRng::seed_from_u64(17);
+        for round in 0..40 {
+            let n = 2 + round % 9;
+            let mut g = Graph::new();
+            for i in 0..n {
+                g.add_node(format!("n{i}"), None);
+            }
+            for _ in 0..3 * n {
+                let a = NodeId((rng.next_u64() % n as u64) as usize);
+                let b = NodeId((rng.next_u64() % n as u64) as usize);
+                // Few distinct weights, so equal weights sit side by side.
+                let w = (rng.next_u64() % 4) as f64 * 0.5;
+                let _ = g.add_edge(a, b, w);
+                assert_csr_consistent(&g);
+            }
+            let bulk = Graph::from_valid_edges(g.nodes.clone(), g.edges.clone());
+            assert_csr_consistent(&bulk);
+            assert_eq!(bulk, g, "round {round}");
+        }
     }
 
     #[test]

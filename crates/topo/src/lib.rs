@@ -52,4 +52,4 @@ mod error;
 pub use error::TopoError;
 pub use geo::GeoPoint;
 pub use graph::{EdgeId, Graph, NodeId};
-pub use paths::{PathCounts, ShortestPathTree};
+pub use paths::{PathCounts, SettledDistances, ShortestPathTree};

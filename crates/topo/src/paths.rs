@@ -19,35 +19,50 @@ use std::collections::BinaryHeap;
 /// Tolerance used when comparing path lengths for equality.
 pub const EPS: f64 = 1e-9;
 
-/// Result of a single-source Dijkstra run: distances and predecessor links.
+/// Distances from one source and the order Dijkstra settled the reachable
+/// nodes in (nondecreasing in distance): a [`ShortestPathTree`] without its
+/// predecessor links, which is all [`PathCounts::from_settled`] needs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShortestPathTree {
+pub struct SettledDistances {
     source: NodeId,
     dist: Vec<f64>,
+    order: Vec<u32>,
+}
+
+/// Result of a single-source Dijkstra run: distances, settle order and
+/// predecessor links.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShortestPathTree {
+    settled: SettledDistances,
     parent: Vec<Option<NodeId>>,
 }
 
 impl ShortestPathTree {
     /// The source node of this tree.
     pub fn source(&self) -> NodeId {
-        self.source
+        self.settled.source
     }
 
     /// Shortest distance from the source to `n`, or `None` if unreachable.
     pub fn dist_to(&self, n: NodeId) -> Option<f64> {
-        let d = self.dist[n.0];
+        let d = self.settled.dist[n.0];
         d.is_finite().then_some(d)
     }
 
     /// All distances, `f64::INFINITY` for unreachable nodes.
     pub fn distances(&self) -> &[f64] {
-        &self.dist
+        &self.settled.dist
+    }
+
+    /// Drops the predecessor links, keeping distances and settle order.
+    pub fn into_settled(self) -> SettledDistances {
+        self.settled
     }
 
     /// Shortest path from the source to `t` (inclusive of both endpoints),
     /// or `None` if `t` is unreachable.
     pub fn path_to(&self, t: NodeId) -> Option<Vec<NodeId>> {
-        if !self.dist[t.0].is_finite() {
+        if !self.settled.dist[t.0].is_finite() {
             return None;
         }
         let mut path = vec![t];
@@ -56,7 +71,7 @@ impl ShortestPathTree {
             path.push(p);
             cur = p;
         }
-        debug_assert_eq!(cur, self.source);
+        debug_assert_eq!(cur, self.settled.source);
         path.reverse();
         Some(path)
     }
@@ -113,9 +128,11 @@ impl PartialOrd for HeapEntry {
 pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
     g.check_node(source).expect("source node out of range");
     let n = g.node_count();
+    assert!(u32::try_from(n).is_ok(), "settle order holds u32 node ids");
     let mut dist = vec![f64::INFINITY; n];
     let mut parent = vec![None; n];
     let mut done = vec![false; n];
+    let mut order = Vec::with_capacity(n);
     let mut heap = BinaryHeap::new();
     dist[source.0] = 0.0;
     heap.push(HeapEntry {
@@ -127,8 +144,9 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
             continue;
         }
         done[v.0] = true;
-        for &(u, e) in g.adjacency(v) {
-            let nd = d + g.edge(e).weight;
+        order.push(v.0 as u32);
+        for (&(u, _), &w) in g.adjacency(v).iter().zip(g.arc_weights(v)) {
+            let nd = d + w;
             if nd + EPS < dist[u.0] {
                 dist[u.0] = nd;
                 parent[u.0] = Some(v);
@@ -137,8 +155,11 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
         }
     }
     ShortestPathTree {
-        source,
-        dist,
+        settled: SettledDistances {
+            source,
+            dist,
+            order,
+        },
         parent,
     }
 }
@@ -193,26 +214,37 @@ impl PathCounts {
     ///
     /// Panics if `dest` is out of range.
     pub fn toward(g: &Graph, dest: NodeId) -> Self {
-        let spt = dijkstra(g, dest); // undirected: dist from dest == dist to dest
-        let dist = spt.distances().to_vec();
-        let n = g.node_count();
-        // Process nodes in increasing distance so that every next hop's count
-        // is final before it is consumed.
-        let mut order: Vec<usize> = (0..n).filter(|&v| dist[v].is_finite()).collect();
-        order.sort_by(|&a, &b| dist[a].partial_cmp(&dist[b]).unwrap_or(Ordering::Equal));
-        let mut counts = vec![0u64; n];
-        for v in order {
-            if v == dest.0 {
-                counts[v] = 1;
-                continue;
-            }
+        // Undirected: the distances from `dest` are the distances to it.
+        Self::from_settled(g, dijkstra(g, dest).into_settled())
+    }
+
+    /// The loop-free path counts toward `tree`'s source, from a Dijkstra
+    /// run already made on `g` (equal to [`PathCounts::toward`] on that
+    /// source).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree` was not settled on a graph with `g`'s node count.
+    pub fn from_settled(g: &Graph, tree: SettledDistances) -> Self {
+        let SettledDistances {
+            source: dest,
+            dist,
+            order,
+        } = tree;
+        assert_eq!(dist.len(), g.node_count(), "tree of another graph");
+        // The settle order is nondecreasing in distance, so every next hop
+        // (strictly closer) is final before it is consumed.
+        let mut counts = vec![0u64; dist.len()];
+        counts[dest.0] = 1;
+        for &v in &order[1..] {
+            let v = NodeId(v as usize);
             let mut total: u64 = 0;
-            for &(u, _) in g.adjacency(NodeId(v)) {
-                if dist[u.0] + EPS < dist[v] {
+            for &(u, _) in g.adjacency(v) {
+                if dist[u.0] + EPS < dist[v.0] {
                     total = total.saturating_add(counts[u.0]);
                 }
             }
-            counts[v] = total;
+            counts[v.0] = total;
         }
         PathCounts { dest, dist, counts }
     }
@@ -450,6 +482,69 @@ mod tests {
         );
         assert_eq!(path_weight(&g, &[NodeId(0), NodeId(4)]), None);
         assert_eq!(path_weight(&g, &[NodeId(0)]), Some(0.0));
+    }
+
+    /// The loop-free path counts as they were computed before the settle
+    /// order existed: a separate Dijkstra, then a stable sort of the
+    /// reachable nodes by distance. The reference `from_settled` must match.
+    fn sorted_counts_reference(g: &Graph, dest: NodeId) -> Vec<u64> {
+        let dist = dijkstra(g, dest).distances().to_vec();
+        let mut order: Vec<usize> = (0..g.node_count())
+            .filter(|&v| dist[v].is_finite())
+            .collect();
+        order.sort_by(|&a, &b| dist[a].partial_cmp(&dist[b]).unwrap_or(Ordering::Equal));
+        let mut counts = vec![0u64; g.node_count()];
+        for v in order {
+            if v == dest.0 {
+                counts[v] = 1;
+                continue;
+            }
+            let mut total: u64 = 0;
+            for &(u, _) in g.adjacency(NodeId(v)) {
+                if dist[u.0] + EPS < dist[v] {
+                    total = total.saturating_add(counts[u.0]);
+                }
+            }
+            counts[v] = total;
+        }
+        counts
+    }
+
+    /// Random graphs whose weights come from a small set including 0, so
+    /// distances tie often and zero-weight edges settle equal-distance
+    /// nodes out of index order; some graphs are disconnected.
+    #[test]
+    fn settle_order_is_nondecreasing_and_counts_match_the_sorted_reference() {
+        let mut rng = crate::rng::DetRng::seed_from_u64(5);
+        for round in 0..200 {
+            let n = 2 + round % 23;
+            let mut g = Graph::new();
+            for i in 0..n {
+                g.add_node(format!("n{i}"), None);
+            }
+            for _ in 0..(rng.next_u64() as usize % (3 * n)) {
+                let a = NodeId(rng.next_u64() as usize % n);
+                let b = NodeId(rng.next_u64() as usize % n);
+                let w = [0.0, 1.0, 1.0, 2.0, 0.5][rng.next_u64() as usize % 5];
+                let _ = g.add_edge(a, b, w);
+            }
+            for dest in g.nodes() {
+                let spt = dijkstra(&g, dest);
+                let (order, dist) = (&spt.settled.order, &spt.settled.dist);
+                assert_eq!(order[0] as usize, dest.0);
+                assert!(order
+                    .windows(2)
+                    .all(|w| dist[w[0] as usize] <= dist[w[1] as usize]));
+                let reachable = dist.iter().filter(|d| d.is_finite()).count();
+                assert_eq!(order.len(), reachable, "round {round}");
+                let pc = PathCounts::toward(&g, dest);
+                let want = sorted_counts_reference(&g, dest);
+                for v in g.nodes() {
+                    assert_eq!(pc.count_from(v), want[v.0], "round {round} {v}->{dest}");
+                    assert_eq!(pc.dist_from(v).to_bits(), dist[v.0].to_bits());
+                }
+            }
+        }
     }
 
     #[test]

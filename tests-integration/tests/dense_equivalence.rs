@@ -1090,7 +1090,7 @@ fn plan_op() -> impl Strategy<Value = PlanOp> {
 /// every offline `β = 1` pair.
 struct Att {
     net: SdWan,
-    prog: Programmability,
+    prog: std::sync::Arc<Programmability>,
     entries: Vec<(SwitchId, FlowId)>,
 }
 
