@@ -192,9 +192,17 @@ impl PlanStore {
     /// duplicates, names an out-of-range controller, or lies beyond the
     /// horizon. Order-insensitive: the set is ranked, not the sequence.
     pub fn rank_of(&self, failed: &[ControllerId]) -> Option<u64> {
-        let mut set = failed.to_vec();
-        set.sort_unstable();
-        set.dedup();
+        // `pmd` hands over sets already strictly ascending: copy only others.
+        let sorted;
+        let set = if failed.windows(2).all(|w| w[0] < w[1]) {
+            failed
+        } else {
+            let mut copy = failed.to_vec();
+            copy.sort_unstable();
+            copy.dedup();
+            sorted = copy;
+            &sorted[..]
+        };
         if set.len() != failed.len() || set.is_empty() {
             return None;
         }
@@ -202,7 +210,7 @@ impl PlanStore {
         if f > self.horizon || set.last()?.index() >= self.controllers {
             return None;
         }
-        Some(self.offsets[f - 1] + self.spaces[f - 1].rank(&set))
+        Some(self.offsets[f - 1] + self.spaces[f - 1].rank(set))
     }
 
     /// The stored plan for the failure set `failed`, if precomputed.
@@ -247,6 +255,8 @@ mod tests {
             assert_eq!(entry.rank, i);
             assert_eq!(store.rank_of(&entry.failed), Some(i));
             assert!(!entry.plan_text.is_empty() || entry.offline_switches == 0);
+            // No stored text keeps the renderer's reserved room.
+            assert_eq!(entry.plan_text.capacity(), entry.plan_text.len());
         }
         assert!(store.get(21).is_none());
     }

@@ -39,7 +39,7 @@ use crate::par::{SolvedPlan, SweepEngine};
 use crate::plan_store::{PlanStore, StoredPlan};
 use pm_core::{FmssmInstance, PmWorkspace};
 use pm_obs::{json, MetricsServer, Request, Response, Router, ServeConfig};
-use pm_sdwan::{ControllerId, NetCache, SdWan};
+use pm_sdwan::{ControllerId, NetCache, RecoveryPlan, SdWan};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -149,6 +149,18 @@ impl Generation {
     /// Returns the scenario construction error for sets the network
     /// rejects (e.g. every controller failed).
     pub fn solve_beyond_horizon(&self, failed: &[ControllerId]) -> Result<StoredPlan, String> {
+        let solved = self.solve(failed)?;
+        // No global rank: the plan is not in the store.
+        Ok(StoredPlan::from_solved(
+            u64::MAX,
+            &solved,
+            solved.plan.to_text(),
+        ))
+    }
+
+    /// The solve behind [`Generation::solve_beyond_horizon`], which
+    /// `POST /plan` renders straight into its response body.
+    fn solve(&self, failed: &[ControllerId]) -> Result<SolvedPlan, String> {
         let _span = pm_obs::span("pmd.fallback_solve");
         let scenario = self
             .net
@@ -156,11 +168,7 @@ impl Generation {
             .map_err(|e| e.to_string())?;
         let inst = FmssmInstance::new(&scenario, self.cache.programmability());
         let label = crate::harness::case_label(&self.net, failed);
-        let solved =
-            FALLBACK_WS.with(|ws| SolvedPlan::solve(failed, label, &inst, &mut ws.borrow_mut()))?;
-        // No global rank: the plan is not in the store.
-        let text = solved.plan.to_text();
-        Ok(StoredPlan::from_solved(u64::MAX, &solved, text))
+        FALLBACK_WS.with(|ws| SolvedPlan::solve(failed, label, &inst, &mut ws.borrow_mut()))
     }
 }
 
@@ -386,15 +394,17 @@ fn handle_plan(shared: &PmdShared, req: &Request) -> Response {
             if pm_obs::enabled() {
                 pm_obs::count("pmd.plan.store_hits", 1);
             }
-            Response::json(200, plan_json(&gen, entry, "store"))
+            Response::json(200, plan_json(&gen, entry, None))
         }
-        None => match gen.solve_beyond_horizon(&failed) {
-            Ok(entry) => {
+        None => match gen.solve(&failed) {
+            Ok(solved) => {
                 shared.solved.fetch_add(1, Ordering::Relaxed);
                 if pm_obs::enabled() {
                     pm_obs::count("pmd.plan.solved", 1);
                 }
-                Response::json(200, plan_json(&gen, &entry, "solved"))
+                // The summary without its text: the body renders the plan.
+                let entry = StoredPlan::from_solved(u64::MAX, &solved, String::new());
+                Response::json(200, plan_json(&gen, &entry, Some(&solved.plan)))
             }
             Err(e) => {
                 shared.rejected.fetch_add(1, Ordering::Relaxed);
@@ -420,7 +430,7 @@ fn handle_plan_rank(shared: &PmdShared, req: &Request) -> Response {
             if pm_obs::enabled() {
                 pm_obs::count("pmd.plan.store_hits", 1);
             }
-            Response::json(200, plan_json(&gen, entry, "store"))
+            Response::json(200, plan_json(&gen, entry, None))
         }
         None => {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
@@ -458,20 +468,22 @@ fn handle_reload(shared: &PmdShared) -> Response {
 }
 
 /// The `/plan` and `/plans/:rank` response body. Every field comes from
-/// one generation snapshot, so the response can never mix topologies.
-fn plan_json(gen: &Generation, entry: &StoredPlan, source: &str) -> String {
+/// one generation snapshot, so the response can never mix topologies. A
+/// store hit (`solved` is `None`) escapes the stored text; an on-demand
+/// solve renders its plan straight into the body, already escaped.
+fn plan_json(gen: &Generation, entry: &StoredPlan, solved: Option<&RecoveryPlan>) -> String {
     // Plan lines are at least 8 bytes (`full s0\n`) and escaping grows
-    // only their newline, by one byte: an eighth more covers the plan.
+    // only their newline, by one byte: an eighth more covers the plan. A
+    // solved plan's renderer reserves its own room.
     let plan = &entry.plan_text;
     let mut out = String::with_capacity(512 + entry.label.len() + plan.len() + plan.len() / 8);
     out.push_str("{\n  \"schema_version\": 1,\n");
     let _ = writeln!(out, "  \"generation\": {},", gen.id());
-    let _ = writeln!(out, "  \"source\": \"{source}\",");
-    match source {
-        "store" => {
-            let _ = writeln!(out, "  \"rank\": {},", entry.rank);
+    match solved {
+        None => {
+            let _ = writeln!(out, "  \"source\": \"store\",\n  \"rank\": {},", entry.rank);
         }
-        _ => out.push_str("  \"rank\": null,\n"),
+        Some(_) => out.push_str("  \"source\": \"solved\",\n  \"rank\": null,\n"),
     }
     out.push_str("  \"controllers\": [");
     for (i, c) in entry.failed.iter().enumerate() {
@@ -507,7 +519,10 @@ fn plan_json(gen: &Generation, entry: &StoredPlan, source: &str) -> String {
         gen.net().controllers().len(),
     );
     out.push_str("  \"plan\": \"");
-    json::escape_into(plan, &mut out);
+    match solved {
+        Some(plan) => plan.to_json_text_into(&mut out),
+        None => json::escape_into(plan, &mut out),
+    }
     out.push_str("\"\n}\n");
     out
 }
@@ -707,27 +722,30 @@ mod tests {
         assert!(svc.shutdown_requested());
     }
 
+    /// The JSON escaper as it was before `json::escape_into`: one char at a
+    /// time.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
     /// The `plan_json` renderer as it was before it escaped into one
     /// buffer, char-by-char escaper included: the oracle that pins the
     /// wire format of plan responses.
     fn plan_json_oracle(gen: &Generation, entry: &StoredPlan, source: &str) -> String {
-        fn escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::with_capacity(entry.plan_text.len() + 512);
         out.push_str("{\n  \"schema_version\": 1,\n");
         let _ = writeln!(out, "  \"generation\": {},", gen.id());
@@ -740,7 +758,7 @@ mod tests {
         }
         let ids: Vec<String> = entry.failed.iter().map(|c| c.index().to_string()).collect();
         let _ = writeln!(out, "  \"controllers\": [{}],", ids.join(", "));
-        let _ = writeln!(out, "  \"label\": \"{}\",", escape(&entry.label));
+        let _ = writeln!(out, "  \"label\": \"{}\",", escape_by_char(&entry.label));
         let _ = writeln!(
             out,
             "  \"min_programmability\": {},",
@@ -766,7 +784,7 @@ mod tests {
             gen.store().horizon(),
             gen.net().controllers().len(),
         );
-        let _ = writeln!(out, "  \"plan\": \"{}\"", escape(&entry.plan_text));
+        let _ = writeln!(out, "  \"plan\": \"{}\"", escape_by_char(&entry.plan_text));
         out.push_str("}\n");
         out
     }
@@ -781,20 +799,84 @@ mod tests {
             format!("{{\"controllers\": [{}]}}", ids.join(", "))
         };
 
-        // Every store rank, requested as a failure set.
+        // Every store rank, requested as a failure set and by rank.
         assert_eq!(gen.store().len(), 21, "ATT: 6 + 15 plans at horizon 2");
         for rank in 0..gen.store().len() {
             let entry = gen.store().get(rank).expect("stored rank");
+            let want = plan_json_oracle(&gen, entry, "store");
             let (status, body) = post_text(addr, "/plan", &body_for(&entry.failed));
             assert_eq!(status, "HTTP/1.1 200 OK", "rank {rank}");
-            assert_eq!(body, plan_json_oracle(&gen, entry, "store"), "rank {rank}");
+            assert_eq!(body, want, "rank {rank}");
+            let get = format!("GET /plans/{rank} HTTP/1.1\r\nHost: x\r\n\r\n");
+            let (status, body) = request_text(addr, &get);
+            assert_eq!(status, "HTTP/1.1 200 OK", "GET rank {rank}");
+            assert_eq!(body, want, "GET rank {rank}");
         }
 
-        // One failure set beyond the horizon, solved on demand.
-        let failed = [ControllerId(0), ControllerId(2), ControllerId(5)];
-        let solved = gen.solve_beyond_horizon(&failed).expect("solvable");
-        let (status, body) = post_text(addr, "/plan", &body_for(&failed));
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert_eq!(body, plan_json_oracle(&gen, &solved, "solved"));
+        // Every f = 3 set beyond the horizon and one f = 4 set, solved on
+        // demand and rendered straight into the body.
+        let n = gen.net().controllers().len();
+        let mut beyond: Vec<Vec<ControllerId>> = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                for c in b + 1..n {
+                    beyond.push([a, b, c].map(ControllerId).to_vec());
+                }
+            }
+        }
+        assert_eq!(beyond.len(), 20, "C(6, 3) beyond-horizon sets");
+        beyond.push([0, 2, 3, 5].map(ControllerId).to_vec());
+        for failed in &beyond {
+            let solved = gen.solve_beyond_horizon(failed).expect("solvable");
+            let (status, body) = post_text(addr, "/plan", &body_for(failed));
+            assert_eq!(status, "HTTP/1.1 200 OK", "{failed:?}");
+            assert_eq!(
+                body,
+                plan_json_oracle(&gen, &solved, "solved"),
+                "{failed:?}"
+            );
+        }
+    }
+
+    /// `json::escape_into` against the oracle's char-by-char escaper, at
+    /// every position of its 8-byte word step.
+    #[test]
+    fn escape_into_matches_the_oracle_escaper() {
+        let check = |s: &str| {
+            let mut out = String::from("\u{e9}");
+            json::escape_into(s, &mut out);
+            assert_eq!(out, format!("\u{e9}{}", escape_by_char(s)), "{s:?}");
+        };
+        let ascii: String = (0..48u8).map(|i| char::from(b'a' + i % 26)).collect();
+        // Every char U+0000..=U+00FF at every offset 0..16 of ASCII runs of
+        // length 1..40; the run's length past the char ends it mid-word.
+        for c in (0u32..=0xff).filter_map(char::from_u32) {
+            for len in 1..40 {
+                for at in 0..16.min(len + 1) {
+                    check(&format!("{}{c}{}", &ascii[..at], &ascii[at..len]));
+                }
+            }
+        }
+        // Every adjacent pair of ASCII chars at every offset: two bytes to
+        // escape in one word, and a byte to escape followed by the byte a
+        // word test's borrow can flag with it (a space after a control
+        // char, `#` after `"`, `]` after `\`).
+        for a in (0u8..0x80).map(char::from) {
+            for b in (0u8..0x80).map(char::from) {
+                for at in 0..16 {
+                    check(&format!("{}{a}{b}{}", &ascii[..at], &ascii[at..24]));
+                }
+            }
+        }
+        // Multi-byte chars straddling word boundaries, alone or right
+        // before and after a byte that needs escaping.
+        for c in ['\u{e9}', '\u{20ac}', '\u{1F980}'] {
+            for at in 0..17 {
+                for tail in ["", "\"", "\n", "\\x", "\u{1}", "abc\u{7f}"] {
+                    check(&format!("{}{c}{tail}{}", &ascii[..at], &ascii[at..24]));
+                    check(&format!("{}{tail}{c}", &ascii[..at]));
+                }
+            }
+        }
     }
 }

@@ -150,31 +150,64 @@ const NEEDS_ESCAPE: [bool; 256] = {
 
 /// Appends [`escape`]`(s)` to `out`. Runs of bytes that need no escaping
 /// are copied whole, so a response renderer can escape straight into its
-/// one output buffer.
+/// one output buffer. The scan tests 8 bytes at a time (`escape_mask`)
+/// and steps byte by byte only through the last, shorter word.
 pub fn escape_into(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if !NEEDS_ESCAPE[usize::from(b)] {
-            continue;
-        }
-        // `b` is ASCII, so `i` is a char boundary.
-        out.push_str(&s[run..i]);
-        match b {
+    let bytes = s.as_bytes();
+    let (mut run, mut i) = (0, 0);
+    loop {
+        let at = match bytes.get(i..i + 8) {
+            Some(word) => {
+                let mask = escape_mask(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+                if mask == 0 {
+                    i += 8;
+                    continue;
+                }
+                i + (mask.trailing_zeros() / 8) as usize
+            }
+            None => match bytes[i..]
+                .iter()
+                .position(|&b| NEEDS_ESCAPE[usize::from(b)])
+            {
+                Some(k) => i + k,
+                None => break,
+            },
+        };
+        // `bytes[at]` is ASCII, so `at` is a char boundary.
+        out.push_str(&s[run..at]);
+        match bytes[at] {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            _ => {
+            b => {
                 out.push_str("\\u00");
                 out.push(char::from(HEX[usize::from(b >> 4)]));
                 out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
         }
-        run = i + 1;
+        run = at + 1;
+        i = at + 1;
     }
     out.push_str(&s[run..]);
+}
+
+/// Flags the bytes of the little-endian word `w` that need escaping
+/// ([`NEEDS_ESCAPE`]: below 0x20, `"` or `\`), branch-free. Each test is
+/// `(x - n) & !x & 0x80…`, which flags some byte exactly when a byte of
+/// `x` is below `n`. A borrow starts only at such a byte and runs upward,
+/// so the lowest flag always marks the first byte that needs escaping;
+/// flags above it may be spurious.
+fn escape_mask(w: u64) -> u64 {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * u64::from(n)) & !x & HIGHS;
+    let control = below(w, 0x20);
+    let quote = below(w ^ (ONES * u64::from(b'"')), 1);
+    let backslash = below(w ^ (ONES * u64::from(b'\\')), 1);
+    control | quote | backslash
 }
 
 struct Parser<'a> {

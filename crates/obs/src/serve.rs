@@ -39,7 +39,7 @@
 //! exporters, so a scrape can never perturb recorded results.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -671,7 +671,7 @@ fn read_crlf_line(reader: &mut BufReader<TcpStream>, budget: &mut usize) -> Line
 }
 
 fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     resp: &Response,
     head_only: bool,
     keep_alive: bool,
@@ -679,25 +679,34 @@ fn write_response(
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let reason = reason(resp.status);
     let body = if head_only { "" } else { resp.body.as_str() };
-    // One buffer, one write: head and body split across two TCP segments
-    // interacts with Nagle + delayed ACK into ~40 ms response stalls. The
-    // head's fixed text, status code and length fit in 128 bytes.
+    // Head and body leave in one vectored write: split across two TCP
+    // segments they meet Nagle + delayed ACK in ~40 ms response stalls,
+    // and one buffer would copy the body behind the head. The head's
+    // fixed text, status code and length fit in 128 bytes.
     let allow_len = resp.allow.as_ref().map_or(0, String::len);
-    let head_len = 128 + reason.len() + resp.content_type.len() + allow_len;
-    let mut out = String::with_capacity(head_len + body.len());
+    let mut head = String::with_capacity(128 + reason.len() + resp.content_type.len() + allow_len);
     let _ = write!(
-        out,
+        head,
         "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         resp.status,
         resp.content_type,
         resp.body.len()
     );
     if let Some(methods) = &resp.allow {
-        let _ = write!(out, "Allow: {methods}\r\n");
+        let _ = write!(head, "Allow: {methods}\r\n");
     }
-    let _ = write!(out, "Connection: {connection}\r\n\r\n");
-    out.push_str(body);
-    stream.write_all(out.as_bytes())?;
+    let _ = write!(head, "Connection: {connection}\r\n\r\n");
+    let mut slices = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut unsent = &mut slices[..];
+    // A partial write leaves the rest of the two slices for the next call.
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -810,6 +819,95 @@ mod tests {
         let raw = raw_request(addr, "HEAD /nope HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(raw.starts_with("HTTP/1.1 404 "), "{raw}");
         assert!(raw.ends_with("\r\n\r\n"), "no body: {raw}");
+    }
+
+    #[test]
+    fn large_routed_bodies_arrive_whole_and_head_sends_none() {
+        let _g = crate::tests::guard();
+        // 4 MiB, far past a socket send buffer, with no repeating period
+        // a lost or repeated slice could hide in.
+        let big: String = (0..4u32 << 20)
+            .map(|i| char::from(b'a' + (i.wrapping_mul(2_654_435_761) >> 27) as u8 % 26))
+            .collect();
+        let mut router = Router::new();
+        let body = big.clone();
+        router.get("/big", move |_| Response::text(200, body.clone()));
+        let config = ServeConfig {
+            workers: 1,
+            keep_alive: false,
+        };
+        let server = MetricsServer::serve_routed("127.0.0.1:0", router, config).expect("bind");
+        let addr = server.local_addr();
+
+        let (status, body) = http_get(addr, "/big");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert!(body == big, "the 4 MiB body differs from the routed one");
+        let raw = raw_request(addr, "HEAD /big HTTP/1.1\r\nHost: x\r\n\r\n");
+        let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+        assert!(
+            head.contains(&format!("\r\nContent-Length: {}\r\n", big.len())),
+            "{head}"
+        );
+        assert_eq!(body, "", "HEAD must not carry a body");
+    }
+
+    /// A writer that takes at most `step` bytes a call and is interrupted
+    /// every third call.
+    struct Trickle {
+        written: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut room = self.step;
+            for buf in bufs {
+                let n = room.min(buf.len());
+                self.written.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.step - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_vectored_writes_resume_where_they_stopped() {
+        let resp = Response::json(200, "{\"plan\": \"map s1 C2\\n\"}\n");
+        let whole = |head_only| {
+            let mut out = Trickle {
+                written: Vec::new(),
+                step: usize::MAX,
+                calls: 1,
+            };
+            write_response(&mut out, &resp, head_only, true).unwrap();
+            out.written
+        };
+        for head_only in [false, true] {
+            let want = whole(head_only);
+            assert_eq!(want.ends_with(resp.body.as_bytes()), !head_only);
+            for step in [1, 2, 7, 64] {
+                let mut out = Trickle {
+                    written: Vec::new(),
+                    step,
+                    calls: 0,
+                };
+                write_response(&mut out, &resp, head_only, true).unwrap();
+                assert_eq!(out.written, want, "step {step}, head only {head_only}");
+            }
+        }
     }
 
     #[test]

@@ -302,18 +302,86 @@ impl RecoveryPlan {
     }
 
     /// Appends the [`RecoveryPlan::to_text`] serialization to `out`, for
-    /// callers that render many plans into one carried buffer.
+    /// callers that render many plans into one carried buffer. What `out`
+    /// already holds is neither copied nor re-read.
     pub fn to_text_into(&self, out: &mut String) {
+        self.render(out, "\n");
+    }
+
+    /// Appends the [`RecoveryPlan::to_text`] serialization to `out` as the
+    /// inside of a JSON string literal: every line ends in the two
+    /// characters `\n` instead of a newline. Plan text holds only letters,
+    /// digits, spaces and newlines, so this is the JSON escape of
+    /// [`RecoveryPlan::to_text`], rendered in one pass without the text.
+    pub fn to_json_text_into(&self, out: &mut String) {
+        self.render(out, "\\n");
+    }
+
+    /// The one plan-text renderer: every line ends in `eol`. An `sdn`
+    /// line's `sdn s<id> f` head and ` C<id><eol>` tail are rendered when
+    /// its switch or controller changes, so each selection of a switch's
+    /// run adds only its flow id.
+    fn render(&self, out: &mut String, eol: &str) {
+        let eol = eol.as_bytes();
+        out.reserve(self.text_len_bound(eol.len()));
+        let mut w = ChunkWriter::new(out);
         for &(s, c) in &self.mapping {
-            push_line(out, &[("map s", s.index()), (" C", c.index())]);
+            w.make_room();
+            w.put(b"map s");
+            w.id(s.index());
+            w.put(b" C");
+            w.id(c.index());
+            w.put(eol);
         }
         for &s in &self.full_sdn {
-            push_line(out, &[("full s", s.index())]);
+            w.make_room();
+            w.put(b"full s");
+            w.id(s.index());
+            w.put(eol);
         }
+        let (mut head, mut tail) = (Piece::default(), Piece::default());
+        let (mut switch, mut controller) = (None, None);
         for &(s, l, c) in &self.sdn {
-            let fields = [("sdn s", s.index()), (" f", l.index()), (" C", c.index())];
-            push_line(out, &fields);
+            if switch != Some(s) {
+                switch = Some(s);
+                head = Piece::new(b"sdn s", s.index(), b" f");
+            }
+            if controller != Some(c) {
+                controller = Some(c);
+                tail = Piece::new(b" C", c.index(), eol);
+            }
+            w.make_room();
+            w.put_piece(&head);
+            w.id(l.index());
+            w.put_piece(&tail);
         }
+        w.flush();
+    }
+
+    /// An upper bound on the rendered length with a `eol`-byte line
+    /// terminator: every id of a list padded to the digits of its largest.
+    fn text_len_bound(&self, eol: usize) -> usize {
+        // Each list ascends by switch: its last entry has the largest.
+        let switch_digits = |last: Option<SwitchId>| last.map_or(0, |s| digits(s.index()));
+        let (mut flow_max, mut controller_max) = (0, 0);
+        for &(_, l, c) in &self.sdn {
+            flow_max = flow_max.max(l.index());
+            controller_max = controller_max.max(c.index());
+        }
+        for &(_, c) in &self.mapping {
+            controller_max = controller_max.max(c.index());
+        }
+        let controller = digits(controller_max);
+        let map_line =
+            "map s C".len() + switch_digits(self.mapping.last().map(|m| m.0)) + controller;
+        let full_line = "full s".len() + switch_digits(self.full_sdn.last().copied());
+        let sdn_line = "sdn s f C".len()
+            + switch_digits(self.sdn.last().map(|x| x.0))
+            + digits(flow_max)
+            + controller;
+        self.mapping.len() * (map_line + eol)
+            + self.full_sdn.len() * (full_line + eol)
+            + self.sdn.len() * (sdn_line + eol)
     }
 
     /// Parses the format produced by [`RecoveryPlan::to_text`]. Blank lines
@@ -432,26 +500,116 @@ impl RecoveryPlan {
     }
 }
 
-/// Appends one line of [`RecoveryPlan::to_text`], each field a literal
-/// then a decimal id, assembled on the stack without `fmt` and pushed once.
-fn push_line(out: &mut String, fields: &[(&str, usize)]) {
-    // Room for the longest line, `sdn s<id> f<id> C<id>\n` with three
-    // 20-digit ids.
-    let mut buf = [0u8; 72];
-    let mut len = 0;
-    for &(literal, id) in fields {
-        let end = len + literal.len();
-        buf[len..end].copy_from_slice(literal.as_bytes());
-        let digits = id.checked_ilog10().map_or(1, |d| d as usize + 1);
-        let mut rest = id;
-        for b in buf[end..end + digits].iter_mut().rev() {
-            *b = b'0' + (rest % 10) as u8;
-            rest /= 10;
+/// Room a [`ChunkWriter`] keeps for one line: the longest, `sdn s<id>
+/// f<id> C<id>` with three 20-digit ids and a two-byte terminator, written
+/// as a whole head [`Piece`], the flow id and a whole tail piece.
+const MAX_LINE: usize = 2 * PIECE + 20;
+
+/// Rendered lines collect in a stack chunk that moves to the output in one
+/// `push_str` when the next line might not fit; the renderer flushes the
+/// last one.
+struct ChunkWriter<'a> {
+    out: &'a mut String,
+    buf: [u8; 1024],
+    len: usize,
+}
+
+impl<'a> ChunkWriter<'a> {
+    fn new(out: &'a mut String) -> Self {
+        ChunkWriter {
+            out,
+            buf: [0; 1024],
+            len: 0,
         }
-        len = end + digits;
     }
-    buf[len] = b'\n';
-    out.push_str(std::str::from_utf8(&buf[..=len]).expect("ASCII line"));
+
+    /// Flushes the chunk unless a [`MAX_LINE`]-byte line still fits.
+    fn make_room(&mut self) {
+        if self.len + MAX_LINE > self.buf.len() {
+            self.flush();
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// Copies the piece's whole buffer, a fixed-size copy, but advances
+    /// only past its bytes: the next write overwrites the rest.
+    fn put_piece(&mut self, piece: &Piece) {
+        self.buf[self.len..self.len + PIECE].copy_from_slice(&piece.buf);
+        self.len += piece.len;
+    }
+
+    fn id(&mut self, id: usize) {
+        self.len = put_id(&mut self.buf, self.len, id);
+    }
+
+    fn flush(&mut self) {
+        // Only the chunk is checked, never what `out` already holds.
+        let rendered = std::str::from_utf8(&self.buf[..self.len]).expect("plan text is ASCII");
+        self.out.push_str(rendered);
+        self.len = 0;
+    }
+}
+
+/// Bytes a [`Piece`] holds: `sdn s<id> f` and ` C<id>` plus a two-byte
+/// terminator, each with a 20-digit id, fit.
+const PIECE: usize = 32;
+
+/// A literal, a decimal id and a literal, rendered once: an `sdn` line's
+/// head or tail.
+#[derive(Default)]
+struct Piece {
+    buf: [u8; PIECE],
+    len: usize,
+}
+
+impl Piece {
+    fn new(prefix: &[u8], id: usize, suffix: &[u8]) -> Piece {
+        let mut piece = Piece::default();
+        piece.buf[..prefix.len()].copy_from_slice(prefix);
+        let end = put_id(&mut piece.buf, prefix.len(), id);
+        piece.buf[end..end + suffix.len()].copy_from_slice(suffix);
+        piece.len = end + suffix.len();
+        piece
+    }
+}
+
+/// Decimal digits of `n`.
+fn digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// `"00"`, `"01"`, ..., `"99"`: two digits per table read.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Writes `id` in decimal at `buf[at..]`; returns the end.
+fn put_id(buf: &mut [u8], at: usize, id: usize) -> usize {
+    let end = at + digits(id);
+    let (mut rest, mut i) = (id, end);
+    while rest >= 100 {
+        let pair = 2 * (rest % 100);
+        rest /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        buf[i - 2..i].copy_from_slice(&DIGIT_PAIRS[2 * rest..2 * rest + 2]);
+    } else {
+        buf[i - 1] = b'0' + rest as u8;
+    }
+    end
 }
 
 /// Sorts `v` by `key` unless its keys already ascend strictly; returns an
@@ -1028,6 +1186,109 @@ mod tests {
     #[should_panic(expected = "s5 is unmapped")]
     fn builder_rejects_full_sdn_at_unmapped_switch() {
         PlanBuilder::default().set_full_sdn(SwitchId(5));
+    }
+
+    /// The renderer `to_text_into` replaced, kept as the oracle: each line
+    /// assembled on the stack from its fields and pushed alone.
+    fn push_line(out: &mut String, fields: &[(&str, usize)]) {
+        // Room for the longest line, `sdn s<id> f<id> C<id>\n` with three
+        // 20-digit ids.
+        let mut buf = [0u8; 72];
+        let mut len = 0;
+        for &(literal, id) in fields {
+            let end = len + literal.len();
+            buf[len..end].copy_from_slice(literal.as_bytes());
+            let digits = id.checked_ilog10().map_or(1, |d| d as usize + 1);
+            let mut rest = id;
+            for b in buf[end..end + digits].iter_mut().rev() {
+                *b = b'0' + (rest % 10) as u8;
+                rest /= 10;
+            }
+            len = end + digits;
+        }
+        buf[len] = b'\n';
+        out.push_str(std::str::from_utf8(&buf[..=len]).expect("ASCII line"));
+    }
+
+    fn reference_text(plan: &RecoveryPlan) -> String {
+        let mut out = String::new();
+        for (s, c) in plan.mappings() {
+            push_line(&mut out, &[("map s", s.index()), (" C", c.index())]);
+        }
+        for s in plan.full_sdn_switches() {
+            push_line(&mut out, &[("full s", s.index())]);
+        }
+        for (s, l, c) in plan.sdn_selections() {
+            let fields = [("sdn s", s.index()), (" f", l.index()), (" C", c.index())];
+            push_line(&mut out, &fields);
+        }
+        out
+    }
+
+    /// Ids of every digit count from 1 to 20, up to `usize::MAX`.
+    fn arb_id() -> impl proptest::Strategy<Value = usize> {
+        use proptest::Strategy as _;
+        (1u32..=20, 0usize..=usize::MAX).prop_map(|(digits, raw)| {
+            match 10usize.checked_pow(digits) {
+                Some(bound) => raw % bound,
+                None => raw,
+            }
+        })
+    }
+
+    /// A random plan of one family: switch-level (0), whole-switch with
+    /// selections (1) or flow-level (2). Controllers come from a pool of
+    /// three, so neighbouring switches share some; a flow-level switch's
+    /// selections use several.
+    fn arb_plan() -> impl proptest::Strategy<Value = RecoveryPlan> {
+        use proptest::Strategy as _;
+        let selections = proptest::collection::vec((arb_id(), 0usize..3), 0..6);
+        let switch = (arb_id(), 0usize..3, 0usize..2, selections);
+        let pool = (arb_id(), arb_id(), arb_id());
+        let switches = proptest::collection::vec(switch, 0..8);
+        (0usize..3, pool, switches).prop_map(|(family, pool, switches)| {
+            let pool = [pool.0, pool.1, pool.2].map(ControllerId);
+            let mut plan = PlanBuilder::default();
+            for (s, c, full, selections) in switches {
+                let s = SwitchId(s);
+                if family < 2 {
+                    plan.map_switch(s, pool[c]);
+                }
+                if family == 1 && full == 1 {
+                    plan.set_full_sdn(s);
+                }
+                for (l, k) in selections {
+                    let c = if family == 2 { pool[k] } else { pool[c] };
+                    plan.set_sdn_via(s, FlowId(l), c);
+                }
+            }
+            plan.build()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn renderer_matches_the_per_line_reference(plan in arb_plan()) {
+            let text = plan.to_text();
+            proptest::prop_assert_eq!(&text, &reference_text(&plan));
+            proptest::prop_assert_eq!(&RecoveryPlan::from_text(&text).unwrap(), &plan);
+            let mut json = String::new();
+            plan.to_json_text_into(&mut json);
+            proptest::prop_assert_eq!(&json, &pm_obs::json::escape(&text));
+            // One reservation covers the whole render.
+            proptest::prop_assert!(plan.text_len_bound(1) >= text.len());
+            proptest::prop_assert!(plan.text_len_bound(2) >= json.len());
+            // Appending leaves what the buffer held untouched.
+            let prefix = "# carried \u{e9}\n";
+            let mut carried = String::from(prefix);
+            plan.to_text_into(&mut carried);
+            proptest::prop_assert_eq!(&carried, &format!("{prefix}{text}"));
+            let mut carried = String::from(prefix);
+            plan.to_json_text_into(&mut carried);
+            proptest::prop_assert_eq!(&carried, &format!("{prefix}{json}"));
+        }
     }
 
     proptest::proptest! {

@@ -1,9 +1,9 @@
-//! `RecoveryPlan::to_text_into`, which assembles each line on the stack,
-//! against the `writeln!` renderer it replaced: the same bytes for
-//! RetroFlow's, PM's and PG's plans on random Waxman WANs (f = 1..4) and
-//! on every ATT case, and for hand-built plans whose ids sit at every
-//! digit-count boundary up to `usize::MAX`. Every text parses back to
-//! the plan it came from.
+//! `RecoveryPlan::to_text_into`, which renders the head and tail of a
+//! switch's `sdn` lines once per run, against the `writeln!` renderer:
+//! the same bytes for RetroFlow's, PM's and PG's plans on random Waxman
+//! WANs (f = 1..4) and on every ATT case, and for hand-built plans whose
+//! ids sit at every digit-count boundary up to `usize::MAX`. Every text
+//! parses back to the plan it came from.
 
 use pm_core::{FmssmInstance, Pg, Pm, RecoveryAlgorithm, RetroFlow};
 use pm_sdwan::{
