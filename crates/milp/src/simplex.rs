@@ -1,13 +1,12 @@
 //! Bounded-variable two-phase revised primal simplex.
 //!
 //! Solves `max c·x  s.t.  A x {≤,=,≥} b,  l ≤ x ≤ u`. The constraint matrix
-//! is stored once as sparse columns ([`LpContext`]); each solve maintains a
-//! dense basis inverse `B⁻¹` updated per pivot (product form) and rebuilt
-//! from the basis columns every `REFACTOR_PERIOD` pivots for numerical
-//! hygiene. Pricing works on reduced costs `c_j − y·A_j` with `y = c_B·B⁻¹`,
-//! so an iteration costs `O(m² + nnz)` instead of the dense tableau's
-//! `O(m · ncols)` — the win grows with the column count, which dominates in
-//! FMSSM models (one binary per switch×controller pair plus one per entry).
+//! is stored once as sparse columns and sparse rows ([`LpContext`]); each
+//! solve maintains a dense basis inverse `B⁻¹` updated per pivot (product
+//! form) and rebuilt from the basis columns every `REFACTOR_PERIOD` pivots
+//! for numerical hygiene. Pricing works on reduced costs `c_j − y·A_j` with
+//! `y = c_B·B⁻¹`, so an iteration never forms the dense tableau's
+//! `O(m · ncols)` rows.
 //!
 //! Variables are shifted so every lower bound is zero; every row carries an
 //! artificial column whose sign tracks the shifted right-hand side, giving
@@ -17,16 +16,49 @@
 //! bound; the ratio test supports bound flips. Dantzig pricing with a
 //! Bland's-rule fallback guards against cycling.
 //!
-//! **Layout.** `B⁻¹` is row-major, and every kernel walks it one contiguous
-//! row slice at a time: BTRAN accumulates `c_B[i]·row_i`, FTRAN dots each
-//! row with the entering column, the product-form update subtracts a
-//! multiple of a scratch copy of the pivot row. Each output element still
-//! receives the same products in the same order as a textbook loop nest,
-//! so the pivot sequence is reproducible bit for bit; the row layout only
-//! removes aliasing and bounds checks from the inner loops.
+//! **Layout.** `B⁻¹` is row-major and dense, but in FMSSM models it is
+//! mostly exact zeros (12 % nonzero on the `optimal-14` pool, about a
+//! quarter on ATT), and so are most pivot rows and much of `y`. Three
+//! kernels therefore touch only the entries that can change a result:
+//!
+//! - *Pricing* is row-wise: `d = c` over the structural and slack columns,
+//!   then for every row `i` with `y_i ≠ 0`, in ascending `i`, `d_j −= a_ij·y_i`
+//!   along the row's entries (a CSR copy of the columns). One pass then
+//!   picks the entering column from a per-column direction kept in step
+//!   with the basis, the bound rests and the ranges.
+//! - The *product-form update* scales the pivot row, gathers its nonzeros
+//!   once as index and value, and subtracts `w_i` times them from every
+//!   row with `w_i ≠ 0`, at those positions only.
+//! - *Gauss–Jordan refactorization* gathers both pivot rows (the live part
+//!   of the basis-matrix row and the inverse row) the same way and skips
+//!   rows whose factor is zero.
+//!
+//! BTRAN (`y` accumulates `c_B[i]·row_i` over the basic columns with a
+//! nonzero cost) and FTRAN (each row of `B⁻¹` dotted with the entering
+//! column) stay dense row walks.
+//!
+//! **Zero-skipping rule.** A skipped term is always a product with an
+//! exact zero factor, and every output element receives the remaining
+//! products in the same order as the dense loop nest. Subtracting `±0`
+//! leaves a value unchanged except for the sign of a zero (`−0 − (−0) =
+//! +0`), and no decision reads a zero's sign: each compares against `tol`
+//! or `0.0` or takes `abs`. Pivots, bound flips, node counts and
+//! objective bits are therefore those of the dense kernels; the test
+//! module keeps those kernels as an oracle and replays random LPs through
+//! both.
+//!
+//! **Cost per iteration.** BTRAN costs `m` per basic column with a
+//! nonzero cost, FTRAN `m` per entry of the entering column (at most
+//! `O(m²)` each). Pricing costs `O(ncols)` plus the entries of the rows
+//! with `y_i ≠ 0`; the update costs `m` plus (rows with `w_i ≠ 0`) ×
+//! (pivot-row nonzeros), and a refactorization, every `REFACTOR_PERIOD`
+//! pivots, the same per elimination step. The recorder counts the pricing
+//! and update terms (`milp.simplex.priced_rows`,
+//! `milp.simplex.update_nnz`).
 //!
 //! **Workspace.** All per-solve buffers (`B⁻¹`, basic values, basis, bound
-//! rests, shifted ranges and right-hand sides, FTRAN/BTRAN vectors, the
+//! rests, pricing directions, shifted ranges and right-hand sides,
+//! FTRAN/BTRAN vectors, reduced costs, gathered pivot rows, the
 //! refactorization matrix) live in the context and are reused by every
 //! solve, so a branch-and-bound tree allocates them once.
 //!
@@ -44,6 +76,7 @@
 //! the `optimal-14` benchmark pool). The screen makes that miss cheap.
 
 use crate::model::{Model, Sense, Var};
+use std::marker::PhantomData;
 
 /// Full basis-inverse rebuilds happen every this many pivots.
 const REFACTOR_PERIOD: u64 = 100;
@@ -106,39 +139,17 @@ impl LpOutcome {
     }
 }
 
-/// Solves the LP relaxation of `model` (integrality dropped).
+/// Solves the LP relaxation of `model` (integrality dropped) under the
+/// model's own bounds. Repeated solves over one model should build an
+/// [`LpContext`] once instead.
 ///
 /// # Panics
 ///
 /// Panics if the model has no objective.
 pub fn solve_relaxation(model: &Model, opts: &SimplexOptions) -> LpOutcome {
-    let n = model.var_count();
-    let mut lb = Vec::with_capacity(n);
-    let mut ub = Vec::with_capacity(n);
-    for i in 0..n {
-        let (l, u) = model.bounds(Var(i));
-        lb.push(l);
-        ub.push(u);
-    }
-    solve_with_bounds(model, &lb, &ub, opts)
-}
-
-/// Solves the LP relaxation with overridden variable bounds (used by branch
-/// and bound to tighten integer variables per node). One-shot: builds a
-/// fresh [`LpContext`]; repeated solves over the same model should build
-/// the context once and call [`LpContext::solve_with_bounds`].
-///
-/// # Panics
-///
-/// Panics if the model has no objective or the bound slices have the wrong
-/// length.
-pub fn solve_with_bounds(
-    model: &Model,
-    lb: &[f64],
-    ub: &[f64],
-    opts: &SimplexOptions,
-) -> LpOutcome {
-    LpContext::new(model).solve_with_bounds(lb, ub, opts)
+    let (lb, ub): (Vec<f64>, Vec<f64>) =
+        (0..model.var_count()).map(|i| model.bounds(Var(i))).unzip();
+    LpContext::new(model).solve_with_bounds(&lb, &ub, opts)
 }
 
 /// Where a nonbasic variable currently rests.
@@ -150,7 +161,8 @@ enum AtBound {
 
 /// The bounds-independent part of an LP: sparse columns of the constraint
 /// matrix (structural variables, then one slack/surplus per inequality
-/// row, then one artificial per row) and the phase costs.
+/// row, then one artificial per row), the same entries row by row, and
+/// the phase costs.
 #[derive(Debug)]
 struct Lp {
     /// Structural variable count.
@@ -161,10 +173,14 @@ struct Lp {
     n_fixed: usize,
     /// Total column count (`n_fixed + m` artificials).
     ncols: usize,
-    /// CSC storage for columns `0..n_fixed`.
+    /// CSC storage for columns `0..n_fixed`, rows ascending per column.
     col_ptr: Vec<usize>,
     col_rows: Vec<usize>,
     col_vals: Vec<f64>,
+    /// CSR storage of the same entries, for row-wise pricing.
+    row_ptr: Vec<usize>,
+    row_cols: Vec<u32>,
+    row_vals: Vec<f64>,
     /// Slack/surplus column of each row, if the row is an inequality.
     slack_col: Vec<Option<usize>>,
     /// Original (unshifted) right-hand sides.
@@ -177,6 +193,37 @@ struct Lp {
     phase1: Vec<f64>,
     /// Whether the model declared an objective (asserted at solve time).
     has_objective: bool,
+}
+
+/// A row's nonzeros gathered as `(index, value)` pairs.
+#[derive(Debug, Default)]
+struct Gathered {
+    nonzeros: Vec<(usize, f64)>,
+}
+
+impl Gathered {
+    /// Scales `row` by `s` in place and gathers the nonzero results;
+    /// `offset` is the column of `row[0]`.
+    fn scale_from(&mut self, row: &mut [f64], s: f64, offset: usize) {
+        self.nonzeros.clear();
+        for (k, v) in row.iter_mut().enumerate() {
+            *v *= s;
+            if *v != 0.0 {
+                self.nonzeros.push((offset + k, *v));
+            }
+        }
+    }
+
+    /// `row[k] −= f·v` at every gathered `(k, v)`. Every `k` is in range
+    /// by construction; `get_mut` only keeps a panic path out of the loop,
+    /// which measurably speeds it up.
+    fn subtract_from(&self, row: &mut [f64], f: f64) {
+        for &(k, v) in &self.nonzeros {
+            if let Some(x) = row.get_mut(k) {
+                *x -= f * v;
+            }
+        }
+    }
 }
 
 /// Per-solve buffers, allocated once per [`LpContext`]. After an optimal
@@ -194,6 +241,12 @@ struct Workspace {
     in_basis: Vec<Option<usize>>,
     /// For nonbasic columns, which bound they rest at.
     at: Vec<AtBound>,
+    /// Pricing direction per column: `1.0` for a nonbasic column at its
+    /// lower bound that may increase, `-1.0` for one at its upper bound
+    /// that may decrease, `0.0` for a basic column or one whose range is
+    /// at most `tol`. Derived from `in_basis`, `at` and `range` at the
+    /// start of each phase and kept in step by every pivot and flip.
+    dir: Vec<f64>,
     /// Shifted bounds: all lower bounds are 0; `range[j]` = ub − lb.
     range: Vec<f64>,
     /// Shifted right-hand sides.
@@ -204,34 +257,48 @@ struct Workspace {
     w: Vec<f64>,
     /// BTRAN result.
     y: Vec<f64>,
+    /// Reduced costs of columns `0..n_fixed`.
+    d: Vec<f64>,
     /// Right-hand side net of upper-resting nonbasics.
     b_eff: Vec<f64>,
-    /// Pivot-row copies for the update and the refactorization.
-    pivot_row: Vec<f64>,
-    pivot_row_b: Vec<f64>,
+    /// Gathered pivot rows: of `B⁻¹` (the update and the refactorization)
+    /// and of the basis matrix (the refactorization).
+    pivot_row: Gathered,
+    pivot_row_b: Gathered,
     /// Basis matrix being inverted by the refactorization (allocated by
     /// the first one, since short solves never refactorize).
     mat: Vec<f64>,
 }
 
 impl Workspace {
-    fn new(m: usize, ncols: usize) -> Self {
+    fn new(m: usize, n_fixed: usize, ncols: usize) -> Self {
         Workspace {
             binv: vec![0.0; m * m],
             bvals: vec![0.0; m],
             basis: vec![0; m],
             in_basis: vec![None; ncols],
             at: vec![AtBound::Lower; ncols],
+            dir: vec![0.0; ncols],
             range: vec![0.0; ncols],
             rhs: vec![0.0; m],
             art_sign: vec![0.0; m],
             w: vec![0.0; m],
             y: vec![0.0; m],
+            d: vec![0.0; n_fixed],
             b_eff: vec![0.0; m],
-            pivot_row: vec![0.0; m],
-            pivot_row_b: vec![0.0; m],
+            pivot_row: Gathered::default(),
+            pivot_row_b: Gathered::default(),
             mat: Vec::new(),
         }
+    }
+}
+
+/// A column's pricing direction (see [`Workspace::dir`]).
+fn direction(basic: bool, at: AtBound, range: f64, tol: f64) -> f64 {
+    match at {
+        _ if basic || range <= tol => 0.0,
+        AtBound::Lower => 1.0,
+        AtBound::Upper => -1.0,
     }
 }
 
@@ -254,12 +321,17 @@ struct SolveStats {
     /// screen; a screened-out basis costs none.
     refactorizations: u64,
     reuse_hit: bool,
+    /// Rows pricing scattered (those with `y_i ≠ 0`), summed over
+    /// iterations.
+    priced_rows: u64,
+    /// `B⁻¹` entries the product-form updates wrote outside the pivot row.
+    update_nnz: u64,
 }
 
 /// An LP held for repeated solves under changing variable bounds: its
-/// sparse columns, one set of solver buffers, and the last optimal
-/// solve's basis for warm-starting. Build once per model, then call
-/// [`LpContext::solve_with_bounds`] for each bound combination — the
+/// sparse columns and rows, one set of solver buffers, and the last
+/// optimal solve's basis for warm-starting. Build once per model, then
+/// call [`LpContext::solve_with_bounds`] for each bound combination — the
 /// branch-and-bound driver holds one context for its whole node tree.
 #[derive(Debug)]
 pub struct LpContext {
@@ -273,8 +345,9 @@ pub struct LpContext {
 }
 
 impl LpContext {
-    /// Extracts the sparse column structure of `model`. The context is
-    /// bounds-free: per-node variable bounds arrive at solve time.
+    /// Extracts the sparse column and row structure of `model`. The
+    /// context is bounds-free: per-node variable bounds arrive at solve
+    /// time.
     pub fn new(model: &Model) -> Self {
         let n = model.var_count();
         let m = model.constraint_count();
@@ -341,6 +414,28 @@ impl LpContext {
             col_ptr.push(col_rows.len());
         }
 
+        // The same entries row by row: a count pass, then a scatter in
+        // column order.
+        let mut row_ptr = vec![0; m + 1];
+        for &i in &col_rows {
+            row_ptr[i + 1] += 1;
+        }
+        for i in 0..m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let mut next = row_ptr[..m].to_vec();
+        let mut row_cols = vec![0; col_rows.len()];
+        let mut row_vals = vec![0.0; col_rows.len()];
+        for (j, span) in col_ptr.windows(2).enumerate() {
+            let j = u32::try_from(j).expect("column count fits in u32");
+            for k in span[0]..span[1] {
+                let slot = &mut next[col_rows[k]];
+                row_cols[*slot] = j;
+                row_vals[*slot] = col_vals[k];
+                *slot += 1;
+            }
+        }
+
         let mut obj = vec![0.0; ncols];
         for &(v, c) in &model.objective {
             obj[v.0] += c;
@@ -357,6 +452,9 @@ impl LpContext {
                 col_ptr,
                 col_rows,
                 col_vals,
+                row_ptr,
+                row_cols,
+                row_vals,
                 slack_col,
                 rhs0,
                 senses,
@@ -364,7 +462,7 @@ impl LpContext {
                 phase1,
                 has_objective: model.has_objective(),
             },
-            ws: Workspace::new(m, ncols),
+            ws: Workspace::new(m, n_fixed, ncols),
             warm: false,
             last: SolveStats::default(),
         }
@@ -389,6 +487,16 @@ impl LpContext {
         ub: &[f64],
         opts: &SimplexOptions,
     ) -> LpOutcome {
+        self.solve_using::<SkipZeros>(lb, ub, opts)
+    }
+
+    /// [`LpContext::solve_with_bounds`] on the kernels `K`.
+    fn solve_using<K: Kernels>(
+        &mut self,
+        lb: &[f64],
+        ub: &[f64],
+        opts: &SimplexOptions,
+    ) -> LpOutcome {
         assert!(self.lp.has_objective, "model has no objective");
         assert_eq!(lb.len(), self.lp.n_struct);
         assert_eq!(ub.len(), self.lp.n_struct);
@@ -398,7 +506,7 @@ impl LpContext {
             }
         }
         let warm = std::mem::take(&mut self.warm);
-        let mut solver = Solver::new(&self.lp, &mut self.ws, lb, ub, opts);
+        let mut solver = Solver::<K>::new(&self.lp, &mut self.ws, lb, ub, opts);
         let out = solver.solve_phases(warm);
         let stats = solver.stats;
         if pm_obs::enabled() {
@@ -406,6 +514,8 @@ impl LpContext {
             pm_obs::count("milp.simplex.pivots", stats.pivots);
             pm_obs::count("milp.simplex.bound_flips", stats.bound_flips);
             pm_obs::count("milp.simplex.refactorizations", stats.refactorizations);
+            pm_obs::count("milp.simplex.priced_rows", stats.priced_rows);
+            pm_obs::count("milp.simplex.update_nnz", stats.update_nnz);
             pm_obs::count("milp.basis.reuse_hits", u64::from(stats.reuse_hit));
         }
         self.warm = matches!(out, LpOutcome::Optimal(_));
@@ -414,8 +524,139 @@ impl LpContext {
     }
 }
 
-/// One solve's state over a borrowed [`Lp`] and [`Workspace`].
-struct Solver<'a> {
+/// The per-iteration kernels that walk `B⁻¹` and the constraint rows:
+/// pricing, the product-form update and the Gauss–Jordan elimination of a
+/// refactorization. [`SkipZeros`] is the solver's one implementation; the
+/// test module implements the dense loops it replaced and replays whole
+/// solves through both.
+trait Kernels: Sized {
+    /// The entering column and whether it increases, or `None` when no
+    /// eligible column improves `c`.
+    fn price(s: &mut Solver<'_, Self>, c: &[f64], bland: bool) -> Option<(usize, bool)>;
+
+    /// Product-form update of `B⁻¹` on pivot element `w[r]`: scale the
+    /// pivot row, then subtract `w[i]` times it from every other row.
+    fn update_inverse(s: &mut Solver<'_, Self>, r: usize);
+
+    /// Inverts the assembled basis matrix `mat` into `binv` (which holds
+    /// the identity) by Gauss–Jordan elimination with partial pivoting.
+    /// Returns `false` when the matrix is numerically singular.
+    fn invert(s: &mut Solver<'_, Self>) -> bool;
+}
+
+/// Kernels that skip every product with an exact zero factor (see the
+/// module's zero-skipping rule).
+struct SkipZeros;
+
+impl Kernels for SkipZeros {
+    /// Dantzig pricing: the eligible column with the largest reduced cost
+    /// `|c_j − y·A_j|` (first such on ties), or the first eligible one
+    /// under Bland's rule. The CSR rows scatter `y` into the reduced costs
+    /// of the structural and slack columns; artificials are priced after
+    /// them, in column order.
+    fn price(s: &mut Solver<'_, Self>, c: &[f64], bland: bool) -> Option<(usize, bool)> {
+        let (lp, ws, tol) = (s.lp, &mut *s.ws, s.tol);
+        let d = &mut ws.d;
+        d.copy_from_slice(&c[..lp.n_fixed]);
+        for (&yi, span) in ws.y.iter().zip(lp.row_ptr.windows(2)) {
+            if yi != 0.0 {
+                s.stats.priced_rows += 1;
+                let span = span[0]..span[1];
+                for (&j, &a) in lp.row_cols[span.clone()].iter().zip(&lp.row_vals[span]) {
+                    d[j as usize] -= a * yi;
+                }
+            }
+        }
+        // Offers column j with reduced cost dj; `true` ends the scan.
+        // `dir·dj > tol` is the improving test and `|dir·dj| = |dj|`
+        // exactly, since `dir` is ±1.
+        let mut best = -1.0; // below every eligible score
+        let mut entering = None;
+        let mut offer = |j: usize, dir: f64, dj: f64| {
+            let v = dir * dj;
+            if v > tol && v.abs() > best {
+                best = v.abs();
+                entering = Some((j, dir > 0.0));
+                return bland;
+            }
+            false
+        };
+        for (j, (&dir, &dj)) in ws.dir.iter().zip(&*d).enumerate() {
+            if dir != 0.0 && offer(j, dir, dj) {
+                return entering;
+            }
+        }
+        let artificials = ws.dir[lp.n_fixed..].iter().zip(&ws.art_sign).zip(&ws.y);
+        for (r, ((&dir, &sign), &yr)) in artificials.enumerate() {
+            let j = lp.n_fixed + r;
+            if dir != 0.0 && offer(j, dir, c[j] - sign * yr) {
+                return entering;
+            }
+        }
+        entering
+    }
+
+    fn update_inverse(s: &mut Solver<'_, Self>, r: usize) {
+        let m = s.lp.m;
+        let ws = &mut *s.ws;
+        let p = ws.w[r];
+        debug_assert!(p.abs() > 1e-12, "pivot too small");
+        let pivot = &mut ws.pivot_row;
+        pivot.scale_from(&mut ws.binv[r * m..(r + 1) * m], 1.0 / p, 0);
+        for (i, (brow, &f)) in rows_mut(&mut ws.binv, m).zip(&ws.w).enumerate() {
+            if i != r && f != 0.0 {
+                pivot.subtract_from(brow, f);
+                s.stats.update_nnz += pivot.nonzeros.len() as u64;
+            }
+        }
+    }
+
+    /// Once column `col` is eliminated no later step reads columns
+    /// `..=col` of `mat`, so only `col + 1..` of its rows is kept up to
+    /// date (and swapped).
+    fn invert(s: &mut Solver<'_, Self>) -> bool {
+        let m = s.lp.m;
+        let ws = &mut *s.ws;
+        let (b, inv) = (&mut ws.mat, &mut ws.binv);
+        for col in 0..m {
+            let mut piv = col;
+            let mut best = b[col * m + col].abs();
+            for r in col + 1..m {
+                let v = b[r * m + col].abs();
+                if v > best {
+                    best = v;
+                    piv = r;
+                }
+            }
+            if best <= 1e-12 {
+                return false;
+            }
+            if piv != col {
+                let (top, bottom) = b.split_at_mut(piv * m);
+                top[col * m + col..(col + 1) * m].swap_with_slice(&mut bottom[col..m]);
+                let (top, bottom) = inv.split_at_mut(piv * m);
+                top[col * m..(col + 1) * m].swap_with_slice(&mut bottom[..m]);
+            }
+            let scale = 1.0 / b[col * m + col];
+            let live = col * m + col + 1..(col + 1) * m;
+            ws.pivot_row_b.scale_from(&mut b[live], scale, col + 1);
+            ws.pivot_row
+                .scale_from(&mut inv[col * m..(col + 1) * m], scale, 0);
+            for (r, (brow_r, irow_r)) in rows_mut(b, m).zip(rows_mut(inv, m)).enumerate() {
+                let f = brow_r[col];
+                if r != col && f != 0.0 {
+                    ws.pivot_row_b.subtract_from(brow_r, f);
+                    ws.pivot_row.subtract_from(irow_r, f);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// One solve's state over a borrowed [`Lp`] and [`Workspace`], on the
+/// kernels `K`.
+struct Solver<'a, K> {
     lp: &'a Lp,
     ws: &'a mut Workspace,
     /// Structural lower bounds (for un-shifting the solution).
@@ -425,6 +666,7 @@ struct Solver<'a> {
     tol: f64,
     max_iters: usize,
     stats: SolveStats,
+    kernels: PhantomData<K>,
 }
 
 enum PhaseEnd {
@@ -433,7 +675,7 @@ enum PhaseEnd {
     IterationLimit,
 }
 
-impl<'a> Solver<'a> {
+impl<'a, K: Kernels> Solver<'a, K> {
     /// Loads the bounds into the workspace: shifted ranges, right-hand
     /// sides and artificial signs. The basis, its inverse and the bound
     /// rests are left as the previous solve ended them.
@@ -481,6 +723,7 @@ impl<'a> Solver<'a> {
             tol: opts.tol,
             max_iters,
             stats: SolveStats::default(),
+            kernels: PhantomData,
         }
     }
 
@@ -530,28 +773,6 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Product-form update of `B⁻¹` on pivot element `w[r]`: scale the
-    /// pivot row, then subtract `w[i]` times it from every other row.
-    fn update_inverse(&mut self, r: usize) {
-        let m = self.lp.m;
-        let ws = &mut *self.ws;
-        let p = ws.w[r];
-        debug_assert!(p.abs() > 1e-12, "pivot too small");
-        let inv = 1.0 / p;
-        let prow = &mut ws.binv[r * m..(r + 1) * m];
-        for v in prow.iter_mut() {
-            *v *= inv;
-        }
-        ws.pivot_row.copy_from_slice(prow);
-        for (i, (brow, &f)) in rows_mut(&mut ws.binv, m).zip(&ws.w).enumerate() {
-            if i != r && f != 0.0 {
-                for (b, &v) in brow.iter_mut().zip(&ws.pivot_row) {
-                    *b -= f * v;
-                }
-            }
-        }
-    }
-
     /// Rebuilds `B⁻¹` from the current basis columns by Gauss–Jordan
     /// elimination with partial pivoting and recomputes the basic values.
     /// Returns `false` when the basis matrix is numerically singular.
@@ -577,63 +798,13 @@ impl<'a> Solver<'a> {
                 }
             }
         }
-        // Invert against an identity. Once column `col` is eliminated no
-        // later step reads columns `..=col` of `b`, so only `col + 1..` of
-        // its rows is kept up to date.
         let inv = &mut ws.binv;
         inv.fill(0.0);
         for i in 0..m {
             inv[i * m + i] = 1.0;
         }
-        for col in 0..m {
-            let mut piv = col;
-            let mut best = b[col * m + col].abs();
-            for r in col + 1..m {
-                let v = b[r * m + col].abs();
-                if v > best {
-                    best = v;
-                    piv = r;
-                }
-            }
-            if best <= 1e-12 {
-                return false;
-            }
-            if piv != col {
-                for k in 0..m {
-                    b.swap(col * m + k, piv * m + k);
-                    inv.swap(col * m + k, piv * m + k);
-                }
-            }
-            let s = 1.0 / b[col * m + col];
-            let live = col + 1..m;
-            let brow = &mut ws.pivot_row_b[live.clone()];
-            for (dst, v) in brow
-                .iter_mut()
-                .zip(&mut b[col * m + col + 1..(col + 1) * m])
-            {
-                *v *= s;
-                *dst = *v;
-            }
-            for (dst, v) in ws
-                .pivot_row
-                .iter_mut()
-                .zip(&mut inv[col * m..(col + 1) * m])
-            {
-                *v *= s;
-                *dst = *v;
-            }
-            for (r, (brow_r, irow_r)) in rows_mut(b, m).zip(rows_mut(inv, m)).enumerate() {
-                let f = brow_r[col];
-                if r == col || f == 0.0 {
-                    continue;
-                }
-                for (x, &v) in brow_r[live.clone()].iter_mut().zip(&*brow) {
-                    *x -= f * v;
-                }
-                for (x, &v) in irow_r.iter_mut().zip(&ws.pivot_row) {
-                    *x -= f * v;
-                }
-            }
+        if !K::invert(self) {
+            return false;
         }
         self.recompute_bvals();
         true
@@ -796,54 +967,25 @@ impl<'a> Solver<'a> {
         LpOutcome::Optimal(LpSolution { objective, values })
     }
 
-    /// Dantzig pricing: the eligible column with the largest reduced cost
-    /// `|c_j − y·A_j|` (first such on ties), or the first eligible one
-    /// under Bland's rule. CSC and artificial columns are priced in two
-    /// passes, in column order. Returns `(column, increase)`.
-    fn price(&self, c: &[f64], bland: bool) -> Option<(usize, bool)> {
-        let (lp, ws, tol) = (self.lp, &*self.ws, self.tol);
-        let mut best = -1.0; // below every eligible score
-        let mut entering = None;
-        // Offers column j with reduced cost d; `true` ends the scan.
-        let mut offer = |j: usize, d: f64| {
-            let increase = ws.at[j] == AtBound::Lower;
-            let improving = if increase { d > tol } else { d < -tol };
-            if improving && d.abs() > best {
-                best = d.abs();
-                entering = Some((j, increase));
-                return bland;
-            }
-            false
-        };
-        let skipped = |j: usize| ws.in_basis[j].is_some() || ws.range[j] <= tol;
-        for (j, (&cj, span)) in c.iter().zip(lp.col_ptr.windows(2)).enumerate() {
-            if skipped(j) {
-                continue;
-            }
-            let mut d = cj;
-            for k in span[0]..span[1] {
-                d -= lp.col_vals[k] * ws.y[lp.col_rows[k]];
-            }
-            if offer(j, d) {
-                return entering;
-            }
+    /// Derives every column's pricing direction from the basis, the bound
+    /// rests and the ranges (see [`Workspace::dir`]).
+    fn refresh_dir(&mut self) {
+        let (ws, tol) = (&mut *self.ws, self.tol);
+        let state = ws.in_basis.iter().zip(&ws.at).zip(&ws.range);
+        for (dir, ((slot, &at), &range)) in ws.dir.iter_mut().zip(state) {
+            *dir = direction(slot.is_some(), at, range, tol);
         }
-        for (r, j) in (lp.n_fixed..lp.ncols).enumerate() {
-            if !skipped(j) && offer(j, c[j] - ws.art_sign[r] * ws.y[r]) {
-                return entering;
-            }
-        }
-        entering
     }
 
     /// Runs revised primal simplex iterations for the given column costs.
     fn optimize(&mut self, c: &[f64]) -> PhaseEnd {
         let m = self.lp.m;
         let bland_after = self.max_iters / 2;
+        self.refresh_dir();
         for iter in 0..self.max_iters {
             // Price: y = c_B·B⁻¹, d_j = c_j − y·A_j.
             self.btran(c);
-            let Some((j, increase)) = self.price(c, iter >= bland_after) else {
+            let Some((j, increase)) = K::price(self, c, iter >= bland_after) else {
                 return PhaseEnd::Optimal;
             };
             let delta = if increase { 1.0 } else { -1.0 };
@@ -895,18 +1037,21 @@ impl<'a> Solver<'a> {
                     AtBound::Lower => AtBound::Upper,
                     AtBound::Upper => AtBound::Lower,
                 };
+                ws.dir[j] = -ws.dir[j];
                 continue;
             };
             self.stats.pivots += 1;
             // Entering variable's new value (shifted space).
             let enter_val = self.nonbasic_value(j) + delta * t;
-            self.update_inverse(r);
+            K::update_inverse(self, r);
             let ws = &mut *self.ws;
             let leaving_col = ws.basis[r];
             ws.basis[r] = j;
             ws.in_basis[j] = Some(r);
             ws.in_basis[leaving_col] = None;
             ws.at[leaving_col] = hit;
+            ws.dir[j] = 0.0;
+            ws.dir[leaving_col] = direction(false, hit, ws.range[leaving_col], self.tol);
             ws.bvals[r] = enter_val;
             // Clamp tiny negatives from roundoff.
             let floor = -self.tol * 10.0;
@@ -1111,12 +1256,13 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var("x", VarKind::Continuous { lb: 0.0, ub: 10.0 });
         m.maximize([(x, 1.0)]);
-        let out = solve_with_bounds(&m, &[0.0], &[2.0], &opts());
+        let mut ctx = LpContext::new(&m);
+        let out = ctx.solve_with_bounds(&[0.0], &[2.0], &opts());
         let s = out.solution().expect("optimal");
         assert!((s.objective - 2.0).abs() < 1e-9);
         // Contradictory bounds are infeasible.
         assert_eq!(
-            solve_with_bounds(&m, &[3.0], &[2.0], &opts()),
+            ctx.solve_with_bounds(&[3.0], &[2.0], &opts()),
             LpOutcome::Infeasible
         );
     }
@@ -1142,7 +1288,7 @@ mod tests {
         ];
         for (lb, ub) in cases {
             let warm = ctx.solve_with_bounds(&lb, &ub, &opts());
-            let cold = solve_with_bounds(&m, &lb, &ub, &opts());
+            let cold = LpContext::new(&m).solve_with_bounds(&lb, &ub, &opts());
             let (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) = (&warm, &cold) else {
                 panic!("expected optimal pairs, got {warm:?} / {cold:?}");
             };
@@ -1389,5 +1535,305 @@ mod tests {
                 .objective,
             0.0
         );
+    }
+
+    /// The dense kernels the [`SkipZeros`] loops replaced, kept as their
+    /// oracle: pricing walks every column's CSC entries (and keeps every
+    /// reduced cost, not only the eligible ones), the update and the
+    /// elimination walk whole rows. Under Bland's rule the scan still stops
+    /// at the first improving column.
+    struct Dense;
+
+    impl Kernels for Dense {
+        fn price(s: &mut Solver<'_, Self>, c: &[f64], bland: bool) -> Option<(usize, bool)> {
+            let (lp, ws, tol) = (s.lp, &mut *s.ws, s.tol);
+            let (at, in_basis, range) = (&ws.at, &ws.in_basis, &ws.range);
+            let mut best = -1.0;
+            let mut entering = None;
+            let mut offer = |j: usize, d: f64| {
+                let increase = at[j] == AtBound::Lower;
+                let improving = if increase { d > tol } else { d < -tol };
+                if improving && d.abs() > best {
+                    best = d.abs();
+                    entering = Some((j, increase));
+                    return bland;
+                }
+                false
+            };
+            let skipped = |j: usize| in_basis[j].is_some() || range[j] <= tol;
+            // Every column's reduced cost lands in `d`, which the replay
+            // compares bit for bit; only eligible columns are offered.
+            let mut found = false;
+            for (j, (&cj, span)) in c.iter().zip(lp.col_ptr.windows(2)).enumerate() {
+                let mut d = cj;
+                for k in span[0]..span[1] {
+                    d -= lp.col_vals[k] * ws.y[lp.col_rows[k]];
+                }
+                ws.d[j] = d;
+                found = found || (!skipped(j) && offer(j, d));
+            }
+            if found {
+                return entering;
+            }
+            for (r, j) in (lp.n_fixed..lp.ncols).enumerate() {
+                if !skipped(j) && offer(j, c[j] - ws.art_sign[r] * ws.y[r]) {
+                    return entering;
+                }
+            }
+            entering
+        }
+
+        fn update_inverse(s: &mut Solver<'_, Self>, r: usize) {
+            let m = s.lp.m;
+            let ws = &mut *s.ws;
+            let inv = 1.0 / ws.w[r];
+            let prow = &mut ws.binv[r * m..(r + 1) * m];
+            for v in prow.iter_mut() {
+                *v *= inv;
+            }
+            let prow = prow.to_vec();
+            for (i, (brow, &f)) in rows_mut(&mut ws.binv, m).zip(&ws.w).enumerate() {
+                if i != r && f != 0.0 {
+                    for (b, &v) in brow.iter_mut().zip(&prow) {
+                        *b -= f * v;
+                    }
+                }
+            }
+        }
+
+        fn invert(s: &mut Solver<'_, Self>) -> bool {
+            let m = s.lp.m;
+            let ws = &mut *s.ws;
+            let (b, inv) = (&mut ws.mat, &mut ws.binv);
+            for col in 0..m {
+                let mut piv = col;
+                let mut best = b[col * m + col].abs();
+                for r in col + 1..m {
+                    let v = b[r * m + col].abs();
+                    if v > best {
+                        best = v;
+                        piv = r;
+                    }
+                }
+                if best <= 1e-12 {
+                    return false;
+                }
+                if piv != col {
+                    for k in 0..m {
+                        b.swap(col * m + k, piv * m + k);
+                        inv.swap(col * m + k, piv * m + k);
+                    }
+                }
+                let scale = 1.0 / b[col * m + col];
+                for v in &mut b[col * m + col + 1..(col + 1) * m] {
+                    *v *= scale;
+                }
+                for v in &mut inv[col * m..(col + 1) * m] {
+                    *v *= scale;
+                }
+                let brow = b[col * m..(col + 1) * m].to_vec();
+                let irow = inv[col * m..(col + 1) * m].to_vec();
+                for r in 0..m {
+                    let f = b[r * m + col];
+                    if r == col || f == 0.0 {
+                        continue;
+                    }
+                    for k in col + 1..m {
+                        b[r * m + k] -= f * brow[k];
+                    }
+                    for k in 0..m {
+                        inv[r * m + k] -= f * irow[k];
+                    }
+                }
+            }
+            true
+        }
+    }
+
+    /// A uniform draw in `[-lim, lim)` with a full 53-bit mantissa, so
+    /// the kernels' roundoff is not trivially exact.
+    fn real(rng: &mut Rng, lim: f64) -> f64 {
+        ((rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * lim
+    }
+
+    /// A random sparse LP for the kernel oracle. Variables are bounded,
+    /// fixed or unbounded above; rows are `≤`, `≥` or `=` with right-hand
+    /// sides of either sign, and coefficients are half-steps or full-width
+    /// reals. By shape, rows hold at a random point with slack, hold it
+    /// with equality (degenerate, with duplicated rows), or get an
+    /// arbitrary right-hand side (often infeasible); unbounded-above
+    /// variables with a positive cost make some models unbounded.
+    fn oracle_lp(rng: &mut Rng) -> Model {
+        let big = rng.below(6) == 0;
+        let n = 1 + rng.below(if big { 90 } else { 30 }) as usize;
+        let rows = rng.below(if big { 70 } else { 24 }) as usize;
+        let fill = 1 + rng.below(5);
+        let shape = rng.below(3);
+        let mut m = Model::new();
+        let mut point = Vec::with_capacity(n);
+        let vars: Vec<_> = (0..n)
+            .map(|i| {
+                let lb = [0.0, 0.0, -2.0, 1.5][rng.below(4) as usize];
+                let (kind, x) = match rng.below(6) {
+                    0 => (VarKind::Continuous { lb, ub: lb }, lb),
+                    1 => {
+                        let ub = f64::INFINITY;
+                        (VarKind::Continuous { lb, ub }, lb + rng.below(4) as f64)
+                    }
+                    _ => {
+                        let ub = lb + 1.0 + rng.below(5) as f64;
+                        let x = lb + (ub - lb) * rng.below(101) as f64 / 100.0;
+                        (VarKind::Continuous { lb, ub }, x)
+                    }
+                };
+                point.push(x);
+                m.add_var(format!("x{i}"), kind)
+            })
+            .collect();
+        // The last row drawn, which a degenerate model repeats.
+        let mut previous: Option<(Vec<_>, Sense, f64)> = None;
+        for _ in 0..rows {
+            if let (Some((terms, sense, rhs)), 0) = (&previous, rng.below(8)) {
+                m.add_constraint(terms.clone(), *sense, *rhs);
+                continue;
+            }
+            let mut terms = Vec::new();
+            for &v in &vars {
+                if rng.below(8) < fill {
+                    let c = if rng.below(2) == 0 {
+                        rng.half_steps(3)
+                    } else {
+                        real(rng, 3.0)
+                    };
+                    terms.push((v, c));
+                }
+            }
+            let lhs: f64 = terms.iter().map(|&(v, c)| c * point[v.index()]).sum();
+            let sense = [Sense::Le, Sense::Ge, Sense::Eq][rng.below(3) as usize];
+            let rhs = match (shape, sense) {
+                (1, _) | (_, Sense::Eq) => lhs,
+                (0, Sense::Le) => lhs + rng.below(4) as f64,
+                (0, _) => lhs - rng.below(4) as f64,
+                _ => real(rng, 10.0),
+            };
+            m.add_constraint(terms.clone(), sense, rhs);
+            previous = Some((terms, sense, rhs));
+        }
+        let mut costs = Vec::new();
+        for &v in &vars {
+            match rng.below(5) {
+                0 => {}
+                1 | 2 => costs.push((v, rng.half_steps(4))),
+                _ => costs.push((v, real(rng, 4.0))),
+            }
+        }
+        m.maximize(costs);
+        m
+    }
+
+    /// An outcome with every float as its bits.
+    fn outcome_bits(out: &LpOutcome) -> (u8, u64, Vec<u64>) {
+        match out {
+            LpOutcome::Optimal(s) => (
+                0,
+                s.objective.to_bits(),
+                s.values.iter().map(|v| v.to_bits()).collect(),
+            ),
+            LpOutcome::Infeasible => (1, 0, Vec::new()),
+            LpOutcome::Unbounded => (2, 0, Vec::new()),
+            LpOutcome::IterationLimit => (3, 0, Vec::new()),
+        }
+    }
+
+    /// What a replay reached, so a test can check the oracle saw every
+    /// path.
+    #[derive(Debug, Default)]
+    struct Reached {
+        outcomes: [u64; 4],
+        reuse_hits: u64,
+        max_pivots: u64,
+        flips: u64,
+    }
+
+    /// Solves the LP of `seed` under a branch-and-bound-like sequence of
+    /// bound changes on one [`SkipZeros`] context and one [`Dense`]
+    /// context and asserts that both end every solve identically: the
+    /// outcome with its value bits, the pivot, flip and refactorization
+    /// counts, the warm-start verdict, the final basis, the last pricing's
+    /// reduced costs (bit for bit) and `B⁻¹` (compared with `==`, so the
+    /// two may differ in the sign of a zero).
+    fn replay_against_dense(seed: u64, reached: &mut Reached) {
+        let mut rng = Rng(seed);
+        let model = oracle_lp(&mut rng);
+        let n = model.var_count();
+        let (root_lb, root_ub): (Vec<f64>, Vec<f64>) = (0..n).map(|i| model.bounds(Var(i))).unzip();
+        let (mut lb, mut ub) = (root_lb.clone(), root_ub.clone());
+        let mut fast = LpContext::new(&model);
+        let mut dense = LpContext::new(&model);
+        for step in 0..10 {
+            let a = fast.solve_with_bounds(&lb, &ub, &opts());
+            let b = dense.solve_using::<Dense>(&lb, &ub, &opts());
+            let at = format!("seed {seed:#x} step {step} under {lb:?}/{ub:?}");
+            assert_eq!(outcome_bits(&a), outcome_bits(&b), "{at}: {a:?} vs {b:?}");
+            let (x, y) = (fast.last, dense.last);
+            assert_eq!(
+                (x.pivots, x.bound_flips, x.refactorizations, x.reuse_hit),
+                (y.pivots, y.bound_flips, y.refactorizations, y.reuse_hit),
+                "{at}"
+            );
+            assert_eq!(fast.warm, dense.warm, "{at}");
+            assert_eq!(fast.ws.basis, dense.ws.basis, "{at}");
+            assert!(fast.ws.binv == dense.ws.binv, "{at}: B⁻¹ differs");
+            let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast.ws.d), bits(&dense.ws.d), "{at}: reduced costs");
+            let kind = outcome_bits(&a).0;
+            reached.outcomes[kind as usize] += 1;
+            reached.reuse_hits += u64::from(x.reuse_hit);
+            reached.max_pivots = reached.max_pivots.max(x.pivots);
+            reached.flips += x.bound_flips;
+            // Next bounds: branch on a value, loosen a bound (a warm-start
+            // candidate), pin a variable, or jump back to the root.
+            let Some(v) = (n > 0).then(|| rng.below(n as u64) as usize) else {
+                break;
+            };
+            match (rng.below(6), a.solution()) {
+                (0..=2, Some(s)) => {
+                    let x = s.values[v];
+                    if rng.below(2) == 0 {
+                        ub[v] = x.floor().max(lb[v]);
+                    } else {
+                        lb[v] = x.ceil().min(ub[v]);
+                    }
+                }
+                (3, _) => ub[v] = root_ub[v].max(ub[v] + 1.0),
+                (4, _) => lb[v] = ub[v].min(lb[v] + 2.0),
+                _ => (lb, ub) = (root_lb.clone(), root_ub.clone()),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(384))]
+
+        #[test]
+        fn kernels_match_the_dense_oracle(seed in 0u64..u64::MAX) {
+            replay_against_dense(seed, &mut Reached::default());
+        }
+    }
+
+    #[test]
+    fn dense_oracle_replays_reach_every_path() {
+        let mut reached = Reached::default();
+        for seed in 0..256 {
+            replay_against_dense(seed, &mut reached);
+        }
+        let [optimal, infeasible, unbounded, _] = reached.outcomes;
+        assert!(
+            optimal > 0 && infeasible > 0 && unbounded > 0,
+            "{reached:?}"
+        );
+        assert!(reached.reuse_hits > 0 && reached.flips > 0, "{reached:?}");
+        // A periodic refactorization inside a phase.
+        assert!(reached.max_pivots > REFACTOR_PERIOD, "{reached:?}");
     }
 }

@@ -24,6 +24,8 @@ use crate::instance::FmssmInstance;
 use crate::{PmError, RecoveryAlgorithm};
 use pm_milp::{MilpResult, MilpSolver, MilpStatus, Model, Sense, Var, VarKind};
 use pm_sdwan::RecoveryPlan;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Duration;
 
 /// How the `ω_ij^l ≤ x_ij` linking constraints are encoded.
@@ -502,8 +504,10 @@ pub(crate) struct PolishData {
     delay: Vec<Vec<f64>>,
     /// Nearest controller position per switch.
     nearest: Vec<usize>,
-    /// Per flow: `(ip, pbar)` entries.
-    flow_entries: Vec<Vec<(usize, u32)>>,
+    /// Every flow's `(ip, pbar)` entries, flow after flow; flow `lp`'s are
+    /// `entries[flow_start[lp]..flow_start[lp + 1]]`.
+    entries: Vec<(usize, u32)>,
+    flow_start: Vec<usize>,
     g: f64,
 }
 
@@ -511,6 +515,12 @@ impl PolishData {
     fn capture(inst: &FmssmInstance<'_, '_>, delay_budget: f64) -> Self {
         let n = inst.switches().len();
         let m = inst.controllers().len();
+        let mut entries = Vec::new();
+        let mut flow_start = vec![0];
+        for lp in 0..inst.flows().len() {
+            entries.extend_from_slice(inst.flow_entries(lp));
+            flow_start.push(entries.len());
+        }
         PolishData {
             n,
             m,
@@ -521,9 +531,8 @@ impl PolishData {
             nearest: (0..n)
                 .map(|ip| inst.controllers_by_delay(ip).next().expect("m > 0"))
                 .collect(),
-            flow_entries: (0..inst.flows().len())
-                .map(|lp| inst.flow_entries(lp).to_vec())
-                .collect(),
+            entries,
+            flow_start,
             g: delay_budget,
         }
     }
@@ -667,25 +676,22 @@ impl BuiltModel {
         for ip in 0..d.n {
             values[self.x[ip][mapping[ip]].index()] = 1.0;
         }
-        let l_count = d.flow_entries.len();
+        let l_count = d.flow_start.len() - 1;
         let mut a: Vec<i64> = d.residuals.iter().map(|&r| r as i64).collect();
         let mut delay_left = d.g;
         let mut h = vec![0u64; l_count];
-        // Per flow: entries sorted by their delay under this mapping.
-        let sorted: Vec<Vec<(usize, u32)>> = d
-            .flow_entries
+        // Per flow: entries sorted by their delay under this mapping (a
+        // stable sort, so ties keep the flow's own entry order).
+        let mut sorted: Vec<(f64, usize, u32)> = d
+            .entries
             .iter()
-            .map(|row| {
-                let mut row = row.clone();
-                row.sort_by(|&(ia, _), &(ib, _)| {
-                    d.delay[ia][mapping[ia]]
-                        .partial_cmp(&d.delay[ib][mapping[ib]])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                row
-            })
+            .map(|&(ip, pbar)| (d.delay[ip][mapping[ip]], ip, pbar))
             .collect();
-        let mut cursor = vec![0usize; l_count];
+        for span in d.flow_start.windows(2) {
+            sorted[span[0]..span[1]]
+                .sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
+        }
+        let mut cursor = d.flow_start[..l_count].to_vec();
         let select = |ip: usize,
                       lp: usize,
                       pbar: u32,
@@ -707,30 +713,40 @@ impl BuiltModel {
             true
         };
 
-        // Balanced rounds.
-        loop {
-            let active: Vec<usize> = (0..l_count)
-                .filter(|&lp| cursor[lp] < sorted[lp].len())
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            let sigma = active.iter().map(|&lp| h[lp]).min().expect("non-empty");
-            for &lp in &active {
-                if h[lp] != sigma {
-                    continue;
+        // Balanced rounds over the flows with entries left, keyed by
+        // `(h, flow)`: a round takes every flow at the least programmability
+        // σ, in flow order, and each flow re-enters under its new `h` while
+        // it has entries left.
+        let mut waiting: BinaryHeap<Reverse<(u64, usize)>> = (0..l_count)
+            .filter(|&lp| cursor[lp] < d.flow_start[lp + 1])
+            .map(|lp| Reverse((0, lp)))
+            .collect();
+        let mut round = Vec::new();
+        while let Some(&Reverse((sigma, _))) = waiting.peek() {
+            round.clear();
+            while let Some(&Reverse((hl, lp))) = waiting.peek() {
+                if hl != sigma {
+                    break;
                 }
-                while cursor[lp] < sorted[lp].len() {
-                    let (ip, pbar) = sorted[lp][cursor[lp]];
+                waiting.pop();
+                round.push(lp);
+            }
+            for &lp in &round {
+                let end = d.flow_start[lp + 1];
+                while cursor[lp] < end {
+                    let (_, ip, pbar) = sorted[cursor[lp]];
                     cursor[lp] += 1;
                     if select(ip, lp, pbar, &mut a, &mut delay_left, &mut h, &mut values) {
                         break;
                     }
                 }
+                if cursor[lp] < end {
+                    waiting.push(Reverse((h[lp], lp)));
+                }
             }
         }
         let r = (0..l_count)
-            .filter(|&lp| !d.flow_entries[lp].is_empty())
+            .filter(|&lp| d.flow_start[lp] < d.flow_start[lp + 1])
             .map(|lp| h[lp])
             .min()
             .unwrap_or(0);
@@ -943,5 +959,117 @@ mod tests {
         // The hub must be handled per-flow by the exact solution too.
         assert!(opt_m.total_programmability >= pm_m.total_programmability / 4);
         let _ = SwitchId(13);
+    }
+
+    /// The greedy as it was before the waiting heap: every round rebuilds
+    /// the flows with entries left and rescans them for σ, and every call
+    /// clones each flow's row.
+    fn greedy_by_rescan(built: &BuiltModel, d: &PolishData, mapping: &[usize]) -> Vec<f64> {
+        let mut values = vec![0.0; built.model.var_count()];
+        for ip in 0..d.n {
+            values[built.x[ip][mapping[ip]].index()] = 1.0;
+        }
+        let flow_entries: Vec<&[(usize, u32)]> = d
+            .flow_start
+            .windows(2)
+            .map(|w| &d.entries[w[0]..w[1]])
+            .collect();
+        let l_count = flow_entries.len();
+        let mut a: Vec<i64> = d.residuals.iter().map(|&r| r as i64).collect();
+        let mut delay_left = d.g;
+        let mut h = vec![0u64; l_count];
+        let sorted: Vec<Vec<(usize, u32)>> = flow_entries
+            .iter()
+            .map(|row| {
+                let mut row = row.to_vec();
+                row.sort_by(|&(ia, _), &(ib, _)| {
+                    d.delay[ia][mapping[ia]]
+                        .partial_cmp(&d.delay[ib][mapping[ib]])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                row
+            })
+            .collect();
+        let mut cursor = vec![0usize; l_count];
+        loop {
+            let active: Vec<usize> = (0..l_count)
+                .filter(|&lp| cursor[lp] < sorted[lp].len())
+                .collect();
+            let Some(sigma) = active.iter().map(|&lp| h[lp]).min() else {
+                break;
+            };
+            for &lp in &active {
+                if h[lp] != sigma {
+                    continue;
+                }
+                while cursor[lp] < sorted[lp].len() {
+                    let (ip, pbar) = sorted[lp][cursor[lp]];
+                    cursor[lp] += 1;
+                    let jp = mapping[ip];
+                    let cost = d.delay[ip][jp];
+                    if a[jp] <= 0 || cost > delay_left + 1e-9 {
+                        continue;
+                    }
+                    a[jp] -= 1;
+                    delay_left -= cost;
+                    h[lp] += pbar as u64;
+                    values[built.omega[built.entry_index.at(ip, lp)][jp].index()] = 1.0;
+                    break;
+                }
+            }
+        }
+        let r = (0..l_count)
+            .filter(|&lp| !flow_entries[lp].is_empty())
+            .map(|lp| h[lp])
+            .min()
+            .unwrap_or(0);
+        values[built.r.index()] = r as f64;
+        values
+    }
+
+    #[test]
+    fn greedy_matches_the_per_round_rescan() {
+        // Every ATT controller pair, at the paper's capacity and at one so
+        // small that capacity runs out mid-round, under delay budgets from
+        // tight to loose, with the nearest mapping and seeded random ones.
+        let mut rng = pm_topo::rng::DetRng::seed_from_u64(0x67_7265_6564);
+        let mut compared = 0;
+        for net in [
+            SdWanBuilder::att_paper_setup().build().unwrap(),
+            SdWanBuilder::att_paper_setup()
+                .auto_capacity(1.0)
+                .build()
+                .unwrap(),
+        ] {
+            let prog = Programmability::compute(&net);
+            let ctrls = net.controllers().len();
+            for a in 0..ctrls {
+                for b in a + 1..ctrls {
+                    let sc = net.fail(&[ControllerId(a), ControllerId(b)]).unwrap();
+                    let inst = FmssmInstance::new(&sc, &prog);
+                    for scale in [0.2, 1.0, 3.0] {
+                        let budget = scale * inst.ideal_delay_g();
+                        let objective = ModelObjective::Combined(inst.lambda());
+                        let built = build_model(&inst, LinkingStyle::default(), budget, objective);
+                        let d = PolishData::capture(&inst, budget);
+                        let mut mappings = vec![d.nearest.clone()];
+                        for _ in 0..3 {
+                            mappings.push(
+                                (0..d.n)
+                                    .map(|_| (rng.gen_range(0.0, d.m as f64) as usize).min(d.m - 1))
+                                    .collect(),
+                            );
+                        }
+                        for mapping in &mappings {
+                            let got = built.greedy_values(&d, mapping);
+                            let want = greedy_by_rescan(&built, &d, mapping);
+                            assert_eq!(got, want, "failed ({a},{b}), budget ×{scale}");
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 2 * 15 * 3 * 4);
     }
 }

@@ -156,6 +156,63 @@ fn assignment_trajectory() -> Trajectory {
     milp_trajectory(&m)
 }
 
+/// A seeded capacitated facility location sized like the ATT model, so
+/// `B⁻¹` runs about a third nonzero (the Waxman pins stay near 12 %):
+/// 10 facilities with a fixed opening cost and a capacity, 80 customers
+/// with three candidate facilities each, every other customer served
+/// exactly once (equality rows, so phase 1 runs) and the rest at most
+/// once. 330 rows: one per customer, one `x ≤ y` link per candidate and
+/// one capacity row per facility. Branch and bound stops after 8 nodes,
+/// which keeps the pin well under a second and its node count exact.
+fn facility_trajectory() -> Trajectory {
+    const FACILITIES: usize = 10;
+    const CUSTOMERS: usize = 80;
+    let mut rng = DetRng::seed_from_u64(1);
+    let mut m = Model::new();
+    let open: Vec<_> = (0..FACILITIES)
+        .map(|f| m.add_binary(format!("y{f}")))
+        .collect();
+    let mut objective = Vec::new();
+    let mut load: Vec<Vec<_>> = vec![Vec::new(); FACILITIES];
+    let mut total = 0.0;
+    for k in 0..CUSTOMERS {
+        let demand = (5.0 + rng.gen_range(0.0, 15.0)).round();
+        total += demand;
+        let mut candidates = Vec::new();
+        while candidates.len() < 3 {
+            let f = (rng.gen_range(0.0, FACILITIES as f64) as usize).min(FACILITIES - 1);
+            if !candidates.contains(&f) {
+                candidates.push(f);
+            }
+        }
+        candidates.sort_unstable();
+        let mut serve = Vec::new();
+        for &f in &candidates {
+            let x = m.add_binary(format!("x{k}_{f}"));
+            serve.push((x, 1.0));
+            m.add_constraint([(x, 1.0), (open[f], -1.0)], Sense::Le, 0.0);
+            load[f].push((x, demand));
+            objective.push((x, (10.0 + rng.gen_range(0.0, 20.0)).round()));
+        }
+        let sense = if k % 2 == 0 { Sense::Eq } else { Sense::Le };
+        m.add_constraint(serve, sense, 1.0);
+    }
+    let capacity = (1.6 * total / FACILITIES as f64).round();
+    for (f, mut terms) in load.into_iter().enumerate() {
+        terms.push((open[f], -capacity));
+        m.add_constraint(terms, Sense::Le, 0.0);
+        objective.push((open[f], -(60.0 + rng.gen_range(0.0, 60.0)).round()));
+    }
+    m.maximize(objective);
+    assert_eq!(m.constraint_count(), 330);
+    trajectory(|| {
+        let r = MilpSolver::new().node_limit(8).solve(&m);
+        assert_eq!(r.status, MilpStatus::Feasible);
+        let objective = r.solution.expect("an incumbent by node 8").objective;
+        (r.nodes_explored, objective)
+    })
+}
+
 fn milp_trajectory(m: &Model) -> Trajectory {
     trajectory(|| {
         let r = MilpSolver::new().solve(m);
@@ -179,6 +236,8 @@ const OPTIMAL: &[(u64, Trajectory)] = &[
 ];
 const KNAPSACK: Trajectory = t(35, 267, 331, 0, 4645498200004755456);
 const ASSIGNMENT: Trajectory = t(7, 310, 55, 0, 13858913059558391808);
+/// Recorded before the kernels skipped exact zeros.
+const FACILITY: Trajectory = t(8, 6096, 230, 0, 4653181587259654144);
 
 const fn t(
     nodes: usize,
@@ -214,5 +273,6 @@ fn lp_trajectories_match_the_recorded_ones() {
     }
     check("knapsack".into(), knapsack_trajectory(), KNAPSACK);
     check("assignment".into(), assignment_trajectory(), ASSIGNMENT);
+    check("facility".into(), facility_trajectory(), FACILITY);
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
