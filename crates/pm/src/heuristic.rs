@@ -21,18 +21,31 @@
 //!
 //! Lines 5–15 pick from kept σ-counts: for each switch still in `S*`, the
 //! number of its entries whose flow has `h = σ` (0 once tested). They are
-//! rebuilt in `O(E)` whenever `σ` is set — after seeding and at both pass
-//! restarts (`S*` emptied, or no untested switch with an entry at `σ`) —
-//! and, as `H` only rises within a pass, a flow raised off `σ` decrements
-//! each untested switch on its row. The untested switches are bucketed by
-//! count, one bitset per count value. Invariant: the buckets partition
-//! `S*`, each switch in exactly its count's bucket, and a `top` pointer
-//! never sits below the highest non-empty one; counts only fall between
-//! rebuilds, so `top` only falls. A pick is the lowest set bit of the
-//! highest non-empty bucket above 0 — the most entries at `σ`, lowest
-//! position on ties — and a decrement or a removal moves one bit. Phase 1
-//! costs `O(passes·(E + n·c̄/64))` for `E` entries, `n` offline switches
-//! and counts up to `c̄`, not a per-pick scan's `O(passes·picks·n)`.
+//! rebuilt whenever `σ` is set: at the start and at a pass restart (`S*`
+//! emptied, or no untested switch with an entry at `σ`). An unseeded start
+//! has every `h = 0 = σ`, so its counts are the switch-row lengths; a
+//! seeded start and a restart add one per entry of each flow at `σ`,
+//! found by one scan of `H` after the scan that sets `σ`. Between rebuilds
+//! `H` only rises, so a flow raised off `σ` decrements each untested
+//! switch on its row. The untested switches are bucketed by count, one
+//! bitset per count value. Invariant: the buckets partition `S*`, each
+//! switch in exactly its count's bucket, and a `top` pointer never sits
+//! below the highest non-empty one; counts only fall between rebuilds, so
+//! `top` only falls. A pick is the lowest set bit of the highest non-empty
+//! bucket above 0 — the most entries at `σ`, lowest position on ties — and
+//! a decrement or a removal moves one bit.
+//!
+//! Phase 1 leaves at its first idle pass, one that puts no entry into SDN
+//! mode, when the next `σ` equals the idle pass's. Such a pass leaves `H`,
+//! `Y` and `A` as they were, and every switch it maps goes to the
+//! controller the mapping rule picks again from the same `A`; with the same
+//! `σ` the next pass therefore makes the same picks and selects nothing
+//! again, and so does every pass after it. Only a seeded first pass can be
+//! idle with a new `σ` after it: it runs at `σ = 0` whatever `min(H)` is.
+//! Phase 1 costs `O(live passes·(L + E_σ + n·c̄/64))` for `L` offline
+//! flows, `E_σ` entries at each pass's `σ`, `n` offline switches and
+//! counts up to `c̄`, plus the rows its picks read and the flow rows of the
+//! entries it selects — not a per-pick scan's `O(passes·picks·n)`.
 
 use crate::instance::FmssmInstance;
 use crate::{PmError, RecoveryAlgorithm};
@@ -94,21 +107,39 @@ struct SwitchPool {
 }
 
 impl SwitchPool {
-    /// Puts every switch of `inst` back into `S*` and recounts the
-    /// σ-counts from `h`, keeping capacity. `O(E)` over the switch rows,
-    /// which the SDN-mode step reads anyway (cheaper than the flow rows
-    /// on small instances with cold caches), plus clearing the buckets.
-    fn refill(&mut self, inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64) {
+    /// Puts every switch of `inst` into `S*` with the σ-counts of an
+    /// all-zero `H` at `σ = 0`: each switch's whole row. Reads no entry.
+    fn fill_rows(&mut self, inst: &FmssmInstance<'_, '_>) {
         let n = inst.switches().len();
-        let mut top = 0;
         self.slots.clear();
-        self.slots.extend((0..n).map(|ip| {
-            let count = entries_at_sigma(inst, h, sigma, ip);
-            top = top.max(count as usize);
-            (true, count)
-        }));
+        self.slots
+            .extend((0..n).map(|ip| (true, inst.switch_entries(ip).len() as u32)));
+        self.rebucket();
+    }
+
+    /// Puts every switch of `inst` back into `S*` and recounts the
+    /// σ-counts from the flows at `σ`: `O(L + E_σ)`, keeping capacity.
+    fn refill(&mut self, inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64) {
+        self.slots.clear();
+        self.slots.resize(inst.switches().len(), (true, 0));
+        for (lp, _) in h.iter().enumerate().filter(|&(_, &v)| v == sigma) {
+            for &(ip, _) in inst.flow_entries(lp) {
+                self.slots[ip].1 += 1;
+            }
+        }
+        self.rebucket();
+    }
+
+    /// Rebuilds the buckets from freshly filled slots.
+    fn rebucket(&mut self) {
+        let n = self.slots.len();
         self.len = n;
-        self.top = top;
+        self.top = self
+            .slots
+            .iter()
+            .map(|&(_, c)| c as usize)
+            .max()
+            .unwrap_or(0);
         self.words = n.div_ceil(64);
         self.buckets.clear();
         self.buckets.resize((self.top + 1) * self.words, 0);
@@ -207,7 +238,9 @@ impl SwitchPool {
     }
 }
 
-/// The number of switch `ip`'s entries whose flow has `h = σ`.
+/// The number of switch `ip`'s entries whose flow has `h = σ`: the
+/// debug invariant's rescan.
+#[cfg(debug_assertions)]
 fn entries_at_sigma(inst: &FmssmInstance<'_, '_>, h: &[u64], sigma: u64, ip: usize) -> u32 {
     let row = inst.switch_entries(ip).iter();
     row.filter(|&&(lp, _)| h[lp] == sigma).count() as u32
@@ -422,17 +455,24 @@ impl Pm {
         }
         let s_star = pool;
         let mut sigma: u64 = 0;
-        s_star.refill(inst, h, sigma);
-        let mut test_count = 0usize;
+        // With no seed selection every `h` is 0 = σ, so each switch counts
+        // its whole row.
+        if y.count == 0 {
+            s_star.fill_rows(inst);
+        } else {
+            s_star.refill(inst, h, sigma);
+        }
         let total_iterations = inst.total_iterations().max(1);
+        let mut passes_skipped = 0;
 
+        // A flow min(H) skips reads as u64::MAX, which no `h` reaches: the
+        // scan has no branch to mispredict.
+        let faithful = self.config.faithful_sigma;
         let min_h = |h: &[u64]| -> u64 {
-            h.iter()
-                .zip(inst.recoverable_flows())
-                .filter(|&(_, recoverable)| self.config.faithful_sigma || recoverable)
-                .map(|(&v, _)| v)
-                .min()
-                .unwrap_or(0)
+            let counted = h.iter().zip(inst.recoverable_flows());
+            let low =
+                counted.map(|(&v, recoverable)| if faithful || recoverable { v } else { u64::MAX });
+            low.min().filter(|&v| v != u64::MAX).unwrap_or(0)
         };
 
         // Sub-phase time accumulators (nanoseconds); only touched while
@@ -441,86 +481,94 @@ impl Pm {
         let mut t_map = 0u64;
         let mut t_mode = 0u64;
         let phase1_span = pm_obs::span("pm.phase1");
-        while test_count < total_iterations {
-            // Lines 5–15: find the switch s_{i0} to recover.
-            let select_t0 = obs.then(std::time::Instant::now);
-            #[cfg(debug_assertions)]
-            s_star.assert_counts(inst, h, sigma);
-            let i0 = match self.config.selection {
-                SelectionRule::MostLeastProgFlows => s_star.most_at_sigma(),
-                SelectionRule::HighestGamma => s_star
-                    .iter()
-                    .filter(|&ip| !inst.switch_entries(ip).is_empty())
-                    .max_by_key(|&ip| inst.gamma(ip)),
-                SelectionRule::LowestId => s_star
-                    .iter()
-                    .find(|&ip| !inst.switch_entries(ip).is_empty()),
-            };
-            if let Some(t0) = select_t0 {
-                t_select += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            }
-            let Some(i0) = i0 else {
-                // No switch can serve a least-programmable flow: this pass
-                // is exhausted, behave as lines 37–39.
-                test_count += 1;
-                if test_count < total_iterations {
-                    sigma = min_h(h);
-                    s_star.refill(inst, h, sigma);
+        for pass in 1..=total_iterations {
+            let picks_before = y.count;
+            loop {
+                // Lines 5–15: find the switch s_{i0} to recover.
+                let select_t0 = obs.then(std::time::Instant::now);
+                #[cfg(debug_assertions)]
+                s_star.assert_counts(inst, h, sigma);
+                let i0 = match self.config.selection {
+                    SelectionRule::MostLeastProgFlows => s_star.most_at_sigma(),
+                    SelectionRule::HighestGamma => s_star
+                        .iter()
+                        .filter(|&ip| !inst.switch_entries(ip).is_empty())
+                        .max_by_key(|&ip| inst.gamma(ip)),
+                    SelectionRule::LowestId => s_star
+                        .iter()
+                        .find(|&ip| !inst.switch_entries(ip).is_empty()),
+                };
+                if let Some(t0) = select_t0 {
+                    t_select += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 }
-                continue;
-            };
+                let Some(i0) = i0 else {
+                    // No switch can serve a least-programmable flow: the
+                    // pass is exhausted.
+                    break;
+                };
 
-            // Lines 17–28: map s_{i0} to controller C_{j0}.
-            let map_t0 = obs.then(std::time::Instant::now);
-            let j0 = match x[i0] {
-                Some(j) => j,
-                None => {
-                    let by_rule = match self.config.mapping {
-                        MappingRule::NearestWithCapacity => inst
-                            .controllers_by_delay(i0)
-                            .find(|&j| a[j] >= inst.gamma(i0) as i64),
-                        MappingRule::MaxCapacity => None,
-                    };
-                    by_rule.unwrap_or_else(|| {
-                        // Line 26: the controller with maximum available
-                        // control resource.
-                        (0..m)
-                            .max_by_key(|&j| a[j])
-                            .expect("at least one controller")
-                    })
+                // Lines 17–28: map s_{i0} to controller C_{j0}.
+                let map_t0 = obs.then(std::time::Instant::now);
+                let j0 = match x[i0] {
+                    Some(j) => j,
+                    None => {
+                        let by_rule = match self.config.mapping {
+                            MappingRule::NearestWithCapacity => inst
+                                .controllers_by_delay(i0)
+                                .find(|&j| a[j] >= inst.gamma(i0) as i64),
+                            MappingRule::MaxCapacity => None,
+                        };
+                        by_rule.unwrap_or_else(|| {
+                            // Line 26: the controller with maximum available
+                            // control resource.
+                            (0..m)
+                                .max_by_key(|&j| a[j])
+                                .expect("at least one controller")
+                        })
+                    }
+                };
+                x[i0] = Some(j0);
+                s_star.remove(i0);
+                if let Some(t0) = map_t0 {
+                    t_map += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 }
-            };
-            x[i0] = Some(j0);
-            s_star.remove(i0);
-            if let Some(t0) = map_t0 {
-                t_map += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+
+                // Lines 31–36: SDN mode for least-programmable flows at s_{i0}.
+                let mode_t0 = obs.then(std::time::Instant::now);
+                let start = inst.switch_row_start(i0);
+                for (e, &(lp, pbar)) in (start..).zip(inst.switch_entries(i0)) {
+                    if h[lp] <= sigma && !y.contains(e) && a[j0] > 0 {
+                        a[j0] -= 1;
+                        h[lp] += pbar as u64;
+                        y.insert(e);
+                        s_star.flow_left_sigma(inst, lp);
+                    }
+                }
+                if let Some(t0) = mode_t0 {
+                    t_mode += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                }
+
+                // Line 37: the pass ends when every switch was tested.
+                if s_star.is_empty() {
+                    break;
+                }
             }
 
-            // Lines 31–36: SDN mode for least-programmable flows at s_{i0}.
-            let mode_t0 = obs.then(std::time::Instant::now);
-            let start = inst.switch_row_start(i0);
-            for (e, &(lp, pbar)) in (start..).zip(inst.switch_entries(i0)) {
-                if h[lp] <= sigma && !y.contains(e) && a[j0] > 0 {
-                    a[j0] -= 1;
-                    h[lp] += pbar as u64;
-                    y.insert(e);
-                    s_star.flow_left_sigma(inst, lp);
-                }
+            // Lines 38–39: restart the pass at σ = min(H). After the last
+            // pass nothing reads σ or the σ-counts, so neither is
+            // recomputed.
+            if pass == total_iterations {
+                break;
             }
-            if let Some(t0) = mode_t0 {
-                t_mode += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let next_sigma = min_h(h);
+            if y.count == picks_before && next_sigma == sigma {
+                // An idle pass at an unchanged σ: every pass left would
+                // repeat it exactly (module docs).
+                passes_skipped = total_iterations - pass;
+                break;
             }
-
-            // Lines 37–39: restart the pass when every switch was tested.
-            // After the last pass nothing reads σ or the σ-counts, so
-            // neither is recomputed.
-            if s_star.is_empty() {
-                test_count += 1;
-                if test_count < total_iterations {
-                    sigma = min_h(h);
-                    s_star.refill(inst, h, sigma);
-                }
-            }
+            sigma = next_sigma;
+            s_star.refill(inst, h, sigma);
         }
 
         drop(phase1_span);
@@ -547,7 +595,8 @@ impl Pm {
             pm_obs::observe("pm.phase1.select_ns", t_select);
             pm_obs::observe("pm.phase1.map_ns", t_map);
             pm_obs::observe("pm.phase1.mode_ns", t_mode);
-            pm_obs::count("pm.passes", test_count as u64);
+            pm_obs::count("pm.passes", total_iterations as u64);
+            pm_obs::count("pm.passes_skipped", passes_skipped as u64);
             pm_obs::count("pm.switches_mapped", x.iter().flatten().count() as u64);
             pm_obs::count("pm.sdn_mode_picks", y.count as u64);
             pm_obs::count("pm.phase1.sdn_mode_picks", phase1_picks as u64);
@@ -760,6 +809,126 @@ mod tests {
             plan.validate(&sc, &prog, false).unwrap();
             assert_eq!(plan, Pm::with_config(config).recover(&inst).unwrap());
         }
+    }
+
+    /// Algorithm 1 with the default configuration and no seed, running
+    /// every phase-1 pass and scanning the untested switches at each pick.
+    /// Also returns how many passes ran after the first idle pass whose
+    /// next σ was unchanged: the passes [`Pm`] skips.
+    fn every_pass(inst: &FmssmInstance<'_, '_>) -> (RecoveryPlan, usize) {
+        let (n, m) = (inst.switches().len(), inst.controllers().len());
+        let mut x = vec![None; n];
+        let mut y = vec![false; inst.entry_count()];
+        let mut a: Vec<i64> = inst.residuals().iter().map(|&r| r as i64).collect();
+        let mut h = vec![0u64; inst.flows().len()];
+        let (mut sigma, mut after_idle, mut idle_seen) = (0, 0, false);
+        for _ in 0..inst.total_iterations().max(1) {
+            let picks_before = y.iter().filter(|&&picked| picked).count();
+            let mut untested = vec![true; n];
+            loop {
+                let at_sigma = |ip: usize| {
+                    let row = inst.switch_entries(ip).iter();
+                    row.filter(|&&(lp, _)| h[lp] == sigma).count()
+                };
+                let Some(i0) = (0..n)
+                    .filter(|&ip| untested[ip] && at_sigma(ip) > 0)
+                    .max_by_key(|&ip| (at_sigma(ip), std::cmp::Reverse(ip)))
+                else {
+                    break;
+                };
+                let j0 = *x[i0].get_or_insert_with(|| {
+                    let mut by_delay = inst.controllers_by_delay(i0);
+                    by_delay
+                        .find(|&j| a[j] >= inst.gamma(i0) as i64)
+                        .unwrap_or_else(|| (0..m).max_by_key(|&j| a[j]).unwrap())
+                });
+                untested[i0] = false;
+                let start = inst.switch_row_start(i0);
+                for (e, &(lp, pbar)) in (start..).zip(inst.switch_entries(i0)) {
+                    if h[lp] <= sigma && !y[e] && a[j0] > 0 {
+                        a[j0] -= 1;
+                        h[lp] += pbar as u64;
+                        y[e] = true;
+                    }
+                }
+                if !untested.contains(&true) {
+                    break;
+                }
+            }
+            let recoverable = h.iter().zip(inst.recoverable_flows());
+            let next_sigma = recoverable.filter(|&(_, r)| r).map(|(&v, _)| v).min();
+            let next_sigma = next_sigma.unwrap_or(0);
+            after_idle += usize::from(idle_seen);
+            idle_seen |=
+                y.iter().filter(|&&picked| picked).count() == picks_before && next_sigma == sigma;
+            sigma = next_sigma;
+        }
+        let (mut mapping, mut sdn) = (Vec::new(), Vec::new());
+        for (ip, ctrl) in x.iter().enumerate() {
+            let Some(j0) = *ctrl else { continue };
+            let (s, c) = (inst.switches()[ip], inst.controllers()[j0]);
+            mapping.push((s, c));
+            let start = inst.switch_row_start(ip);
+            for (e, &(lp, _)) in (start..).zip(inst.switch_entries(ip)) {
+                if !y[e] && a[j0] > 0 {
+                    a[j0] -= 1;
+                    y[e] = true;
+                }
+                if y[e] {
+                    sdn.push((s, inst.flows()[lp], c));
+                }
+            }
+        }
+        (
+            RecoveryPlan::from_parts(mapping, Vec::new(), sdn),
+            after_idle,
+        )
+    }
+
+    #[test]
+    fn idle_exit_matches_every_pass_on_capacity_starved_cases() {
+        // Under (C13, C20, C22) and (C2, C5, C13, C22) the active
+        // controllers run out of capacity with passes left, so phase 1
+        // reaches an idle pass at an unchanged σ and PM leaves it there.
+        let (net, prog) = setup();
+        for failed in [&[3, 4, 5][..], &[0, 1, 3, 5]] {
+            let failed: Vec<ControllerId> = failed.iter().map(|&c| ControllerId(c)).collect();
+            let sc = net.fail(&failed).unwrap();
+            let inst = FmssmInstance::new(&sc, &prog);
+            let (reference, skipped) = every_pass(&inst);
+            assert!(skipped > 0, "{failed:?}: no pass to skip");
+            assert_eq!(Pm::new().recover(&inst).unwrap(), reference, "{failed:?}");
+        }
+    }
+
+    #[test]
+    fn idle_seeded_first_pass_does_not_end_phase1() {
+        // Seed one SDN selection per recoverable flow: every h is then
+        // above 0, so the first pass, at σ = 0, selects nothing, while
+        // min(H) rises above 0 and the capacity the dropped selections
+        // held is free. The second pass must run and select more.
+        let (net, prog) = setup();
+        let sc = net.fail(&[ControllerId(3)]).unwrap();
+        let inst = FmssmInstance::new(&sc, &prog);
+        let full = Pm::new().recover(&inst).unwrap();
+        let mut seen = std::collections::HashSet::new();
+        let sdn: Vec<_> = full
+            .sdn_selections()
+            .filter(|&(_, l, _)| seen.insert(l))
+            .collect();
+        assert_eq!(seen.len(), inst.recoverable_flow_count());
+        let seed = RecoveryPlan::from_parts(full.mappings().collect(), Vec::new(), sdn);
+        let phase1_only = Pm::with_config(PmConfig {
+            skip_phase2: true,
+            ..Default::default()
+        });
+        let plan = phase1_only.recover_with_seed(&inst, &seed).unwrap();
+        plan.validate(&sc, &prog, false).unwrap();
+        assert!(seed.sdn_selections().all(|(s, l, _)| plan.is_sdn(s, l)));
+        assert!(
+            plan.sdn_count() > seed.sdn_count(),
+            "phase 1 ended after the idle pass at σ = 0"
+        );
     }
 
     #[test]

@@ -321,6 +321,7 @@ fn pm_oracle(
     let mut sigma: u64 = 0;
     let mut test_count = 0usize;
     let total_iterations = inst.total_iterations().max(1);
+    let (mut pass_picks, mut repeating, mut passes_skipped) = (y.len(), false, 0usize);
     let min_h = |h: &[u64]| -> u64 {
         (0..l_count)
             .filter(|&lp| config.faithful_sigma || !inst.flow_entries(lp).is_empty())
@@ -356,38 +357,50 @@ fn pm_oracle(
                 .copied()
                 .find(|&ip| !inst.switch_entries(ip).is_empty()),
         };
-        let Some(i0) = i0 else {
-            s_star = (0..n).collect();
-            test_count += 1;
-            sigma = min_h(&h);
-            continue;
-        };
-        let j0 = match x[i0] {
-            Some(j) => j,
-            None => {
-                let by_rule = match config.mapping {
-                    MappingRule::NearestWithCapacity => inst
-                        .controllers_by_delay(i0)
-                        .find(|&j| a[j] >= inst.gamma(i0) as i64),
-                    MappingRule::MaxCapacity => None,
-                };
-                by_rule.unwrap_or_else(|| (0..m).max_by_key(|&j| a[j]).expect("m > 0"))
+        // A pass ends when no switch can be picked or every switch was
+        // tested.
+        if let Some(i0) = i0 {
+            let j0 = match x[i0] {
+                Some(j) => j,
+                None => {
+                    let by_rule = match config.mapping {
+                        MappingRule::NearestWithCapacity => inst
+                            .controllers_by_delay(i0)
+                            .find(|&j| a[j] >= inst.gamma(i0) as i64),
+                        MappingRule::MaxCapacity => None,
+                    };
+                    by_rule.unwrap_or_else(|| (0..m).max_by_key(|&j| a[j]).expect("m > 0"))
+                }
+            };
+            x[i0] = Some(j0);
+            s_star.remove(&i0);
+            for &(lp, pbar) in inst.switch_entries(i0) {
+                if h[lp] <= sigma && !y.contains(&(i0, lp)) && a[j0] > 0 {
+                    a[j0] -= 1;
+                    h[lp] += pbar as u64;
+                    y.insert((i0, lp));
+                }
             }
-        };
-        x[i0] = Some(j0);
-        s_star.remove(&i0);
-        for &(lp, pbar) in inst.switch_entries(i0) {
-            if h[lp] <= sigma && !y.contains(&(i0, lp)) && a[j0] > 0 {
-                a[j0] -= 1;
-                h[lp] += pbar as u64;
-                y.insert((i0, lp));
+            if !s_star.is_empty() {
+                continue;
             }
         }
-        if s_star.is_empty() {
-            s_star = (0..n).collect();
-            test_count += 1;
-            sigma = min_h(&h);
+        s_star = (0..n).collect();
+        test_count += 1;
+        let next_sigma = min_h(&h);
+        // Every pass run after an idle pass (no SDN-mode pick) whose next σ
+        // is unchanged is one PM skips; each must itself be such a pass.
+        let idle = y.len() == pass_picks && next_sigma == sigma;
+        if repeating {
+            assert!(
+                idle,
+                "a pass after an idle pass at σ = {sigma} changed Y or σ"
+            );
+            passes_skipped += 1;
         }
+        repeating |= idle;
+        sigma = next_sigma;
+        pass_picks = y.len();
     }
     let phase1_picks = y.len();
     if !config.skip_phase2 {
@@ -406,6 +419,7 @@ fn pm_oracle(
     let total_entries: usize = (0..n).map(|ip| inst.switch_entries(ip).len()).sum();
     let mut counters: Counters = [
         ("pm.passes", test_count),
+        ("pm.passes_skipped", passes_skipped),
         ("pm.switches_mapped", x.iter().flatten().count()),
         ("pm.sdn_mode_picks", y.len()),
         ("pm.phase1.sdn_mode_picks", phase1_picks),
