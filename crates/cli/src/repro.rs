@@ -187,7 +187,7 @@ fn table3(opts: EvalOptions, out: &mut dyn Write) -> io::Result<()> {
     let (mut rows, mut load_rows) = (Vec::new(), Vec::new());
     for (c, controller) in net.controllers().iter().enumerate() {
         let (cid, node) = (ControllerId(c), controller.node.index());
-        for s in net.domain_switches(cid) {
+        for &s in net.domain_switches(cid) {
             rows.push(vec![
                 format!("C{node}"),
                 format!("s{}", s.index()),

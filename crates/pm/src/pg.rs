@@ -26,9 +26,22 @@
 //! entries in ascending `(h_before, lp)` order. PG builds that key per
 //! entry and sorts once; the first entry of every row has `h_before = 0`
 //! and those keys come in flow order, so only the others are sorted. The
-//! `t`-th key gets the `t`-th controller the capacity heap hands out, and
-//! the walk stops when capacity is spent, which cuts a round short exactly
-//! where the rounds would.
+//! `t`-th key gets the `t`-th unit of capacity handed out, and the walk
+//! stops when capacity is spent, which cuts a round short exactly where
+//! the rounds would.
+//!
+//! Each unit comes from the active controller with the most capacity left,
+//! ties to the lower position. That sequence has a closed form, a level
+//! walk: sort the controllers once by (residual descending, position
+//! ascending); then at level `v`, counting down from the largest residual
+//! to 1, every controller whose residual is at least `v` hands out one
+//! unit, in ascending position. By induction over the levels, when level
+//! `v` starts every controller holds `min(residual, v)`, so the controllers
+//! at the top are exactly those with residual at least `v`, all tied at
+//! `v`; taking from the lowest position drops it to `v − 1`, below the
+//! others, so the rest of the tie follows in ascending position, and once
+//! the level is done all of them hold `v − 1`, tied with the controllers
+//! whose residual is `v − 1`. A take is then a cursor step.
 //!
 //! No leftover-capacity pass follows. The rounds end when every row is
 //! used up or when capacity is spent (a round without a pick happens only
@@ -37,7 +50,6 @@
 use crate::instance::FmssmInstance;
 use crate::{PmError, RecoveryAlgorithm};
 use pm_sdwan::RecoveryPlan;
-use std::collections::BinaryHeap;
 
 /// FlowVisor's average per-request processing time, from reference \[10\] of
 /// the paper.
@@ -171,38 +183,87 @@ fn entry_key(h_before: u64, lp: usize, e: u32) -> u128 {
     (h_before as u128) << 64 | (lp as u128) << 32 | e as u128
 }
 
-/// Remaining capacity per active controller, as a max-heap of
-/// `(capacity, Reverse(position))` packed into one integer: the top is the
-/// controller with the most capacity, ties to the lower position (and so
-/// the lower controller id). Taking a unit is O(log M) instead of a scan.
-struct Capacity(BinaryHeap<u64>);
+/// Remaining capacity per active controller, handed out one unit at a
+/// time by a level walk: at level `v`, from the largest residual down to
+/// 1, every controller whose residual is at least `v` hands out one unit,
+/// in ascending position. That is the order of always taking from the
+/// controller with the most capacity left, ties to the lower position (see
+/// the module doc).
+struct Capacity {
+    /// Every controller as `(!residual, position)` packed into one
+    /// integer, ascending: residuals descending, ties by position.
+    by_residual: Vec<u64>,
+    /// How many of `by_residual` take part at the current level: the
+    /// controllers whose residual is at least `level`.
+    joined: usize,
+    /// The positions of the joined controllers, ascending.
+    level_order: Vec<usize>,
+    /// The next unit of the current level is `level_order[next]`.
+    next: usize,
+    /// The current level; 0 once capacity is spent.
+    level: u32,
+    /// Capacity left over all controllers.
+    left: u64,
+}
 
 impl Capacity {
     fn new(residuals: &[u32]) -> Self {
-        Capacity(
-            residuals
-                .iter()
-                .enumerate()
-                .map(|(j, &r)| (r as u64) << 32 | (u32::MAX - j as u32) as u64)
-                .collect(),
-        )
+        let mut by_residual: Vec<u64> = residuals
+            .iter()
+            .enumerate()
+            .map(|(j, &r)| u64::from(!r) << 32 | j as u64)
+            .collect();
+        by_residual.sort_unstable();
+        let mut capacity = Capacity {
+            level: by_residual.first().map_or(0, |&key| !((key >> 32) as u32)),
+            by_residual,
+            joined: 0,
+            level_order: Vec::with_capacity(residuals.len()),
+            next: 0,
+            left: residuals.iter().map(|&r| u64::from(r)).sum(),
+        };
+        if capacity.level > 0 {
+            capacity.join_level();
+        }
+        capacity
+    }
+
+    /// Adds the controllers whose residual is the current level to
+    /// `level_order`, each at its place by position.
+    fn join_level(&mut self) {
+        while let Some(&key) = self.by_residual.get(self.joined) {
+            if !((key >> 32) as u32) < self.level {
+                break;
+            }
+            let j = key as u32 as usize;
+            let at = self.level_order.partition_point(|&p| p < j);
+            self.level_order.insert(at, j);
+            self.joined += 1;
+        }
     }
 
     /// Takes one unit from the controller with the most capacity and
     /// returns its position; `None`, taking nothing, when even that one is
     /// spent or there is no controller.
     fn take_most(&mut self) -> Option<usize> {
-        let mut top = self.0.peek_mut()?;
-        if *top >> 32 == 0 {
-            return None;
+        if self.next == self.level_order.len() {
+            if self.level <= 1 {
+                self.level = 0;
+                return None;
+            }
+            self.level -= 1;
+            self.next = 0;
+            self.join_level();
         }
-        *top -= 1 << 32;
-        Some((u32::MAX - *top as u32) as usize)
+        let j = *self.level_order.get(self.next)?;
+        self.next += 1;
+        self.left -= 1;
+        Some(j)
     }
 
     /// Capacity left over all controllers.
     fn left(&self) -> u64 {
-        self.0.iter().map(|&key| key >> 32).sum()
+        self.left
     }
 }
 
@@ -323,6 +384,87 @@ mod tests {
         let capacity = Capacity::new(&[0, 5, 7]);
         assert_eq!(capacity.left(), 12);
         assert_eq!(Capacity::new(&[]).take_most(), None);
+    }
+
+    /// The max-heap `Capacity` the level walk replaced: `(capacity,
+    /// Reverse(position))` packed into one integer, a sift per unit.
+    struct HeapCapacity(std::collections::BinaryHeap<u64>);
+
+    impl HeapCapacity {
+        fn new(residuals: &[u32]) -> Self {
+            HeapCapacity(
+                residuals
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &r)| (r as u64) << 32 | (u32::MAX - j as u32) as u64)
+                    .collect(),
+            )
+        }
+
+        fn take_most(&mut self) -> Option<usize> {
+            let mut top = self.0.peek_mut()?;
+            if *top >> 32 == 0 {
+                return None;
+            }
+            *top -= 1 << 32;
+            Some((u32::MAX - *top as u32) as usize)
+        }
+
+        fn left(&self) -> u64 {
+            self.0.iter().map(|&key| key >> 32).sum()
+        }
+    }
+
+    /// Takes every unit of `residuals` from both the walk and the heap, and
+    /// a few more calls past the end, comparing each answer and what is
+    /// left after it.
+    fn assert_walk_matches_heap(residuals: &[u32]) {
+        let mut walk = Capacity::new(residuals);
+        let mut heap = HeapCapacity::new(residuals);
+        assert_eq!(walk.left(), heap.left(), "{residuals:?}");
+        let total: u64 = residuals.iter().map(|&r| u64::from(r)).sum();
+        for t in 0..total + 3 {
+            assert_eq!(
+                walk.take_most(),
+                heap.take_most(),
+                "{residuals:?}, unit {t}"
+            );
+            assert_eq!(walk.left(), heap.left(), "{residuals:?}, unit {t}");
+        }
+    }
+
+    #[test]
+    fn level_walk_matches_the_heap_on_edge_cases() {
+        for residuals in [
+            &[][..],
+            &[0],
+            &[0, 0, 0],
+            &[1],
+            &[7],
+            &[3, 3, 3],
+            &[0, 4, 0, 4],
+            &[5, 1, 5, 2, 0, 5],
+            &[1, 2, 3, 4, 5],
+            &[5, 4, 3, 2, 1],
+            &[2, 3, 3, 0],
+        ] {
+            assert_walk_matches_heap(residuals);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn level_walk_matches_the_heap(
+            residuals in proptest::prelude::Strategy::prop_flat_map(
+                // Small bounds give many zeros and ties, larger ones deep walks.
+                0u32..=40,
+                |hi| proptest::collection::vec(0..=hi, 0..=12),
+            ),
+        ) {
+            assert_walk_matches_heap(&residuals);
+        }
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! The SD-WAN network: switches, controllers, domains and flows.
+//!
+//! A domain is kept two ways: per switch, its owner
+//! ([`SdWan::domain_of`]), and per controller, its switches as one CSR row
+//! in id order ([`SdWan::domain_switches`], a slice). The rows let
+//! [`SdWan::controller_load`] sum one domain and a scenario swap touch
+//! only the two swapped domains instead of scanning every switch.
 
 use crate::programmability::Programmability;
 use crate::SdwanError;
@@ -108,6 +114,12 @@ pub struct SdWan {
     pub(crate) controllers: Vec<Controller>,
     /// Per switch: the controller whose domain it belongs to.
     pub(crate) domain: Vec<ControllerId>,
+    /// Every controller's domain as one CSR row of ascending switch ids:
+    /// controller `j`'s switches are
+    /// `domain_rows[domain_start[j]..domain_start[j + 1]]`. A scenario
+    /// delta walks only the two swapped controllers' rows.
+    pub(crate) domain_start: Vec<usize>,
+    pub(crate) domain_rows: Vec<SwitchId>,
     pub(crate) flows: Vec<Flow>,
     /// Per switch: flows traversing it (defines `γ_i`).
     pub(crate) flows_at: Vec<Vec<FlowId>>,
@@ -168,11 +180,12 @@ impl SdWan {
     }
 
     /// The switches in controller `c`'s domain, in id order.
-    pub fn domain_switches(&self, c: ControllerId) -> Vec<SwitchId> {
-        (0..self.switch_count())
-            .filter(|&i| self.domain[i] == c)
-            .map(SwitchId)
-            .collect()
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of range.
+    pub fn domain_switches(&self, c: ControllerId) -> &[SwitchId] {
+        &self.domain_rows[self.domain_start[c.0]..self.domain_start[c.0 + 1]]
     }
 
     /// Flows traversing switch `s`.
@@ -196,11 +209,12 @@ impl SdWan {
     /// Control load of controller `c` in normal operation: the total number
     /// of flow-at-switch control points in its domain (`Σ_{i ∈ domain(c)}
     /// γ_i`). Matches the paper's Table III accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of range.
     pub fn controller_load(&self, c: ControllerId) -> u32 {
-        (0..self.switch_count())
-            .filter(|&i| self.domain[i] == c)
-            .map(|i| self.flows_at[i].len() as u32)
-            .sum()
+        self.domain_switches(c).iter().map(|&s| self.gamma(s)).sum()
     }
 
     /// Residual capacity of controller `c` in normal operation

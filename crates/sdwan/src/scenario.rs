@@ -1,4 +1,16 @@
 //! Network construction and controller-failure scenarios.
+//!
+//! [`SdWanBuilder::build`] routes the flows, settles the delay and
+//! programmability tables, and stores every controller's domain as a CSR
+//! row of ascending switch ids (one counting pass over the switches). A
+//! [`FailureScenario`] is built cold by [`SdWan::fail`] /
+//! [`SdWan::fail_cached`], or patched by
+//! [`FailureScenario::apply_delta_cached`], which walks only the revived
+//! and the newly failed controller's rows and the flows at their switches.
+//! Both rebuild the offline switch and flow lists from their masks by the
+//! same branch-free compaction (write every index, advance the cursor by
+//! the index's mask bit), so the lists come out ascending and a delta
+//! equals the cold build field for field.
 
 use crate::cache::NetCache;
 use crate::network::{Controller, ControllerId, Flow, FlowId, SdWan, SwitchId};
@@ -315,10 +327,29 @@ impl SdWanBuilder {
             });
         }
 
+        // Each controller's domain as a CSR row of ascending switch ids:
+        // count the rows' lengths, then place the switches in id order.
+        let m = self.controllers.len();
+        let mut domain_start = vec![0; m + 1];
+        for c in &domain {
+            domain_start[c.0 + 1] += 1;
+        }
+        for j in 0..m {
+            domain_start[j + 1] += domain_start[j];
+        }
+        let mut row_end = domain_start[..m].to_vec();
+        let mut domain_rows = vec![SwitchId(0); n];
+        for (s, c) in domain.iter().enumerate() {
+            domain_rows[row_end[c.0]] = SwitchId(s);
+            row_end[c.0] += 1;
+        }
+
         let mut net = SdWan {
             topology: self.topology,
             controllers: self.controllers,
             domain,
+            domain_start,
+            domain_rows,
             flows,
             flows_at,
             ctrl_delay,
@@ -439,10 +470,8 @@ impl SdWan {
         let offline_switch_mask: Vec<bool> = (0..self.switch_count())
             .map(|s| is_failed[self.domain[s].0])
             .collect();
-        let offline_switches: Vec<SwitchId> = (0..self.switch_count())
-            .filter(|&s| offline_switch_mask[s])
-            .map(SwitchId)
-            .collect();
+        let mut offline_switches = Vec::new();
+        compact_set_indices(&offline_switch_mask, &mut offline_switches, SwitchId);
 
         let mut offline_path_hits = vec![0u32; self.flows.len()];
         for &s in &offline_switches {
@@ -450,11 +479,9 @@ impl SdWan {
                 offline_path_hits[l.0] += 1;
             }
         }
-        let offline_flow_mask: Vec<bool> = offline_path_hits.iter().map(|&h| h > 0).collect();
-        let offline_flows: Vec<FlowId> = (0..self.flows.len())
-            .filter(|&l| offline_flow_mask[l])
-            .map(FlowId)
-            .collect();
+        let offline_flow_mask: Vec<bool> = offline_path_hits.iter().map(|&h| h != 0).collect();
+        let mut offline_flows = Vec::new();
+        compact_set_indices(&offline_flow_mask, &mut offline_flows, FlowId);
 
         let residual: Vec<Option<u32>> = (0..self.controllers.len())
             .map(|c| (!is_failed[c]).then(|| residual_of(ControllerId(c))))
@@ -605,39 +632,31 @@ impl<'net> FailureScenario<'net> {
         self.residual[remove.0] = Some(cache.residual_capacity(remove));
         self.residual[add.0] = None;
 
-        // Patch the switch mask and per-flow path-hit counts only where the
-        // two swapped domains touch them.
-        for s in 0..net.switch_count() {
-            let owner = net.domain[s];
-            if owner == remove {
-                self.offline_switch_mask[s] = false;
-                for &l in &net.flows_at[s] {
-                    self.offline_path_hits[l.0] -= 1;
-                    if self.offline_path_hits[l.0] == 0 {
-                        self.offline_flow_mask[l.0] = false;
-                    }
-                }
-            } else if owner == add {
-                self.offline_switch_mask[s] = true;
-                for &l in &net.flows_at[s] {
-                    self.offline_path_hits[l.0] += 1;
-                    self.offline_flow_mask[l.0] = true;
-                }
+        // Patch the switch mask and the per-flow path-hit counts along the
+        // two swapped domains' rows only. A touched flow's mask bit is read
+        // from its count after each step, so whichever row touches it last
+        // leaves the bit of the final count.
+        for &s in net.domain_switches(remove) {
+            self.offline_switch_mask[s.0] = false;
+            for &l in &net.flows_at[s.0] {
+                self.offline_path_hits[l.0] -= 1;
+                self.offline_flow_mask[l.0] = self.offline_path_hits[l.0] != 0;
+            }
+        }
+        for &s in net.domain_switches(add) {
+            self.offline_switch_mask[s.0] = true;
+            for &l in &net.flows_at[s.0] {
+                self.offline_path_hits[l.0] += 1;
+                self.offline_flow_mask[l.0] = self.offline_path_hits[l.0] != 0;
             }
         }
 
-        self.offline_switches.clear();
-        self.offline_switches.extend(
-            (0..net.switch_count())
-                .filter(|&s| self.offline_switch_mask[s])
-                .map(SwitchId),
+        compact_set_indices(
+            &self.offline_switch_mask,
+            &mut self.offline_switches,
+            SwitchId,
         );
-        self.offline_flows.clear();
-        self.offline_flows.extend(
-            (0..net.flows.len())
-                .filter(|&l| self.offline_flow_mask[l])
-                .map(FlowId),
-        );
+        compact_set_indices(&self.offline_flow_mask, &mut self.offline_flows, FlowId);
 
         // Nearest-active assignments survive the swap except where the
         // swapped controllers can influence them: a previous winner that was
@@ -670,6 +689,25 @@ impl<'net> FailureScenario<'net> {
     }
 }
 
+/// Rebuilds `out` as the indices whose `mask` bit is set, ascending. Every
+/// index is written at the cursor and the cursor advances by the index's
+/// bit, so the walk has no branch on the mask; an unset index is
+/// overwritten by the next one, and the list ends at the last set index.
+fn compact_set_indices<T: Copy + Default>(
+    mask: &[bool],
+    out: &mut Vec<T>,
+    id: impl Fn(usize) -> T,
+) {
+    out.clear();
+    out.resize(mask.len(), T::default());
+    let mut len = 0;
+    for (i, &bit) in mask.iter().enumerate() {
+        out[len] = id(i);
+        len += usize::from(bit);
+    }
+    out.truncate(len);
+}
+
 /// Two scenarios are equal when they describe the same failed set over the
 /// same network object and every derived field — including the exact bit
 /// pattern of `ideal_delay_g` — matches. This is the byte-identity contract
@@ -697,6 +735,7 @@ impl Eq for FailureScenario<'_> {}
 mod tests {
     use super::*;
     use pm_topo::builders;
+    use pm_topo::rng::DetRng;
 
     fn small_net() -> SdWan {
         // A 6-ring with two controllers.
@@ -986,6 +1025,164 @@ mod tests {
         cur.apply_delta_cached(ControllerId(0), ControllerId(4), &cache)
             .unwrap();
         assert_fresh(&cur, &[ControllerId(2), ControllerId(4)], &cache);
+    }
+
+    /// The scenario build before the domain rows and the compaction: every
+    /// switch's owner against the failed set, then `filter` rebuilds of the
+    /// offline lists. Kept as the oracle of `fail_impl`.
+    fn filter_built<'net>(
+        net: &'net SdWan,
+        failed: &[ControllerId],
+        cache: &NetCache,
+    ) -> FailureScenario<'net> {
+        let mut is_failed = vec![false; net.controllers.len()];
+        for &c in failed {
+            is_failed[c.0] = true;
+        }
+        let mut failed = failed.to_vec();
+        failed.sort();
+        let active: Vec<ControllerId> = (0..net.controllers.len())
+            .filter(|&c| !is_failed[c])
+            .map(ControllerId)
+            .collect();
+        let offline_switch_mask: Vec<bool> = (0..net.switch_count())
+            .map(|s| is_failed[net.domain[s].0])
+            .collect();
+        let offline_switches: Vec<SwitchId> = (0..net.switch_count())
+            .filter(|&s| offline_switch_mask[s])
+            .map(SwitchId)
+            .collect();
+        let mut offline_path_hits = vec![0u32; net.flows.len()];
+        for &s in &offline_switches {
+            for &l in &net.flows_at[s.0] {
+                offline_path_hits[l.0] += 1;
+            }
+        }
+        let offline_flow_mask: Vec<bool> = offline_path_hits.iter().map(|&h| h > 0).collect();
+        let offline_flows: Vec<FlowId> = (0..net.flows.len())
+            .filter(|&l| offline_flow_mask[l])
+            .map(FlowId)
+            .collect();
+        let residual: Vec<Option<u32>> = (0..net.controllers.len())
+            .map(|c| (!is_failed[c]).then(|| cache.residual_capacity(ControllerId(c))))
+            .collect();
+        let mut nearest_active = Vec::with_capacity(offline_switches.len());
+        let mut ideal_delay_g = 0.0;
+        for &s in &offline_switches {
+            let nearest = net.nearest_surviving(s, |c| is_failed[c.0]);
+            nearest_active.push((s, nearest));
+            ideal_delay_g += net.gamma(s) as f64 * net.ctrl_delay(s, nearest);
+        }
+        FailureScenario {
+            net,
+            failed,
+            active,
+            offline_switches,
+            offline_flows,
+            offline_switch_mask,
+            offline_flow_mask,
+            offline_path_hits,
+            residual,
+            nearest_active,
+            ideal_delay_g,
+        }
+    }
+
+    /// `f` distinct controllers of `0..m`, ascending.
+    fn random_set(rng: &mut DetRng, m: usize, f: usize) -> Vec<ControllerId> {
+        let mut all: Vec<usize> = (0..m).collect();
+        for i in 0..f {
+            let j = i + (rng.next_u64() as usize) % (m - i);
+            all.swap(i, j);
+        }
+        let mut set: Vec<ControllerId> = all[..f].iter().map(|&c| ControllerId(c)).collect();
+        set.sort();
+        set
+    }
+
+    /// Checks the domain rows against `domain_of`, then walks `jumps`
+    /// random failure sets of one random size by chains of single swaps
+    /// (a jump between sets that differ in k controllers is k swaps). After
+    /// every swap the running scenario must equal the cold build, and the
+    /// cold build the filter-built oracle.
+    fn check_swap_chains(net: &SdWan, seed: u64, jumps: usize) {
+        let mut listed = 0;
+        for c in 0..net.controllers().len() {
+            let row = net.domain_switches(ControllerId(c));
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "C{c}'s row ascends");
+            assert!(row.iter().all(|&s| net.domain_of(s) == ControllerId(c)));
+            listed += row.len();
+        }
+        assert_eq!(
+            listed,
+            net.switch_count(),
+            "the rows partition the switches"
+        );
+
+        let cache = NetCache::build(net);
+        let m = net.controllers().len();
+        let mut rng = DetRng::seed_from_u64(seed);
+        let f = 1 + (rng.next_u64() as usize) % (m - 1);
+        let start = random_set(&mut rng, m, f);
+        let mut cur = net.fail_cached(&start, &cache).unwrap();
+        assert_eq!(cur, filter_built(net, &start, &cache), "cold {start:?}");
+        for _ in 0..jumps {
+            let next = random_set(&mut rng, m, f);
+            let failed = cur.failed_controllers().to_vec();
+            let outs = failed.iter().filter(|c| !next.contains(c));
+            let ins = next.iter().filter(|c| !failed.contains(c));
+            for (&out, &into) in outs.zip(ins) {
+                cur.apply_delta_cached(out, into, &cache).unwrap();
+                let cold = net.fail_cached(cur.failed_controllers(), &cache).unwrap();
+                assert_eq!(cur, cold, "delta C{out}->C{into} to {next:?}");
+                assert_eq!(cold, filter_built(net, cold.failed_controllers(), &cache));
+            }
+            assert_eq!(cur.failed_controllers(), &next[..]);
+        }
+    }
+
+    #[test]
+    fn swap_chains_match_cold_builds_on_att() {
+        let net = SdWanBuilder::att_paper_setup().build().unwrap();
+        for seed in 0..24 {
+            check_swap_chains(&net, seed, 12);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random Waxman WANs, with nearest-controller domains or random
+        /// explicit ones (which may leave a controller an empty row).
+        #[test]
+        fn swap_chains_match_cold_builds_on_waxman(
+            nodes in 8usize..=48,
+            m in 2usize..=8,
+            graph_seed in 0u64..1_000,
+            explicit in 0u8..=1,
+            chain_seed in 0u64..1_000_000,
+        ) {
+            let graph = pm_topo::builders::waxman(&pm_topo::builders::WaxmanParams {
+                nodes,
+                seed: graph_seed,
+                ..Default::default()
+            })
+            .unwrap();
+            let mut b = SdWanBuilder::new(graph).allow_overload();
+            for c in 0..m {
+                b = b.controller(NodeId(c * nodes / m), 1_000);
+            }
+            if explicit == 1 {
+                let mut rng = DetRng::seed_from_u64(chain_seed ^ 0x5eed);
+                let mut domains = vec![Vec::new(); m];
+                for s in 0..nodes {
+                    domains[(rng.next_u64() as usize) % m].push(s);
+                }
+                b = b.domains(domains);
+            }
+            let net = b.build().unwrap();
+            check_swap_chains(&net, chain_seed, 8);
+        }
     }
 
     #[test]

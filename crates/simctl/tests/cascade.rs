@@ -83,7 +83,7 @@ fn naive_single_controller_remap_cascades() {
         report.cascaded_controllers
     );
     // After the cascade, the victim's own domain is offline too.
-    for s in net.domain_switches(victim) {
+    for &s in net.domain_switches(victim) {
         assert_eq!(sim.master_of(s), None, "{s} still thinks {victim} is alive");
     }
 }
