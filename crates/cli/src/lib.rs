@@ -1056,6 +1056,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn hostile_plan_ids_are_infeasible_not_a_panic() {
+        // Under --fail 13 (C3 down) s13 is offline, f10 an offline flow
+        // through it and C4 active. Each id below is out of range: 2³²,
+        // 2³² past an id of the case, or the first id past its range.
+        let dir = std::env::temp_dir().join("pmctl_hostile_plan_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("plan.txt");
+        let mut plans = Vec::new();
+        for s in ["s4294967296", "s4294967309", "s25"] {
+            plans.push(format!("map {s} C4\n"));
+            plans.push(format!("map {s} C4\nfull {s}\n"));
+            plans.push(format!("sdn {s} f10 C4\n"));
+        }
+        for l in ["f4294967296", "f4294967306", "f600"] {
+            plans.push(format!("map s13 C4\nsdn s13 {l} C4\n"));
+            plans.push(format!("map s13 C4\nfull s13\nsdn s13 {l} C4\n"));
+            plans.push(format!("sdn s13 {l} C4\n"));
+        }
+        for c in ["C4294967296", "C4294967300", "C6"] {
+            plans.push(format!("map s13 {c}\n"));
+            plans.push(format!("map s13 {c}\nfull s13\n"));
+            plans.push(format!("sdn s13 f10 {c}\n"));
+        }
+        for plan in plans {
+            std::fs::write(&path, &plan).expect("plan file written");
+            let err = run_err_os(&argv(&["check", "--fail", "13"], &[("--plan", &path)]));
+            assert_eq!(err.code, 1, "{plan}");
+            assert!(
+                err.message.starts_with("plan is INFEASIBLE"),
+                "{plan}: {}",
+                err.message
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[cfg(unix)]
     #[test]
     fn non_utf8_paths_pass_through_losslessly() {

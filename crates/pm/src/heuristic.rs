@@ -400,6 +400,17 @@ impl RecoveryAlgorithm for Pm {
     }
 }
 
+/// Adds the time since `*t0` to `total` and restarts `*t0` at now: one
+/// clock read ends a stage and starts the next. Reads no clock when `*t0`
+/// is `None` (recording off).
+fn lap(t0: &mut Option<std::time::Instant>, total: &mut u64) {
+    if let Some(start) = t0 {
+        let now = std::time::Instant::now();
+        *total += u64::try_from((now - *start).as_nanos()).unwrap_or(u64::MAX);
+        *start = now;
+    }
+}
+
 impl Pm {
     fn run(
         &self,
@@ -476,16 +487,18 @@ impl Pm {
         };
 
         // Sub-phase time accumulators (nanoseconds); only touched while
-        // recording, so the default path never reads the clock here.
+        // recording, so the default path never reads the clock here. The
+        // clock is read at each pass start and at the end of each stage,
+        // which is the next stage's start.
         let mut t_select = 0u64;
         let mut t_map = 0u64;
         let mut t_mode = 0u64;
         let phase1_span = pm_obs::span("pm.phase1");
         for pass in 1..=total_iterations {
             let picks_before = y.count;
+            let mut stage_t0 = obs.then(std::time::Instant::now);
             loop {
                 // Lines 5–15: find the switch s_{i0} to recover.
-                let select_t0 = obs.then(std::time::Instant::now);
                 #[cfg(debug_assertions)]
                 s_star.assert_counts(inst, h, sigma);
                 let i0 = match self.config.selection {
@@ -498,9 +511,7 @@ impl Pm {
                         .iter()
                         .find(|&ip| !inst.switch_entries(ip).is_empty()),
                 };
-                if let Some(t0) = select_t0 {
-                    t_select += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                }
+                lap(&mut stage_t0, &mut t_select);
                 let Some(i0) = i0 else {
                     // No switch can serve a least-programmable flow: the
                     // pass is exhausted.
@@ -508,7 +519,6 @@ impl Pm {
                 };
 
                 // Lines 17–28: map s_{i0} to controller C_{j0}.
-                let map_t0 = obs.then(std::time::Instant::now);
                 let j0 = match x[i0] {
                     Some(j) => j,
                     None => {
@@ -529,12 +539,9 @@ impl Pm {
                 };
                 x[i0] = Some(j0);
                 s_star.remove(i0);
-                if let Some(t0) = map_t0 {
-                    t_map += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                }
+                lap(&mut stage_t0, &mut t_map);
 
                 // Lines 31–36: SDN mode for least-programmable flows at s_{i0}.
-                let mode_t0 = obs.then(std::time::Instant::now);
                 let start = inst.switch_row_start(i0);
                 for (e, &(lp, pbar)) in (start..).zip(inst.switch_entries(i0)) {
                     if h[lp] <= sigma && !y.contains(e) && a[j0] > 0 {
@@ -544,9 +551,7 @@ impl Pm {
                         s_star.flow_left_sigma(inst, lp);
                     }
                 }
-                if let Some(t0) = mode_t0 {
-                    t_mode += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                }
+                lap(&mut stage_t0, &mut t_mode);
 
                 // Line 37: the pass ends when every switch was tested.
                 if s_star.is_empty() {

@@ -5,8 +5,12 @@
 //! `0..N`, active controllers `0..M`, offline flows `0..L` — exactly the
 //! index sets of the formulation, so algorithms work on compact vectors.
 //! Building one costs what the case contains: its `E` offline `β = 1`
-//! entries, read once from the table's switch rows. Delays and delay
-//! orders are read from the network, so no per-case `N × M` table exists.
+//! entries, read once from the table's switch rows, and three 4-byte
+//! id-to-position tables. The flow rows come out in path order from two
+//! counting passes, so nothing is sorted. Delays and delay orders are read
+//! from the network, so no per-case `N × M` table exists. What every plan
+//! check reads of the flow rows, the recoverable mask and its count, is
+//! built once here.
 
 use pm_sdwan::metrics::ControllerUsage;
 use pm_sdwan::{
@@ -14,44 +18,68 @@ use pm_sdwan::{
     RecoveryPlan, SdwanError, SwitchId,
 };
 
+/// The position-table entry of an id that is not part of the instance.
+const ABSENT: u32 = u32::MAX;
+
+/// The dense position `table` holds for id `index`, `None` when the id is
+/// out of range or absent. The id is bounds-checked as a `usize`, so an
+/// id of 2³² or more never aliases a position.
+fn position(table: &[u32], index: usize) -> Option<usize> {
+    match table.get(index) {
+        Some(&p) if p != ABSENT => Some(p as usize),
+        _ => None,
+    }
+}
+
+/// A per-id table holding each listed id's position in `ids`, [`ABSENT`]
+/// for every other id.
+fn position_table<T: Copy>(mut table: Vec<u32>, ids: &[T], index: impl Fn(T) -> usize) -> Vec<u32> {
+    assert!(u32::try_from(ids.len()).is_ok(), "positions fit in u32");
+    for (p, &id) in (0u32..).zip(ids) {
+        table[index(id)] = p;
+    }
+    table
+}
+
 /// A dense view of one recovery problem.
 ///
 /// Id-to-position resolution is a direct array read: the network's
-/// [`IndexSpace`] sizes per-id tables (`switch_pos`, `flow_pos`,
-/// `ctrl_pos`) holding each id's dense position, `None` when the id is not
-/// part of this instance. No keyed map is consulted anywhere in
+/// [`IndexSpace`] sizes per-id `u32` tables (`switch_pos`, `flow_pos`,
+/// `ctrl_pos`) holding each id's dense position, `u32::MAX` when the id is
+/// not part of this instance. No keyed map is consulted anywhere in
 /// construction or lookup.
 #[derive(Debug, Clone)]
 pub struct FmssmInstance<'a, 'net> {
     scenario: &'a FailureScenario<'net>,
     prog: &'a Programmability,
-    /// Offline switches (the paper's `S`), sorted by id.
-    switches: Vec<SwitchId>,
-    /// Per switch id: its dense position, `None` when online.
-    switch_pos: Vec<Option<usize>>,
+    /// Offline switches (the paper's `S`), sorted by id: the scenario's
+    /// own list.
+    switches: &'a [SwitchId],
+    /// Per switch id: its dense position, [`ABSENT`] when online.
+    switch_pos: Vec<u32>,
     /// Active controllers (the paper's `C`), sorted by id.
-    controllers: Vec<ControllerId>,
-    /// Per controller id: its dense position, `None` when failed. Delay
-    /// orders are the network's per-switch order filtered through it.
-    ctrl_pos: Vec<Option<usize>>,
+    controllers: &'a [ControllerId],
+    /// Per controller id: its dense position, [`ABSENT`] when failed.
+    /// Delay orders are the network's per-switch order filtered through
+    /// it.
+    ctrl_pos: Vec<u32>,
     /// Residual capacity per active controller (aligned with
     /// `controllers`) — the paper's `A_j^rest`.
     residual: Vec<u32>,
     /// Offline flows (the paper's `F`), sorted by id.
-    flows: Vec<FlowId>,
-    /// Per flow id: its dense position, `None` when online.
-    flow_pos: Vec<Option<usize>>,
+    flows: &'a [FlowId],
+    /// Per flow id: its dense position, [`ABSENT`] when online.
+    flow_pos: Vec<u32>,
     /// Per offline flow: its `(switch position, p̄)` entries at offline
     /// switches with `β = 1`, in path order — row `lp` is
     /// `entries_by_flow[flow_offsets[lp]..flow_offsets[lp + 1]]`. The
-    /// transpose of the switch rows, put back in path order.
+    /// transpose of the switch rows, taken in path order.
     entries_by_flow: Vec<(usize, u32)>,
     /// `L + 1` row starts into `entries_by_flow`.
     flow_offsets: Vec<usize>,
     /// Per flow-row entry, aligned with `entries_by_flow`: the same
     /// entry's switch-major number, its index into `entries_by_switch`.
-    /// Filled by the counting transpose and permuted with the path-order
-    /// sort, so entry `k` of flow `lp` is switch-major entry
+    /// Entry `k` of flow `lp` is switch-major entry
     /// `switch_major[flow_offsets[lp] + k]`.
     switch_major: Vec<u32>,
     /// Per offline switch: its `(flow position, p̄)` entries, ascending by
@@ -66,6 +94,10 @@ pub struct FmssmInstance<'a, 'net> {
     gamma: Vec<u32>,
     /// The most entries on any flow row, taken from the counting pass.
     longest_flow_row: usize,
+    /// Per offline flow: whether its row holds an entry.
+    recoverable: Vec<bool>,
+    /// The number of `true`s in `recoverable`.
+    recoverable_count: usize,
 }
 
 impl<'a, 'net> FmssmInstance<'a, 'net> {
@@ -73,82 +105,89 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     pub fn new(scenario: &'a FailureScenario<'net>, prog: &'a Programmability) -> Self {
         let net = scenario.network();
         let space = IndexSpace::of(net);
-        let switches: Vec<SwitchId> = scenario.offline_switches().to_vec();
-        let mut switch_pos = space.switch_table(None);
-        for (i, &s) in switches.iter().enumerate() {
-            switch_pos[s.index()] = Some(i);
-        }
-        let controllers: Vec<ControllerId> = scenario.active_controllers().to_vec();
-        let mut ctrl_pos = space.controller_table(None);
-        for (j, &c) in controllers.iter().enumerate() {
-            ctrl_pos[c.index()] = Some(j);
-        }
+        let switches = scenario.offline_switches();
+        let switch_pos = position_table(space.switch_table(ABSENT), switches, SwitchId::index);
+        let controllers = scenario.active_controllers();
+        let ctrl_pos = position_table(
+            space.controller_table(ABSENT),
+            controllers,
+            ControllerId::index,
+        );
         let residual: Vec<u32> = controllers
             .iter()
             .map(|&c| scenario.residual_capacity(c))
             .collect();
-        let flows: Vec<FlowId> = scenario.offline_flows().to_vec();
-        let mut flow_pos = space.flow_table(None);
-        for (i, &l) in flows.iter().enumerate() {
-            flow_pos[l.index()] = Some(i);
-        }
+        let flows = scenario.offline_flows();
+        let flow_pos = position_table(space.flow_table(ABSENT), flows, FlowId::index);
 
         // The switch rows are the table's rows of the offline switches,
         // with flow ids mapped to positions (which keeps them ascending).
-        // Each entry's index in its flow's table row is kept in `path_at`
-        // for the flow rows below, and the flow rows are counted.
+        // Each entry's switch position and its index `k` in its flow's
+        // table row are kept for the flow rows below, and the flow rows
+        // are counted into `flow_offsets[lp + 2]`.
         let entries: usize = switches.iter().map(|&s| prog.switch_entries(s).len()).sum();
-        let mut entries_by_switch = Vec::with_capacity(entries);
-        let mut path_at = Vec::with_capacity(entries);
+        assert!(u32::try_from(entries).is_ok(), "entry numbers fit in u32");
+        let mut entries_by_switch = vec![(0, 0); entries];
+        let mut ip_k = vec![(0u32, 0u32); entries];
         let mut switch_offsets = Vec::with_capacity(switches.len() + 1);
         switch_offsets.push(0);
-        let mut flow_offsets = vec![0usize; flows.len() + 1];
-        for &s in &switches {
+        let mut flow_offsets = vec![0usize; flows.len() + 2];
+        let (mut e, mut max_k) = (0, 0);
+        for (ip, &s) in (0u32..).zip(switches) {
             for &(l, p, k) in prog.switch_entries(s) {
-                let lp = flow_pos[l.index()].expect("a flow through an offline switch is offline");
-                entries_by_switch.push((lp, p));
-                path_at.push(k);
-                flow_offsets[lp + 1] += 1;
+                let lp = flow_pos[l.index()];
+                debug_assert!(lp != ABSENT, "a flow through an offline switch is offline");
+                let lp = lp as usize;
+                entries_by_switch[e] = (lp, p);
+                ip_k[e] = (ip, k);
+                max_k = max_k.max(k);
+                flow_offsets[lp + 2] += 1;
+                e += 1;
             }
-            switch_offsets.push(entries_by_switch.len());
+            switch_offsets.push(e);
         }
 
-        // The flow rows: a counting transpose of the switch rows, which
-        // leaves each row in switch order; sorting it by the table index
-        // restores path order. Rows are a flow's offline β = 1 switches,
-        // a handful, so an insertion sort. Each entry carries its
-        // switch-major number along.
+        // The entry numbers by ascending `k`: a stable counting sort over
+        // `max_k + 1` buckets, counted at `k + 1` so the prefix sum leaves
+        // bucket `k`'s start at `k`.
+        let mut first_at_k = vec![0u32; max_k as usize + 2];
+        for &(_, k) in &ip_k {
+            first_at_k[k as usize + 1] += 1;
+        }
+        for k in 1..first_at_k.len() {
+            first_at_k[k] += first_at_k[k - 1];
+        }
+        let mut by_k = vec![0u32; entries];
+        for (e, &(_, k)) in (0u32..).zip(&ip_k) {
+            let slot = &mut first_at_k[k as usize];
+            by_k[*slot as usize] = e;
+            *slot += 1;
+        }
+
+        // The flow rows: a stable counting transpose of the entries in
+        // that order. A flow's entries have distinct `k`, so each row
+        // comes out in path order. With the counts at `lp + 2`, the
+        // prefix sum leaves row `lp`'s start at `lp + 1`: the cursor the
+        // scatter advances to the row's end, which is row `lp + 1`'s
+        // start. The last slot is then a spare copy of `E`.
         let mut longest_flow_row = 0;
-        for lp in 0..flows.len() {
-            longest_flow_row = longest_flow_row.max(flow_offsets[lp + 1]);
-            flow_offsets[lp + 1] += flow_offsets[lp];
+        for i in 2..flow_offsets.len() {
+            longest_flow_row = longest_flow_row.max(flow_offsets[i]);
+            flow_offsets[i] += flow_offsets[i - 1];
         }
-        let mut fill = flow_offsets[..flows.len()].to_vec();
         let mut entries_by_flow = vec![(0, 0); entries];
-        assert!(u32::try_from(entries).is_ok(), "entry numbers fit in u32");
-        let mut order = vec![0u32; entries];
         let mut switch_major = vec![0u32; entries];
-        for (ip, row) in switch_offsets.windows(2).enumerate() {
-            for e in row[0]..row[1] {
-                let (lp, p) = entries_by_switch[e];
-                entries_by_flow[fill[lp]] = (ip, p);
-                order[fill[lp]] = path_at[e];
-                switch_major[fill[lp]] = e as u32;
-                fill[lp] += 1;
-            }
+        for &e in &by_k {
+            let (lp, p) = entries_by_switch[e as usize];
+            let slot = &mut flow_offsets[lp + 1];
+            entries_by_flow[*slot] = (ip_k[e as usize].0 as usize, p);
+            switch_major[*slot] = e;
+            *slot += 1;
         }
-        for row in flow_offsets.windows(2) {
-            for i in row[0] + 1..row[1] {
-                let mut j = i;
-                while j > row[0] && order[j - 1] > order[j] {
-                    order.swap(j - 1, j);
-                    entries_by_flow.swap(j - 1, j);
-                    switch_major.swap(j - 1, j);
-                    j -= 1;
-                }
-            }
-        }
+        flow_offsets.pop();
 
+        let recoverable: Vec<bool> = flow_offsets.windows(2).map(|w| w[1] > w[0]).collect();
+        let recoverable_count = recoverable.iter().filter(|&&r| r).count();
         let gamma: Vec<u32> = switches.iter().map(|&s| net.gamma(s)).collect();
         FmssmInstance {
             scenario,
@@ -167,6 +206,8 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             switch_offsets,
             gamma,
             longest_flow_row,
+            recoverable,
+            recoverable_count,
         }
     }
 
@@ -191,18 +232,18 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     }
 
     /// Offline switches, sorted by id (`N = switches().len()`).
-    pub fn switches(&self) -> &[SwitchId] {
-        &self.switches
+    pub fn switches(&self) -> &'a [SwitchId] {
+        self.switches
     }
 
     /// Active controllers, sorted by id (`M = controllers().len()`).
-    pub fn controllers(&self) -> &[ControllerId] {
-        &self.controllers
+    pub fn controllers(&self) -> &'a [ControllerId] {
+        self.controllers
     }
 
     /// Offline flows, sorted by id (`L = flows().len()`).
-    pub fn flows(&self) -> &[FlowId] {
-        &self.flows
+    pub fn flows(&self) -> &'a [FlowId] {
+        self.flows
     }
 
     /// Residual capacities aligned with [`FmssmInstance::controllers`].
@@ -212,17 +253,17 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
 
     /// Dense position of an offline switch, if it is offline.
     pub fn switch_position(&self, s: SwitchId) -> Option<usize> {
-        self.switch_pos.get(s.index()).copied().flatten()
+        position(&self.switch_pos, s.index())
     }
 
     /// Dense position of an offline flow, if it is offline.
     pub fn flow_position(&self, l: FlowId) -> Option<usize> {
-        self.flow_pos.get(l.index()).copied().flatten()
+        position(&self.flow_pos, l.index())
     }
 
     /// Dense position of an active controller, if it is active.
     pub fn controller_position(&self, c: ControllerId) -> Option<usize> {
-        self.ctrl_pos.get(c.index()).copied().flatten()
+        position(&self.ctrl_pos, c.index())
     }
 
     /// `(switch position, p̄)` entries of flow position `lp`, in path order.
@@ -274,7 +315,11 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             .scenario
             .network()
             .controllers_by_delay(self.switches[ip]);
-        order.iter().filter_map(|c| self.ctrl_pos[c.index()])
+        order
+            .iter()
+            .map(|c| self.ctrl_pos[c.index()])
+            .filter(|&jp| jp != ABSENT)
+            .map(|jp| jp as usize)
     }
 
     /// The ideal-recovery delay bound `G` (Eq. (6)).
@@ -306,15 +351,12 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     /// Per offline flow, aligned with [`FmssmInstance::flows`]: whether
     /// it has at least one recoverable entry.
     pub fn recoverable_flows(&self) -> impl Iterator<Item = bool> + '_ {
-        let ends = &self.flow_offsets[1..];
-        ends.iter()
-            .zip(&self.flow_offsets)
-            .map(|(end, start)| end > start)
+        self.recoverable.iter().copied()
     }
 
     /// Number of offline flows that have at least one recoverable entry.
     pub fn recoverable_flow_count(&self) -> usize {
-        self.recoverable_flows().filter(|&r| r).count()
+        self.recoverable_count
     }
 
     /// Evaluates the FMSSM objective `r + λ·Σ pro` for a per-flow
@@ -341,8 +383,9 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     /// [`RecoveryPlan::total_control_delay`] bit for bit, which stay the
     /// reference. One merge walk of the plan's selections against the
     /// instance's switch rows replaces their reads of the network-wide
-    /// tables: p̄ and `β` come from the row entry and the recoverable mask
-    /// from the flow rows.
+    /// tables: p̄ and `β` come from the row entry, each delay from the
+    /// switch's delay row, taken once per run of its selections, and the
+    /// recoverable mask and count are the instance's.
     ///
     /// # Errors
     ///
@@ -355,8 +398,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
     ) -> Result<(PlanMetrics, f64), SdwanError> {
         let invalid = |what: String| Err(SdwanError::InvalidPlan(what));
         let net = self.scenario.network();
-        let m = self.controllers.len();
-        let mut used = vec![0u32; m];
+        let mut used = vec![0u32; self.controllers.len()];
         // The overhead sums the whole-switch terms first, then the
         // selections, as `PlanMetrics::compute` does.
         let mut overhead = 0.0;
@@ -383,23 +425,27 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
         let mut total_delay = -0.0;
         let mut mapped = plan.mappings().peekable();
         let mut full = plan.full_sdn_switches().peekable();
-        // The switch of the current run of selections: its position, its
-        // row's entries not yet passed, its mapping and whether it is
-        // whole-switch SDN.
+        // The switch of the current run of selections: whether it is
+        // offline, its row's entries not yet passed, its delay row (taken
+        // only once it is known offline, so in range), its mapping and
+        // whether it is whole-switch SDN.
         let mut at = None;
-        let (mut ip, mut row, mut mc, mut is_full) = (None, &[][..], None, false);
+        let (mut offline, mut row, mut delays) = (false, &[][..], &[][..]);
+        let (mut mc, mut is_full) = (None, false);
         for (s, l, c) in plan.sdn_selections() {
             if at != Some(s) {
                 at = Some(s);
-                ip = self.switch_position(s);
-                row = ip.map_or(&[][..], |ip| self.switch_entries(ip));
+                (offline, row, delays) = match self.switch_position(s) {
+                    Some(ip) => (true, self.switch_entries(ip), net.ctrl_delay_row(s)),
+                    None => (false, &[][..], &[][..]),
+                };
                 while mapped.next_if(|&(t, _)| t < s).is_some() {}
                 mc = mapped.peek().filter(|&&(t, _)| t == s).map(|&(_, c)| c);
                 while full.next_if(|&f| f < s).is_some() {}
                 is_full = full.peek() == Some(&s);
                 recovered_switches += usize::from(mc.is_none());
             }
-            if ip.is_none() {
+            if !offline {
                 return invalid(format!("SDN pair at online switch {s}"));
             }
             let Some(jp) = self.controller_position(c) else {
@@ -436,7 +482,7 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
                 _ => {}
             }
             per_flow[lp] += pbar as u64;
-            let delay = net.ctrl_delay(s, c);
+            let delay = delays[c.index()];
             total_delay += delay;
             if !is_full {
                 used[jp] += 1;
@@ -451,14 +497,19 @@ impl<'a, 'net> FmssmInstance<'a, 'net> {
             }
         }
 
-        let recoverable_mask: Vec<bool> = self.recoverable_flows().collect();
+        let (total, least, recovered) =
+            per_flow
+                .iter()
+                .fold((0u64, u64::MAX, 0usize), |(total, least, recovered), &p| {
+                    (total + p, least.min(p), recovered + usize::from(p > 0))
+                });
         let metrics = PlanMetrics {
-            total_programmability: per_flow.iter().sum(),
-            min_programmability: per_flow.iter().copied().min().unwrap_or(0),
-            recovered_flows: per_flow.iter().filter(|&&p| p > 0).count(),
-            recoverable_flows: recoverable_mask.iter().filter(|&&b| b).count(),
+            total_programmability: total,
+            min_programmability: if per_flow.is_empty() { 0 } else { least },
+            recovered_flows: recovered,
+            recoverable_flows: self.recoverable_count,
             per_flow_programmability: per_flow,
-            recoverable_mask,
+            recoverable_mask: self.recoverable.clone(),
             offline_flows: self.flows.len(),
             recovered_switches,
             offline_switches: self.switches.len(),

@@ -235,8 +235,19 @@ impl SdWan {
     ///
     /// Panics if either id is out of range.
     pub fn ctrl_delay(&self, s: SwitchId, c: ControllerId) -> f64 {
+        self.ctrl_delay_row(s)[c.0]
+    }
+
+    /// Switch `s`'s [`SdWan::ctrl_delay`] row: entry `j` is the delay to
+    /// controller `j`, so a walk over one switch's controllers reads the
+    /// row once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range.
+    pub fn ctrl_delay_row(&self, s: SwitchId) -> &[f64] {
         let k = self.controllers.len();
-        self.ctrl_delay[s.0 * k..(s.0 + 1) * k][c.0]
+        &self.ctrl_delay[s.0 * k..(s.0 + 1) * k]
     }
 
     /// Every controller by ascending [`SdWan::ctrl_delay`] from switch

@@ -12,13 +12,16 @@
 //! `p̄`.
 //!
 //! Cases: 32 seeded Waxman WANs × every failure set of size 1..4, every
-//! ATT case, and a ring whose switches sit at equal delay from two
-//! controllers, so the tie-breaks are exercised.
+//! ATT case, a ring whose switches sit at equal delay from two
+//! controllers, so the tie-breaks are exercised, a chain on which one flow
+//! crosses more offline `β = 1` switches than a byte counts, and a ring on
+//! which every flow row holds a single entry, each the first of its
+//! table row.
 
 use pm_bench::{build_wan, WanSpec};
 use pm_core::FmssmInstance;
 use pm_sdwan::{ControllerId, FailureScenario, Programmability, SdWan, SdWanBuilder, SwitchId};
-use pm_topo::{builders, NodeId};
+use pm_topo::{builders, Graph, NodeId};
 
 /// The instance as the reference builds it, one `Vec` per row.
 struct Reference {
@@ -225,4 +228,75 @@ fn equal_delays_break_toward_the_lower_id() {
             assert_case(&net, &prog, &failed);
         }
     }
+}
+
+#[test]
+fn a_flow_row_longer_than_a_byte_comes_out_in_path_order() {
+    // A chain of diamonds: spine node `a_i` reaches `a_{i + 1}` through two
+    // midpoints, so every spine node and every midpoint but the last has
+    // two loop-free paths onward, and the flow from one end of the chain
+    // to the other has `2 · DIAMONDS - 1` entries. A stub node holds the
+    // surviving controller.
+    const DIAMONDS: usize = 140;
+    let mut g = Graph::with_capacity(3 * DIAMONDS + 2);
+    let mut spine = g.add_node("a0", None);
+    let first = spine;
+    for i in 1..=DIAMONDS {
+        let (u, v) = (
+            g.add_node(format!("u{i}"), None),
+            g.add_node(format!("v{i}"), None),
+        );
+        let next = g.add_node(format!("a{i}"), None);
+        for mid in [u, v] {
+            g.add_edge(spine, mid, 1.0).expect("edge");
+            g.add_edge(mid, next, 1.0).expect("edge");
+        }
+        spine = next;
+    }
+    let stub = g.add_node("stub", None);
+    g.add_edge(stub, first, 1.0).expect("edge");
+    let chain: Vec<usize> = (0..stub.index()).collect();
+    let net = SdWanBuilder::new(g)
+        .controller(stub, 1_000)
+        .controller(first, 1_000)
+        .domains(vec![vec![stub.index()], chain])
+        .explicit_flows(vec![
+            (SwitchId(first.index()), SwitchId(spine.index())),
+            (SwitchId(spine.index()), SwitchId(first.index())),
+            (SwitchId(7), SwitchId(spine.index())),
+            (SwitchId(stub.index()), SwitchId(3 * DIAMONDS / 2)),
+        ])
+        .allow_overload()
+        .build()
+        .expect("chain builds");
+    let prog = Programmability::compute(&net);
+    let failed = [ControllerId(1)];
+    assert_case(&net, &prog, &failed);
+    let sc = net.fail(&failed).expect("valid failure set");
+    let inst = FmssmInstance::new(&sc, &prog);
+    assert_eq!(inst.total_iterations(), 2 * DIAMONDS - 1);
+    assert!(inst.total_iterations() > 256);
+}
+
+#[test]
+fn single_entry_rows_come_out_whole() {
+    // On a 4-ring every two-hop flow can be rerouted at its source only,
+    // so each flow row holds one entry, the first of its table row.
+    let net = SdWanBuilder::new(builders::ring(4))
+        .controller(NodeId(0), 1_000)
+        .controller(NodeId(2), 1_000)
+        .domains(vec![vec![0, 1], vec![2, 3]])
+        .explicit_flows(vec![(SwitchId(0), SwitchId(2)), (SwitchId(1), SwitchId(3))])
+        .build()
+        .expect("ring builds");
+    let prog = Programmability::compute(&net);
+    let failed = [ControllerId(0)];
+    assert_case(&net, &prog, &failed);
+    let sc = net.fail(&failed).expect("valid failure set");
+    let inst = FmssmInstance::new(&sc, &prog);
+    assert_eq!(inst.flows().len(), 2);
+    for lp in 0..2 {
+        assert_eq!(inst.flow_entries(lp).len(), 1, "flow row {lp}");
+    }
+    assert_eq!(inst.total_iterations(), 1);
 }

@@ -11,6 +11,8 @@
 //! per-selection overhead terms interleave by switch), and seeded
 //! mutations of the heuristic plans that each break one constraint — alone
 //! and in pairs, so the first violation in `validate`'s order must win.
+//! Out-of-range ids include ones of 2³² and more, which the reference
+//! rejects like any other.
 
 use pm_core::{FmssmInstance, Optimal, Pg, Pm, RecoveryAlgorithm, RetroFlow};
 use pm_sdwan::{
@@ -219,7 +221,11 @@ fn pick<T: Copy>(rng: &mut DetRng, items: &[T]) -> Option<T> {
 }
 
 /// The violations the mutations plant, one each.
-const KINDS: usize = 13;
+const KINDS: usize = 15;
+
+/// 2³²: an id at or past it must not alias the id it is congruent to
+/// modulo 2³².
+const WRAP: usize = 1 << 32;
 
 /// Plants violation `kind` into `parts`; `None` when the scenario offers
 /// nothing to plant it with (no online switch, a single survivor, ...).
@@ -329,6 +335,29 @@ fn plant(
         }
         // A mapped out-of-range switch.
         12 => parts.map(SwitchId(switch_end + 2), pick(rng, &pools.active)?),
+        // A selection at an out-of-range switch.
+        13 => {
+            let l = pick(rng, &pools.offline_flows)?;
+            parts.select(SwitchId(switch_end + 1), l, pick(rng, &pools.active)?);
+        }
+        // A switch, flow or controller id of 2³² or more, 2³² past an id
+        // of the instance, in a mapping or a selection.
+        14 => {
+            let (s, l) = pick(rng, &pools.pairs)?;
+            let c = usable(parts, s, rng)?;
+            let (wide_s, wide_l, wide_c) = (
+                SwitchId(WRAP + s.index()),
+                FlowId(WRAP + l.index()),
+                ControllerId(WRAP + c.index()),
+            );
+            match rng.next_u64() % 5 {
+                0 => parts.map(wide_s, c),
+                1 => parts.map(s, wide_c),
+                2 => parts.select(wide_s, l, c),
+                3 => parts.select(s, wide_l, c),
+                _ => parts.select(s, l, wide_c),
+            }
+        }
         _ => unreachable!("{kind} >= KINDS"),
     }
     Some(())
